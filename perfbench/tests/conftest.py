@@ -1,0 +1,14 @@
+"""Make the benchmark modules and the program importable from the tests."""
+
+import os
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+ROOT = BENCH.parent
+
+for variable in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(variable, "1")
+for path in (ROOT / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
