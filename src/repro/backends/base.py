@@ -11,13 +11,18 @@ visit only spike events), run at a different precision, or dispatch to a
 JIT/GPU kernel, without the network, models, runner, or serving layers
 knowing anything changed.
 
-Two implementations ship today — :class:`repro.backends.dense.DenseBackend`
-(the reference vectorized-NumPy kernels, bit-for-bit identical to the
-pre-backend engine) and :class:`repro.backends.sparse.SparseEventBackend`
-(event-driven gather/scatter kernels that touch only spiking rows/columns).
-Operation accounting is *modelled* (GPU-style dense charging, paper Section
-III) rather than measured, so every backend reports identical
-``OperationCounter`` tallies for the same simulation.
+Six implementations ship today (see :mod:`repro.backends` for the
+registry): :class:`repro.backends.dense.DenseBackend` (the reference
+vectorized-NumPy kernels, bit-for-bit identical to the pre-backend engine),
+:class:`repro.backends.sparse.SparseEventBackend` (event-driven
+gather/scatter kernels that touch only spiking rows/columns), ``float32``
+(reduced-precision state), ``numba`` (JIT-fused kernels, when numba is
+installed), ``auto`` (per-workload dispatch among the others) and
+``eventqueue`` (the sparse kernels, declared for the event-driven
+``Network.run_events`` path).  Operation accounting is *modelled*
+(GPU-style dense charging, paper Section III) rather than measured, so every
+backend reports identical ``OperationCounter`` tallies for the same
+simulation.
 
 Conventions shared by every kernel:
 

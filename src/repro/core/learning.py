@@ -94,6 +94,7 @@ class SpikeDynLearningRule(LearningRule):
         self.gate_updates = bool(gate_updates)
         self.soft_bounds = bool(soft_bounds)
         self.accumulator: Optional[SpikeAccumulator] = None
+        self._steps_in_sample = 0
 
     # -- internal helpers -----------------------------------------------------
 
@@ -141,10 +142,13 @@ class SpikeDynLearningRule(LearningRule):
         """Depression of every synapse (no postsynaptic spike in the window)."""
         if kd <= 0.0 or self.nu_pre <= 0.0:
             return
-        post_trace = self.post_trace.values
-        delta = kd * self.nu_pre * post_trace[None, :]
+        # Row vector of per-column rates; the soft bound scales it by
+        # ``w - w_min`` in one scratch matrix instead of two temporaries.
+        delta = kd * self.nu_pre * self.post_trace.values
         if self.soft_bounds:
-            delta = delta * (connection.weights - connection.w_min)
+            bounded = connection.weights - connection.w_min
+            bounded *= delta
+            delta = bounded
         connection.weights -= delta
         connection.clip_weights()
         if counter is not None:
@@ -173,12 +177,24 @@ class SpikeDynLearningRule(LearningRule):
     def on_sample_start(self, connection: Connection) -> None:
         super().on_sample_start(connection)
         self._ensure_accumulator(connection).reset()
+        self._steps_in_sample = 0
 
     def step(self, connection: Connection, dt: float, t_index: int,
              counter: Optional[OperationCounter] = None) -> None:
-        self._update_traces(connection, dt, counter)
+        """One timestep of Alg. 2.
+
+        Weight updates are charged to ``counter`` as they happen; the trace
+        work of the whole presentation is charged once, by
+        :meth:`on_sample_end`, from the accumulated spike counts.
+        """
+        pre_spikes = connection.pre.spikes
+        post_spikes = connection.post.spikes
+        self._ensure_traces(connection)
+        self.pre_trace.advance(pre_spikes, dt)
+        self.post_trace.advance(post_spikes, dt)
+        self._steps_in_sample += 1
         accumulator = self._ensure_accumulator(connection)
-        accumulator.update(connection.pre.spikes, connection.post.spikes)
+        accumulator.add(pre_spikes, post_spikes)
 
         steps_per_window = self._steps_per_window(dt) if self.gate_updates else 1
         at_boundary = (t_index + 1) % steps_per_window == 0
@@ -195,6 +211,14 @@ class SpikeDynLearningRule(LearningRule):
 
     def on_sample_end(self, connection: Connection,
                       counter: Optional[OperationCounter] = None) -> None:
+        if counter is not None and self._steps_in_sample:
+            # Every step decayed every trace element and bumped one element
+            # per spike: the spikes the accumulator has summed.
+            decayed = self._steps_in_sample * (self.pre_trace.n + self.post_trace.n)
+            bumped = int(self.accumulator.pre_counts.sum()
+                         + self.accumulator.post_counts.sum())
+            counter.add(exponential_ops=decayed, trace_updates=decayed + bumped)
+        self._steps_in_sample = 0
         super().on_sample_end(connection, counter)
         if self.accumulator is not None:
             self.accumulator.reset()

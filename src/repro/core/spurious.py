@@ -60,6 +60,11 @@ class SpikeAccumulator:
             raise ValueError(
                 f"post_spikes must have shape ({self.n_post},), got {post_spikes.shape}"
             )
+        self.add(pre_spikes, post_spikes)
+
+    def add(self, pre_spikes: np.ndarray, post_spikes: np.ndarray) -> None:
+        """:meth:`update` for spike vectors already known to be boolean and
+        correctly shaped (the learning rule's per-timestep path)."""
         self.pre_counts += pre_spikes
         self.post_counts += post_spikes
         self.window_post_counts += post_spikes

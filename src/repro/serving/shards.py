@@ -307,10 +307,18 @@ class ShardProcessPool:
         # Spawn all shards first, then wait for readiness — the expensive
         # interpreter start-ups overlap instead of serializing.
         spawned = [self._spawn(index) for index in range(self.shards)]
-        for index, handle in enumerate(spawned):
-            self._await_ready(handle)
-            with self._lock:
-                self._handles[index] = handle
+        try:
+            for index, handle in enumerate(spawned):
+                self._await_ready(handle)
+                with self._lock:
+                    self._handles[index] = handle
+        except ShardCrashedError:
+            # The pool never started: leave no shard behind, and close the
+            # queue so later submits fail fast instead of waiting forever.
+            for handle in spawned:
+                handle.kill()
+            self.batcher.close(cancel_pending=True)
+            raise
         for index in range(self.shards):
             thread = threading.Thread(
                 target=self._dispatch_loop, args=(index,),
@@ -424,20 +432,29 @@ class ShardProcessPool:
 
     def _await_ready(self, handle: _ShardHandle) -> None:
         deadline = time.monotonic() + self.spawn_timeout_s
-        while not handle.conn.poll(_POLL_S):
-            if time.monotonic() > deadline:
-                handle.kill()
-                raise ShardCrashedError(
-                    f"shard {handle.index} did not become ready within "
-                    f"{self.spawn_timeout_s:.0f} s"
-                )
-            if not handle.alive:
-                handle.kill()
-                raise ShardCrashedError(
-                    f"shard {handle.index} died during start-up "
-                    f"(exitcode {handle.process.exitcode})"
-                )
-        message = handle.conn.recv()
+        try:
+            while not handle.conn.poll(_POLL_S):
+                if time.monotonic() > deadline:
+                    handle.kill()
+                    raise ShardCrashedError(
+                        f"shard {handle.index} did not become ready within "
+                        f"{self.spawn_timeout_s:.0f} s"
+                    )
+                if not handle.alive:
+                    handle.kill()
+                    raise ShardCrashedError(
+                        f"shard {handle.index} died during start-up "
+                        f"(exitcode {handle.process.exitcode})"
+                    )
+            message = handle.conn.recv()
+        except (EOFError, OSError) as error:
+            # The parent closed its copy of the child's end, so a shard that
+            # dies before ``ready`` makes poll() report EOF as readable.
+            handle.kill()
+            raise ShardCrashedError(
+                f"shard {handle.index} died during start-up "
+                f"(exitcode {handle.process.exitcode}): {error!r}"
+            ) from error
         if message[0] != "ready":
             handle.kill()
             raise ShardCrashedError(

@@ -19,6 +19,7 @@ from repro.snn.neurons import (
     LIFGroup,
     NeuronGroup,
 )
+from repro.snn.plan import StepPlan
 from repro.snn.simulation import OperationCounter, SimulationParameters
 from repro.snn.synapses import Connection, UniformLateralInhibition
 from repro.snn.topology import (
@@ -41,6 +42,7 @@ __all__ = [
     "SpikeMonitor",
     "SpikeTrace",
     "StateMonitor",
+    "StepPlan",
     "UniformLateralInhibition",
     "all_to_all_except_self_weights",
     "dense_random_weights",

@@ -54,12 +54,13 @@ either arithmetic).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.snn.neurons import AdaptiveLIFGroup, InputGroup, LIFGroup
+from repro.snn.neurons import AdaptiveLIFGroup, LIFGroup
 
 #: Absolute safety margin (mV) between the no-spike ceiling and the
 #: threshold floor.  Stepped float rounding over a gap is ~1e-10 mV; the
@@ -196,16 +197,36 @@ def as_event_stream(source, n_channels: Optional[int] = None) -> "EventStream":
     return stream
 
 
+class EventRows:
+    """The input rows of an event stream, built as the stepping loop asks.
+
+    Rows must be requested in increasing step order: ``rows[t]`` is a fresh
+    boolean row where events fall at step ``t`` and the shared ``silent``
+    row elsewhere, and :meth:`next_input` names the next step with events.
+    """
+
+    def __init__(self, stream: EventStream, silent: np.ndarray) -> None:
+        self.times, self.channels = stream.step_channels()
+        self.silent = silent
+        self._pointer = 0
+
+    def __getitem__(self, t_index: int) -> np.ndarray:
+        pointer = self._pointer
+        if pointer < self.times.size and self.times[pointer] == t_index:
+            self._pointer = pointer + 1
+            row = np.zeros_like(self.silent)
+            row[self.channels[pointer]] = True
+            return row
+        return self.silent
+
+    def next_input(self) -> float:
+        """The next step with events not yet handed out (``inf`` if none)."""
+        if self._pointer < self.times.size:
+            return int(self.times[self._pointer])
+        return math.inf
+
+
 # -- the analytic silent-gap advance ----------------------------------------
-
-
-def _incoming_connections(network) -> dict:
-    """Connections grouped by target-group name (lateral loops included)."""
-    incoming: dict = {name: [] for name, group in network.groups.items()
-                      if not isinstance(group, InputGroup)}
-    for connection in network.connections:
-        incoming[connection.post.name].append(connection)
-    return incoming
 
 
 def silence_is_provable(network, margin: float = NO_SPIKE_MARGIN) -> bool:
@@ -219,10 +240,8 @@ def silence_is_provable(network, margin: float = NO_SPIKE_MARGIN) -> bool:
     timesteps; a ``True`` is a proof.
     """
     dt = network.params.dt
-    incoming = _incoming_connections(network)
-    for name, group in network.groups.items():
-        if isinstance(group, InputGroup):
-            continue
+    for stage in network.compile().stages:
+        group = stage.group
         if group.spikes.any():
             # Last step's spikes still owe a delayed lateral/recurrent
             # delivery on the next step; step it instead of proving it.
@@ -230,10 +249,9 @@ def silence_is_provable(network, margin: float = NO_SPIKE_MARGIN) -> bool:
         if np.any(group.refrac_remaining > 0.0):
             return False
         ceiling = group.v_rest + np.maximum(group.v - group.v_rest, 0.0)
-        for connection in incoming[name]:
+        for connection, _, mu in stage.inputs:
             if connection.sign <= 0:
                 continue  # inhibition only lowers the ceiling
-            mu = np.exp(-dt / connection.tau_syn)
             tail = mu / (1.0 - mu)
             ceiling = ceiling + (
                 dt * connection.gain * tail
@@ -272,17 +290,16 @@ def advance_analytic(network, delta: int, *, decay_traces: bool = False) -> None
     """
     dt = network.params.dt
     counter = network.counter
-    incoming = _incoming_connections(network)
+    plan = network.compile()
 
-    for name, group in network.groups.items():
-        if isinstance(group, InputGroup) or not isinstance(group, LIFGroup):
+    for stage in plan.stages:
+        group = stage.group
+        if not isinstance(group, LIFGroup):
             continue
         lam = np.exp(-dt / group.tau_m)
         lam_pow = lam ** delta
         drive = np.zeros(group.state_shape, dtype=float)
-        for connection in incoming[name]:
-            mu = np.exp(-dt / connection.tau_syn)
-            coefficient = connection.sign * connection.gain
+        for connection, coefficient, mu in stage.inputs:
             drive += (coefficient * _geometric_drive(mu, lam, delta)) \
                 * connection.conductance
         group.v = group.v_rest + (group.v - group.v_rest) * lam_pow + dt * drive
@@ -291,8 +308,7 @@ def advance_analytic(network, delta: int, *, decay_traces: bool = False) -> None
             group.theta = group.theta * np.exp(-dt / group.tau_theta) ** delta
             counter.add(neuron_updates=group.n, exponential_ops=group.n)
 
-    for connection in network.connections:
-        mu = np.exp(-dt / connection.tau_syn)
+    for connection, mu in plan.transmissions:
         connection.conductance = connection.conductance * mu ** delta
         counter.add(exponential_ops=connection.post.n)
 

@@ -7,15 +7,16 @@ advances the whole network timestep by timestep, drives attached learning
 rules, and returns per-group spike counts.  :meth:`Network.run_batch`
 presents ``B`` samples at once, advancing ``(B, n)``-shaped state in one
 vectorized step per timestep — the hot path for evaluation-heavy workloads.
+:meth:`Network.run_events` presents an event stream and jumps provably
+silent gaps.
 
-The ordering within one timestep is:
-
-1. the input group replays the next row of its spike train;
-2. every connection converts its presynaptic spikes (input spikes from this
-   timestep, recurrent/lateral spikes from the previous timestep) into
-   postsynaptic currents;
-3. every non-input group integrates its summed current and fires;
-4. plastic connections run their learning rule.
+All three share one stepping loop, which differs between them only in where
+the input rows come from and whether silent gaps may be jumped.  Each
+timestep is one call of :meth:`repro.snn.plan.StepPlan.step`, and the order
+of work within a timestep is documented there.  :meth:`Network.compile`
+builds that plan once per batch shape and caches it; adding a group or a
+connection, or :meth:`Network.set_backend`, drops the cache so the next run
+recompiles.
 
 All primitive operations are tallied in the network's
 :class:`~repro.snn.simulation.OperationCounter`, which feeds the energy and
@@ -30,8 +31,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.backends import BackendLike, get_backend
+from repro.snn.events import (EventRows, advance_analytic, as_event_stream,
+                              silence_is_provable)
 from repro.snn.monitors import SpikeMonitor, StateMonitor
 from repro.snn.neurons import InputGroup, NeuronGroup
+from repro.snn.plan import StepPlan
 from repro.snn.simulation import OperationCounter, SimulationParameters
 from repro.snn.synapses import Connection
 
@@ -89,6 +93,7 @@ class Network:
         self.state_monitors: List[StateMonitor] = []
         self.counter = OperationCounter()
         self._input_group: Optional[InputGroup] = None
+        self._plans: Dict[Optional[int], StepPlan] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -98,6 +103,7 @@ class Network:
             raise ValueError(f"a group named {group.name!r} already exists")
         self.groups[group.name] = group
         group.backend = self.backend
+        self._plans.clear()
         if isinstance(group, InputGroup):
             if self._input_group is not None:
                 raise ValueError("network already has an input group")
@@ -114,6 +120,7 @@ class Network:
                 )
         self.connections.append(connection)
         connection.backend = self.backend
+        self._plans.clear()
         return connection
 
     def add_spike_monitor(self, monitor: SpikeMonitor) -> SpikeMonitor:
@@ -145,6 +152,7 @@ class Network:
             group.backend = self.backend
         for connection in self.connections:
             connection.backend = self.backend
+        self._plans.clear()
 
     @property
     def input_group(self) -> InputGroup:
@@ -226,52 +234,65 @@ class Network:
             monitor.reset()
         self.counter.reset()
 
-    def _step(self, dt: float, learning: bool, t_index: int,
-              input_override: Optional[np.ndarray] = None) -> None:
-        """Advance all groups and connections by one timestep.
+    def compile(self) -> StepPlan:
+        """The :class:`~repro.snn.plan.StepPlan` for the active batch shape.
 
-        ``input_override`` (the event-driven path) injects this timestep's
-        input spikes directly instead of replaying the loaded spike train;
-        everything downstream of stage 1 is identical either way.
+        Compiled on first use and cached per batch shape; adding a group or
+        connection, or :meth:`set_backend`, drops the cache.  Time constants
+        and ``params.dt`` are read when the plan compiles.
         """
-        counter = self.counter
+        plan = self._plans.get(self.batch_size)
+        if plan is None:
+            plan = self._plans[self.batch_size] = StepPlan(self)
+        return plan
 
-        # 1. Input group replays the next spike-train row.
-        if self._input_group is not None:
-            if input_override is None:
-                self._input_group.step(
-                    np.zeros(self._input_group.state_shape), dt, counter
-                )
-            else:
-                self._input_group.spikes = input_override
+    def _simulate(self, rows, steps: int, *, learning: bool,
+                  include_rest: bool, next_input=None) -> SampleResult:
+        """The one stepping loop behind every ``run_*`` entry point.
 
-        # 2. Gather currents per target group (one-step delay for recurrence).
-        currents: Dict[str, np.ndarray] = {
-            name: np.zeros(group.state_shape, dtype=float)
-            for name, group in self.groups.items()
-            if not isinstance(group, InputGroup)
-        }
-        for connection in self.connections:
-            current = connection.propagate(dt, counter)
-            currents[connection.post.name] += current
-
-        # 3. Non-input groups integrate and fire.
-        for name, group in self.groups.items():
-            if isinstance(group, InputGroup):
-                continue
-            group.step(currents[name], dt, counter)
-
-        # 4. Plasticity.
-        if learning:
-            for connection in self.connections:
-                if connection.learning_rule is not None:
-                    connection.learning_rule.step(connection, dt, t_index, counter)
-
-        # 5. Monitors.
-        for monitor in self.spike_monitors:
-            monitor.observe()
-        for monitor in self.state_monitors:
-            monitor.observe()
+        ``rows[t]`` is the input row of presentation step ``t``; rest steps
+        get silence.  ``next_input()`` (event inputs only) names the next
+        step that carries input; silent gaps up to it are jumped whenever
+        :func:`~repro.snn.events.silence_is_provable`.  The result holds the
+        spike counts of the presentation window.
+        """
+        plan = self.compile()
+        silent = plan.silent_input
+        total = steps + (self.params.rest_steps if include_rest else 0)
+        plastic = [connection for connection in self.connections
+                   if learning and connection.learning_rule is not None]
+        for connection in plastic:
+            connection.learning_rule.on_sample_start(connection)
+        plan.begin()
+        presented = None
+        t_index = 0
+        try:
+            while t_index < total:
+                if t_index >= steps and presented is None:
+                    presented = {name: counts.copy()
+                                 for name, counts in plan.counts.items()}
+                learn_now = learning and t_index < steps
+                row = rows[t_index] if t_index < steps else silent
+                if next_input is not None and row is silent:
+                    # Plasticity stops at the presentation boundary (the
+                    # rest period never updates traces): jumps stop there.
+                    target = min(next_input(), steps if learn_now else total)
+                    if silence_is_provable(self):
+                        advance_analytic(self, target - t_index,
+                                         decay_traces=learn_now)
+                        t_index = target
+                        continue
+                plan.step(row, t_index, learn_now)
+                t_index += 1
+        finally:
+            plan.flush(self.counter)
+        for connection in plastic:
+            connection.learning_rule.on_sample_end(connection, self.counter)
+        self.reset_transient_state()
+        return SampleResult(
+            spike_counts=plan.counts if presented is None else presented,
+            steps=total, learning=learning,
+        )
 
     def run_sample(self, spike_train: np.ndarray, *, learning: bool = True,
                    include_rest: bool = False) -> SampleResult:
@@ -292,43 +313,9 @@ class Network:
         SampleResult
             Per-group spike counts over the presentation window.
         """
-        dt = self.params.dt
-        input_group = self.input_group
-        input_group.set_spike_train(spike_train)
-
-        spike_counts = {
-            name: np.zeros(group.n, dtype=np.int64)
-            for name, group in self.groups.items()
-        }
-
-        if learning:
-            for connection in self.connections:
-                if connection.learning_rule is not None:
-                    connection.learning_rule.on_sample_start(connection)
-
-        steps = int(np.asarray(spike_train).shape[0])
-        for t_index in range(steps):
-            self._step(dt, learning, t_index)
-            for name, group in self.groups.items():
-                spike_counts[name] += group.spikes
-
-        rest_steps = self.params.rest_steps if include_rest else 0
-        if rest_steps:
-            input_group.clear_spike_train()
-            for t_index in range(steps, steps + rest_steps):
-                self._step(dt, learning=False, t_index=t_index)
-
-        if learning:
-            for connection in self.connections:
-                if connection.learning_rule is not None:
-                    connection.learning_rule.on_sample_end(connection, self.counter)
-
-        self.reset_transient_state()
-        return SampleResult(
-            spike_counts=spike_counts,
-            steps=steps + rest_steps,
-            learning=learning,
-        )
+        train = self.input_group.validate_train(spike_train)
+        return self._simulate(train, train.shape[0], learning=learning,
+                              include_rest=include_rest)
 
     def run_batch(self, spike_trains: np.ndarray, *, learning: bool = False,
                   include_rest: bool = False) -> List[SampleResult]:
@@ -408,33 +395,21 @@ class Network:
                 for train in trains
             ]
 
-        dt = self.params.dt
         batch_size, steps, _ = trains.shape
         self._begin_batch(batch_size)
         try:
-            input_group.set_spike_train(trains)
-            spike_counts = {
-                name: np.zeros((batch_size, group.n), dtype=np.int64)
-                for name, group in self.groups.items()
-            }
-            for t_index in range(steps):
-                self._step(dt, learning=False, t_index=t_index)
-                for name, group in self.groups.items():
-                    spike_counts[name] += group.spikes
-
-            rest_steps = self.params.rest_steps if include_rest else 0
-            if rest_steps:
-                input_group.clear_spike_train()
-                for t_index in range(steps, steps + rest_steps):
-                    self._step(dt, learning=False, t_index=t_index)
+            # rows[t] is the (batch_size, n_input) input of step t.
+            rows = np.swapaxes(trains.astype(bool), 0, 1)
+            batched = self._simulate(rows, steps, learning=False,
+                                     include_rest=include_rest)
         finally:
             self._end_batch()
 
         return [
             SampleResult(
                 spike_counts={name: counts[index].copy()
-                              for name, counts in spike_counts.items()},
-                steps=steps + rest_steps,
+                              for name, counts in batched.spike_counts.items()},
+                steps=batched.steps,
                 learning=False,
             )
             for index in range(batch_size)
@@ -484,27 +459,18 @@ class Network:
         SampleResult or list of SampleResult
             One result for a single stream/train, a list for a batch.
         """
-        from repro.snn.events import as_event_stream
-
-        if isinstance(events, (list, tuple)):
+        if isinstance(events, (list, tuple)) or (
+                not hasattr(events, "n_events") and np.ndim(events) == 3):
             return [self.run_events(item, learning=learning,
                                     include_rest=include_rest,
                                     allow_jumps=allow_jumps)
                     for item in events]
-        if not hasattr(events, "n_events"):
-            dense = np.asarray(events)
-            if dense.ndim == 3:
-                return [self.run_events(train, learning=learning,
-                                        include_rest=include_rest,
-                                        allow_jumps=allow_jumps)
-                        for train in dense]
         if self.batch_size is not None:
             raise RuntimeError(
                 "run_events requires single-sample mode; end the active "
                 "batch first"
             )
-        input_group = self.input_group
-        stream = as_event_stream(events, n_channels=input_group.n)
+        stream = as_event_stream(events, n_channels=self.input_group.n)
 
         jumps = allow_jumps if allow_jumps is not None \
             else self.backend.supports_events
@@ -517,74 +483,13 @@ class Network:
                 if conn.learning_rule is not None
             )
 
-        from repro.snn.events import advance_analytic, silence_is_provable
-
-        dt = self.params.dt
-        steps = stream.n_steps
-        rest_steps = self.params.rest_steps if include_rest else 0
-        total_steps = steps + rest_steps
-
-        if learning:
-            for connection in self.connections:
-                if connection.learning_rule is not None:
-                    connection.learning_rule.on_sample_start(connection)
-
-        spike_counts = {
-            name: np.zeros(group.n, dtype=np.int64)
-            for name, group in self.groups.items()
-        }
-        active_times, channels_per_step = stream.step_channels()
-        silent_row = np.zeros(input_group.n, dtype=bool)
-
-        pointer = 0
-        t_index = 0
-        while t_index < total_steps:
-            if pointer < active_times.size and active_times[pointer] == t_index:
-                channels = channels_per_step[pointer]
-                pointer += 1
-                row = np.zeros(input_group.n, dtype=bool)
-                row[channels] = True
-                delivered = int(channels.size)
-            else:
-                row = silent_row
-                delivered = 0
-
-            if delivered == 0 and jumps:
-                next_active = int(active_times[pointer]) \
-                    if pointer < active_times.size else total_steps
-                # Plasticity stops at the presentation boundary (the rest
-                # period never updates traces), so jumps do not cross it.
-                if learning and t_index < steps:
-                    next_active = min(next_active, steps)
-                gap = next_active - t_index
-                if gap > 0 and silence_is_provable(self):
-                    advance_analytic(
-                        self, gap,
-                        decay_traces=learning and t_index < steps,
-                    )
-                    t_index = next_active
-                    continue
-
-            learn_now = learning and t_index < steps
-            self._step(dt, learn_now, t_index, input_override=row)
-            if delivered:
-                self.counter.add(events_processed=delivered)
-            if t_index < steps:
-                for name, group in self.groups.items():
-                    spike_counts[name] += group.spikes
-            t_index += 1
-
-        if learning:
-            for connection in self.connections:
-                if connection.learning_rule is not None:
-                    connection.learning_rule.on_sample_end(connection, self.counter)
-
-        self.reset_transient_state()
-        return SampleResult(
-            spike_counts=spike_counts,
-            steps=total_steps,
-            learning=learning,
-        )
+        rows = EventRows(stream, self.compile().silent_input)
+        result = self._simulate(rows, stream.n_steps, learning=learning,
+                                include_rest=include_rest,
+                                next_input=rows.next_input if jumps else None)
+        # Every event is delivered on an executed step: gaps stop before it.
+        self.counter.add(events_processed=stream.n_events)
+        return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -32,7 +32,7 @@ restored on exit — a batched run never mutates persistent adaptation state.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -136,6 +136,28 @@ class NeuronGroup:
         """Advance the group by one timestep and return the spike vector."""
         raise NotImplementedError
 
+    # -- compiled stepping ----------------------------------------------------
+
+    def decay_factors(self, dt: float) -> tuple:
+        """The group's per-step ``exp(-dt / tau)`` factors.
+
+        A compiled :class:`~repro.snn.plan.StepPlan` evaluates them once and
+        hands them back to every :meth:`integrate` call.
+        """
+        return ()
+
+    def integrate(self, input_current: np.ndarray, dt: float,
+                  decays: tuple) -> None:
+        """One timestep from an already validated current and precomputed
+        :meth:`decay_factors`, without operation tallies (the step plan
+        charges :meth:`step_operations` once per run)."""
+        raise NotImplementedError
+
+    def step_operations(self) -> Dict[str, int]:
+        """Operation tallies of one :meth:`integrate` call that do not
+        depend on spikes, for the group's current batch shape."""
+        return {}
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r}, n={self.n})"
 
@@ -159,6 +181,12 @@ class InputGroup(NeuronGroup):
         Expects shape ``(timesteps, n)`` in single-sample mode and
         ``(batch_size, timesteps, n)`` in batch mode.
         """
+        self._train = self.validate_train(train)
+        self._cursor = 0
+
+    def validate_train(self, train: np.ndarray) -> np.ndarray:
+        """A boolean copy of ``train``, checked against the current mode's
+        shape (see :meth:`set_spike_train`)."""
         train = np.asarray(train)
         if self._batch_size is None:
             if train.ndim != 2 or train.shape[1] != self.n:
@@ -171,8 +199,7 @@ class InputGroup(NeuronGroup):
                 "batched spike train must have shape "
                 f"({self._batch_size}, timesteps, {self.n}), got {train.shape}"
             )
-        self._train = train.astype(bool)
-        self._cursor = 0
+        return train.astype(bool)
 
     def clear_spike_train(self) -> None:
         """Remove the loaded spike train (the group then emits no spikes)."""
@@ -298,7 +325,17 @@ class LIFGroup(NeuronGroup):
                 f"input_current must have shape {self.state_shape}, "
                 f"got {input_current.shape}"
             )
+        self.integrate(input_current, dt, self.decay_factors(dt))
+        if counter is not None:
+            counter.add(spike_events=int(self.spikes.sum()),
+                        **self.step_operations())
+        return self.spikes
 
+    def decay_factors(self, dt: float) -> tuple:
+        return (np.exp(-dt / self.tau_m),)
+
+    def integrate(self, input_current: np.ndarray, dt: float,
+                  decays: tuple) -> None:
         # Decay, integrate, fire, reset — executed by the active backend
         # (the decay factor is precomputed so every backend sees the same
         # scalar).
@@ -307,25 +344,19 @@ class LIFGroup(NeuronGroup):
             self.refrac_remaining,
             input_current,
             self.firing_threshold(),
-            decay=np.exp(-dt / self.tau_m),
+            decay=decays[0],
             v_rest=self.v_rest,
             v_reset=self.v_reset,
             refractory=self.refractory,
             dt=dt,
         )
+        self._post_spike_update(decays)
 
-        if counter is not None:
-            batch = self._batch_size if self._batch_size is not None else 1
-            counter.add(
-                neuron_updates=self.n * batch,
-                exponential_ops=self.n * batch,
-                spike_events=int(self.spikes.sum()),
-            )
-        self._post_spike_update(dt, counter)
-        return self.spikes
+    def step_operations(self) -> Dict[str, int]:
+        size = self.n * (self._batch_size or 1)
+        return {"neuron_updates": size, "exponential_ops": size}
 
-    def _post_spike_update(self, dt: float,
-                           counter: Optional[OperationCounter]) -> None:
+    def _post_spike_update(self, decays: tuple) -> None:
         """Hook for subclasses to update adaptation state after spiking."""
 
 
@@ -411,17 +442,25 @@ class AdaptiveLIFGroup(LIFGroup):
             self.theta = self._theta_stash
             self._theta_stash = None
 
-    def _post_spike_update(self, dt: float,
-                           counter: Optional[OperationCounter]) -> None:
+    def decay_factors(self, dt: float) -> tuple:
+        return (np.exp(-dt / self.tau_m), np.exp(-dt / self.tau_theta))
+
+    def step_operations(self) -> Dict[str, int]:
+        operations = super().step_operations()
+        if self.adapt_theta:
+            # Read on every call: adapt_theta may be flipped on a built network.
+            size = self.n * (self._batch_size or 1)
+            operations["neuron_updates"] += size
+            operations["exponential_ops"] += size
+        return operations
+
+    def _post_spike_update(self, decays: tuple) -> None:
         if not self.adapt_theta:
             return
         # Exponential decay of theta, plus an additive boost on spikes.
         self.theta = self.backend.theta_step(
             self.theta,
             self.spikes,
-            decay=np.exp(-dt / self.tau_theta),
+            decay=decays[1],
             theta_plus=self.theta_plus,
         )
-        if counter is not None:
-            batch = self._batch_size if self._batch_size is not None else 1
-            counter.add(exponential_ops=self.n * batch, neuron_updates=self.n * batch)

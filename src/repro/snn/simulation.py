@@ -99,9 +99,13 @@ class OperationCounter:
     steps_skipped: int = 0
 
     def add(self, **increments: int) -> None:
-        """Increment one or more counters by the given amounts."""
+        """Increment one or more counters by the given amounts.
+
+        Names are checked against the counter fields, so a method name such
+        as ``copy`` is rejected like any other unknown name.
+        """
         for name, value in increments.items():
-            if not hasattr(self, name):
+            if name not in COUNTER_FIELDS:
                 raise AttributeError(f"OperationCounter has no counter named {name!r}")
             setattr(self, name, getattr(self, name) + int(value))
 
@@ -143,3 +147,7 @@ class OperationCounter:
             key: self.as_dict()[key] - other.as_dict()[key] for key in self.as_dict()
         }
         return OperationCounter(**merged)
+
+
+#: Names of the :class:`OperationCounter` fields, in declaration order.
+COUNTER_FIELDS = tuple(spec.name for spec in fields(OperationCounter))

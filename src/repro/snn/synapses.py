@@ -181,24 +181,33 @@ class Connection:
         spiking sample (bit-for-bit identical to the sequential path), while
         the sparse backend gathers only the spiking weight rows.
         """
+        self.transmit(self.decay_factor(dt))
+        if counter is not None:
+            counter.add(**self.step_operations())
+        return self.sign * self.gain * self.conductance
+
+    def decay_factor(self, dt: float) -> float:
+        """Per-step conductance decay ``exp(-dt / tau_syn)``."""
+        return np.exp(-dt / self.tau_syn)
+
+    def transmit(self, decay: float) -> None:
+        """Decay the conductance, then inject this step's presynaptic spikes
+        (the compiled step plan's entry point: no tallies)."""
         # Rebind per the kernel contract: backends running at a different
         # state dtype (float32) hand back a converted array here, after
         # which the conductance stays at the backend's precision.
-        self.conductance = self.backend.decay_state(
-            self.conductance, np.exp(-dt / self.tau_syn)
-        )
+        self.conductance = self.backend.decay_state(self.conductance, decay)
         self.backend.propagate_spikes(self.conductance, self.pre.spikes,
                                       self.weights)
-        if counter is not None:
-            # Dense (GPU-style) accounting: the stored projection is processed
-            # once per timestep regardless of how many presynaptic spikes
-            # occurred, matching the paper's GPU-based energy measurements.
-            batch = self._batch_size if self._batch_size is not None else 1
-            counter.add(
-                exponential_ops=self.post.n * batch,
-                synaptic_events=self._ops_per_step * batch,
-            )
-        return self.sign * self.gain * self.conductance
+
+    def step_operations(self) -> dict:
+        """Operation tallies of one :meth:`transmit` call."""
+        # Dense (GPU-style) accounting: the stored projection is processed
+        # once per timestep regardless of how many presynaptic spikes
+        # occurred, matching the paper's GPU-based energy measurements.
+        batch = self._batch_size or 1
+        return {"exponential_ops": self.post.n * batch,
+                "synaptic_events": self._ops_per_step * batch}
 
     # -- plasticity helpers -------------------------------------------------
 
@@ -337,17 +346,26 @@ class UniformLateralInhibition:
     def propagate(self, dt: float,
                   counter: Optional[OperationCounter] = None) -> np.ndarray:
         """Advance the conductance and return the (negative) lateral current."""
-        self.conductance = self.backend.decay_state(
-            self.conductance, np.exp(-dt / self.tau_syn)
-        )
+        self.transmit(self.decay_factor(dt))
+        if counter is not None:
+            counter.add(**self.step_operations())
+        return -self.gain * self.conductance
+
+    def decay_factor(self, dt: float) -> float:
+        """Per-step conductance decay ``exp(-dt / tau_syn)``."""
+        return np.exp(-dt / self.tau_syn)
+
+    def transmit(self, decay: float) -> None:
+        """Decay the conductance, then inject this step's lateral inhibition."""
+        self.conductance = self.backend.decay_state(self.conductance, decay)
         self.backend.propagate_lateral(self.conductance, self.pre.spikes,
                                        self.strength)
-        if counter is not None:
-            # O(n) broadcast: decay plus a scalar subtraction per neuron.
-            batch = self._batch_size if self._batch_size is not None else 1
-            counter.add(exponential_ops=self.post.n * batch,
-                        synaptic_events=self.post.n * batch)
-        return -self.gain * self.conductance
+
+    def step_operations(self) -> dict:
+        """Operation tallies of one :meth:`transmit` call."""
+        # O(n) broadcast: decay plus a scalar subtraction per neuron.
+        size = self.post.n * (self._batch_size or 1)
+        return {"exponential_ops": size, "synaptic_events": size}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

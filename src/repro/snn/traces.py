@@ -53,6 +53,8 @@ class SpikeTrace:
         self.backend = get_backend(backend)
         self._batch_size: Optional[int] = None
         self.values = np.zeros(self.n, dtype=float)
+        self._decay_dt: Optional[float] = None
+        self._decay = 1.0
 
     @property
     def batch_size(self) -> Optional[int]:
@@ -93,10 +95,16 @@ class SpikeTrace:
         """Zero all trace values."""
         self.values[:] = 0.0
 
+    def decay_factor(self, dt: float) -> float:
+        """``exp(-dt / tau)``, evaluated once per timestep size."""
+        if dt != self._decay_dt:
+            self._decay_dt = dt
+            self._decay = np.exp(-dt / self.tau)
+        return self._decay
+
     def decay(self, dt: float, counter: Optional[OperationCounter] = None) -> None:
         """Apply one timestep of exponential decay."""
-        self.values = self.backend.decay_state(self.values,
-                                               np.exp(-dt / self.tau))
+        self.values = self.backend.decay_state(self.values, self.decay_factor(dt))
         if counter is not None:
             batch = self._batch_size if self._batch_size is not None else 1
             counter.add(exponential_ops=self.n * batch, trace_updates=self.n * batch)
@@ -121,6 +129,16 @@ class SpikeTrace:
         self.decay(dt, counter)
         self.update(spikes, counter)
         return self.values
+
+    def advance(self, spikes: np.ndarray, dt: float) -> None:
+        """:meth:`step` for a caller that has already validated ``spikes``
+        and charges the trace work itself: the same kernels, no checks and
+        no tallies."""
+        backend = self.backend
+        self.values = backend.bump_trace(
+            backend.decay_state(self.values, self.decay_factor(dt)),
+            spikes, self.increment, self.mode,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SpikeTrace(n={self.n}, tau={self.tau}, mode={self.mode!r})"

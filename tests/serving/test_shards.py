@@ -15,6 +15,8 @@ import pytest
 
 from repro.observability.ledger import KIND_SERVING_SHARD, RunLedger
 from repro.serving.artifacts import ArtifactError
+from repro.serving.batcher import QueueClosedError
+from repro.serving.errors import ShardCrashedError
 from repro.serving.inference import offline_predictions
 from repro.serving.shards import ShardProcessPool
 
@@ -102,6 +104,56 @@ class TestCrashRecovery:
         assert sum(shards["batches_by_shard"].values()) > 0
         assert snapshot["model"] == "spikedyn"
         assert snapshot["backend"] == "dense"
+
+
+def _kill_before_ready(pool, times):
+    """Make the pool's next ``times`` spawned shards die before ``ready``."""
+    spawn = pool._spawn
+    remaining = [times]
+
+    def spawn_and_kill(index):
+        handle = spawn(index)
+        if remaining[0] > 0:
+            remaining[0] -= 1
+            os.kill(handle.pid, signal.SIGKILL)
+        return handle
+
+    pool._spawn = spawn_and_kill
+
+
+class TestDeathBeforeReady:
+    """A shard killed before it reports ``ready`` must end in a typed error
+    or a recovery within a deadline, never a hang or a dead dispatcher."""
+
+    def test_at_start_raises_a_typed_error(self, artifact_dir):
+        pool = ShardProcessPool(artifact_dir, shards=2, max_batch=2)
+        _kill_before_ready(pool, 1)
+        with pytest.raises(ShardCrashedError, match="died during start-up"):
+            pool.start()
+        # No shard outlives the failed start, and the pool refuses work
+        # instead of queueing it for dispatchers that never started.
+        assert pool.shard_pids() == [None, None]
+        with pytest.raises(QueueClosedError):
+            pool.submit(np.zeros(pool.n_input))
+
+    def test_on_respawn_fails_the_batch_then_recovers(self, artifact_dir,
+                                                      request_images):
+        pool = ShardProcessPool(artifact_dir, shards=1, max_batch=2)
+        pool.start()
+        try:
+            os.kill(pool.shard_pids()[0], signal.SIGKILL)
+            # Both attempts of the next batch get a replacement that dies
+            # before ready: the batch fails with the typed error.
+            _kill_before_ready(pool, 2)
+            future = pool.submit(request_images[0], seed=0)
+            with pytest.raises(ShardCrashedError):
+                future.result(timeout=120.0)
+            # The dispatcher survived: the next batch respawns and serves.
+            result = pool.predict(request_images[0], seed=0, timeout=120.0)
+            assert result.prediction >= 0
+            assert pool.shard_pids()[0] is not None
+        finally:
+            pool.stop(cancel_pending=True)
 
 
 class TestPoolContract:

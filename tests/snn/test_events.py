@@ -143,15 +143,15 @@ class TestSilenceBound:
         burst = bursty_train(timesteps=6, bursts=1, burst_steps=3, p=0.9)
         for network in (stepped, jumped):
             for t, row in enumerate(burst):
-                network._step(1.0, False, t, input_override=row)
+                network.compile().step(row, t, learning=False)
         t = len(burst)
         while not silence_is_provable(jumped):
             for network in (stepped, jumped):
-                network._step(1.0, False, t, input_override=silent_row)
+                network.compile().step(silent_row, t, learning=False)
             t += 1
             assert t < 200, "silence never became provable"
         for offset in range(30):
-            stepped._step(1.0, False, t + offset, input_override=silent_row)
+            stepped.compile().step(silent_row, t + offset, learning=False)
         advance_analytic(jumped, 30)
         exc_s, exc_j = stepped.group("excitatory"), jumped.group("excitatory")
         np.testing.assert_allclose(exc_j.v, exc_s.v, rtol=1e-6, atol=1e-9)

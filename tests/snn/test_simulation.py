@@ -62,8 +62,11 @@ class TestOperationCounter:
 
     def test_add_unknown_counter_raises(self):
         counter = OperationCounter()
-        with pytest.raises(AttributeError):
-            counter.add(made_up_counter=1)
+        # Method names are not counters either.
+        for name in ("made_up_counter", "copy", "reset", "as_dict"):
+            with pytest.raises(AttributeError, match="no counter named"):
+                counter.add(**{name: 1})
+        assert counter == OperationCounter()
 
     def test_total_ops_excludes_spike_events(self):
         counter = OperationCounter(neuron_updates=1, synaptic_events=2,
