@@ -249,7 +249,7 @@ def render_prometheus(snapshot: Mapping[str, Any], prefix: str = METRIC_PREFIX) 
 
     ``snapshot`` is the dictionary produced by
     :meth:`repro.serving.metrics.ServingMetrics.snapshot` /
-    :meth:`repro.serving.pool.ReplicaPool.metrics_snapshot`; unknown keys
+    :meth:`repro.serving.pool.ServingPool.metrics_snapshot`; unknown keys
     are ignored, missing keys are simply not exported, so the renderer
     tolerates both bare-metrics and pool-level snapshots.
     """

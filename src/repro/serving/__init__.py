@@ -3,7 +3,8 @@
 The serving subsystem turns trained models into a concurrently-queryable,
 multi-tenant service::
 
-    train --> save artifact --> ShardProcessPool / ReplicaPool
+    train --> save artifact --> pool: ReplicaPool (thread executor)
+                                   or ShardProcessPool (process executor)
           --> ModelRouter --> ModelServer (/v1)
 
 * :mod:`repro.serving.artifacts` — versioned, self-describing model
@@ -12,10 +13,14 @@ multi-tenant service::
   offline reference path serving is provably identical to;
 * :mod:`repro.serving.batcher` — thread-safe micro-batching queue
   (``max_batch`` / ``max_wait_ms`` / backpressure);
-* :mod:`repro.serving.pool` — worker threads each owning an independent
-  model replica (single-core friendly);
-* :mod:`repro.serving.shards` — worker *processes* with crash supervision
-  and respawn (multi-core throughput, fault isolation);
+* :mod:`repro.serving.pool` — the one serving pool: validation, the
+  micro-batcher, one worker loop per slot, futures, metrics, drift, ledger
+  and lifecycle, over an executor seam.  Its thread executor,
+  :class:`ReplicaPool`, gives each worker thread an independent model
+  replica (single-core friendly);
+* :mod:`repro.serving.shards` — the process executor,
+  :class:`ShardProcessPool`: worker *processes* with crash supervision and
+  respawn (multi-core throughput, fault isolation);
 * :mod:`repro.serving.router` — the multi-tenant control plane: LRU model
   loading from the registry, per-tenant token-bucket rate limiting,
   per-model circuit breaker, bounded retry for transient shard failures;

@@ -2,8 +2,9 @@
 
 The generator is target-agnostic: a *sender* is any callable taking
 ``(image, seed)`` and returning the predicted class (raising on failure).
-:func:`pool_sender` drives a :class:`~repro.serving.pool.ReplicaPool`
-in-process (what the benchmarks use — no HTTP noise in the measurement);
+:func:`pool_sender` drives a :class:`~repro.serving.pool.ServingPool` —
+either executor, threads or shard processes — in-process (what the
+benchmarks use — no HTTP noise in the measurement);
 :func:`http_sender` drives a running server over HTTP through
 :class:`~repro.client.ServingClient` — the ``/v1`` model route when a
 model is named, the deprecated ``/predict`` alias otherwise (what the CI
@@ -29,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.pool import ReplicaPool
+from repro.serving.pool import ServingPool
 from repro.utils.validation import check_positive_int
 
 #: A sender maps ``(image, seed)`` to the predicted class.
@@ -80,9 +81,10 @@ class LoadReport:
         }
 
 
-def pool_sender(pool: ReplicaPool,
+def pool_sender(pool: ServingPool,
                 timeout: Optional[float] = 60.0) -> Sender:
-    """Sender driving a replica pool in-process (no HTTP)."""
+    """Sender driving a pool in-process (no HTTP): a ``ReplicaPool`` or a
+    ``ShardProcessPool``."""
 
     def send(image: np.ndarray, seed: Optional[int]) -> int:
         return pool.predict(image, seed=seed, timeout=timeout).prediction

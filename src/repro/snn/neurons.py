@@ -3,7 +3,8 @@
 Three neuron groups are provided:
 
 ``InputGroup``
-    Replays a pre-computed spike train (e.g. a Poisson rate-coded image).
+    Spike source fed a pre-computed spike train (e.g. a Poisson rate-coded
+    image) one row per timestep.
 ``LIFGroup``
     Leaky Integrate-and-Fire neurons with exponential membrane decay,
     refractory period, and a fixed firing threshold.  Used for the inhibitory
@@ -128,7 +129,7 @@ class NeuronGroup:
             construction-time state.
         """
         # Reassign instead of zeroing in place: ``spikes`` may alias external
-        # data (e.g. a row of the spike train an InputGroup is replaying).
+        # data (e.g. the spike-train row the step plan fed an InputGroup).
         self.spikes = np.zeros(self.state_shape, dtype=bool)
 
     def step(self, input_current: np.ndarray, dt: float,
@@ -163,30 +164,21 @@ class NeuronGroup:
 
 
 class InputGroup(NeuronGroup):
-    """Spike-source group that replays an externally supplied spike train."""
+    """Spike-source group: the network's step plan writes each timestep's
+    row of an externally supplied spike train into :attr:`spikes`."""
 
     def __init__(self, n: int, name: str = "input") -> None:
         super().__init__(n, name)
-        self._train: Optional[np.ndarray] = None
-        self._cursor = 0
 
     @property
     def parameter_count(self) -> int:
         # Input neurons carry no persistent state parameters.
         return 0
 
-    def set_spike_train(self, train: np.ndarray) -> None:
-        """Load a boolean spike train for replay.
-
-        Expects shape ``(timesteps, n)`` in single-sample mode and
-        ``(batch_size, timesteps, n)`` in batch mode.
-        """
-        self._train = self.validate_train(train)
-        self._cursor = 0
-
     def validate_train(self, train: np.ndarray) -> np.ndarray:
         """A boolean copy of ``train``, checked against the current mode's
-        shape (see :meth:`set_spike_train`)."""
+        shape: ``(timesteps, n)`` in single-sample mode and
+        ``(batch_size, timesteps, n)`` in batch mode."""
         train = np.asarray(train)
         if self._batch_size is None:
             if train.ndim != 2 or train.shape[1] != self.n:
@@ -200,47 +192,6 @@ class InputGroup(NeuronGroup):
                 f"({self._batch_size}, timesteps, {self.n}), got {train.shape}"
             )
         return train.astype(bool)
-
-    def clear_spike_train(self) -> None:
-        """Remove the loaded spike train (the group then emits no spikes)."""
-        self._train = None
-        self._cursor = 0
-
-    @property
-    def remaining_steps(self) -> int:
-        """Number of not-yet-replayed timesteps in the loaded train."""
-        if self._train is None:
-            return 0
-        time_axis = 1 if self._train.ndim == 3 else 0
-        return max(0, self._train.shape[time_axis] - self._cursor)
-
-    def reset_state(self, full: bool = False) -> None:
-        super().reset_state(full)
-        self._cursor = 0
-        if full:
-            self._train = None
-
-    def _enter_batch(self) -> None:
-        # A previously loaded (timesteps, n) train is invalid in batch mode.
-        super()._enter_batch()
-        self.clear_spike_train()
-
-    def _exit_batch(self) -> None:
-        super()._exit_batch()
-        self.clear_spike_train()
-
-    def step(self, input_current: np.ndarray, dt: float,
-             counter: Optional[OperationCounter] = None) -> np.ndarray:
-        """Emit the next row of the loaded spike train (or silence)."""
-        if self._train is None or self.remaining_steps == 0:
-            self.spikes = np.zeros(self.state_shape, dtype=bool)
-        elif self._train.ndim == 3:
-            self.spikes = self._train[:, self._cursor]
-            self._cursor += 1
-        else:
-            self.spikes = self._train[self._cursor]
-            self._cursor += 1
-        return self.spikes
 
 
 class LIFGroup(NeuronGroup):

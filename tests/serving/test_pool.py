@@ -1,14 +1,21 @@
-"""Replica-pool tests: concurrent equivalence, isolation, failure paths."""
+"""Serving-pool tests: concurrent equivalence, isolation, failure paths.
+
+The lifecycle and failure contract is one suite run against both
+executors — ``thread`` (:class:`ReplicaPool`) and ``shard``
+(:class:`ShardProcessPool`) — because both are the one serving pool.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.observability.ledger import KIND_SERVING_BATCH, RunLedger
 from repro.serving import (
     PredictRequest,
     QueueClosedError,
     ReplicaPool,
+    ShardProcessPool,
     offline_predictions,
     pool_sender,
     run_load,
@@ -21,6 +28,46 @@ def pool(artifact):
                                      max_wait_ms=5.0, max_queue=256)
     with pool:
         yield pool
+
+
+@pytest.fixture(params=["thread", "shard"])
+def make_pool(request, artifact, artifact_dir):
+    """Factory of unstarted one-slot pools on the parametrized executor;
+    every pool it built is stopped afterwards."""
+    pools = []
+
+    def make(**options):
+        if request.param == "thread":
+            built = ReplicaPool.from_artifact(artifact, workers=1, **options)
+        else:
+            built = ShardProcessPool(artifact_dir, shards=1, **options)
+        pools.append(built)
+        return built
+
+    yield make
+    for built in pools:
+        built.stop(cancel_pending=True)
+
+
+def _fail_every_batch(pool, monkeypatch) -> None:
+    """Make every batch fail inside the executor with a ``boom`` error."""
+    if isinstance(pool, ReplicaPool):
+        def explode(requests):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pool.replicas[0], "predict_batch", explode)
+    else:
+        # The shard answers the round-trip with its error reply.
+        monkeypatch.setattr(pool, "_rpc", lambda handle, payload: (
+            "error", "RuntimeError: boom"))
+
+
+def _invalid_image(kind, n_input):
+    image = np.full(n_input, 0.5)
+    if kind == "size":
+        return np.zeros(7)
+    image[0] = {"negative": -0.5, "nan": np.nan, "inf": np.inf}[kind]
+    return image
 
 
 class TestConcurrentEquivalence:
@@ -80,29 +127,46 @@ class TestReplicaIsolation:
 
 
 class TestLifecycleAndFailures:
-    def test_wrong_image_size_is_rejected_synchronously(self, pool):
-        with pytest.raises(ValueError, match="pixels"):
-            pool.submit(np.zeros(7))
+    @pytest.mark.parametrize("kind, match", [
+        ("size", "pixels"),
+        ("negative", "non-negative"),
+        ("nan", "non-finite"),
+        ("inf", "non-finite"),
+    ])
+    def test_invalid_images_are_rejected_synchronously(self, make_pool, kind,
+                                                       match):
+        """One bad image must not poison a whole micro-batch in a worker:
+        it is refused before it is queued, and counted as rejected."""
+        pool = make_pool()
+        with pytest.raises(ValueError, match=match):
+            pool.submit(_invalid_image(kind, pool.n_input))
         snapshot = pool.metrics_snapshot()
-        assert snapshot["rejected_total"] >= 1
+        assert snapshot["rejected_total"] == 1
+        assert snapshot["requests_total"] == 0
+        assert pool.queue_depth == 0
 
-    def test_worker_exception_propagates_to_the_future(self, artifact,
-                                                       request_images):
-        pool = ReplicaPool.from_artifact(artifact, workers=1, max_batch=4)
-
-        def explode(requests):
-            raise RuntimeError("boom")
-
-        pool.replicas[0].predict_batch = explode
-        with pool:
+    def test_failing_batch_reaches_the_future_and_the_slot_keeps_serving(
+            self, make_pool, request_images, monkeypatch, tmp_path):
+        ledger = RunLedger(tmp_path / "ledger")
+        pool = make_pool(max_batch=4, ledger=ledger)
+        pool.start()
+        with monkeypatch.context() as patch:
+            _fail_every_batch(pool, patch)
             future = pool.submit(request_images[0], seed=0)
             with pytest.raises(RuntimeError, match="boom"):
-                future.result(10.0)
+                future.result(60.0)
         assert pool.metrics_snapshot()["errors_total"] == 1
+        # The worker loop survived the failure: the next batch is served.
+        assert pool.predict(request_images[0], seed=0,
+                            timeout=60.0).prediction >= 0
+        pool.stop()
+        outcomes = [(entry["outcome"], entry.get("error"))
+                    for entry in ledger.entries(kind=KIND_SERVING_BATCH)]
+        assert outcomes[0][0] == "error" and "boom" in outcomes[0][1]
+        assert outcomes[1] == ("ok", None)
 
-    def test_stop_drains_pending_requests(self, artifact, request_images):
-        pool = ReplicaPool.from_artifact(artifact, workers=1, max_batch=4,
-                                         max_wait_ms=0.0)
+    def test_stop_drains_pending_requests(self, make_pool, request_images):
+        pool = make_pool(max_batch=4, max_wait_ms=0.0)
         pool.start()
         futures = [pool.submit(image, seed=index)
                    for index, image in enumerate(request_images[:4])]
@@ -110,37 +174,35 @@ class TestLifecycleAndFailures:
         assert all(future.done() for future in futures)
         assert all(future.result(0).prediction >= 0 for future in futures)
 
-    def test_submit_after_stop_raises(self, artifact, request_images):
-        pool = ReplicaPool.from_artifact(artifact, workers=1)
+    def test_submit_after_stop_raises(self, make_pool, request_images):
+        pool = make_pool()
         pool.start()
         pool.stop()
         with pytest.raises(QueueClosedError):
             pool.submit(request_images[0])
 
-    def test_restarting_a_stopped_pool_is_refused(self, artifact):
+    def test_restarting_a_stopped_pool_is_refused(self, make_pool):
         """A stopped pool's queue is closed forever; a second start() must
-        fail loudly instead of reporting healthy-but-dead workers."""
-        pool = ReplicaPool.from_artifact(artifact, workers=1)
+        fail loudly instead of reporting healthy-but-dead workers — whether
+        or not the pool ever ran."""
+        never_started = make_pool()
+        never_started.stop(cancel_pending=True)
+        with pytest.raises(RuntimeError, match="cannot be restarted"):
+            never_started.start()
+        pool = make_pool()
         pool.start()
         pool.stop()
         with pytest.raises(RuntimeError, match="cannot be restarted"):
             pool.start()
+        assert not pool.running
 
-    def test_negative_intensities_are_rejected_synchronously(
-            self, pool, request_images):
-        """One bad image must not poison a whole micro-batch in a worker."""
-        bad = np.array(request_images[0], dtype=float)
-        bad[0] = -0.5
-        with pytest.raises(ValueError, match="non-negative"):
-            pool.submit(bad)
-
-    def test_predict_timeout_cancels_the_request(self, artifact,
+    def test_predict_timeout_cancels_the_request(self, make_pool,
                                                  request_images):
         """A timed-out predict() must not leave its request consuming a
         worker later."""
         from concurrent.futures import TimeoutError as FutureTimeoutError
 
-        pool = ReplicaPool.from_artifact(artifact, workers=1, max_batch=2)
+        pool = make_pool(max_batch=2)
         # Workers never started: the request stays queued past the timeout.
         with pytest.raises(FutureTimeoutError):
             pool.predict(request_images[0], seed=0, timeout=0.05)

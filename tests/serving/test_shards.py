@@ -7,13 +7,17 @@ and keeps every request batch small.
 
 from __future__ import annotations
 
+import errno
+import multiprocessing
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
 
 from repro.observability.ledger import KIND_SERVING_SHARD, RunLedger
+from repro.serving import shards
 from repro.serving.artifacts import ArtifactError
 from repro.serving.batcher import QueueClosedError
 from repro.serving.errors import ShardCrashedError
@@ -106,49 +110,69 @@ class TestCrashRecovery:
         assert snapshot["backend"] == "dense"
 
 
-def _kill_before_ready(pool, times):
-    """Make the pool's next ``times`` spawned shards die before ``ready``."""
-    spawn = pool._spawn
-    remaining = [times]
+def _sabotage_spawns(pool, fault, times, skip=0):
+    """Make ``times`` of the pool's spawns, after the first ``skip``, fail.
 
-    def spawn_and_kill(index):
+    ``fault`` is ``"killed"`` (the shard dies before ``ready``) or
+    ``"oserror"`` (the spawn itself raises, as when the host is out of file
+    descriptors).
+    """
+    spawn = pool._spawn
+    calls = [0]
+
+    def sabotaged_spawn(index):
+        calls[0] += 1
+        if not skip < calls[0] <= skip + times:
+            return spawn(index)
+        if fault == "oserror":
+            raise OSError(errno.EMFILE, "Too many open files")
         handle = spawn(index)
-        if remaining[0] > 0:
-            remaining[0] -= 1
-            os.kill(handle.pid, signal.SIGKILL)
+        os.kill(handle.pid, signal.SIGKILL)
         return handle
 
-    pool._spawn = spawn_and_kill
+    pool._spawn = sabotaged_spawn
 
 
 class TestDeathBeforeReady:
-    """A shard killed before it reports ``ready`` must end in a typed error
-    or a recovery within a deadline, never a hang or a dead dispatcher."""
+    """A shard killed before it reports ``ready``, or one that cannot be
+    spawned at all, must end in a typed error or a recovery within a
+    deadline, never a hang or a dead worker loop."""
 
-    def test_at_start_raises_a_typed_error(self, artifact_dir):
+    @pytest.mark.parametrize("fault, skip, match", [
+        ("killed", 0, "died during start-up"),
+        ("oserror", 1, "could not be spawned"),
+    ])
+    def test_at_start_raises_a_typed_error(self, artifact_dir, fault, skip,
+                                           match):
+        children = set(multiprocessing.active_children())
         pool = ShardProcessPool(artifact_dir, shards=2, max_batch=2)
-        _kill_before_ready(pool, 1)
-        with pytest.raises(ShardCrashedError, match="died during start-up"):
+        _sabotage_spawns(pool, fault, 1, skip=skip)
+        with pytest.raises(ShardCrashedError, match=match) as excinfo:
             pool.start()
+        if fault == "oserror":
+            assert isinstance(excinfo.value.__cause__, OSError)
         # No shard outlives the failed start, and the pool refuses work
-        # instead of queueing it for dispatchers that never started.
+        # instead of queueing it for worker loops that never started.
+        assert not pool.running
         assert pool.shard_pids() == [None, None]
+        assert set(multiprocessing.active_children()) <= children
         with pytest.raises(QueueClosedError):
             pool.submit(np.zeros(pool.n_input))
 
+    @pytest.mark.parametrize("fault", ["killed", "oserror"])
     def test_on_respawn_fails_the_batch_then_recovers(self, artifact_dir,
-                                                      request_images):
+                                                      request_images, fault):
         pool = ShardProcessPool(artifact_dir, shards=1, max_batch=2)
         pool.start()
         try:
             os.kill(pool.shard_pids()[0], signal.SIGKILL)
-            # Both attempts of the next batch get a replacement that dies
-            # before ready: the batch fails with the typed error.
-            _kill_before_ready(pool, 2)
+            # Both attempts of the next batch get a replacement that fails:
+            # the batch fails with the typed error.
+            _sabotage_spawns(pool, fault, 2)
             future = pool.submit(request_images[0], seed=0)
             with pytest.raises(ShardCrashedError):
                 future.result(timeout=120.0)
-            # The dispatcher survived: the next batch respawns and serves.
+            # The worker loop survived: the next batch respawns and serves.
             result = pool.predict(request_images[0], seed=0, timeout=120.0)
             assert result.prediction >= 0
             assert pool.shard_pids()[0] is not None
@@ -156,8 +180,53 @@ class TestDeathBeforeReady:
             pool.stop(cancel_pending=True)
 
 
+class TestFaultInjection:
+    def test_hung_batch_is_killed_respawned_and_retried(
+            self, artifact_dir, trained_model, request_images, monkeypatch):
+        """A stopped (hung) shard is killed at the batch deadline and the
+        batch is answered by its replacement, bit-identically."""
+        monkeypatch.setattr(shards, "BATCH_TIMEOUT_S", 2.0)
+        pool = ShardProcessPool(artifact_dir, shards=1, max_batch=2)
+        pool.start()
+        try:
+            hung = pool.shard_pids()[0]
+            os.kill(hung, signal.SIGSTOP)
+            served = pool.predict(request_images[0], seed=0, timeout=120.0)
+            offline = offline_predictions(trained_model, request_images[:1],
+                                          [0])
+            assert served.prediction == offline[0]
+            assert pool.respawns_total == 1
+            assert pool.shard_pids()[0] not in (None, hung)
+        finally:
+            pool.stop(cancel_pending=True)
+
+    def test_kill_during_stop_leaves_no_live_child(
+            self, artifact_dir, trained_model, request_images,
+            request_seeds):
+        """stop() drains queued work through a shard crash, returns within
+        its timeout, and reaps every shard — the respawned one included."""
+        children = set(multiprocessing.active_children())
+        pool = ShardProcessPool(artifact_dir, shards=2, max_batch=2)
+        pool.start()
+        futures = [pool.submit(image, seed=seed)
+                   for image, seed in zip(request_images, request_seeds)]
+        os.kill(pool.shard_pids()[0], signal.SIGKILL)
+        timeout = 60.0
+        started = time.monotonic()
+        pool.stop(timeout=timeout)
+        assert time.monotonic() - started < timeout
+        assert all(future.done() for future in futures)
+        served = [future.result(0).prediction for future in futures]
+        np.testing.assert_array_equal(
+            served, offline_predictions(trained_model, request_images,
+                                        request_seeds))
+        assert pool.shard_pids() == [None, None]
+        assert set(multiprocessing.active_children()) <= children
+
+
 class TestPoolContract:
-    """ReplicaPool API parity, checked without extra spawns where possible."""
+    """Shard-specific surface; the lifecycle and failure contract shared
+    with the thread executor is in ``test_pool.py``."""
 
     def test_introspection_mirrors_replica_pool(self, shard_pool,
                                                 serving_config):
@@ -168,21 +237,9 @@ class TestPoolContract:
         assert shard_pool.queue_depth >= 0
         assert shard_pool.batcher.max_batch == 4
 
-    def test_submit_validates_before_crossing_the_pipe(self, shard_pool):
-        with pytest.raises(ValueError, match="pixels"):
-            shard_pool.submit(np.zeros(3))
-        with pytest.raises(ValueError, match="non-negative"):
-            shard_pool.submit(np.full(shard_pool.n_input, -1.0))
-
     def test_broken_artifact_fails_fast_in_the_parent(self, tmp_path):
         with pytest.raises(ArtifactError):
             ShardProcessPool(tmp_path / "ghost", shards=1)
-
-    def test_stopped_pool_cannot_restart(self, artifact_dir):
-        pool = ShardProcessPool(artifact_dir, shards=1, max_batch=2)
-        pool.stop(cancel_pending=True)  # never started: close is still legal
-        with pytest.raises(RuntimeError, match="cannot be restarted"):
-            pool.start()
 
     def test_from_artifact_uses_the_artifact_path(self, artifact):
         pool = ShardProcessPool.from_artifact(artifact, shards=1)

@@ -216,33 +216,6 @@ class TestRunBatchValidation:
         assert len(results) == 3
 
 
-class TestBatchedInputGroup:
-    def test_batched_train_shape_is_validated(self):
-        group = InputGroup(5, name="input")
-        group.begin_batch(2)
-        with pytest.raises(ValueError, match="batched spike train"):
-            group.set_spike_train(np.zeros((3, 5), dtype=bool))
-        group.set_spike_train(np.zeros((2, 3, 5), dtype=bool))
-        assert group.remaining_steps == 3
-        group.end_batch()
-        assert group.remaining_steps == 0
-
-    def test_batched_replay_emits_per_sample_rows(self):
-        group = InputGroup(3, name="input")
-        group.begin_batch(2)
-        train = np.zeros((2, 2, 3), dtype=bool)
-        train[0, 0, 1] = True
-        train[1, 1, 2] = True
-        group.set_spike_train(train)
-        first = group.step(np.zeros((2, 3)), dt=1.0)
-        np.testing.assert_array_equal(first, train[:, 0])
-        second = group.step(np.zeros((2, 3)), dt=1.0)
-        np.testing.assert_array_equal(second, train[:, 1])
-        third = group.step(np.zeros((2, 3)), dt=1.0)
-        assert not third.any()
-        group.end_batch()
-
-
 class TestBatchedMonitors:
     def test_spike_monitor_counts_stay_per_neuron_in_batch_mode(self):
         network = _spikedyn_net()

@@ -26,69 +26,39 @@ class TestNeuronGroupBase:
 
 
 class TestInputGroup:
-    def test_replays_loaded_train(self):
+    @pytest.mark.parametrize("batch_size, shape", [
+        (None, (4, 2)),
+        (None, (3,)),
+        (2, (3, 5)),
+        (2, (3, 4, 5)),
+    ])
+    def test_validate_train_rejects_wrong_shapes(self, batch_size, shape):
+        group = InputGroup(5 if batch_size else 3, name="input")
+        if batch_size:
+            group.begin_batch(batch_size)
+        match = "batched spike train" if batch_size else "spike train"
+        with pytest.raises(ValueError, match=match):
+            group.validate_train(np.zeros(shape, dtype=bool))
+
+    @pytest.mark.parametrize("batch_size, shape", [(None, (4, 3)),
+                                                   (2, (2, 4, 3))])
+    def test_validate_train_returns_a_boolean_copy(self, batch_size, shape):
         group = InputGroup(3)
-        train = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=bool)
-        group.set_spike_train(train)
-        for expected in train:
-            spikes = group.step(np.zeros(3), 1.0)
-            np.testing.assert_array_equal(spikes, expected)
+        if batch_size:
+            group.begin_batch(batch_size)
+        train = np.ones(shape)
+        checked = group.validate_train(train)
+        assert checked.dtype == bool and checked.shape == shape
+        assert not np.shares_memory(checked, train)
 
-    def test_silent_after_train_is_exhausted(self):
-        group = InputGroup(2)
-        group.set_spike_train(np.ones((1, 2), dtype=bool))
-        group.step(np.zeros(2), 1.0)
-        assert not group.step(np.zeros(2), 1.0).any()
-
-    def test_silent_without_a_train(self):
-        group = InputGroup(2)
-        assert not group.step(np.zeros(2), 1.0).any()
-
-    def test_remaining_steps(self):
-        group = InputGroup(2)
-        assert group.remaining_steps == 0
-        group.set_spike_train(np.zeros((5, 2), dtype=bool))
-        assert group.remaining_steps == 5
-        group.step(np.zeros(2), 1.0)
-        assert group.remaining_steps == 4
-
-    def test_set_spike_train_validates_shape(self):
-        group = InputGroup(3)
-        with pytest.raises(ValueError):
-            group.set_spike_train(np.zeros((4, 2), dtype=bool))
-        with pytest.raises(ValueError):
-            group.set_spike_train(np.zeros(3, dtype=bool))
-
-    def test_clear_spike_train(self):
-        group = InputGroup(2)
-        group.set_spike_train(np.ones((3, 2), dtype=bool))
-        group.clear_spike_train()
-        assert group.remaining_steps == 0
-        assert not group.step(np.zeros(2), 1.0).any()
-
-    def test_reset_rewinds_cursor(self):
-        group = InputGroup(2)
-        train = np.array([[1, 1], [0, 0]], dtype=bool)
-        group.set_spike_train(train)
-        group.step(np.zeros(2), 1.0)
-        group.reset_state()
-        np.testing.assert_array_equal(group.step(np.zeros(2), 1.0), train[0])
-
-    def test_full_reset_drops_train(self):
-        group = InputGroup(2)
-        group.set_spike_train(np.ones((3, 2), dtype=bool))
-        group.reset_state(full=True)
-        assert group.remaining_steps == 0
-
-    def test_reset_does_not_corrupt_the_loaded_train(self):
-        """Regression test: resetting must not zero the replayed train row
+    def test_reset_does_not_corrupt_the_fed_row(self):
+        """Regression test: resetting must not zero the fed spike-train row
         through the spike-vector alias."""
         group = InputGroup(2)
         train = np.ones((2, 2), dtype=bool)
-        group.set_spike_train(train)
-        group.step(np.zeros(2), 1.0)
+        group.spikes = train[0]
         group.reset_state()
-        np.testing.assert_array_equal(group.step(np.zeros(2), 1.0), [True, True])
+        np.testing.assert_array_equal(train, np.ones((2, 2), dtype=bool))
 
     def test_no_persistent_parameters(self):
         assert InputGroup(10).parameter_count == 0
