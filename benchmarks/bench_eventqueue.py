@@ -2,8 +2,8 @@
 
 The tentpole claim of the event-driven path: on long-horizon, low-rate
 workloads (T >= 1000 steps, <= 1% input spike density, DVS-style bursts
-separated by long silent gaps), ``Network.run_events`` on the ``eventqueue``
-backend must be
+separated by long silent gaps), ``Network.run_events`` on the ``sparse``
+backend (which declares ``supports_events``) must be
 
 * **equivalent** — excitatory spike counts bit-equal to the stepped sparse
   reference on every sample, and the derived predictions identical (jumped
@@ -88,7 +88,7 @@ def test_eventqueue_equivalence_and_speedup_on_long_horizons():
     """Counts bit-equal to stepped sparse; >= 3x faster at <= 1% density."""
     streams = _event_streams()
     stepped_net = _make_network("sparse")
-    event_net = _make_network("eventqueue")
+    event_net = _make_network("sparse")
 
     # Correctness first, on every stream: the event engine must reproduce
     # the stepped reference's excitatory counts exactly.
@@ -133,7 +133,7 @@ def test_eventqueue_predictions_match_the_stepped_reference():
     streams = _event_streams()[:3]
     config = SpikeDynConfig.scaled_down(
         n_input=N_INPUT, n_exc=N_EXC, t_sim=float(TIMESTEPS),
-        seed=1, backend="eventqueue",
+        seed=1, backend="sparse",
     )
     stepped_model = SpikeDynModel(config)
     event_model = SpikeDynModel(config)

@@ -35,6 +35,17 @@ def _time_best_of(fn: Callable[[], object], repeats: int) -> float:
     return best
 
 
+def _gemv_oracle():
+    """The dense GEMV oracle of the test suite (``tests/`` is not a package)."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "tests" / "gemv_oracle.py"
+    spec = importlib.util.spec_from_file_location("gemv_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.GemvOracle()
+
+
 def run_smoke(batch_size: int, repeats: int) -> Dict[str, object]:
     """Execute every smoke workload and return the timing report."""
     import numpy as np
@@ -101,67 +112,30 @@ def run_smoke(batch_size: int, repeats: int) -> Dict[str, object]:
 
     timings["training_stream_s"] = _time_best_of(training_stream, repeats)
 
-    # Compute backends: dense reference vs sparse event-driven kernels on the
-    # batched inference hot path.  The comparison runs at paper-like input
-    # width (28x28) with a mid-size excitatory layer and a low-density random
-    # spike train — the regime the sparse backend is built for; the tiny
-    # encoder-driven workloads above stay on the dense default.
+    # Compute backends: the sparse reference kernels vs the dense GEMV
+    # oracle kept in tests/gemv_oracle.py, on the batched inference hot path.
+    # The comparison runs at paper-like input width (28x28) with a mid-size
+    # excitatory layer and a low-density random spike train — the regime
+    # the sparse kernels are built for.
     backend_trains = (
         np.random.default_rng(42).random((16, 30, 784)) < 0.03
     )
 
-    def backend_runner(backend: str):
+    def backend_runner(backend):
         backend_config = SpikeDynConfig.scaled_down(
-            n_input=784, n_exc=200, t_sim=30.0, seed=0, backend=backend
+            n_input=784, n_exc=200, t_sim=30.0, seed=0
         )
         network = SpikeDynModel(backend_config).network
+        network.set_backend(backend)
         return lambda: network.run_batch(backend_trains, learning=False)
 
-    timings["backends_dense_s"] = _time_best_of(backend_runner("dense"),
+    timings["backends_dense_s"] = _time_best_of(backend_runner(_gemv_oracle()),
                                                 repeats)
     timings["backends_sparse_s"] = _time_best_of(backend_runner("sparse"),
                                                  repeats)
     timings["backends_speedup_x"] = (
         timings["backends_dense_s"] / timings["backends_sparse_s"]
     )
-    # The newer backends on the same workload: float32 (half-memory state)
-    # and the profiling auto-dispatcher (its runner's first, untimed call
-    # profiles the workload's buckets; the timed passes measure dispatch).
-    timings["backends_float32_s"] = _time_best_of(backend_runner("float32"),
-                                                  repeats)
-    auto_runner = backend_runner("auto")
-    auto_runner()  # profiling pass, outside the clock
-    timings["backends_auto_s"] = _time_best_of(auto_runner, repeats)
-    # The event-queue engine on its native workload: long-horizon bursty
-    # streams at sub-1% density, run through Network.run_events (analytic
-    # silent-gap jumps).  A different regime from the batched grid above —
-    # the clock-driven timings are not comparable to this key.
-    from repro.snn.events import EventStream
-
-    event_rng = np.random.default_rng(43)
-    event_trains = np.zeros((800, 784), dtype=bool)
-    for start in range(0, 800, 160):
-        event_trains[start:start + 6] = event_rng.random((6, 784)) < 0.2
-    event_stream = EventStream.from_dense(event_trains)
-    eventqueue_config = SpikeDynConfig.scaled_down(
-        n_input=784, n_exc=100, t_sim=800.0, seed=0, backend="eventqueue"
-    )
-    eventqueue_network = SpikeDynModel(eventqueue_config).network
-
-    def eventqueue_runner() -> None:
-        eventqueue_network.run_events(event_stream, learning=False)
-
-    timings["backends_eventqueue_s"] = _time_best_of(eventqueue_runner,
-                                                     repeats)
-
-    # Optional-dependency backend: timed only where numba is installed
-    # (bench_compare treats the key as new/missing, never as a regression).
-    from repro.backends import NumbaBackend
-
-    if NumbaBackend.available():
-        numba_runner = backend_runner("numba")
-        numba_runner()  # JIT compilation pass, outside the clock
-        timings["backends_numba_s"] = _time_best_of(numba_runner, repeats)
 
     # Serving: micro-batched replica pool vs per-request sequential serving
     # under concurrent load (the in-process stack behind `repro serve`).

@@ -6,61 +6,53 @@ behind the :class:`~repro.backends.base.Backend` interface, selected by name
 through a small registry:
 
 >>> from repro.backends import get_backend
->>> get_backend("dense")        # bit-for-bit reference kernels
-DenseBackend(name='dense')
 >>> get_backend("sparse")       # event-driven gather/scatter kernels
 SparseEventBackend(name='sparse')
->>> get_backend("float32")      # half-memory single-precision state
-Float32Backend(name='float32')
->>> get_backend("auto")         # profiles once per bucket, then routes
-AutoBackend(name='auto')
+>>> get_backend("dense")        # a retired name, resolved by alias
+SparseEventBackend(name='sparse')
 
-A fifth backend, ``numba``, JIT-compiles the kernel chain and registers
-itself unconditionally but reports :meth:`~repro.backends.base.Backend.
-available` ``False`` when the optional numba package is missing, so
-``repro backends list`` shows it while :func:`get_backend` refuses it.
-The sixth, ``eventqueue``, carries the sparse kernels plus the
-``supports_events`` declaration that drives the event-queue scheduler
-(:meth:`repro.snn.network.Network.run_events`): work proportional to
-spike events, with silent gaps advanced by closed-form exponential decay.
+One backend is registered: ``sparse``, the reference kernel set.  Its
+synaptic work scales with spike events, and it declares
+``supports_events``, so :meth:`repro.snn.network.Network.run_events`
+advances silent gaps by closed-form exponential decay.  The conformance
+suite in ``tests/backends/`` holds it to the ``exact`` equivalence tier
+against the dense vector-matrix (GEMV) oracle in ``tests/gemv_oracle.py``.
 
-Every backend declares an *equivalence tier*
-(:attr:`~repro.backends.base.Backend.equivalence_tier`): ``exact`` backends
-(dense, sparse, numba, auto) reproduce the dense reference's spike counts,
-predictions, and ``OperationCounter`` tallies with float state equal to
-summation-order rounding; the ``tolerance`` tier (float32, eventqueue)
-keeps counts/predictions/tallies exact but only bounds float state by the
-backend's declared ``(state_rtol, state_atol)``.  The conformance suite in
-``tests/backends/`` enforces the declared tier for every registered
-backend.
+Five earlier backends (``dense``, ``float32``, ``numba``, ``auto``,
+``eventqueue``) were folded into it.  :data:`BACKEND_ALIASES` maps each old
+name to ``sparse``, and every lookup goes through it, so configurations,
+saved artifacts, job specs and CLI invocations that name them keep working.
 
 Backend selection threads through every layer of the system:
 ``Network(backend=...)``, ``SpikeDynConfig(backend=...)`` (and therefore
 model artifacts, schema v3), ``ExperimentScale(backend=...)`` (and therefore
 runner cache keys), ``repro serve --backend``, and ``repro backends list``.
 
-Backends are stateless kernel bundles (``auto`` holds only its routing
-table), so :func:`get_backend` hands out one shared instance per name.
-Future accelerator backends (GPU) register themselves with
-:func:`register_backend` and report
-:meth:`~repro.backends.base.Backend.available` based on their optional
+Backends are stateless kernel bundles, so :func:`get_backend` hands out one
+shared instance per name.  A future accelerator backend (GPU) registers
+itself with :func:`register_backend` and reports
+:meth:`~repro.backends.base.Backend.available` based on its optional
 dependency, without the rest of the system changing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type, Union
+from typing import Dict, List, Type, Union
 
-from repro.backends.auto import AutoBackend
 from repro.backends.base import Backend
-from repro.backends.dense import DenseBackend
-from repro.backends.eventqueue import EventQueueBackend
-from repro.backends.float32 import Float32Backend
-from repro.backends.numba_backend import NumbaBackend
 from repro.backends.sparse import SparseEventBackend
 
 #: Backend used when nothing selects one explicitly.
-DEFAULT_BACKEND = "dense"
+DEFAULT_BACKEND = "sparse"
+
+#: Retired backend names and the registered backend each resolves to.
+BACKEND_ALIASES: Dict[str, str] = {
+    "dense": "sparse",
+    "float32": "sparse",
+    "numba": "sparse",
+    "auto": "sparse",
+    "eventqueue": "sparse",
+}
 
 #: Registered backend classes by name, in registration order.
 _REGISTRY: Dict[str, Type[Backend]] = {}
@@ -74,12 +66,16 @@ BackendLike = Union[None, str, Backend]
 def register_backend(cls: Type[Backend]) -> Type[Backend]:
     """Register a :class:`Backend` subclass under its ``name`` (decorator).
 
-    Raises ``ValueError`` on an empty or already-taken name so two backends
-    can never silently shadow each other.
+    Raises ``ValueError`` on an empty, aliased or already-taken name so two
+    backends can never silently shadow each other.
     """
     name = getattr(cls, "name", "")
     if not name or name == Backend.name:
         raise ValueError(f"backend class {cls.__name__} must set a name")
+    if name in BACKEND_ALIASES:
+        raise ValueError(
+            f"{name!r} is an alias of the {BACKEND_ALIASES[name]!r} backend"
+        )
     if name in _REGISTRY and _REGISTRY[name] is not cls:
         raise ValueError(
             f"a backend named {name!r} is already registered "
@@ -92,6 +88,11 @@ def register_backend(cls: Type[Backend]) -> Type[Backend]:
 def backend_names() -> List[str]:
     """Names of every registered backend, in registration order."""
     return list(_REGISTRY)
+
+
+def backend_choices() -> List[str]:
+    """Every name a backend may be selected by: registered names, then aliases."""
+    return backend_names() + list(BACKEND_ALIASES)
 
 
 def available_backends() -> Dict[str, Type[Backend]]:
@@ -117,14 +118,16 @@ def describe_backend(name: str) -> Dict[str, object]:
 
 
 def normalize_backend_name(name: str) -> str:
-    """Validate ``name`` against the registry and return it.
+    """Resolve ``name`` through :data:`BACKEND_ALIASES` and validate it.
 
-    Raises ``ValueError`` naming the known backends — used by configuration
-    objects that must record a backend without instantiating it.
+    Returns the registered name.  Raises ``ValueError`` naming the known
+    backends — used by configuration objects that must record a backend
+    without instantiating it.
     """
     name = str(name)
+    name = BACKEND_ALIASES.get(name, name)
     if name not in _REGISTRY:
-        known = ", ".join(backend_names())
+        known = ", ".join(backend_choices())
         raise ValueError(f"unknown backend {name!r}; known backends: {known}")
     return name
 
@@ -132,13 +135,14 @@ def normalize_backend_name(name: str) -> str:
 def get_backend(backend: BackendLike = None) -> Backend:
     """Resolve ``backend`` to a shared :class:`Backend` instance.
 
-    Accepts a registered name, an existing instance (returned as is), or
-    ``None`` for the default (``dense``).  Raises ``ValueError`` for unknown
-    names and ``RuntimeError`` for registered-but-unavailable backends.
+    Accepts a registered name or alias, an existing instance (returned as
+    is), or ``None`` for the default (``sparse``).  Raises ``ValueError``
+    for unknown names and ``RuntimeError`` for registered-but-unavailable
+    backends.
     """
     if isinstance(backend, Backend):
         return backend
-    name = DEFAULT_BACKEND if backend is None else normalize_backend_name(backend)
+    name = normalize_backend_name(DEFAULT_BACKEND if backend is None else backend)
     if name not in _INSTANCES:
         cls = _REGISTRY[name]
         if not cls.available():
@@ -150,23 +154,15 @@ def get_backend(backend: BackendLike = None) -> Backend:
     return _INSTANCES[name]
 
 
-register_backend(DenseBackend)
 register_backend(SparseEventBackend)
-register_backend(Float32Backend)
-register_backend(NumbaBackend)
-register_backend(AutoBackend)
-register_backend(EventQueueBackend)
 
 __all__ = [
-    "AutoBackend",
     "Backend",
-    "DenseBackend",
-    "EventQueueBackend",
-    "Float32Backend",
-    "NumbaBackend",
     "SparseEventBackend",
+    "BACKEND_ALIASES",
     "DEFAULT_BACKEND",
     "available_backends",
+    "backend_choices",
     "backend_names",
     "describe_backend",
     "get_backend",

@@ -11,18 +11,15 @@ visit only spike events), run at a different precision, or dispatch to a
 JIT/GPU kernel, without the network, models, runner, or serving layers
 knowing anything changed.
 
-Six implementations ship today (see :mod:`repro.backends` for the
-registry): :class:`repro.backends.dense.DenseBackend` (the reference
-vectorized-NumPy kernels, bit-for-bit identical to the pre-backend engine),
-:class:`repro.backends.sparse.SparseEventBackend` (event-driven
-gather/scatter kernels that touch only spiking rows/columns), ``float32``
-(reduced-precision state), ``numba`` (JIT-fused kernels, when numba is
-installed), ``auto`` (per-workload dispatch among the others) and
-``eventqueue`` (the sparse kernels, declared for the event-driven
-``Network.run_events`` path).  Operation accounting is *modelled*
-(GPU-style dense charging, paper Section III) rather than measured, so every
-backend reports identical ``OperationCounter`` tallies for the same
-simulation.
+One implementation ships: :class:`repro.backends.sparse.SparseEventBackend`
+(registered as ``sparse``), the event-driven gather/scatter kernels that
+touch only spiking rows/columns.  It is the reference kernel set: every
+committed fixture is reproduced on it, and the conformance suite in
+``tests/backends/`` holds it against the dense vector-matrix (GEMV) oracle
+in ``tests/gemv_oracle.py``.  Older backend names resolve to it through the alias table in
+:mod:`repro.backends`.  Operation accounting is *modelled* (GPU-style dense
+charging, paper Section III) rather than measured, so any backend reports
+identical ``OperationCounter`` tallies for the same simulation.
 
 Conventions shared by every kernel:
 
@@ -52,12 +49,12 @@ class Backend(abc.ABC):
     name: str = "abstract"
     #: One-line human-readable description (``repro backends list``).
     description: str = ""
-    #: Declared equivalence tier against the dense reference backend,
-    #: enforced by the conformance suite in ``tests/backends/``:
+    #: Declared equivalence tier against the dense GEMV oracle, enforced by
+    #: the conformance suite in ``tests/backends/``:
     #:
     #: ``"exact"``
     #:     Spike counts, predictions, and ``OperationCounter`` tallies are
-    #:     *identical* to the dense reference; float state (membranes,
+    #:     *identical* to the oracle; float state (membranes,
     #:     conductances, traces) may differ only by summation-order rounding
     #:     and must match within ``(state_rtol, state_atol)``.
     #: ``"tolerance"``
@@ -66,19 +63,18 @@ class Backend(abc.ABC):
     #:     within the (much wider) declared bounds.
     equivalence_tier: str = "exact"
     #: Relative/absolute bounds the backend's float state must satisfy
-    #: against the dense reference (``0.0`` means bit-for-bit).
+    #: against the oracle (``0.0`` means bit-for-bit).
     state_rtol: float = 1e-9
     state_atol: float = 1e-12
     #: dtype the backend keeps rebound float state in.  Callers that follow
-    #: the rebinding contract end up holding state of this dtype, which is
-    #: how the float32 backend halves the dynamic-state footprint without
-    #: the orchestration layer allocating anything differently.
+    #: the rebinding contract end up holding state of this dtype, so a
+    #: reduced-precision backend needs no allocation changes upstream.
     state_dtype = np.float64
     #: Whether the backend is meant to drive the event-queue simulation
     #: path (:meth:`repro.snn.network.Network.run_events` with analytic
     #: silent-gap jumps).  ``run_events`` works on any backend, but only
-    #: backends declaring ``supports_events`` advertise the event mode in
-    #: the CLI and are routed to by ``auto`` for sparse event streams.
+    #: backends declaring ``supports_events`` jump silent gaps by default
+    #: and advertise the event mode in the CLI.
     supports_events: bool = False
 
     @classmethod
@@ -86,7 +82,7 @@ class Backend(abc.ABC):
         """Whether this backend can run in the current environment.
 
         Pure-NumPy backends are always available; backends wrapping optional
-        accelerators (numba, GPU) override this to probe their dependency
+        accelerators (a GPU, a JIT) override this to probe their dependency
         instead of failing at first kernel call.
         """
         return True

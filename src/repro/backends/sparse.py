@@ -1,53 +1,81 @@
-"""Event-driven sparse backend: compute only where spikes happened.
+"""The reference kernel set: event-driven gather/scatter kernels.
 
 The paper's energy argument is that SNN work should scale with *spike
 events*, not with state size.  :class:`SparseEventBackend` applies that idea
-to the engine itself: synaptic propagation gathers only the weight rows of
-neurons that actually spiked (``np.flatnonzero`` + gather/segment-sum over
-the batch dimension), trace and threshold bumps scatter only into spiking
-positions, and STDP deltas are materialized only in the spiking rows/columns.
-Per-timestep cost of the synaptic kernels drops from ``O(n_pre * n_post)``
-to ``O(n_events * n_post)``, which at realistic input densities (a few
-percent) is a large constant-factor win on ``Network.run_batch``.
+to the engine itself: synaptic propagation gathers and sums only the weight
+rows of neurons that actually spiked, trace and threshold bumps scatter only
+into spiking positions, and STDP deltas are materialized only in the spiking
+rows/columns.  Per-timestep cost of the synaptic kernels is
+``O(n_events * n_post)`` instead of ``O(n_pre * n_post)``.  Purely
+elementwise kernels with no event structure to exploit (LIF membrane
+integration, exponential decays) run over the whole state.
 
-Purely elementwise kernels with no event structure to exploit (LIF membrane
-integration, exponential decays) are inherited unchanged from
-:class:`~repro.backends.dense.DenseBackend`.
+Batched propagation adds each spiking sample's rows first to last, exactly
+as the single-sample gather does, so a batch is bit-for-bit equal to the
+same samples run one at a time.  Large batches run the single-sample gather
+once per spiking sample, so the gathered temporary never exceeds one
+sample's rows; small ones sum a zero-padded (sample, row, post) block of at
+most :data:`PADDED_BLOCK_ELEMENTS` in one call, where the per-sample Python
+loop would cost more than the arithmetic.
 
-Numerical contract: every *scalar* operation applied to a touched element is
-identical to the dense kernel's, so trace, theta, and STDP results are
-bit-for-bit equal.  Synaptic propagation sums the same weight rows in a
-different association order (a k-row segment sum instead of a length-n dot
-product over mostly zeros), so conductances — and anything downstream — may
-differ by last-ULP rounding; spike counts, predictions, and operation tallies
-are asserted identical to the dense backend by the cross-backend equivalence
-suite.
+Numerical contract: every scalar operation applied to a touched element is
+the one the dense vector-matrix formulation applies, so trace, theta, and
+STDP results are bit-for-bit equal to it.  Propagation sums the spiking
+weight rows in order (``weights[active].sum(axis=0)``) instead of a length-n
+dot product over mostly zeros; the conformance suite holds it to the
+``exact`` tier against the GEMV oracle in ``tests/gemv_oracle.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.dense import DenseBackend
+from repro.backends.base import Backend
 
 
-class SparseEventBackend(DenseBackend):
+#: Largest zero-padded gather block (elements, 256 KB of float64) a batched
+#: ``propagate_spikes`` sums in one call.  Paper-scale batches (784 x 400)
+#: exceed it and gather per sample, where the rows stay in cache.
+PADDED_BLOCK_ELEMENTS = 1 << 15
+
+
+def _add_rows(conductance: np.ndarray, active: np.ndarray,
+              weights: np.ndarray) -> None:
+    """Add the weight rows listed in ``active`` (ascending), in place."""
+    if active.size == 1:
+        conductance += weights[active[0]]
+    elif active.size:
+        conductance += weights[active].sum(axis=0)
+
+
+class SparseEventBackend(Backend):
     """Event-driven kernels: gather/scatter on spike positions only."""
 
     name = "sparse"
     description = (
-        "Event-driven sparse kernels; synaptic work scales with spike "
-        "events (O(events * fanout)), fastest at low spike densities"
+        "Event-driven gather/scatter kernels; synaptic work scales with "
+        "spike events (O(events * fanout)); the reference kernel set"
     )
-
-    # Exact tier, but not bit-for-bit on float state: segment-summing only
-    # the spiking weight rows reorders the additions, so the dense
-    # reference's zero-tolerance bounds are re-widened to the base class's
-    # double-precision tightness.
-    state_rtol = 1e-9
-    state_atol = 1e-12
+    # Drives Network.run_events' analytic silent-gap jumps by default.
+    supports_events = True
 
     # -- neuron kernels ------------------------------------------------------
+
+    def lif_step(self, v, refrac_remaining, input_current, threshold, *,
+                 decay, v_rest, v_reset, refractory, dt):
+        # Exponential membrane decay towards the resting potential.
+        v = v_rest + (v - v_rest) * decay
+        # Integrate input only outside the refractory period.
+        active = refrac_remaining <= 0.0
+        v = np.where(active, v + input_current * dt, v)
+        # Spike generation against the (possibly adaptive) threshold.
+        spikes = active & (v >= threshold)
+        # Reset and refractory bookkeeping.
+        v = np.where(spikes, v_reset, v)
+        refrac_remaining = np.where(
+            spikes, refractory, np.maximum(refrac_remaining - dt, 0.0)
+        )
+        return v, spikes, refrac_remaining
 
     def theta_step(self, theta, spikes, *, decay, theta_plus):
         theta = theta * decay
@@ -59,30 +87,48 @@ class SparseEventBackend(DenseBackend):
 
     # -- synapse kernels -----------------------------------------------------
 
+    def decay_state(self, values, decay):
+        values *= decay
+        return values
+
     def propagate_spikes(self, conductance, pre_spikes, weights):
+        if pre_spikes.ndim == 2 and len(pre_spikes) == 1:
+            # A batch of one (serving's usual micro-batch) is a row view.
+            conductance, pre_spikes = conductance[0], pre_spikes[0]
         if pre_spikes.ndim == 1:
-            active = np.flatnonzero(pre_spikes)
-            if active.size == 1:
-                conductance += weights[active[0]]
-            elif active.size:
-                conductance += weights[active].sum(axis=0)
+            _add_rows(conductance, np.flatnonzero(pre_spikes), weights)
             return
-        # Batched: one gather of every (sample, presynaptic) spike event's
-        # weight row, segment-summed per sample, scattered into the spiking
-        # samples' conductance rows.
         samples, pres = np.nonzero(pre_spikes)
         if not samples.size:
             return
-        rows = weights[pres]
-        # ``samples`` is sorted, so segment boundaries are where it changes.
-        offsets = np.concatenate(
-            ([0], np.flatnonzero(np.diff(samples)) + 1)
-        )
-        conductance[samples[offsets]] += np.add.reduceat(rows, offsets, axis=0)
+        counts = np.bincount(samples)
+        active = np.flatnonzero(counts)
+        counts = counts[active]
+        ends = np.cumsum(counts)
+        width = int(counts.max())
+        n_post = weights.shape[1]
+        # With one column NumPy sums the rows pairwise instead of first to
+        # last, so padding would regroup them: gather per sample instead.
+        if n_post > 1 and active.size * width * n_post <= PADDED_BLOCK_ELEMENTS:
+            # Row k of a sample's block is its k-th spiking row, then zeros;
+            # summing over rows adds them first to last, and + 0.0 is exact.
+            block = np.zeros((active.size, width, n_post))
+            block[np.repeat(np.arange(active.size), counts),
+                  np.arange(pres.size) - np.repeat(ends - counts, counts)] = weights[pres]
+            conductance[active] += block.sum(axis=1)
+            return
+        # ``conductance[sample]`` is a row view: the in-place add lands in
+        # the batch.
+        for sample, end, count in zip(active.tolist(), ends.tolist(), counts.tolist()):
+            _add_rows(conductance[sample], pres[end - count:end], weights)
 
     def propagate_lateral(self, conductance, spikes, strength):
         if spikes.ndim == 1:
-            super().propagate_lateral(conductance, spikes, strength)
+            n_spiking = int(np.count_nonzero(spikes))
+            if n_spiking:
+                # Every neuron is inhibited by the spikes of all *other*
+                # neurons.
+                conductance += strength * n_spiking - strength * spikes.astype(float)
             return
         counts = spikes.sum(axis=1, dtype=float)
         active = np.flatnonzero(counts)

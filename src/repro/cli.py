@@ -31,9 +31,9 @@ driven without writing Python:
     ``GET /v1/metrics``), optionally sharded across worker processes
     (``--shards``), with the pre-1.7 endpoints kept as deprecated aliases.
 ``spikedyn-repro backends``
-    List the registered compute backends (dense reference, sparse
-    event-driven, float32 half-memory, numba JIT, auto dispatch) with
-    their availability and equivalence tier.
+    List the registered compute backends (the sparse event-driven
+    reference kernels) with their availability, equivalence tier and the
+    retired names that resolve to them.
 ``spikedyn-repro cache``
     Inspect or clear the on-disk result cache.
 ``spikedyn-repro ledger``
@@ -62,7 +62,15 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.backends import backend_names, describe_backend, get_backend
+from repro.backends import (
+    BACKEND_ALIASES,
+    DEFAULT_BACKEND,
+    backend_choices,
+    backend_names,
+    describe_backend,
+    get_backend,
+    normalize_backend_name,
+)
 from repro.core.config import SpikeDynConfig
 from repro.core.model_search import search_snn_model
 from repro.datasets.streams import dynamic_task_stream, nondynamic_stream
@@ -120,8 +128,23 @@ def _build_config(args: argparse.Namespace) -> SpikeDynConfig:
         n_exc=args.n_exc,
         t_sim=args.t_sim,
         seed=args.seed,
-        backend=getattr(args, "backend", "dense"),
+        backend=getattr(args, "backend", DEFAULT_BACKEND),
     )
+
+
+def _backend_name(text: str) -> str:
+    """argparse type resolving a backend name or retired alias."""
+    try:
+        return normalize_backend_name(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from error
+
+
+def _add_backend_argument(parser: argparse.ArgumentParser, help: str,
+                          default: Optional[str] = DEFAULT_BACKEND) -> None:
+    """``--backend``: any registered name or alias, stored resolved."""
+    parser.add_argument("--backend", type=_backend_name, choices=backend_choices(),
+                        default=default, help=help)
 
 
 def _positive_int(text: str) -> int:
@@ -168,9 +191,8 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eval-batch-size", type=_positive_int, default=32,
                         help="samples advanced per vectorized engine step "
                              "during evaluation (1 = sequential)")
-    parser.add_argument("--backend", choices=backend_names(), default="dense",
-                        help="compute backend executing the simulation "
-                             "kernels (see 'backends list')")
+    _add_backend_argument(parser, "compute backend executing the simulation "
+                                  "kernels (see 'backends list')")
 
 
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
@@ -201,7 +223,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"SpikeDyn reproduction, version {repro.__version__}")
     print()
     print("models     :", ", ".join(sorted(MODEL_BUILDERS)))
-    print("backends   :", ", ".join(backend_names()))
+    print("backends   :", ", ".join(backend_names()),
+          f"(aliases: {', '.join(BACKEND_ALIASES)})")
     print("devices    :", ", ".join(device.name for device in default_devices()))
     print("experiments:", ", ".join(sorted(EXPERIMENT_DRIVERS)))
     print("scales     :", ", ".join(sorted(SCALE_PRESETS)))
@@ -693,15 +716,17 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         # backends (missing optional dependency) still render as a row with
         # "no" instead of raising at instantiation.
         info = describe_backend(name)
+        aliases = [alias for alias, target in BACKEND_ALIASES.items() if target == name]
         rows.append([
             info["name"],
             "yes" if info["available"] else "no",
             info["tier"],
             "yes" if info["events"] else "no",
+            ", ".join(aliases) or "-",
             info["description"],
         ])
     print(format_table(
-        ["backend", "available", "tier", "events", "description"], rows
+        ["backend", "available", "tier", "events", "aliases", "description"], rows
     ))
     return 0
 
@@ -921,10 +946,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run through the parallel runner with N worker "
                                 "processes and result caching (default: run "
                                 "in-process without caching)")
-    reproduce.add_argument("--backend", choices=backend_names(),
-                           default="dense",
-                           help="compute backend the experiment's models run "
-                                "on (part of the result-cache key)")
+    _add_backend_argument(reproduce, "compute backend the experiment's models "
+                                     "run on (part of the result-cache key)")
     _add_runner_arguments(reproduce)
     reproduce.set_defaults(handler=_cmd_reproduce)
 
@@ -951,9 +974,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_all.add_argument("--no-resume", action="store_true",
                          help="ignore a pre-existing manifest instead of "
                               "resuming from it")
-    run_all.add_argument("--backend", choices=backend_names(), default="dense",
-                         help="compute backend every experiment's models run "
-                              "on (part of each job's cache key)")
+    _add_backend_argument(run_all, "compute backend every experiment's models "
+                                   "run on (part of each job's cache key)")
     run_all.add_argument("--metrics-port", type=_nonnegative_int, default=None,
                          metavar="PORT",
                          help="serve runner metrics over HTTP on this port "
@@ -1044,9 +1066,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--drift-threshold", type=float, default=3.0,
                        help="drift alarm threshold in reference standard "
                             "deviations")
-    serve.add_argument("--backend", choices=backend_names(), default=None,
-                       help="compute backend the replicas run on (default: "
-                            "the backend recorded in the artifact)")
+    _add_backend_argument(serve, "compute backend the replicas run on "
+                                 "(default: the backend recorded in the "
+                                 "artifact)", default=None)
     serve.add_argument("--verbose", "-v", action="store_true",
                        help="log every HTTP request to stderr")
     _add_ledger_arguments(serve)

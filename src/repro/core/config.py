@@ -15,7 +15,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.backends import normalize_backend_name
+from repro.backends import DEFAULT_BACKEND, normalize_backend_name
 from repro.core.weight_decay import DECAY_SCALE, decay_rate_for_network_size
 from repro.snn.simulation import SimulationParameters
 from repro.utils.validation import (
@@ -73,7 +73,10 @@ class SpikeDynConfig:
         Seed controlling weight initialization and Poisson encoding.
     backend:
         Registry name of the compute backend executing the simulation
-        kernels (``"dense"`` / ``"sparse"``; see :mod:`repro.backends`).
+        kernels (``"sparse"``, the reference kernel set; see
+        :mod:`repro.backends`).  A retired name (``"dense"``,
+        ``"float32"``, ...) is accepted and stored as the backend it
+        resolves to.
     """
 
     n_input: int = 784
@@ -128,10 +131,10 @@ class SpikeDynConfig:
     # Reproducibility.
     seed: Optional[int] = 0
 
-    # Compute backend executing the simulation kernels ("dense" / "sparse";
-    # see repro.backends).  Like ``seed`` it never changes *what* the model
-    # computes, only how, so artifact compatibility checks exempt it.
-    backend: str = "dense"
+    # Compute backend executing the simulation kernels (see repro.backends).
+    # Like ``seed`` it never changes *what* the model computes, only how, so
+    # artifact compatibility checks exempt it.
+    backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         check_positive_int(self.n_input, "n_input")
@@ -158,7 +161,7 @@ class SpikeDynConfig:
         check_non_negative(self.decay_scale, "decay_scale")
         check_positive(self.tau_decay, "tau_decay")
         check_positive_int(self.bit_precision, "bit_precision")
-        normalize_backend_name(self.backend)
+        self.backend = normalize_backend_name(self.backend)
         if self.w_max <= self.w_min:
             raise ValueError(
                 f"w_max ({self.w_max}) must exceed w_min ({self.w_min})"

@@ -25,7 +25,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends import normalize_backend_name
+from repro.backends import DEFAULT_BACKEND, normalize_backend_name
 from repro.core.config import SpikeDynConfig
 from repro.datasets.synthetic_mnist import SyntheticDigits
 from repro.models.asp_model import ASPModel
@@ -98,7 +98,7 @@ class ExperimentScale:
     n_inference_samples: int = 10_000
     seed: int = 0
     eval_batch_size: int = 32
-    backend: str = "dense"
+    backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         check_positive_int(self.image_size, "image_size")
@@ -111,7 +111,7 @@ class ExperimentScale:
         check_positive_int(self.samples_per_task, "samples_per_task")
         check_positive_int(self.eval_samples_per_class, "eval_samples_per_class")
         check_positive_int(self.eval_batch_size, "eval_batch_size")
-        normalize_backend_name(self.backend)
+        object.__setattr__(self, "backend", normalize_backend_name(self.backend))
 
     # -- presets ---------------------------------------------------------------
 

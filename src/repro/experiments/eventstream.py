@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.backends import DEFAULT_BACKEND
 from repro.datasets.event_streams import EventStreamDigitSource
 from repro.encoding.events import DVSEventStreamEncoder
 from repro.estimation.energy import EnergyModel
@@ -66,7 +67,7 @@ class EventStreamStudyResult:
     """
 
     scale: ExperimentScale
-    backend: str = "eventqueue"
+    backend: str = DEFAULT_BACKEND
     horizon_steps: int = 0
     streams: List[Dict[str, object]] = field(default_factory=list)
     equivalence: Dict[str, bool] = field(default_factory=dict)
@@ -118,7 +119,7 @@ def run_eventstream_study(
     scale: Optional[ExperimentScale] = None,
     *,
     model: str = "spikedyn",
-    backend: str = "eventqueue",
+    backend: str = DEFAULT_BACKEND,
     classes: Sequence[int] = (0, 1, 2),
     streams_per_class: int = 1,
     duration: float = 600.0,
@@ -135,8 +136,8 @@ def run_eventstream_study(
     model:
         Which comparison partner's network to run (``"spikedyn"`` default).
     backend:
-        Compute backend for both engines (default the event-queue backend,
-        whose stepped kernels are the sparse kernels bit for bit).
+        Compute backend for both engines (default the reference backend,
+        which declares ``supports_events``).
     classes, streams_per_class:
         Which digit classes to encode and how many streams per class.
     duration, n_bursts, burst_steps, max_probability:

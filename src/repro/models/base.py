@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.backends import BackendLike, normalize_backend_name
+from repro.backends import DEFAULT_BACKEND, BackendLike, normalize_backend_name
 from repro.core.config import SpikeDynConfig
 from repro.datasets.streams import StreamSample
 from repro.encoding.rate import PoissonRateEncoder
@@ -104,7 +104,10 @@ def validate_artifact_backend(metadata: Dict[str, object], *,
     """Check (and return) the compute backend recorded in an artifact.
 
     Schema v3 artifacts must name a backend *registered* in this process
-    (earlier schemas predate the backend layer and default to ``"dense"``).
+    (earlier schemas predate the backend layer and load on the default
+    backend).  Retired names resolve through
+    :data:`repro.backends.BACKEND_ALIASES`, so the returned name is always
+    a registered one.
     Registration is the whole requirement: an unavailable backend — one
     whose optional dependency is missing — loads fine, because the stored
     arrays are backend-agnostic and the recorded name is only the default
@@ -119,7 +122,7 @@ def validate_artifact_backend(metadata: Dict[str, object], *,
                 f"cannot load {source} (schema version {schema_version}): "
                 "missing the 'backend' field"
             )
-        return "dense"
+        return DEFAULT_BACKEND
     try:
         return normalize_backend_name(str(backend))
     except ValueError as error:
@@ -140,8 +143,8 @@ def validate_config_compatibility(stored: "SpikeDynConfig",
     degrades inference rather than failing.  ``seed`` only controls
     stochastic draws and ``backend`` only controls which kernels execute the
     arithmetic; both may legitimately differ (e.g. evaluating a saved model
-    on fresh samples, or serving a dense-trained artifact on the sparse
-    event backend).
+    on fresh samples, or serving an artifact saved under a retired backend
+    name).
     """
     mismatched = []
     for spec in dataclasses.fields(type(stored)):

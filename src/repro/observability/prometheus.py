@@ -11,7 +11,7 @@ format (version 0.0.4) served on ``GET /metrics``:
 * the batch-size histogram becomes a proper cumulative ``histogram``
   (``_bucket{le=...}`` / ``_sum`` / ``_count``);
 * the deployment's backend/model identity is exposed as an info-style
-  gauge with labels (``repro_serving_info{backend="dense"} 1``).
+  gauge with labels (``repro_serving_info{backend="sparse"} 1``).
 
 Everything is stdlib string formatting — no client library.  The inverse,
 :func:`parse_prometheus_text`, is a strict line-level parser used by the

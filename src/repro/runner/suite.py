@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from repro.backends import DEFAULT_BACKEND
 from repro.experiments.common import ExperimentScale
 from repro.experiments.registry import EXPERIMENTS, ExperimentSpec
 from repro.runner.jobs import JobSpec
@@ -25,7 +26,7 @@ SUITE_OVERRIDES: Dict[str, Dict[str, Any]] = {
 
 
 def scales_for_preset(
-    preset: str, seed: int = 0, paper_networks: bool = False, backend: str = "dense"
+    preset: str, seed: int = 0, paper_networks: bool = False, backend: str = DEFAULT_BACKEND
 ) -> Dict[str, ExperimentScale]:
     """The per-family scales of one named preset (``tiny``/``small``/``paper``).
 

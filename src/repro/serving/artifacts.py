@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
-from repro.backends import available_backends, describe_backend
+from repro.backends import DEFAULT_BACKEND, available_backends, describe_backend
 from repro.core.config import SpikeDynConfig
 from repro.models.asp_model import ASPModel
 from repro.models.base import (
@@ -80,9 +80,11 @@ class ModelArtifact:
         The stored state arrays (``input_weights``, ``assignments``, and
         ``theta`` when present).
     backend:
-        Compute backend the model was saved under (``"dense"`` for pre-v3
-        artifacts).  The arrays are backend-agnostic; this is the default
-        backend :meth:`build_model` rebuilds replicas on.
+        Registered compute backend the model was saved under, with retired
+        names resolved through :data:`repro.backends.BACKEND_ALIASES` (the
+        default backend for pre-v3 artifacts).  The arrays are
+        backend-agnostic; this is the default backend :meth:`build_model`
+        rebuilds replicas on.
     """
 
     path: Path
@@ -92,7 +94,7 @@ class ModelArtifact:
     meta: Dict[str, object]
     encoder: Dict[str, object]
     arrays: Dict[str, np.ndarray]
-    backend: str = "dense"
+    backend: str = DEFAULT_BACKEND
 
     @property
     def n_input(self) -> int:

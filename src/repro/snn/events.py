@@ -46,10 +46,9 @@ bit-exact kernels — correctness never depends on the bound being tight.
 
 The closed form multiplies by ``decay**k`` where the stepped path
 multiplies by ``decay`` ``k`` times; the two differ by accumulated
-rounding (~1 ULP per decade of ``k``), which is why the ``eventqueue``
-backend declares the ``tolerance`` equivalence tier for float state while
-spike counts stay exact (jumped steps are provably spike-free under
-either arithmetic).
+rounding (~1 ULP per decade of ``k``), so float state after a jump is
+only tolerance-close to the stepped path while spike counts stay exact
+(jumped steps are provably spike-free under either arithmetic).
 """
 
 from __future__ import annotations

@@ -77,7 +77,7 @@ class Network:
         Identifier used in reports.
     backend:
         Compute backend (name or instance) executing every state-update
-        kernel; defaults to ``"dense"``.  The network owns the compute
+        kernel; defaults to ``"sparse"``.  The network owns the compute
         policy: every group and connection added to it is switched to this
         backend, and :meth:`set_backend` retargets a built network in place.
     """
@@ -431,7 +431,7 @@ class Network:
         executed with the ordinary per-timestep kernels, so spike counts
         match the stepped reference exactly on every workload the bound
         covers; float state differs only by closed-form-vs-iterated decay
-        rounding (the ``eventqueue`` backend's ``tolerance`` tier).
+        rounding (bounded at ``rtol=1e-6`` by the event tests).
 
         Parameters
         ----------

@@ -53,7 +53,7 @@ class NeuronGroup:
         Human-readable identifier used by the network and monitors.
     backend:
         Compute backend executing the group's state-update kernels; defaults
-        to the dense reference backend.  :meth:`repro.snn.network.Network.
+        to the reference backend.  :meth:`repro.snn.network.Network.
         add_group` overwrites it with the network's backend, so the network
         is the single place that decides the compute policy.
     """

@@ -52,7 +52,7 @@ class Connection:
         Connection identifier.
     backend:
         Compute backend executing the propagation kernels; defaults to the
-        dense reference backend and is overwritten with the network's
+        reference backend and is overwritten with the network's
         backend by :meth:`repro.snn.network.Network.add_connection`.
     """
 
@@ -177,9 +177,8 @@ class Connection:
         In batch mode the presynaptic spikes have shape ``(batch_size, pre.n)``
         and the returned current ``(batch_size, post.n)``.  Decay and the
         spike-to-conductance projection run on the connection's compute
-        backend: the dense backend evaluates one vector-matrix product per
-        spiking sample (bit-for-bit identical to the sequential path), while
-        the sparse backend gathers only the spiking weight rows.
+        backend, which gathers only the spiking weight rows, one spiking
+        sample at a time (bit-for-bit identical to the sequential path).
         """
         self.transmit(self.decay_factor(dt))
         if counter is not None:

@@ -1,52 +1,55 @@
 """Shared fixtures for the backend-conformance suite.
 
-The conformance tests are parametrized over *every* backend that reports
-itself available in this environment, so a new backend registered through
-``repro.backends`` is picked up automatically — including optional-dependency
-backends like ``numba``, which simply drop out of the parametrization on
-machines where the import probe fails (their registered-but-unavailable
-behaviour is covered separately).
+The conformance tests are parametrized over every backend that reports
+itself available in this environment plus the unregistered dense GEMV
+oracle (:mod:`gemv_oracle`), so a new backend registered through
+``repro.backends`` is picked up automatically and the oracle checks the
+suite's own expectations.  Parametrized cases get the backend *instance*
+and run a model on it with ``model.network.set_backend(backend)``, which
+works for the unregistered oracle too.
 
 Tolerances come from the backend classes themselves: each backend declares
 an equivalence tier (``exact`` or ``tolerance``) plus ``state_rtol`` /
 ``state_atol`` bounds for its float state, and :func:`assert_state_close`
 applies exactly those bounds — bit-for-bit when a backend claims zero
-tolerance (the dense reference), ``allclose`` otherwise.  Integer results
-(spike counts, predictions, operation tallies) are never toleranced; every
-tier must reproduce them exactly.
+tolerance (the oracle), ``allclose`` otherwise.  Integer results (spike
+counts, predictions, operation tallies) are never toleranced; every tier
+must reproduce them exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from gemv_oracle import GemvOracle
 
 from repro.backends import available_backends, get_backend
 
-#: Names of every backend usable in this environment, in registration order.
-#: Computed at collection time so the parametrized tests enumerate exactly
-#: what ``repro backends list`` would report as available.
-AVAILABLE_BACKEND_NAMES = list(available_backends())
+#: The shared instance of every available backend plus the oracle, by name.
+#: Computed at collection time so the parametrized tests enumerate what
+#: ``repro backends list`` reports as available, and the oracle.
+CONFORMANCE_BACKENDS = {name: get_backend(name) for name in available_backends()}
+CONFORMANCE_BACKENDS[GemvOracle.name] = GemvOracle()
 
 
-@pytest.fixture(params=AVAILABLE_BACKEND_NAMES)
+@pytest.fixture(params=list(CONFORMANCE_BACKENDS))
 def backend_name(request) -> str:
-    """Every available backend name, one parametrized case each."""
+    """Every available backend name and the oracle's, one case each."""
     return request.param
 
 
 @pytest.fixture
 def backend(backend_name: str):
-    """The shared registry instance for ``backend_name``."""
-    return get_backend(backend_name)
+    """The instance behind ``backend_name``."""
+    return CONFORMANCE_BACKENDS[backend_name]
 
 
 def assert_state_close(backend, actual, desired, err_msg: str = "") -> None:
     """Assert float state agreement at ``backend``'s declared tolerance.
 
     A backend declaring zero tolerance (``state_rtol == state_atol == 0.0``,
-    i.e. the dense reference) is held to bit-for-bit equality; every other
-    backend is held to its own ``state_rtol`` / ``state_atol`` bounds.
+    i.e. the oracle) is held to bit-for-bit equality; every other backend is
+    held to its own ``state_rtol`` / ``state_atol`` bounds.
     """
     rtol = type(backend).state_rtol
     atol = type(backend).state_atol

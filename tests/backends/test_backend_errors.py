@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.backends import (
-    DenseBackend,
+    BACKEND_ALIASES,
+    SparseEventBackend,
     available_backends,
     describe_backend,
     get_backend,
@@ -33,7 +34,7 @@ from repro.utils.serialization import ArtifactError
 def unavailable_backend():
     """A registered backend whose availability probe always fails."""
 
-    class Unavailable(DenseBackend):
+    class Unavailable(SparseEventBackend):
         name = "errors-unavailable"
         description = "dependency never importable"
 
@@ -53,7 +54,7 @@ class TestRegistryErrors:
         with pytest.raises(ValueError) as excinfo:
             get_backend("does-not-exist")
         message = str(excinfo.value)
-        for known in ("dense", "sparse", "float32", "numba", "auto"):
+        for known in ["sparse", *BACKEND_ALIASES]:
             assert known in message
 
     def test_unavailable_backend_raises_runtime_error(self,
@@ -88,10 +89,10 @@ class TestConfigErrors:
                                        backend="does-not-exist")
 
     def test_config_accepts_every_registered_backend_name(self):
-        for name in ("dense", "sparse", "float32", "numba", "auto"):
+        for name in ["sparse", *BACKEND_ALIASES]:
             config = SpikeDynConfig.scaled_down(n_input=16, n_exc=4,
                                                 backend=name)
-            assert config.backend == name
+            assert config.backend == "sparse"
 
 
 class TestArtifactErrors:
@@ -136,15 +137,15 @@ class TestArtifactErrors:
             self, artifact_dir, unavailable_backend):
         self._rewrite_backend(artifact_dir, unavailable_backend)
         artifact = load_artifact(artifact_dir)
-        model = artifact.build_model(backend="dense")
-        assert model.backend_name == "dense"
+        model = artifact.build_model(backend="sparse")
+        assert model.backend_name == "sparse"
         # The rebuilt replica carries the artifact's learned state.
         np.testing.assert_array_equal(model.input_weights,
                                       artifact.arrays["input_weights"])
 
     def test_rebuild_on_available_recorded_backend_still_works(
             self, artifact_dir):
-        self._rewrite_backend(artifact_dir, "float32")
+        self._rewrite_backend(artifact_dir, "sparse")
         artifact = load_artifact(artifact_dir)
         model = artifact.build_model()
-        assert model.backend_name == "float32"
+        assert model.backend_name == "sparse"

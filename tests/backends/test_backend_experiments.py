@@ -1,16 +1,22 @@
-"""Every registered experiment is backend-independent at smoke scale.
+"""Every registered experiment renders the same report on the GEMV oracle.
 
-The acceptance bar for the sparse event backend: running any registered
-experiment driver at the tiny (CI) scale on ``backend="sparse"`` must render
-a report byte-identical to the dense reference — same predictions, labels,
-accuracies, and operation tallies.  The report text is the experiment's
-complete observable output, so string equality is the strongest cheap check.
+The acceptance bar for the reference kernel set: running any registered
+experiment driver at the tiny (CI) scale must render a report
+byte-identical to the one the dense GEMV oracle renders — same predictions,
+labels, accuracies, and operation tallies.  The report text is the
+experiment's complete observable output, so string equality is the
+strongest cheap check.  Drivers build their models by backend *name*, so
+the oracle run swaps the registry's shared ``sparse`` instance for an
+oracle that answers to that name.
 """
 
 from __future__ import annotations
 
 import pytest
+from gemv_oracle import GemvOracle
 
+from repro import backends as backends_module
+from repro.backends import SparseEventBackend
 from repro.experiments.common import ExperimentScale
 from repro.experiments.registry import EXPERIMENTS
 
@@ -19,12 +25,20 @@ from repro.experiments.registry import EXPERIMENTS
 pytestmark = pytest.mark.integration
 
 
+class _OracleAsSparse(GemvOracle):
+    """The oracle's kernels behind the registered backend's declarations."""
+
+    name = SparseEventBackend.name
+    supports_events = SparseEventBackend.supports_events
+
+
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-def test_sparse_report_is_byte_identical_to_dense(name):
+def test_report_is_byte_identical_on_the_oracle(name, monkeypatch):
     spec = EXPERIMENTS[name]
-    dense_report = spec.report(ExperimentScale.tiny(seed=0))
-    sparse_report = spec.report(ExperimentScale.tiny(seed=0, backend="sparse"))
-    assert sparse_report == dense_report, (
+    sparse_report = spec.report(ExperimentScale.tiny(seed=0))
+    monkeypatch.setitem(backends_module._INSTANCES, "sparse", _OracleAsSparse())
+    oracle_report = spec.report(ExperimentScale.tiny(seed=0))
+    assert sparse_report == oracle_report, (
         f"experiment {name!r} renders different reports on the sparse "
-        "backend"
+        "backend and the GEMV oracle"
     )

@@ -1,6 +1,6 @@
-"""Kernel-level equivalence between the dense and sparse backends.
+"""Kernel-level equivalence between the sparse backend and the GEMV oracle.
 
-Every sparse kernel must compute the same values as its dense counterpart;
+Every sparse kernel must compute the same values as the dense oracle's;
 for the scatter-style kernels (trace bumps, theta bumps, STDP deltas) the
 scalar arithmetic is identical so the results must be *bit-for-bit* equal,
 while the gather/segment-sum propagation kernels may differ by last-ULP
@@ -13,9 +13,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gemv_oracle import GemvOracle
+
 from repro.backends import get_backend
 
-DENSE = get_backend("dense")
+DENSE = GemvOracle()
 SPARSE = get_backend("sparse")
 
 

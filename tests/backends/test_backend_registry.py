@@ -5,67 +5,47 @@ from __future__ import annotations
 import pytest
 
 from repro.backends import (
-    AutoBackend,
+    BACKEND_ALIASES,
+    DEFAULT_BACKEND,
     Backend,
-    DenseBackend,
-    Float32Backend,
-    NumbaBackend,
     SparseEventBackend,
     available_backends,
+    backend_choices,
     backend_names,
+    describe_backend,
     get_backend,
     normalize_backend_name,
     register_backend,
 )
 
+RETIRED = ["dense", "float32", "numba", "auto", "eventqueue"]
+
 
 class TestRegistry:
     def test_shipped_backends_are_registered_in_order(self):
-        assert backend_names() == ["dense", "sparse", "float32", "numba",
-                                   "auto", "eventqueue"]
+        assert backend_names() == ["sparse"]
 
     def test_always_available_backends(self):
-        from repro.backends import EventQueueBackend
+        assert available_backends() == {"sparse": SparseEventBackend}
 
-        available = available_backends()
-        assert available["dense"] is DenseBackend
-        assert available["sparse"] is SparseEventBackend
-        assert available["float32"] is Float32Backend
-        assert available["auto"] is AutoBackend
-        assert available["eventqueue"] is EventQueueBackend
-
-    def test_event_support_is_declared_per_backend(self):
-        from repro.backends import EventQueueBackend, describe_backend
-
-        assert EventQueueBackend.supports_events is True
-        assert DenseBackend.supports_events is False
-        assert describe_backend("eventqueue")["events"] is True
-        assert describe_backend("dense")["events"] is False
-
-    def test_numba_availability_tracks_the_import_probe(self):
-        # The numba backend is always *registered*; whether it is available
-        # must exactly track whether the optional dependency imports.
-        import importlib.util
-
-        expected = importlib.util.find_spec("numba") is not None
-        assert NumbaBackend.available() is expected
-        assert ("numba" in available_backends()) is expected
+    def test_the_reference_backend_drives_event_mode(self):
+        assert SparseEventBackend.supports_events is True
+        assert describe_backend("sparse")["events"] is True
 
     def test_get_backend_returns_shared_instances(self):
-        assert get_backend("dense") is get_backend("dense")
         assert get_backend("sparse") is get_backend("sparse")
-        assert get_backend("dense") is not get_backend("sparse")
 
-    def test_none_resolves_to_the_dense_default(self):
-        assert get_backend(None) is get_backend("dense")
-        assert get_backend().name == "dense"
+    def test_none_resolves_to_the_sparse_default(self):
+        assert DEFAULT_BACKEND == "sparse"
+        assert get_backend(None) is get_backend("sparse")
+        assert get_backend().name == "sparse"
 
     def test_instances_pass_through(self):
         instance = SparseEventBackend()
         assert get_backend(instance) is instance
 
     def test_unknown_name_lists_the_known_backends(self):
-        with pytest.raises(ValueError, match="dense.*sparse"):
+        with pytest.raises(ValueError, match="sparse, dense"):
             get_backend("quantum")
         with pytest.raises(ValueError, match="unknown backend"):
             normalize_backend_name("quantum")
@@ -74,14 +54,21 @@ class TestRegistry:
         assert normalize_backend_name("sparse") == "sparse"
 
     def test_reregistering_the_same_class_is_idempotent(self):
-        assert register_backend(DenseBackend) is DenseBackend
+        assert register_backend(SparseEventBackend) is SparseEventBackend
 
     def test_registering_a_name_clash_fails(self):
-        class Impostor(DenseBackend):
-            name = "dense"
+        class Impostor(SparseEventBackend):
+            name = "sparse"
 
         with pytest.raises(ValueError, match="already registered"):
             register_backend(Impostor)
+
+    def test_registering_an_alias_fails(self):
+        class Revenant(SparseEventBackend):
+            name = "dense"
+
+        with pytest.raises(ValueError, match="alias"):
+            register_backend(Revenant)
 
     def test_registering_an_unnamed_backend_fails(self):
         class Nameless(Backend):  # pragma: no cover - never instantiated
@@ -91,7 +78,7 @@ class TestRegistry:
             register_backend(Nameless)
 
     def test_unavailable_backend_is_reported_not_instantiated(self):
-        class Unavailable(DenseBackend):
+        class Unavailable(SparseEventBackend):
             name = "unavailable-for-testing"
 
             @classmethod
@@ -115,9 +102,7 @@ class TestRegistry:
         assert isinstance(info["description"], str) and info["description"]
 
     def test_describe_backend_works_without_instantiation(self):
-        from repro.backends import describe_backend
-
-        class Unavailable(DenseBackend):
+        class Unavailable(SparseEventBackend):
             name = "describe-unavailable"
             description = "never importable"
 
@@ -136,9 +121,23 @@ class TestRegistry:
                 "description": "never importable",
                 "available": False,
                 "tier": "exact",
-                "events": False,
+                "events": True,
             }
         finally:
             from repro import backends as backends_module
 
             backends_module._REGISTRY.pop("describe-unavailable", None)
+
+
+class TestAliases:
+    """Retired backend names resolve to the one registered backend."""
+
+    def test_every_retired_name_is_an_alias_of_sparse(self):
+        assert BACKEND_ALIASES == {name: "sparse" for name in RETIRED}
+        assert backend_choices() == ["sparse"] + RETIRED
+
+    @pytest.mark.parametrize("name", RETIRED)
+    def test_aliases_resolve_everywhere(self, name):
+        assert normalize_backend_name(name) == "sparse"
+        assert get_backend(name) is get_backend("sparse")
+        assert describe_backend(name) == describe_backend("sparse")

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from gemv_oracle import GemvOracle
 
-from repro.backends import get_backend
+from repro.backends import BACKEND_ALIASES, SparseEventBackend, get_backend
 from repro.core.config import SpikeDynConfig
 from repro.experiments.common import ExperimentScale
 from repro.models.diehl_cook import DiehlCookModel
@@ -32,9 +35,9 @@ class TestNetworkBackend:
         network.add_connection(Connection(inputs, hidden, np.ones((4, 3))))
         return network
 
-    def test_default_backend_is_dense(self):
+    def test_default_backend_is_sparse(self):
         network = self._network()
-        assert network.backend_name == "dense"
+        assert network.backend_name == "sparse"
 
     def test_network_assigns_its_backend_to_components(self):
         network = self._network(backend="sparse")
@@ -45,15 +48,16 @@ class TestNetworkBackend:
             assert connection.backend is get_backend("sparse")
 
     def test_set_backend_retargets_everything(self):
-        network = self._network()
+        network = self._network(backend=GemvOracle())
+        assert network.backend_name == "gemv-oracle"
         network.set_backend("sparse")
         assert network.backend_name == "sparse"
         assert all(g.backend is get_backend("sparse")
                    for g in network.groups.values())
         assert all(c.backend is get_backend("sparse")
                    for c in network.connections)
-        network.set_backend("dense")
-        assert network.backend_name == "dense"
+        network.set_backend("dense")  # a retired name resolves by alias
+        assert network.backend is get_backend("sparse")
 
     def test_unknown_backend_is_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -62,8 +66,9 @@ class TestNetworkBackend:
 
 class TestConfigBackend:
     def test_config_records_and_validates_the_backend(self):
-        assert _tiny_config().backend == "dense"
+        assert _tiny_config().backend == "sparse"
         assert _tiny_config(backend="sparse").backend == "sparse"
+        assert _tiny_config(backend="dense").backend == "sparse"
         with pytest.raises(ValueError, match="unknown backend"):
             _tiny_config(backend="quantum")
 
@@ -109,12 +114,27 @@ class TestScaleAndJobBackend:
             ExperimentScale.tiny(backend="quantum")
 
     def test_backend_is_part_of_the_job_key(self):
-        dense_job = JobSpec("fig5", ExperimentScale.tiny())
-        sparse_job = JobSpec("fig5", ExperimentScale.tiny(backend="sparse"))
-        assert dense_job.backend == "dense"
-        assert sparse_job.backend == "sparse"
-        assert dense_job.key() != sparse_job.key()
-        assert dense_job.payload()["scale"]["backend"] == "dense"
+        from repro import backends as backends_module
+
+        class Other(SparseEventBackend):
+            name = "job-key-other"
+
+        backends_module.register_backend(Other)
+        try:
+            sparse_job = JobSpec("fig5", ExperimentScale.tiny())
+            other_job = JobSpec("fig5", ExperimentScale.tiny(backend="job-key-other"))
+            assert sparse_job.backend == "sparse"
+            assert other_job.backend == "job-key-other"
+            assert sparse_job.key() != other_job.key()
+            assert sparse_job.payload()["scale"]["backend"] == "sparse"
+        finally:
+            backends_module._REGISTRY.pop("job-key-other", None)
+
+    @pytest.mark.parametrize("alias", sorted(BACKEND_ALIASES))
+    def test_retired_names_share_the_job_key(self, alias):
+        aliased = JobSpec("fig5", ExperimentScale.tiny(backend=alias))
+        assert aliased.backend == "sparse"
+        assert aliased.key() == JobSpec("fig5", ExperimentScale.tiny()).key()
 
     def test_job_round_trip_preserves_the_backend(self):
         job = JobSpec("fig5", ExperimentScale.tiny(backend="sparse"))
@@ -124,7 +144,7 @@ class TestScaleAndJobBackend:
 
 
 class TestArtifactBackend:
-    def _saved(self, tmp_path, backend="dense"):
+    def _saved(self, tmp_path, backend="sparse"):
         model = SpikeDynModel(_tiny_config(backend=backend))
         return model, model.save(tmp_path / "artifact")
 
@@ -141,21 +161,20 @@ class TestArtifactBackend:
         assert rebuilt.backend_name == "sparse"
 
     def test_build_model_backend_override(self, tmp_path):
-        saved, directory = self._saved(tmp_path, backend="dense")
-        rebuilt = load_artifact(directory).build_model(backend="sparse")
+        saved, directory = self._saved(tmp_path)
+        rebuilt = load_artifact(directory).build_model(backend="dense")
         assert rebuilt.backend_name == "sparse"
         np.testing.assert_array_equal(rebuilt.input_weights,
                                       saved.input_weights)
 
     def test_cross_backend_load_state_is_allowed(self, tmp_path):
         _, directory = self._saved(tmp_path, backend="sparse")
-        dense_model = SpikeDynModel(_tiny_config())
-        dense_model.load_state(directory)  # backend mismatch is exempt
-        assert dense_model.backend_name == "dense"
+        oracle_model = SpikeDynModel(_tiny_config())
+        oracle_model.network.set_backend(GemvOracle())
+        oracle_model.load_state(directory)  # backend mismatch is exempt
+        assert oracle_model.backend_name == "gemv-oracle"
 
     def test_unknown_recorded_backend_is_rejected(self, tmp_path):
-        import json
-
         _, directory = self._saved(tmp_path)
         metadata_path = directory / "model.json"
         metadata = json.loads(metadata_path.read_text())
@@ -166,8 +185,6 @@ class TestArtifactBackend:
             load_artifact(directory)
 
     def test_v3_artifact_without_backend_field_is_rejected(self, tmp_path):
-        import json
-
         _, directory = self._saved(tmp_path)
         metadata_path = directory / "model.json"
         metadata = json.loads(metadata_path.read_text())
@@ -176,9 +193,7 @@ class TestArtifactBackend:
         with pytest.raises(ArtifactError, match="missing the 'backend'"):
             load_artifact(directory)
 
-    def test_legacy_v2_artifact_defaults_to_dense(self, tmp_path):
-        import json
-
+    def test_legacy_v2_artifact_defaults_to_sparse(self, tmp_path):
         _, directory = self._saved(tmp_path)
         metadata_path = directory / "model.json"
         metadata = json.loads(metadata_path.read_text())
@@ -189,5 +204,67 @@ class TestArtifactBackend:
         metadata_path.write_text(json.dumps(metadata))
         artifact = load_artifact(directory)
         assert artifact.schema_version == 2
-        assert artifact.backend == "dense"
-        assert artifact.build_model().backend_name == "dense"
+        assert artifact.backend == "sparse"
+        assert artifact.build_model().backend_name == "sparse"
+
+
+class TestRetiredBackendArtifacts:
+    """Artifacts naming a removed backend load and predict as on ``sparse``."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        config = _tiny_config(n_input=64, n_exc=10, t_sim=30.0, seed=3)
+        rng = np.random.default_rng(3)
+        model = SpikeDynModel(config)
+        model.train_batch(rng.random((4, 64)) * 0.7)
+        model.assign_labels(rng.random((8, 64)) * 0.7, [i % 2 for i in range(8)])
+        directory = model.save(tmp_path_factory.mktemp("retired") / "artifact")
+        images = rng.random((6, 64)) * 0.7
+        # Encoding draws from a seeded stream, so the reference is a fresh
+        # rebuild of the artifact as saved (on sparse), not ``model`` itself.
+        expected = load_artifact(directory).build_model().predict(images)
+        return model, directory, images, expected
+
+    @staticmethod
+    def _rewrite(source, target, **changes):
+        import shutil
+
+        shutil.copytree(source, target)
+        metadata_path = target / "model.json"
+        metadata = json.loads(metadata_path.read_text())
+        for key, value in changes.items():
+            if value is None:
+                metadata.pop(key, None)
+                metadata["config"].pop(key, None)
+                metadata["meta"].pop(key, None)
+            else:
+                metadata[key] = value
+                if key == "backend":
+                    metadata["config"][key] = value
+                    metadata["meta"][key] = value
+        metadata_path.write_text(json.dumps(metadata))
+        return target
+
+    @pytest.mark.parametrize("retired", sorted(BACKEND_ALIASES))
+    def test_v3_artifact_naming_a_retired_backend(self, trained, tmp_path, retired):
+        model, directory, images, expected = trained
+        aliased = self._rewrite(directory, tmp_path / retired, backend=retired)
+        assert json.loads((aliased / "model.json").read_text())["backend"] == retired
+        artifact = load_artifact(aliased)
+        assert artifact.schema_version == 3
+        assert artifact.backend == "sparse"
+        rebuilt = artifact.build_model()
+        assert rebuilt.backend_name == "sparse"
+        np.testing.assert_array_equal(rebuilt.predict(images), expected)
+        reference, loaded = SpikeDynModel(model.config), SpikeDynModel(model.config)
+        reference.load_state(directory)
+        loaded.load_state(aliased)
+        np.testing.assert_array_equal(loaded.predict(images), reference.predict(images))
+
+    def test_pre_v3_artifact(self, trained, tmp_path):
+        _, directory, images, expected = trained
+        legacy = self._rewrite(directory, tmp_path / "v2", schema_version=2, backend=None)
+        artifact = load_artifact(legacy)
+        assert artifact.schema_version == 2
+        assert artifact.backend == "sparse"
+        np.testing.assert_array_equal(artifact.build_model().predict(images), expected)

@@ -235,7 +235,7 @@ class TestEventStreamStudy:
             tiny_scale, classes=(0, 1), duration=300.0,
             n_bursts=3, burst_steps=4,
         )
-        assert result.backend == "eventqueue"
+        assert result.backend == "sparse"
         assert result.equivalence["counts_match"] is True
         assert result.equivalence["predictions_match"] is True
         # The whole point: the executed fraction must be far below one.
@@ -250,12 +250,22 @@ class TestEventStreamStudy:
         assert "energy proxy" in text
 
     def test_stepping_fallback_backend(self, tiny_scale):
+        from repro import backends
         from repro.experiments import run_eventstream_study
 
-        result = run_eventstream_study(
-            tiny_scale, backend="sparse", classes=(0,), duration=200.0,
-            n_bursts=2, burst_steps=4,
-        )
+        class SteppingOnly(backends.SparseEventBackend):
+            name = "stepping-only"
+            supports_events = False
+
+        backends.register_backend(SteppingOnly)
+        try:
+            result = run_eventstream_study(
+                tiny_scale, backend="stepping-only", classes=(0,),
+                duration=200.0, n_bursts=2, burst_steps=4,
+            )
+        finally:
+            backends._REGISTRY.pop("stepping-only", None)
+            backends._INSTANCES.pop("stepping-only", None)
         # A non-event backend steps everything but stays equivalent.
         assert result.event_ops["steps_skipped"] == 0
         assert result.equivalence["counts_match"] is True

@@ -1,13 +1,18 @@
-"""The reference dense vectorized-NumPy backend.
+"""The dense GEMV oracle the reference kernel set is held against.
 
-These kernels are the engine's original hot-path arithmetic, moved verbatim
-behind the :class:`~repro.backends.base.Backend` interface: every operation,
-its order, and its rounding are unchanged, so a network running on
-``DenseBackend`` reproduces the committed golden traces *bit for bit*.  All
-work is proportional to the full state size regardless of how sparse the
-spiking activity is — which is exactly the inefficiency the paper's
-event-driven view of SNNs targets, and what
-:class:`~repro.backends.sparse.SparseEventBackend` exploits.
+:class:`GemvOracle` is the engine's original dense hot-path arithmetic: a
+full vector-matrix product (GEMV) per propagation step, outer-product STDP
+deltas and ``np.where`` trace bumps.  Every committed fixture
+(``tests/data/golden_trace.npz``, ``tests/data/engine_fixture.npz``) was
+generated on these kernels.  They are not registered: work is
+``O(state size)`` per step regardless of spike sparsity, so the engine runs
+the event-driven :class:`~repro.backends.sparse.SparseEventBackend`, and
+the conformance suite and the throughput gates compare it with this oracle.
+
+Run a network on it with ``network.set_backend(GemvOracle())``; the
+model's configuration keeps recording the registered default.  Benchmarks
+and scripts outside the test tree load this file by path with
+``importlib``, since ``tests/`` is not a package.
 """
 
 from __future__ import annotations
@@ -17,16 +22,12 @@ import numpy as np
 from repro.backends.base import Backend
 
 
-class DenseBackend(Backend):
-    """Vectorized dense kernels (the bit-for-bit reference implementation)."""
+class GemvOracle(Backend):
+    """Vectorized dense kernels (the bit-for-bit fixture reference)."""
 
-    name = "dense"
-    description = (
-        "Vectorized dense NumPy kernels; bit-for-bit reference, work is "
-        "O(state size) per step regardless of spike sparsity"
-    )
-    # The dense backend *is* the reference: the conformance suite compares
-    # it against itself bit-for-bit.
+    name = "gemv-oracle"
+    description = "Dense GEMV kernels; O(state size) per step (test oracle)"
+    # The oracle is compared against itself bit for bit.
     state_rtol = 0.0
     state_atol = 0.0
 
@@ -34,14 +35,10 @@ class DenseBackend(Backend):
 
     def lif_step(self, v, refrac_remaining, input_current, threshold, *,
                  decay, v_rest, v_reset, refractory, dt):
-        # Exponential membrane decay towards the resting potential.
         v = v_rest + (v - v_rest) * decay
-        # Integrate input only outside the refractory period.
         active = refrac_remaining <= 0.0
         v = np.where(active, v + input_current * dt, v)
-        # Spike generation against the (possibly adaptive) threshold.
         spikes = active & (v >= threshold)
-        # Reset and refractory bookkeeping.
         v = np.where(spikes, v_reset, v)
         refrac_remaining = np.where(
             spikes, refractory, np.maximum(refrac_remaining - dt, 0.0)
@@ -65,10 +62,8 @@ class DenseBackend(Backend):
             if np.count_nonzero(pre_spikes):
                 conductance += pre_spikes.astype(float) @ weights
         else:
-            # One vector-matrix product per spiking sample — the exact BLAS
-            # call the single-sample path performs, so batched results stay
-            # bit-for-bit identical to sequential ones (a single (B, n) GEMM
-            # is faster but rounds differently).
+            # One vector-matrix product per spiking sample: the exact BLAS
+            # call of the single-sample path, so batched == sequential.
             spikes_float = pre_spikes.astype(float)
             for index in np.flatnonzero(pre_spikes.any(axis=1)):
                 conductance[index] += spikes_float[index] @ weights
@@ -77,13 +72,9 @@ class DenseBackend(Backend):
         if spikes.ndim == 1:
             n_spiking = int(np.count_nonzero(spikes))
             if n_spiking:
-                # Every neuron is inhibited by the spikes of all *other*
-                # neurons.
                 total = strength * n_spiking
                 conductance += total - strength * spikes.astype(float)
         elif spikes.any():
-            # Per-sample spike counts; elementwise arithmetic is identical
-            # to the single-sample path, so results stay bit-for-bit equal.
             totals = strength * spikes.sum(axis=1, dtype=float)
             conductance += totals[:, None] - strength * spikes.astype(float)
 

@@ -1,24 +1,19 @@
-"""Cross-backend equivalence properties against the dense reference.
+"""Cross-backend equivalence properties against the dense GEMV oracle.
 
 The sparse event backend reorders floating-point work (gathering only
 spiking rows) but must not change *what* the simulation computes: for
 seeded random inputs, spike counts, predictions, learned weights, and
-OperationCounter tallies have to match the dense reference backend.  Spike
-counts and counter tallies are integers and asserted exactly; weights are
-asserted to double-precision tightness (summation-order rounding is the only
-permitted difference).
-
-The auto backend dispatches every call to an exact-tier candidate, so it is
-held to the same double-precision contract.  The float32 backend sits in the
-``tolerance`` tier: integer results (counts, predictions, tallies) are still
-asserted exactly, while its float state is held to its declared
-single-precision bounds.
+OperationCounter tallies have to match the dense GEMV oracle
+(``tests/gemv_oracle.py``).  Spike counts and counter tallies are integers
+and asserted exactly; weights are asserted to double-precision tightness
+(summation-order rounding is the only permitted difference).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from gemv_oracle import GemvOracle
 
 from repro.core.config import SpikeDynConfig
 from repro.models.asp_model import ASPModel
@@ -33,10 +28,8 @@ MODEL_CLASSES = {
 }
 
 
-def _config(seed, backend="dense"):
-    return SpikeDynConfig.scaled_down(
-        n_input=64, n_exc=10, t_sim=30.0, seed=seed, backend=backend
-    )
+def _config(seed):
+    return SpikeDynConfig.scaled_down(n_input=64, n_exc=10, t_sim=30.0, seed=seed)
 
 
 def _images(seed, count=12, n_input=64):
@@ -44,8 +37,11 @@ def _images(seed, count=12, n_input=64):
 
 
 def _pair(model_name, seed):
+    """``(oracle, sparse)``: one model per kernel set, built alike."""
     cls = MODEL_CLASSES[model_name]
-    return (cls(_config(seed)), cls(_config(seed, backend="sparse")))
+    oracle = cls(_config(seed))
+    oracle.network.set_backend(GemvOracle())
+    return oracle, cls(_config(seed))
 
 
 @pytest.mark.parametrize("model_name", sorted(MODEL_CLASSES))
@@ -90,48 +86,6 @@ class TestTrainingEquivalence:
         np.testing.assert_array_equal(sparse.predict(evaluate),
                                       dense.predict(evaluate))
         np.testing.assert_array_equal(sparse.assignments, dense.assignments)
-
-
-@pytest.mark.parametrize("backend_name", ["auto", "float32"])
-class TestNewBackendEquivalence:
-    """Auto and float32 against dense, at each backend's declared tier."""
-
-    def _dense_and(self, backend_name, seed):
-        return (SpikeDynModel(_config(seed)),
-                SpikeDynModel(_config(seed, backend=backend_name)))
-
-    def test_inference_counts_and_tallies_match_dense(self, backend_name):
-        dense, other = self._dense_and(backend_name, seed=21)
-        images = _images(21)
-        np.testing.assert_array_equal(other.respond_batch(images),
-                                      dense.respond_batch(images))
-        assert other.counter.as_dict() == dense.counter.as_dict()
-
-    def test_training_counts_match_and_weights_are_in_tier(self,
-                                                           backend_name):
-        from repro.backends import get_backend
-
-        dense, other = self._dense_and(backend_name, seed=23)
-        images = _images(23, count=6)
-        dense_counts = dense.train_batch(images)
-        other_counts = other.train_batch(images)
-        np.testing.assert_array_equal(other_counts, dense_counts)
-        backend_cls = type(get_backend(backend_name))
-        np.testing.assert_allclose(
-            other.input_weights, dense.input_weights,
-            rtol=backend_cls.state_rtol, atol=backend_cls.state_atol)
-
-    def test_predictions_after_training_match_dense(self, backend_name):
-        dense, other = self._dense_and(backend_name, seed=25)
-        train = _images(25, count=6)
-        assign = _images(26, count=8)
-        labels = [i % 2 for i in range(len(assign))]
-        evaluate = _images(27, count=10)
-        for model in (dense, other):
-            model.train_batch(train)
-            model.assign_labels(assign, labels)
-        np.testing.assert_array_equal(other.predict(evaluate),
-                                      dense.predict(evaluate))
 
 
 class TestServingEquivalence:

@@ -112,7 +112,7 @@ class TestServeHappyPath:
         captured = capsys.readouterr()
         assert "serving spikedyn: spikedyn" in captured.out
         assert "listening on http://127.0.0.1:" in captured.out
-        assert "backend=dense" in captured.out
+        assert "backend=sparse" in captured.out
         assert "POST /v1/models/<name>/predict" in captured.out
         assert "POST /predict" in captured.out  # deprecated alias announced
         assert "shutting down" in captured.err

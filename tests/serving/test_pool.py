@@ -225,10 +225,10 @@ class TestLifecycleAndFailures:
         assert snapshot["queue_depth"] == 0
 
     def test_metrics_report_the_active_backend(self, pool, artifact):
-        assert pool.backend_name == "dense"
-        assert pool.metrics_snapshot()["backend"] == "dense"
+        assert pool.backend_name == "sparse"
+        assert pool.metrics_snapshot()["backend"] == "sparse"
         sparse_pool = ReplicaPool.from_artifact(artifact, workers=1,
-                                                backend="sparse")
+                                                backend="dense")
         assert sparse_pool.backend_name == "sparse"
         assert sparse_pool.metrics_snapshot()["backend"] == "sparse"
 

@@ -107,7 +107,7 @@ class TestCrashRecovery:
         assert shards["respawns_total"] >= 1
         assert sum(shards["batches_by_shard"].values()) > 0
         assert snapshot["model"] == "spikedyn"
-        assert snapshot["backend"] == "dense"
+        assert snapshot["backend"] == "sparse"
 
 
 def _sabotage_spawns(pool, fault, times, skip=0):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import SparseEventBackend
 from repro.core.learning import SpikeDynLearningRule
 from repro.learning.asp import ASPLearningRule
 from repro.learning.stdp import PairwiseSTDP
@@ -36,7 +37,7 @@ def bursty_train(timesteps=400, n=N_INPUT, bursts=4, burst_steps=3,
     return train
 
 
-def build_network(*, backend="eventqueue", learning_rule=None,
+def build_network(*, backend="sparse", learning_rule=None,
                   weight=1.5, t_sim=400.0, t_rest=20.0,
                   seed=3) -> Network:
     """Small input -> adaptive-excitatory network with lateral inhibition."""
@@ -216,7 +217,10 @@ class TestRunEventsEquivalence:
         assert network.counter.steps_skipped == 0
 
     def test_unsupporting_backend_defaults_to_stepping(self):
-        network = build_network(backend="dense")
+        class SteppingOnly(SparseEventBackend):
+            supports_events = False
+
+        network = build_network(backend=SteppingOnly())
         train = bursty_train()
         network.run_events(train, learning=False)
         assert network.counter.steps_skipped == 0

@@ -11,7 +11,7 @@ from collections import Counter
 
 import numpy as np
 
-from repro.backends.dense import DenseBackend
+from repro.backends import SparseEventBackend
 from repro.core.architecture import build_spikedyn_network
 from repro.core.config import SpikeDynConfig
 from repro.core.learning import SpikeDynLearningRule
@@ -27,8 +27,8 @@ N_EXC = 10
 STEPS = 30
 
 
-class RecordingBackend(DenseBackend):
-    """The dense kernels, counting every call made through this instance."""
+class RecordingBackend(SparseEventBackend):
+    """The reference kernels, counting every call made through this instance."""
 
     def __init__(self) -> None:
         self.calls = Counter()
@@ -37,7 +37,7 @@ class RecordingBackend(DenseBackend):
 def _recorded(kernel: str):
     def method(self, *args, **kwargs):
         self.calls[kernel] += 1
-        return getattr(DenseBackend, kernel)(self, *args, **kwargs)
+        return getattr(SparseEventBackend, kernel)(self, *args, **kwargs)
 
     return method
 

@@ -60,9 +60,11 @@ class TestBackends:
         assert main(["backends", "list"]) == 0
         output = capsys.readouterr().out
         assert "events" in output
-        eventqueue_row = next(line for line in output.splitlines()
-                              if line.startswith("eventqueue"))
-        assert "yes" in eventqueue_row
+        sparse_row = next(line for line in output.splitlines()
+                          if line.startswith("sparse"))
+        assert "yes" in sparse_row
+        for retired in ("dense", "float32", "numba", "auto", "eventqueue"):
+            assert retired in sparse_row
 
     def test_unknown_action_is_an_error(self):
         with pytest.raises(SystemExit):
