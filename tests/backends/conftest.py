@@ -1,12 +1,17 @@
 """Shared fixtures for the backend-conformance suite.
 
-The conformance tests are parametrized over every backend that reports
-itself available in this environment plus the unregistered dense GEMV
-oracle (:mod:`gemv_oracle`), so a new backend registered through
-``repro.backends`` is picked up automatically and the oracle checks the
-suite's own expectations.  Parametrized cases get the backend *instance*
-and run a model on it with ``model.network.set_backend(backend)``, which
-works for the unregistered oracle too.
+The conformance tests are parametrized over every name a backend may be
+selected by — each registered backend that reports itself available in
+this environment, then each retired name in
+:data:`repro.backends.BACKEND_ALIASES` that resolves to one — plus the
+unregistered dense GEMV oracle (:mod:`gemv_oracle`).  A new backend
+registered through ``repro.backends`` is picked up automatically, a
+configuration or artifact that still names a retired backend is held to
+the same contract as one naming its target, and the oracle checks the
+suite's own expectations.  Parametrized cases get the instance the name
+resolves to through :func:`repro.backends.get_backend` and run a model on
+it with ``model.network.set_backend(backend)``, which works for the
+unregistered oracle too.
 
 Tolerances come from the backend classes themselves: each backend declares
 an equivalence tier (``exact`` or ``tolerance``) plus ``state_rtol`` /
@@ -23,18 +28,28 @@ import numpy as np
 import pytest
 from gemv_oracle import GemvOracle
 
-from repro.backends import available_backends, get_backend
+from repro.backends import (
+    BACKEND_ALIASES,
+    available_backends,
+    backend_choices,
+    get_backend,
+)
 
-#: The shared instance of every available backend plus the oracle, by name.
-#: Computed at collection time so the parametrized tests enumerate what
-#: ``repro backends list`` reports as available, and the oracle.
-CONFORMANCE_BACKENDS = {name: get_backend(name) for name in available_backends()}
+#: The shared instance behind every selectable name plus the oracle, by
+#: name.  Computed at collection time so the parametrized tests enumerate
+#: what ``repro backends list`` reports as available, the aliases that
+#: resolve to it, and the oracle.
+CONFORMANCE_BACKENDS = {
+    name: get_backend(name)
+    for name in backend_choices()
+    if BACKEND_ALIASES.get(name, name) in available_backends()
+}
 CONFORMANCE_BACKENDS[GemvOracle.name] = GemvOracle()
 
 
 @pytest.fixture(params=list(CONFORMANCE_BACKENDS))
 def backend_name(request) -> str:
-    """Every available backend name and the oracle's, one case each."""
+    """Every selectable backend name and the oracle's, one case each."""
     return request.param
 
 

@@ -1,8 +1,9 @@
 """Backend-conformance suite: every available backend vs the GEMV oracle.
 
-Auto-parametrized over :func:`repro.backends.available_backends` plus the
-dense GEMV oracle (see ``conftest.py``), so registering a new backend
-automatically enrolls it here.  Each backend is held to its *declared*
+Auto-parametrized over :func:`repro.backends.available_backends`, the
+retired names that alias them, and the dense GEMV oracle (see
+``conftest.py``), so registering a new backend automatically enrolls it
+here.  Each backend is held to its *declared*
 equivalence tier:
 
 * ``exact`` (sparse) — spike decisions, counts, predictions, and operation
@@ -247,7 +248,7 @@ class TestBatchedVersusSequential:
 
 
 class TestGoldenTraceReplay:
-    """Every available backend and the oracle replay the golden trace.
+    """Every selectable backend name and the oracle replay the golden trace.
 
     Spike counts must be bit-exact for *all* tiers; learned weights and
     adapted thresholds are held to each backend's declared state tolerance.

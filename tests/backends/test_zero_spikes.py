@@ -4,8 +4,9 @@ All-silent inputs are the degenerate corner of the event-driven work: the
 clock-driven engines must walk them without emitting a single spike or
 touching any weight, the event engine must collapse them into one analytic
 jump, and a silent sample embedded in an otherwise active batch must behave
-exactly like its sequential counterpart.  Parametrized over every available
-backend and the GEMV oracle via the shared conformance fixtures.
+exactly like its sequential counterpart.  Parametrized over every selectable
+backend name (registered or alias) and the GEMV oracle via the shared
+conformance fixtures.
 """
 
 from __future__ import annotations
