@@ -2,10 +2,11 @@
 
 A :class:`Backend` bundles every *state-update kernel* the simulation engine
 executes on its hot path — LIF membrane integration, threshold adaptation,
-conductance/trace decay, synaptic propagation, and the STDP weight-update
-deltas.  The orchestration layers (:mod:`repro.snn`, :mod:`repro.learning`)
-own shapes, lifecycles, and :class:`~repro.snn.simulation.OperationCounter`
-accounting; backends own nothing but the arithmetic.  That split is what
+conductance/trace decay, synaptic propagation, and the in-place STDP
+weight updates.  The orchestration layers (:mod:`repro.snn`,
+:mod:`repro.learning`) own shapes, lifecycles, and
+:class:`~repro.snn.simulation.OperationCounter` accounting; backends own
+nothing but the arithmetic.  That split is what
 makes the engine retargetable: a backend may reorder the arithmetic (e.g.
 visit only spike events), run at a different precision, or dispatch to a
 JIT/GPU kernel, without the network, models, runner, or serving layers
@@ -24,16 +25,20 @@ identical ``OperationCounter`` tallies for the same simulation.
 Conventions shared by every kernel:
 
 * ``spikes`` arguments are boolean arrays shaped ``(n,)`` in single-sample
-  mode or ``(batch, n)`` in batch mode; kernels must handle both.
+  mode or ``(batch, n)`` in batch mode; kernels must handle both, except
+  the STDP kernels, which only run single-sample (learning is sequential).
 * Decay factors are precomputed by the caller (``exp(-dt / tau)``) so all
   backends see the exact same scalar.
-* Kernels may mutate arrays marked "in place" below and must *return* the
-  array holding the result either way; callers always rebind.
+* State kernels may mutate arrays marked "in place" below and must *return*
+  the array holding the result either way; callers always rebind.  The
+  STDP kernels update ``weights`` in place, touching only the spiking
+  rows/columns, and return the count of weight updates they applied.
 """
 
 from __future__ import annotations
 
 import abc
+from typing import Optional
 
 import numpy as np
 
@@ -141,22 +146,35 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def stdp_potentiation(self, pre_trace: np.ndarray,
                           post_spikes: np.ndarray, weights: np.ndarray, *,
-                          nu: float, w_max: float,
-                          soft_bounds: bool) -> np.ndarray:
-        """Weight *increment* triggered by postsynaptic spikes.
+                          nu: float, w_min: float, w_max: float,
+                          soft_bounds: bool,
+                          modulation: Optional[np.ndarray] = None) -> int:
+        """Potentiate the spiking postsynaptic columns of ``weights`` in place.
 
-        Returns a full ``weights``-shaped delta (zero outside the spiking
-        postsynaptic columns) so callers can apply and account for it
-        uniformly across backends.
+        Each spiking column ``j`` gets the delta ``nu * pre_trace``, scaled
+        by ``w_max - weights[:, j]`` under ``soft_bounds`` and then by
+        ``modulation[j]`` when a per-column ``modulation`` is given (ASP's
+        recency-modulated rate), in that operation order.  The delta is
+        added and only the spiking columns are clipped into
+        ``[w_min, w_max]``; every other column is left untouched.
+
+        Returns the number of non-zero delta entries: the weight updates
+        the caller charges to its ``OperationCounter``.
         """
 
     @abc.abstractmethod
     def stdp_depression(self, pre_spikes: np.ndarray,
                         post_trace: np.ndarray, weights: np.ndarray, *,
-                        nu: float, w_min: float,
-                        soft_bounds: bool) -> np.ndarray:
-        """Weight *decrement* (returned negative) triggered by presynaptic
-        spikes; zero outside the spiking presynaptic rows."""
+                        nu: float, w_min: float, w_max: float,
+                        soft_bounds: bool) -> int:
+        """Depress the spiking presynaptic rows of ``weights`` in place.
+
+        Each spiking row gets ``nu * post_trace`` subtracted, scaled by
+        ``weights[i] - w_min`` under ``soft_bounds``; only the spiking rows
+        are clipped into ``[w_min, w_max]``, every other row is left
+        untouched.  Returns the number of non-zero delta entries, as
+        :meth:`stdp_potentiation` does.
+        """
 
     def describe(self) -> dict:
         """JSON-safe summary used by the CLI and the serving metrics."""

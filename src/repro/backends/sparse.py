@@ -4,11 +4,12 @@ The paper's energy argument is that SNN work should scale with *spike
 events*, not with state size.  :class:`SparseEventBackend` applies that idea
 to the engine itself: synaptic propagation gathers and sums only the weight
 rows of neurons that actually spiked, trace and threshold bumps scatter only
-into spiking positions, and STDP deltas are materialized only in the spiking
-rows/columns.  Per-timestep cost of the synaptic kernels is
-``O(n_events * n_post)`` instead of ``O(n_pre * n_post)``.  Purely
-elementwise kernels with no event structure to exploit (LIF membrane
-integration, exponential decays) run over the whole state.
+into spiking positions, and STDP updates gather, update, clip and write back
+only the spiking rows/columns of the weights, in place.  Per-timestep cost
+of the synaptic and STDP kernels is ``O(n_events * fanout)`` instead of
+``O(n_pre * n_post)``.  Purely elementwise kernels with no event structure
+to exploit (LIF membrane integration, exponential decays) run over the
+whole state.
 
 Batched propagation adds each spiking sample's rows first to last, exactly
 as the single-sample gather does, so a batch is bit-for-bit equal to the
@@ -152,25 +153,36 @@ class SparseEventBackend(Backend):
     # -- STDP weight-update kernels ------------------------------------------
 
     def stdp_potentiation(self, pre_trace, post_spikes, weights, *,
-                          nu, w_max, soft_bounds):
-        delta = np.zeros_like(weights)
+                          nu, w_min, w_max, soft_bounds, modulation=None):
         active = np.flatnonzero(post_spikes)
-        if active.size:
-            column = nu * np.asarray(pre_trace, dtype=float)
-            if soft_bounds:
-                delta[:, active] = column[:, None] * (w_max - weights[:, active])
-            else:
-                delta[:, active] = column[:, None]
-        return delta
+        if not active.size:
+            return 0
+        column = nu * np.asarray(pre_trace, dtype=float)
+        block = weights[:, active]
+        if soft_bounds:
+            delta = column[:, None] * (w_max - block)
+        else:
+            delta = np.broadcast_to(column[:, None], block.shape)
+        if modulation is not None:
+            delta = delta * modulation[active]
+        block += delta
+        np.clip(block, w_min, w_max, out=block)
+        weights[:, active] = block
+        # Counting a boolean mask is ~3x faster than counting floats.
+        return int(np.count_nonzero(delta != 0.0))
 
     def stdp_depression(self, pre_spikes, post_trace, weights, *,
-                        nu, w_min, soft_bounds):
-        delta = np.zeros_like(weights)
+                        nu, w_min, w_max, soft_bounds):
         active = np.flatnonzero(pre_spikes)
-        if active.size:
-            row = nu * np.asarray(post_trace, dtype=float)
-            if soft_bounds:
-                delta[active, :] = row[None, :] * (weights[active, :] - w_min)
-            else:
-                delta[active, :] = row[None, :]
-        return -delta
+        if not active.size:
+            return 0
+        row = nu * np.asarray(post_trace, dtype=float)
+        block = weights[active]
+        if soft_bounds:
+            delta = row * (block - w_min)
+        else:
+            delta = np.broadcast_to(row, block.shape)
+        block -= delta
+        np.clip(block, w_min, w_max, out=block)
+        weights[active] = block
+        return int(np.count_nonzero(delta != 0.0))

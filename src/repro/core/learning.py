@@ -62,6 +62,27 @@ class SpikeDynLearningRule(LearningRule):
         Use multiplicative soft-bounded updates.
     tau_pre, tau_post, trace_mode:
         Spike-trace parameters (see :class:`repro.learning.base.LearningRule`).
+
+    Notes
+    -----
+    **Clip elision.**  Every window used to end in a full-matrix clip into
+    ``[w_min, w_max]``.  Where the clip provably changes nothing it is
+    skipped, so the weights stay bit-identical to always clipping; any
+    other case keeps the clip.  The proofs start from one bounds check per
+    sample (:meth:`~repro.learning.base.LearningRule.on_sample_start`) that
+    finds all weights inside ``[w_min, w_max]``:
+
+    * the weight decay skips its clip when ``w_min <= 0 <= w_max``:
+      multiplying by ``1 - fraction`` in ``[0, 1]`` only moves a weight
+      towards zero;
+    * the depression skips its clip when ``soft_bounds`` holds,
+      ``w_min == 0`` and every rate ``d = kd * nu_pre * x_post`` lies in
+      ``[0, 1]``: ``w - w * d`` then stays in ``[0, w]``.  It also updates
+      only the columns with ``d != 0``, where the others would subtract an
+      exact zero;
+    * the potentiation keeps its clip of the one updated column: its rate
+      is not bounded by 1, and even ``w + r * (w_max - w)`` with ``r <= 1``
+      can round past ``w_max``.
     """
 
     # Window boundaries fire on the timestep clock regardless of activity
@@ -127,13 +148,13 @@ class SpikeDynLearningRule(LearningRule):
         if kp <= 0.0 or self.nu_post <= 0.0:
             return
         target = self.accumulator.most_active_post
+        # A view: the update and its clip land in the weights.
         column = connection.weights[:, target]
         delta = kp * self.nu_post * self.pre_trace.values
         if self.soft_bounds:
             delta = delta * (connection.w_max - column)
         column += delta
         np.clip(column, connection.w_min, connection.w_max, out=column)
-        connection.weights[:, target] = column
         if counter is not None:
             counter.add(weight_updates=connection.pre.n)
 
@@ -142,15 +163,28 @@ class SpikeDynLearningRule(LearningRule):
         """Depression of every synapse (no postsynaptic spike in the window)."""
         if kd <= 0.0 or self.nu_pre <= 0.0:
             return
-        # Row vector of per-column rates; the soft bound scales it by
-        # ``w - w_min`` in one scratch matrix instead of two temporaries.
+        # Row vector of per-column rates.
         delta = kd * self.nu_pre * self.post_trace.values
-        if self.soft_bounds:
-            bounded = connection.weights - connection.w_min
-            bounded *= delta
-            delta = bounded
-        connection.weights -= delta
-        connection.clip_weights()
+        weights = connection.weights
+        if (self.soft_bounds and connection.w_min == 0.0
+                and self._weights_in_bounds(connection)
+                and delta.min() >= 0.0 and delta.max() <= 1.0):
+            # ``w - w * d`` with ``0 <= d <= 1`` stays in ``[0, w]``, so no
+            # clip; columns with ``d == 0`` would subtract an exact zero.
+            columns = np.flatnonzero(delta)
+            if columns.size:
+                block = weights[:, columns]
+                block -= block * delta[columns]
+                weights[:, columns] = block
+        else:
+            # The soft bound scales the rates by ``w - w_min`` in one
+            # scratch matrix instead of two temporaries.
+            if self.soft_bounds:
+                bounded = weights - connection.w_min
+                bounded *= delta
+                delta = bounded
+            weights -= delta
+            connection.clip_weights()
         if counter is not None:
             counter.add(weight_updates=connection.weights.size)
 
@@ -166,7 +200,11 @@ class SpikeDynLearningRule(LearningRule):
         if self.weight_decay is None or not self.weight_decay.enabled:
             return
         self.weight_decay.apply(connection.weights, elapsed_ms, counter)
-        connection.clip_weights()
+        # Scaling by ``1 - fraction`` in [0, 1] moves every weight towards
+        # zero, so weights in bounds stay there when the bounds bracket 0.
+        if not (self._weights_in_bounds(connection)
+                and connection.w_min <= 0.0 <= connection.w_max):
+            connection.clip_weights()
 
     # -- LearningRule interface -----------------------------------------------
 

@@ -130,14 +130,11 @@ class ASPLearningRule(PairwiseSTDP):
             counter.add(weight_updates=connection.weights.size,
                         exponential_ops=connection.weights.size)
 
-    def _potentiation(self, connection: Connection,
-                      post_spikes: np.ndarray) -> np.ndarray:
-        """Potentiation with the recency-modulated learning rate."""
-        delta = super()._potentiation(connection, post_spikes)
+    def _modulation(self) -> Optional[np.ndarray]:
+        """The recency-modulated learning rate's per-neuron factor."""
         if self.learning_rate_gain > 0.0 and self._activity is not None:
-            modulation = 1.0 + self.learning_rate_gain * np.tanh(self._activity)
-            delta *= modulation[None, :]
-        return delta
+            return 1.0 + self.learning_rate_gain * np.tanh(self._activity)
+        return None
 
     def step(self, connection: Connection, dt: float, t_index: int,
              counter: Optional[OperationCounter] = None) -> None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.snn.simulation import OperationCounter
 from repro.snn.synapses import Connection
 from repro.snn.traces import SpikeTrace
@@ -43,6 +45,8 @@ class LearningRule:
         self.trace_mode = trace_mode
         self.pre_trace: Optional[SpikeTrace] = None
         self.post_trace: Optional[SpikeTrace] = None
+        # The weight matrix found inside [w_min, w_max] at sample start.
+        self._bounded_weights: Optional[np.ndarray] = None
 
     # -- trace management ---------------------------------------------------
 
@@ -77,11 +81,27 @@ class LearningRule:
 
     # -- hooks driven by the network ----------------------------------------
 
+    def _weights_in_bounds(self, connection: Connection) -> bool:
+        """Whether ``connection``'s weights are known to lie in
+        ``[w_min, w_max]``, so a full-matrix clip would change nothing.
+
+        :meth:`on_sample_start` checks the bounds once per sample; every
+        weight update of a rule keeps them (it clips what it touches, or
+        skips a clip only where the bounds provably hold), so the answer
+        stays valid for the rest of the sample.  It is ``False`` outside a
+        sample, for weights that started it out of bounds and for a weight
+        array replaced since the check, which restores every full clip.
+        """
+        return self._bounded_weights is connection.weights
+
     def on_sample_start(self, connection: Connection) -> None:
         """Called before a sample presentation begins."""
         self._ensure_traces(connection)
         self.pre_trace.reset()
         self.post_trace.reset()
+        weights = connection.weights
+        in_bounds = weights.min() >= connection.w_min and weights.max() <= connection.w_max
+        self._bounded_weights = weights if in_bounds else None
 
     def step(self, connection: Connection, dt: float, t_index: int,
              counter: Optional[OperationCounter] = None) -> None:
@@ -91,6 +111,7 @@ class LearningRule:
     def on_sample_end(self, connection: Connection,
                       counter: Optional[OperationCounter] = None) -> None:
         """Called after a sample presentation ends (weight normalization)."""
+        self._bounded_weights = None
         connection.normalize(counter)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -66,29 +66,46 @@ class PairwiseSTDP(LearningRule):
 
     # -- weight updates ------------------------------------------------------
 
+    def _modulation(self) -> Optional[np.ndarray]:
+        """Per-postsynaptic-neuron factor on the potentiation (``None``: 1)."""
+        return None
+
     def _potentiation(self, connection: Connection,
-                      post_spikes: np.ndarray) -> np.ndarray:
-        """Weight increment triggered by the postsynaptic spikes."""
+                      post_spikes: np.ndarray) -> int:
+        """Potentiate the spiking postsynaptic columns; returns the update count."""
         return connection.backend.stdp_potentiation(
             self.pre_trace.values,
             post_spikes,
             connection.weights,
             nu=self.nu_post,
+            w_min=connection.w_min,
             w_max=connection.w_max,
             soft_bounds=self.soft_bounds,
+            modulation=self._modulation(),
         )
 
     def _depression(self, connection: Connection,
-                    pre_spikes: np.ndarray) -> np.ndarray:
-        """Weight decrement triggered by the presynaptic spikes."""
+                    pre_spikes: np.ndarray) -> int:
+        """Depress the spiking presynaptic rows; returns the update count."""
         return connection.backend.stdp_depression(
             pre_spikes,
             self.post_trace.values,
             connection.weights,
             nu=self.nu_pre,
             w_min=connection.w_min,
+            w_max=connection.w_max,
             soft_bounds=self.soft_bounds,
         )
+
+    def _commit(self, connection: Connection, updates: int,
+                counter: Optional[OperationCounter]) -> None:
+        """Finish one kernel update: the kernels clip only what they touch,
+        so weights that started the sample out of bounds get the full clip
+        (clipping twice equals clipping once)."""
+        if not self._weights_in_bounds(connection):
+            connection.clip_weights()
+        if counter is not None:
+            counter.add(weight_updates=updates)
 
     def step(self, connection: Connection, dt: float, t_index: int,
              counter: Optional[OperationCounter] = None) -> None:
@@ -98,10 +115,8 @@ class PairwiseSTDP(LearningRule):
         post_spikes = connection.post.spikes
 
         if post_spikes.any() and self.nu_post > 0.0:
-            connection.apply_weight_delta(
-                self._potentiation(connection, post_spikes), counter
-            )
+            self._commit(connection, self._potentiation(connection, post_spikes),
+                         counter)
         if pre_spikes.any() and self.nu_pre > 0.0:
-            connection.apply_weight_delta(
-                self._depression(connection, pre_spikes), counter
-            )
+            self._commit(connection, self._depression(connection, pre_spikes),
+                         counter)

@@ -229,19 +229,6 @@ class Connection:
         if counter is not None:
             counter.add(weight_updates=self.weights.size)
 
-    def apply_weight_delta(self, delta: np.ndarray,
-                           counter: Optional[OperationCounter] = None) -> None:
-        """Add ``delta`` (same shape as ``weights``) and clip to bounds."""
-        delta = np.asarray(delta, dtype=float)
-        if delta.shape != self.weights.shape:
-            raise ValueError(
-                f"delta must have shape {self.weights.shape}, got {delta.shape}"
-            )
-        self.weights += delta
-        self.clip_weights()
-        if counter is not None:
-            counter.add(weight_updates=int(np.count_nonzero(delta)))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "exc" if self.sign > 0 else "inh"
         return (

@@ -156,40 +156,57 @@ class TestTraceKernelConformance:
         assert_state_close(backend, actual, reference, "trace values")
 
 
+def _stdp_weights(rng, shape):
+    """Weights in ``[0, 1]`` plus a few out of bounds, which only a spiking
+    row/column may clip."""
+    weights = rng.uniform(0, 1, shape)
+    weights[::4, ::3] = 1.25
+    weights[1::5, 1::2] = -0.5
+    return weights
+
+
+@pytest.mark.parametrize("nu", [1e-2, 2.0])
 @pytest.mark.parametrize("soft_bounds", [True, False])
 class TestSTDPKernelConformance:
-    def test_potentiation_conforms(self, backend, assert_state_close,
-                                   soft_bounds):
+    """The in-place STDP contract on every backend, against the oracle.
+
+    The weights after the call equal the oracle's bit for bit, including
+    the clip of the touched rows/columns (``nu = 2.0`` overshoots both
+    bounds); rows/columns that did not spike keep their values even when
+    they are out of bounds; and the returned update count equals the
+    oracle's ``count_nonzero(delta)``.
+    """
+
+    @pytest.mark.parametrize("modulated", [False, True])
+    def test_potentiation_conforms(self, backend, soft_bounds, nu, modulated):
         rng = np.random.default_rng(31)
         n_pre, n_post = 15, 7
         pre_trace = rng.uniform(0, 1, n_pre)
         post_spikes = _spikes((n_post,), 0.4, seed=32)
-        weights = rng.uniform(0, 1, (n_pre, n_post))
-        reference = ORACLE.stdp_potentiation(
-            pre_trace, post_spikes, weights,
-            nu=1e-2, w_max=1.0, soft_bounds=soft_bounds)
-        actual = backend.stdp_potentiation(
-            pre_trace, post_spikes, weights,
-            nu=1e-2, w_max=1.0, soft_bounds=soft_bounds)
-        assert_state_close(backend, actual, reference, "potentiation delta")
-        # Sparsity structure is exact in every tier: quiet columns are zero.
-        np.testing.assert_array_equal(np.asarray(actual)[:, ~post_spikes], 0.0)
+        start = _stdp_weights(rng, (n_pre, n_post))
+        modulation = 1.0 + rng.uniform(0, 1, n_post) if modulated else None
+        kwargs = dict(nu=nu, w_min=0.0, w_max=1.0, soft_bounds=soft_bounds,
+                      modulation=modulation)
+        reference, actual = start.copy(), start.copy()
+        expected = ORACLE.stdp_potentiation(pre_trace, post_spikes, reference, **kwargs)
+        count = backend.stdp_potentiation(pre_trace, post_spikes, actual, **kwargs)
+        np.testing.assert_array_equal(actual, reference, err_msg="potentiated weights")
+        np.testing.assert_array_equal(actual[:, ~post_spikes], start[:, ~post_spikes])
+        assert count == expected > 0
 
-    def test_depression_conforms(self, backend, assert_state_close,
-                                 soft_bounds):
+    def test_depression_conforms(self, backend, soft_bounds, nu):
         rng = np.random.default_rng(33)
         n_pre, n_post = 15, 7
         pre_spikes = _spikes((n_pre,), 0.4, seed=34)
         post_trace = rng.uniform(0, 1, n_post)
-        weights = rng.uniform(0, 1, (n_pre, n_post))
-        reference = ORACLE.stdp_depression(
-            pre_spikes, post_trace, weights,
-            nu=1e-4, w_min=0.0, soft_bounds=soft_bounds)
-        actual = backend.stdp_depression(
-            pre_spikes, post_trace, weights,
-            nu=1e-4, w_min=0.0, soft_bounds=soft_bounds)
-        assert_state_close(backend, actual, reference, "depression delta")
-        np.testing.assert_array_equal(np.asarray(actual)[~pre_spikes], 0.0)
+        start = _stdp_weights(rng, (n_pre, n_post))
+        kwargs = dict(nu=nu, w_min=0.0, w_max=1.0, soft_bounds=soft_bounds)
+        reference, actual = start.copy(), start.copy()
+        expected = ORACLE.stdp_depression(pre_spikes, post_trace, reference, **kwargs)
+        count = backend.stdp_depression(pre_spikes, post_trace, actual, **kwargs)
+        np.testing.assert_array_equal(actual, reference, err_msg="depressed weights")
+        np.testing.assert_array_equal(actual[~pre_spikes], start[~pre_spikes])
+        assert count == expected > 0
 
 
 @pytest.mark.parametrize("n_post", [1, 400])

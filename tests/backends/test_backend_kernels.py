@@ -1,7 +1,7 @@
 """Kernel-level equivalence between the sparse backend and the GEMV oracle.
 
 Every sparse kernel must compute the same values as the dense oracle's;
-for the scatter-style kernels (trace bumps, theta bumps, STDP deltas) the
+for the scatter-style kernels (trace bumps, theta bumps, STDP updates) the
 scalar arithmetic is identical so the results must be *bit-for-bit* equal,
 while the gather/segment-sum propagation kernels may differ by last-ULP
 rounding (different association order) and are compared with a tight
@@ -149,33 +149,82 @@ class TestTraceKernels:
 @pytest.mark.parametrize("soft_bounds", [True, False])
 @pytest.mark.parametrize("density", [0.0, 0.2, 1.0])
 class TestSTDPKernels:
+    """The in-place STDP contract, bit for bit against the dense oracle:
+    equal weights after the call, quiet rows/columns untouched, and the
+    oracle's ``count_nonzero(delta)`` as the returned update count."""
+
     def test_potentiation_matches_dense_bitwise(self, soft_bounds, density):
         rng = np.random.default_rng(9)
         n_pre, n_post = 15, 7
         pre_trace = rng.uniform(0, 1, n_pre)
         post_spikes = _spikes((n_post,), density, seed=10)
-        weights = rng.uniform(0, 1, (n_pre, n_post))
-        dense_delta = DENSE.stdp_potentiation(
-            pre_trace, post_spikes, weights,
-            nu=1e-2, w_max=1.0, soft_bounds=soft_bounds)
-        sparse_delta = SPARSE.stdp_potentiation(
-            pre_trace, post_spikes, weights,
-            nu=1e-2, w_max=1.0, soft_bounds=soft_bounds)
-        np.testing.assert_array_equal(sparse_delta, dense_delta)
-        # Quiet postsynaptic columns contribute exactly nothing.
-        np.testing.assert_array_equal(sparse_delta[:, ~post_spikes], 0.0)
+        start = rng.uniform(0, 1, (n_pre, n_post))
+        dense, sparse = start.copy(), start.copy()
+        kwargs = dict(nu=1e-2, w_min=0.0, w_max=1.0, soft_bounds=soft_bounds)
+        dense_count = DENSE.stdp_potentiation(pre_trace, post_spikes, dense, **kwargs)
+        sparse_count = SPARSE.stdp_potentiation(pre_trace, post_spikes, sparse, **kwargs)
+        np.testing.assert_array_equal(sparse, dense)
+        # Quiet postsynaptic columns are not touched.
+        np.testing.assert_array_equal(sparse[:, ~post_spikes], start[:, ~post_spikes])
+        assert sparse_count == dense_count == n_pre * np.count_nonzero(post_spikes)
+        assert (sparse >= start).all()
 
     def test_depression_matches_dense_bitwise(self, soft_bounds, density):
         rng = np.random.default_rng(11)
         n_pre, n_post = 15, 7
         pre_spikes = _spikes((n_pre,), density, seed=12)
         post_trace = rng.uniform(0, 1, n_post)
-        weights = rng.uniform(0, 1, (n_pre, n_post))
-        dense_delta = DENSE.stdp_depression(
-            pre_spikes, post_trace, weights,
-            nu=1e-4, w_min=0.0, soft_bounds=soft_bounds)
-        sparse_delta = SPARSE.stdp_depression(
-            pre_spikes, post_trace, weights,
-            nu=1e-4, w_min=0.0, soft_bounds=soft_bounds)
-        np.testing.assert_array_equal(sparse_delta, dense_delta)
-        assert (sparse_delta <= 0.0).all()
+        start = rng.uniform(0, 1, (n_pre, n_post))
+        dense, sparse = start.copy(), start.copy()
+        kwargs = dict(nu=1e-4, w_min=0.0, w_max=1.0, soft_bounds=soft_bounds)
+        dense_count = DENSE.stdp_depression(pre_spikes, post_trace, dense, **kwargs)
+        sparse_count = SPARSE.stdp_depression(pre_spikes, post_trace, sparse, **kwargs)
+        np.testing.assert_array_equal(sparse, dense)
+        np.testing.assert_array_equal(sparse[~pre_spikes], start[~pre_spikes])
+        assert sparse_count == dense_count == n_post * np.count_nonzero(pre_spikes)
+        assert (sparse <= start).all()
+
+
+@pytest.mark.parametrize("kernels", [SPARSE, DENSE], ids=["sparse", "gemv-oracle"])
+class TestSTDPKernelBoundsAndShapes:
+    """Each STDP kernel clips the block it updates into ``[w_min, w_max]``
+    and rejects a trace that does not match the weights."""
+
+    def test_potentiation_clips_to_w_max(self, kernels):
+        weights = np.full((4, 3), 0.9)
+        count = kernels.stdp_potentiation(np.ones(4), np.ones(3, dtype=bool), weights,
+                                          nu=0.5, w_min=0.0, w_max=1.0, soft_bounds=False)
+        np.testing.assert_array_equal(weights, 1.0)
+        assert count == 12
+
+    def test_depression_clips_to_w_min(self, kernels):
+        weights = np.full((4, 3), 0.1)
+        count = kernels.stdp_depression(np.ones(4, dtype=bool), np.ones(3), weights,
+                                        nu=0.5, w_min=0.0, w_max=1.0, soft_bounds=False)
+        np.testing.assert_array_equal(weights, 0.0)
+        assert count == 12
+
+    def test_unclipped_update_is_the_plain_sum(self, kernels):
+        weights = np.full((4, 3), 0.5)
+        kernels.stdp_potentiation(np.ones(4), np.ones(3, dtype=bool), weights,
+                                  nu=0.25, w_min=0.0, w_max=1.0, soft_bounds=False)
+        np.testing.assert_array_equal(weights, 0.75)
+
+    def test_quiet_out_of_bounds_weights_are_not_clipped(self, kernels):
+        weights = np.full((4, 3), 5.0)
+        post_spikes = np.array([True, False, False])
+        kernels.stdp_potentiation(np.ones(4), post_spikes, weights,
+                                  nu=0.5, w_min=0.0, w_max=1.0, soft_bounds=False)
+        np.testing.assert_array_equal(weights[:, 0], 1.0)
+        np.testing.assert_array_equal(weights[:, 1:], 5.0)
+
+    def test_rejects_mismatched_trace_shapes(self, kernels):
+        weights = np.zeros((4, 3))
+        bounds = dict(w_min=0.0, w_max=1.0)
+        for soft_bounds in (True, False):
+            with pytest.raises(ValueError):
+                kernels.stdp_potentiation(np.ones(3), np.ones(3, dtype=bool), weights,
+                                          nu=0.5, soft_bounds=soft_bounds, **bounds)
+            with pytest.raises(ValueError):
+                kernels.stdp_depression(np.ones(4, dtype=bool), np.ones(4), weights,
+                                        nu=0.5, soft_bounds=soft_bounds, **bounds)

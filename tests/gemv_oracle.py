@@ -1,9 +1,9 @@
 """The dense GEMV oracle the reference kernel set is held against.
 
 :class:`GemvOracle` is the engine's original dense hot-path arithmetic: a
-full vector-matrix product (GEMV) per propagation step, outer-product STDP
-deltas and ``np.where`` trace bumps.  Every committed fixture
-(``tests/data/golden_trace.npz``, ``tests/data/engine_fixture.npz``) was
+full vector-matrix product (GEMV) per propagation step, full-matrix
+outer-product STDP deltas added to every weight, and ``np.where`` trace
+bumps.  The golden trace and the engine fixture (``tests/data/``) were
 generated on these kernels.  They are not registered: work is
 ``O(state size)`` per step regardless of spike sparsity, so the engine runs
 the event-driven :class:`~repro.backends.sparse.SparseEventBackend`, and
@@ -88,17 +88,23 @@ class GemvOracle(Backend):
     # -- STDP weight-update kernels ------------------------------------------
 
     def stdp_potentiation(self, pre_trace, post_spikes, weights, *,
-                          nu, w_max, soft_bounds):
+                          nu, w_min, w_max, soft_bounds, modulation=None):
         delta = nu * np.outer(np.asarray(pre_trace, dtype=float),
                               post_spikes.astype(float))
         if soft_bounds:
             delta *= w_max - weights
-        return delta
+        if modulation is not None:
+            delta *= modulation[None, :]
+        weights += delta
+        weights[:, post_spikes] = np.clip(weights[:, post_spikes], w_min, w_max)
+        return int(np.count_nonzero(delta))
 
     def stdp_depression(self, pre_spikes, post_trace, weights, *,
-                        nu, w_min, soft_bounds):
+                        nu, w_min, w_max, soft_bounds):
         delta = nu * np.outer(pre_spikes.astype(float),
                               np.asarray(post_trace, dtype=float))
         if soft_bounds:
             delta *= weights - w_min
-        return -delta
+        weights -= delta
+        weights[pre_spikes] = np.clip(weights[pre_spikes], w_min, w_max)
+        return int(np.count_nonzero(delta))

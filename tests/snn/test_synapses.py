@@ -160,25 +160,6 @@ class TestConnectionPlasticityHelpers:
         np.testing.assert_allclose(connection.weights[:, 1], 0.0)
         np.testing.assert_allclose(connection.weights[:, 0].sum(), 1.0)
 
-    def test_apply_weight_delta(self):
-        pre, post = make_groups()
-        connection = Connection(pre, post, np.full((4, 3), 0.5), w_max=1.0)
-        delta = np.full((4, 3), 0.25)
-        connection.apply_weight_delta(delta)
-        np.testing.assert_allclose(connection.weights, 0.75)
-
-    def test_apply_weight_delta_clips(self):
-        pre, post = make_groups()
-        connection = Connection(pre, post, np.full((4, 3), 0.9), w_max=1.0)
-        connection.apply_weight_delta(np.full((4, 3), 0.5))
-        np.testing.assert_allclose(connection.weights, 1.0)
-
-    def test_apply_weight_delta_validates_shape(self):
-        pre, post = make_groups()
-        connection = Connection(pre, post, np.zeros((4, 3)))
-        with pytest.raises(ValueError):
-            connection.apply_weight_delta(np.zeros((3, 4)))
-
 
 class TestUniformLateralInhibition:
     def test_rejects_negative_strength(self):
