@@ -29,10 +29,20 @@ Conventions shared by every kernel:
   the STDP kernels, which only run single-sample (learning is sequential).
 * Decay factors are precomputed by the caller (``exp(-dt / tau)``) so all
   backends see the exact same scalar.
-* State kernels may mutate arrays marked "in place" below and must *return*
-  the array holding the result either way; callers always rebind.  The
-  STDP kernels update ``weights`` in place, touching only the spiking
-  rows/columns, and return the count of weight updates they applied.
+* Kernels may update their state arguments in place, and the state
+  kernels must *return* the array holding the result either way; callers
+  always rebind, so an allocating kernel (the GEMV oracle) is just as
+  valid.  The state arguments are ``v`` and ``refrac_remaining`` of
+  :meth:`~Backend.lif_step`, ``theta`` of :meth:`~Backend.theta_step`,
+  ``values`` of :meth:`~Backend.decay_state` and
+  :meth:`~Backend.bump_trace`, and ``conductance`` of the propagation
+  kernels (always updated in place, nothing returned).  The STDP kernels
+  update ``weights`` in place, touching only the spiking rows/columns, and
+  return the count of weight updates they applied.  Every other argument
+  (currents, thresholds, spikes, traces) is read only.
+* Refractory clocks are never negative: :meth:`~Backend.lif_step` only
+  counts them down to zero or sets them to ``refractory``, so a kernel may
+  treat a zero clock as an idle neuron.
 """
 
 from __future__ import annotations
@@ -102,14 +112,18 @@ class Backend(abc.ABC):
         """One LIF timestep: decay, integrate, fire, reset.
 
         Returns the ``(v, spikes, refrac_remaining)`` triple for the next
-        timestep.  ``threshold`` broadcasts against ``v`` (it is ``(n,)``
-        for a fixed threshold even in batch mode).
+        timestep; ``v`` and ``refrac_remaining`` may be updated in place,
+        ``spikes`` is a new array.  ``threshold`` broadcasts against ``v``
+        (it is ``(n,)`` for a fixed threshold even in batch mode).
         """
 
     @abc.abstractmethod
     def theta_step(self, theta: np.ndarray, spikes: np.ndarray, *,
                    decay: float, theta_plus: float) -> np.ndarray:
-        """Threshold-adaptation update: decay ``theta``, bump it on spikes."""
+        """Threshold-adaptation update: decay ``theta``, bump it on spikes.
+
+        ``theta`` may be updated in place; the result is returned.
+        """
 
     # -- synapse kernels -----------------------------------------------------
 

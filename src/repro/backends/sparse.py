@@ -7,24 +7,28 @@ rows of neurons that actually spiked, trace and threshold bumps scatter only
 into spiking positions, and STDP updates gather, update, clip and write back
 only the spiking rows/columns of the weights, in place.  Per-timestep cost
 of the synaptic and STDP kernels is ``O(n_events * fanout)`` instead of
-``O(n_pre * n_post)``.  Purely elementwise kernels with no event structure
-to exploit (LIF membrane integration, exponential decays) run over the
-whole state.
+``O(n_pre * n_post)``.  The neuron kernels work in place.  ``lif_step``
+decays and integrates every membrane, since those are full-width by
+nature, but holds, resets and re-clocks only the refractory and spiking
+neurons (each set found with one flat index), and skips the refractory
+bookkeeping when no clock runs; ``theta_step`` decays ``theta`` and bumps
+only the spiking positions.
 
 Batched propagation adds each spiking sample's rows first to last, exactly
 as the single-sample gather does, so a batch is bit-for-bit equal to the
-same samples run one at a time.  Large batches run the single-sample gather
-once per spiking sample, so the gathered temporary never exceeds one
-sample's rows; small ones sum a zero-padded (sample, row, post) block of at
-most :data:`PADDED_BLOCK_ELEMENTS` in one call, where the per-sample Python
-loop would cost more than the arithmetic.
+same samples run one at a time.  Large batches walk each spiking sample's
+row through the single-sample gather, so the gathered temporary never
+exceeds one sample's rows; small ones sum a zero-padded (sample, row, post)
+block of at most :data:`PADDED_BLOCK_ELEMENTS` in one call, where the
+per-sample Python loop would cost more than the arithmetic.
 
 Numerical contract: every scalar operation applied to a touched element is
-the one the dense vector-matrix formulation applies, so trace, theta, and
-STDP results are bit-for-bit equal to it.  Propagation sums the spiking
-weight rows in order (``weights[active].sum(axis=0)``) instead of a length-n
-dot product over mostly zeros; the conformance suite holds it to the
-``exact`` tier against the GEMV oracle in ``tests/gemv_oracle.py``.
+the one the dense vector-matrix formulation applies, so membrane, clock,
+trace, theta, and STDP results are bit-for-bit equal to it.  Propagation
+sums the spiking weight rows in order (``weights[active].sum(axis=0)``)
+instead of a length-n dot product over mostly zeros; the conformance suite
+holds it to the ``exact`` tier against the GEMV oracle in
+``tests/gemv_oracle.py``.
 """
 
 from __future__ import annotations
@@ -64,26 +68,44 @@ class SparseEventBackend(Backend):
 
     def lif_step(self, v, refrac_remaining, input_current, threshold, *,
                  decay, v_rest, v_reset, refractory, dt):
-        # Exponential membrane decay towards the resting potential.
-        v = v_rest + (v - v_rest) * decay
-        # Integrate input only outside the refractory period.
-        active = refrac_remaining <= 0.0
-        v = np.where(active, v + input_current * dt, v)
-        # Spike generation against the (possibly adaptive) threshold.
-        spikes = active & (v >= threshold)
-        # Reset and refractory bookkeeping.
-        v = np.where(spikes, v_reset, v)
-        refrac_remaining = np.where(
-            spikes, refractory, np.maximum(refrac_remaining - dt, 0.0)
-        )
+        # Exponential membrane decay towards the resting potential, in place:
+        # the dense ``v_rest + (v - v_rest) * decay`` (addition commutes).
+        v -= v_rest
+        v *= decay
+        v += v_rest
+        # ``x * 1.0 == x`` exactly, so the usual dt = 1 ms skips a pass.
+        drive = input_current if dt == 1.0 else input_current * dt
+        # Flat indices (``take``/``put``) address a neuron in either shape.
+        # Clocks never go negative, so a zero clock is an idle neuron, and
+        # it stays zero: ``max(0 - dt, 0) == 0``.
+        held = (refrac_remaining > 0.0).ravel().nonzero()[0]
+        if held.size:
+            # Refractory neurons keep their decayed potential, cannot fire
+            # and count down.
+            kept = v.take(held)
+            v += drive
+            v.put(held, kept)
+            spikes = v >= threshold
+            spikes.put(held, False)
+            refrac_remaining.put(
+                held, np.maximum(refrac_remaining.take(held) - dt, 0.0))
+        else:
+            v += drive
+            spikes = v >= threshold
+        fired = spikes.ravel().nonzero()[0]
+        if fired.size:
+            v.put(fired, v_reset)
+            refrac_remaining.put(fired, refractory)
         return v, spikes, refrac_remaining
 
     def theta_step(self, theta, spikes, *, decay, theta_plus):
-        theta = theta * decay
-        if theta_plus > 0.0 and spikes.any():
-            # Scatter the bump into spiking positions only; adding
-            # ``theta_plus * 1.0`` there is the exact dense arithmetic.
-            theta[spikes] += theta_plus
+        theta *= decay
+        if theta_plus > 0.0:
+            fired = spikes.ravel().nonzero()[0]
+            if fired.size:
+                # Bump the spiking positions only; adding ``theta_plus * 1.0``
+                # there is the exact dense arithmetic.
+                theta.put(fired, theta.take(fired) + theta_plus)
         return theta
 
     # -- synapse kernels -----------------------------------------------------
@@ -99,29 +121,29 @@ class SparseEventBackend(Backend):
         if pre_spikes.ndim == 1:
             _add_rows(conductance, np.flatnonzero(pre_spikes), weights)
             return
-        samples, pres = np.nonzero(pre_spikes)
-        if not samples.size:
-            return
-        counts = np.bincount(samples)
+        counts = np.count_nonzero(pre_spikes, axis=1)
         active = np.flatnonzero(counts)
+        if not active.size:
+            return
         counts = counts[active]
-        ends = np.cumsum(counts)
         width = int(counts.max())
         n_post = weights.shape[1]
         # With one column NumPy sums the rows pairwise instead of first to
         # last, so padding would regroup them: gather per sample instead.
         if n_post > 1 and active.size * width * n_post <= PADDED_BLOCK_ELEMENTS:
+            pres = np.nonzero(pre_spikes)[1]
+            starts = np.cumsum(counts) - counts
             # Row k of a sample's block is its k-th spiking row, then zeros;
             # summing over rows adds them first to last, and + 0.0 is exact.
             block = np.zeros((active.size, width, n_post))
             block[np.repeat(np.arange(active.size), counts),
-                  np.arange(pres.size) - np.repeat(ends - counts, counts)] = weights[pres]
+                  np.arange(pres.size) - np.repeat(starts, counts)] = weights[pres]
             conductance[active] += block.sum(axis=1)
             return
         # ``conductance[sample]`` is a row view: the in-place add lands in
         # the batch.
-        for sample, end, count in zip(active.tolist(), ends.tolist(), counts.tolist()):
-            _add_rows(conductance[sample], pres[end - count:end], weights)
+        for sample in active.tolist():
+            _add_rows(conductance[sample], pre_spikes[sample].nonzero()[0], weights)
 
     def propagate_lateral(self, conductance, spikes, strength):
         if spikes.ndim == 1:

@@ -77,9 +77,9 @@ class SpikeDynLearningRule(LearningRule):
       towards zero;
     * the depression skips its clip when ``soft_bounds`` holds,
       ``w_min == 0`` and every rate ``d = kd * nu_pre * x_post`` lies in
-      ``[0, 1]``: ``w - w * d`` then stays in ``[0, w]``.  It also updates
-      only the columns with ``d != 0``, where the others would subtract an
-      exact zero;
+      ``[0, 1]``: ``w - w * d`` then stays in ``[0, w]``.  It updates the
+      whole matrix in one pass, as ``w -= w * d``: a column with ``d == 0``
+      subtracts an exact zero;
     * the potentiation keeps its clip of the one updated column: its rate
       is not bounded by 1, and even ``w + r * (w_max - w)`` with ``r <= 1``
       can round past ``w_max``.
@@ -170,12 +170,9 @@ class SpikeDynLearningRule(LearningRule):
                 and self._weights_in_bounds(connection)
                 and delta.min() >= 0.0 and delta.max() <= 1.0):
             # ``w - w * d`` with ``0 <= d <= 1`` stays in ``[0, w]``, so no
-            # clip; columns with ``d == 0`` would subtract an exact zero.
-            columns = np.flatnonzero(delta)
-            if columns.size:
-                block = weights[:, columns]
-                block -= block * delta[columns]
-                weights[:, columns] = block
+            # clip.  One full pass: a column with ``d == 0`` subtracts an
+            # exact zero, cheaper than gathering the others.
+            weights -= weights * delta
         else:
             # The soft bound scales the rates by ``w - w_min`` in one
             # scratch matrix instead of two temporaries.

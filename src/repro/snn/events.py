@@ -241,29 +241,35 @@ def silence_is_provable(network, margin: float = NO_SPIKE_MARGIN) -> bool:
     dt = network.params.dt
     for stage in network.compile().stages:
         group = stage.group
-        if group.spikes.any():
+        if np.count_nonzero(group.spikes):
             # Last step's spikes still owe a delayed lateral/recurrent
             # delivery on the next step; step it instead of proving it.
             return False
-        if np.any(group.refrac_remaining > 0.0):
+        if np.count_nonzero(group.refrac_remaining):
+            # Clocks never go negative, so any non-zero clock is running.
             return False
-        ceiling = group.v_rest + np.maximum(group.v - group.v_rest, 0.0)
+        # ``v_rest + max(v - v_rest, 0) + sum(...)`` built in place, with one
+        # scratch buffer for the terms: the same IEEE operations per element
+        # in the same order (addition commutes), so the same decisions.
+        ceiling = np.subtract(group.v, group.v_rest)
+        np.maximum(ceiling, 0.0, out=ceiling)
+        ceiling += group.v_rest
+        drive = None
         for connection, _, mu in stage.inputs:
             if connection.sign <= 0:
                 continue  # inhibition only lowers the ceiling
             tail = mu / (1.0 - mu)
-            ceiling = ceiling + (
-                dt * connection.gain * tail
-                * np.maximum(connection.conductance, 0.0)
-            )
+            drive = np.maximum(connection.conductance, 0.0, out=drive)
+            drive *= dt * connection.gain * tail
+            ceiling += drive
         floor = group.v_thresh
         theta = getattr(group, "theta", None)
         if theta is not None:
             # theta >= 0 only raises the threshold; a (hypothetical)
             # negative theta decays toward zero from below, so its initial
             # value is the conservative floor offset.
-            floor = floor + min(float(np.min(theta)), 0.0)
-        if np.max(ceiling) >= floor - margin:
+            floor = floor + min(float(theta.min()), 0.0)
+        if ceiling.max() >= floor - margin:
             return False
     return True
 

@@ -124,6 +124,115 @@ class TestNeuronKernels:
         np.testing.assert_array_equal(sparse_theta, 0.125)
 
 
+def assert_bits_equal(actual, desired, err_msg=""):
+    """Equal dtype, shape and bit pattern (``-0.0`` differs from ``0.0``)."""
+    actual, desired = np.asarray(actual), np.asarray(desired)
+    assert actual.dtype == desired.dtype, err_msg
+    assert actual.shape == desired.shape, err_msg
+    np.testing.assert_array_equal(actual.view(np.uint8), desired.view(np.uint8),
+                                  err_msg=err_msg)
+
+
+#: Neuron kernel branches: who is refractory and who fires this step.
+LIF_CASES = ("quiet", "refractory_only", "spikes_only", "both", "all_refractory")
+
+
+def _lif_inputs(case, shape, dt, seed=11):
+    """Membranes, clocks and currents that take ``case``'s branch.
+
+    Membranes start well below threshold and the baseline current cannot
+    lift them over it; "spiking" neurons get a current that must.  Clocks
+    include values below ``dt`` (they expire to exactly zero) and exactly
+    ``dt``, next to zero clocks.
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-70.0, -60.0, shape)
+    current = rng.uniform(0.0, 1.0, shape)
+    refrac = np.zeros(shape)
+    chosen = rng.random(shape)
+    if case in ("spikes_only", "both", "all_refractory"):
+        current[chosen < 0.3] = 40.0
+    if case in ("refractory_only", "both"):
+        clocked = chosen > 0.6
+        refrac[clocked] = rng.choice([0.3 * dt, dt, 2.0, 4.5], shape)[clocked]
+    if case == "all_refractory":
+        refrac[...] = rng.choice([0.3 * dt, dt, 2.0, 4.5], shape)
+    return v, refrac, current
+
+
+@pytest.mark.parametrize("case", LIF_CASES)
+@pytest.mark.parametrize("dt", [1.0, 0.5])
+@pytest.mark.parametrize("batched", [False, True], ids=["n", "Bn"])
+class TestNeuronKernelBranches:
+    """``lif_step``/``theta_step`` equal the oracle bit for bit on every
+    branch of the sparse kernels, and a caller that rebinds sees it."""
+
+    KWARGS = dict(v_rest=-65.0, v_reset=-66.5, refractory=5.0)
+
+    def _lif(self, kernels, v, refrac, current, threshold, dt):
+        return kernels.lif_step(v, refrac, current, threshold,
+                                decay=np.exp(-dt / 100.0), dt=dt, **self.KWARGS)
+
+    def test_lif_step_matches_the_oracle_bitwise(self, case, dt, batched):
+        shape = (6, 40) if batched else (40,)
+        v, refrac, current = _lif_inputs(case, shape, dt)
+        threshold = np.full(shape[-1], -55.0)
+        ref = self._lif(DENSE, v.copy(), refrac.copy(), current, threshold, dt)
+        got = self._lif(SPARSE, v.copy(), refrac.copy(), current, threshold, dt)
+        for actual, desired, name in zip(got, ref, ("v", "spikes", "refrac")):
+            assert_bits_equal(actual, desired, name)
+        spikes, clocks = ref[1], ref[2]
+        # The inputs really take the branch the case names.
+        assert spikes.any() == (case in ("spikes_only", "both"))
+        assert bool((refrac > 0).all()) == (case == "all_refractory")
+        assert bool((refrac > 0).any()) == (case in ("refractory_only", "both",
+                                                     "all_refractory"))
+        if case != "quiet":
+            assert clocks.any()
+
+    def test_rebinding_caller_sees_the_oracle_trajectory(self, case, dt, batched):
+        shape = (3, 25) if batched else (25,)
+        v0, refrac0, _ = _lif_inputs(case, shape, dt, seed=12)
+        threshold = np.full(shape[-1], -62.0)
+        currents = np.random.default_rng(13).uniform(0.0, 6.0, (30,) + shape)
+        states = {}
+        for kernels in (DENSE, SPARSE):
+            v, refrac = v0.copy(), refrac0.copy()
+            trajectory = []
+            for current in currents:
+                frozen = current.copy()
+                v, spikes, refrac = self._lif(kernels, v, refrac, current,
+                                              threshold, dt)
+                # Only the state arguments may change.
+                assert_bits_equal(current, frozen, "input current")
+                trajectory.append((v.copy(), spikes, refrac.copy()))
+            states[kernels.name] = trajectory
+        fired = False
+        for step, (ref, got) in enumerate(zip(states[DENSE.name],
+                                              states[SPARSE.name])):
+            fired |= bool(ref[1].any())
+            for actual, desired, name in zip(got, ref, ("v", "spikes", "refrac")):
+                assert_bits_equal(actual, desired, f"{name} at step {step}")
+        assert fired
+
+    def test_theta_step_matches_the_oracle_bitwise(self, case, dt, batched):
+        shape = (6, 40) if batched else (40,)
+        rng = np.random.default_rng(14)
+        theta = rng.uniform(0.0, 2.0, shape)
+        v, refrac, current = _lif_inputs(case, shape, dt)
+        spikes = self._lif(DENSE, v, refrac, current,
+                           np.full(shape[-1], -55.0), dt)[1]
+        decay = np.exp(-dt / 1.0e7)
+        for theta_plus in (0.05, 0.0):
+            frozen = spikes.copy()
+            reference = DENSE.theta_step(theta.copy(), spikes, decay=decay,
+                                         theta_plus=theta_plus)
+            rebound = SPARSE.theta_step(theta.copy(), spikes, decay=decay,
+                                        theta_plus=theta_plus)
+            assert_bits_equal(rebound, reference, f"theta_plus={theta_plus}")
+            assert_bits_equal(spikes, frozen, "spikes")
+
+
 @pytest.mark.parametrize("mode", ["set", "add"])
 @pytest.mark.parametrize("batched", [False, True])
 class TestTraceKernels:

@@ -9,6 +9,10 @@ generated on these kernels.  They are not registered: work is
 the event-driven :class:`~repro.backends.sparse.SparseEventBackend`, and
 the conformance suite and the throughput gates compare it with this oracle.
 
+Its neuron kernels allocate fresh arrays (``np.where``) where the sparse
+kernels update ``v``, the refractory clocks and ``theta`` in place; callers
+rebind, so both obey the :class:`~repro.backends.base.Backend` conventions.
+
 Run a network on it with ``network.set_backend(GemvOracle())``; the
 model's configuration keeps recording the registered default.  Benchmarks
 and scripts outside the test tree load this file by path with
