@@ -164,7 +164,8 @@ class SparseEventBackend(Backend):
     # -- trace kernels -------------------------------------------------------
 
     def bump_trace(self, values, spikes, increment, mode):
-        if not spikes.any():
+        # count_nonzero is ~3x cheaper than any() on small bool arrays.
+        if not np.count_nonzero(spikes):
             return values
         if mode == "set":
             values[spikes] = increment

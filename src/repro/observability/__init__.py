@@ -20,11 +20,17 @@ stack, and the CLI:
 :mod:`repro.observability.trace_view`
     Rebuilds cross-process span trees from ledger span records
     (``repro trace show`` / ``repro trace slowest``).
+:mod:`repro.observability.metrics`
+    The one metrics model of serving pools, router entries, shard pools and
+    the runner: a :class:`MetricsRegistry` of counters, gauges, bucket
+    histograms and rolling windows, each declared once and exported both as
+    the JSON snapshot and as Prometheus text.
 :mod:`repro.observability.prometheus`
-    Renders a :class:`~repro.serving.metrics.ServingMetrics` snapshot into
-    Prometheus text exposition format (and parses it back for validation).
+    Renders registries into Prometheus text exposition format, optionally
+    under base labels (the ``model`` label of ``/v1/metrics``), and parses
+    it back for validation.
 :mod:`repro.observability.runmetrics`
-    Runner-side :class:`RunnerMetrics` sink and the optional
+    Runner-side :class:`RunnerMetrics` registry and the optional
     ``GET /metrics`` endpoint of ``repro run-all --metrics-port``.
 """
 
@@ -40,6 +46,7 @@ from repro.observability.ledger import (
     default_ledger_root,
     job_entry,
 )
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.prometheus import (
     parse_prometheus_text,
     render_prometheus,
@@ -47,7 +54,6 @@ from repro.observability.prometheus import (
 from repro.observability.runmetrics import (
     RunnerMetrics,
     RunnerMetricsServer,
-    render_runner_prometheus,
 )
 from repro.observability.structlog import (
     StructLogger,
@@ -80,6 +86,7 @@ __all__ = [
     "KIND_SERVING_SHARD",
     "KIND_SPAN",
     "LEDGER_DIR_ENV",
+    "MetricsRegistry",
     "RunLedger",
     "RunnerMetrics",
     "RunnerMetricsServer",
@@ -100,7 +107,6 @@ __all__ = [
     "parse_prometheus_text",
     "record_span",
     "render_prometheus",
-    "render_runner_prometheus",
     "slowest_traces",
     "span",
     "trace_fields",

@@ -1,194 +1,104 @@
 """Runner-side metrics: scrape-based monitoring of long ``run-all`` campaigns.
 
-:class:`RunnerMetrics` is the scheduler's counterpart of
-:class:`~repro.serving.metrics.ServingMetrics`: a thread-safe sink the
-:class:`~repro.runner.scheduler.ParallelRunner` feeds job transitions into —
-jobs started/completed/failed/timed-out, cache and manifest shortcuts,
-queue depth, in-flight workers, and per-experiment latency quantiles over a
-bounded window.
+:class:`RunnerMetrics` declares the scheduler's metrics on a
+:class:`~repro.observability.metrics.MetricsRegistry`, the same registry the
+serving pools use.  The :class:`~repro.runner.scheduler.ParallelRunner`
+feeds job transitions into it: jobs started/completed/failed/timed-out,
+cache and manifest shortcuts, queue depth, in-flight workers, and
+per-experiment latency quantiles over a bounded window.
 
 :class:`RunnerMetricsServer` exposes the sink over HTTP (``GET /metrics`` in
 Prometheus text exposition 0.0.4, ``GET /metrics.json`` as raw JSON) so a
 multi-hour campaign can be watched by the same scrape stack as the serving
-tier; ``repro run-all --metrics-port N`` wires it up.  Everything is stdlib
-plus numpy for the quantiles — no client library, same as the serving side.
+tier; ``repro run-all --metrics-port N`` wires it up.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import time
-from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
-import numpy as np
-
-from repro.observability.prometheus import (
-    PROMETHEUS_CONTENT_TYPE,
-    _Families,
-)
-from repro.utils.validation import check_positive_int
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
 
 #: Prefix of every exported runner metric.
 RUNNER_METRIC_PREFIX = "repro_runner"
 
-#: Per-experiment latency quantiles reported by :meth:`RunnerMetrics.snapshot`.
+#: Executed jobs kept in each experiment's latency window.
+JOB_WINDOW = 1024
+
+#: Per-experiment latency quantiles reported by the job window.
 RUNNER_LATENCY_QUANTILES = (50, 95)
 
 
-class RunnerMetrics:
+class RunnerMetrics(MetricsRegistry):
     """Aggregate job statistics of one scheduler run (thread-safe)."""
 
-    def __init__(self, latency_window: int = 1024) -> None:
-        self.latency_window = check_positive_int(latency_window, "latency_window")
-        self._lock = threading.Lock()
-        self._started_at = time.time()
-        self._jobs_started = 0
-        self._completed = 0
-        self._failed = 0
-        self._timeout = 0
-        self._cached = 0
-        self._resumed = 0
-        self._queue_depth = 0
-        self._running = 0
-        self._workers = 0
-        self._elapsed_by_experiment: Dict[str, Deque[float]] = {}
+    def __init__(self) -> None:
+        super().__init__(RUNNER_METRIC_PREFIX)
+        self.uptime()
+        self.started = self.counter(
+            "jobs_started_total", "Jobs handed to a worker (or executed inline)."
+        )
+        self.completed = self.counter("jobs_completed_total", "Executed jobs that completed.")
+        self.failed = self.counter("jobs_failed_total", "Executed jobs that failed or crashed.")
+        self.timeout = self.counter("jobs_timeout_total", "Executed jobs killed at their deadline.")
+        self.cached = self.counter("jobs_cached_total", "Jobs served from the result cache.")
+        self.resumed = self.counter("jobs_resumed_total", "Jobs served from the run manifest.")
+        self.queue_depth = self.gauge("queue_depth", "Jobs waiting for a free worker.")
+        self.running = self.gauge("running_jobs", "Jobs currently executing.", key="running")
+        self.workers = self.gauge("workers", "Configured worker-process slots.")
+        self.gauge(
+            "worker_utilization",
+            "Fraction of worker slots currently busy.",
+            read=self._utilization,
+        )
+        self.job_seconds = self.window(
+            "experiments",
+            "Per-experiment job latency (seconds)",
+            size=JOB_WINDOW,
+            quantiles=RUNNER_LATENCY_QUANTILES,
+            unit="s",
+            count_key="count",
+            families=("job_seconds_count", "job_seconds", "job_seconds_mean", "job_seconds_max"),
+            label="experiment",
+        )
+
+    def _utilization(self) -> float:
+        with self.lock:
+            workers, running = self.workers.value, self.running.value
+        return running / workers if workers else 0.0
 
     # -- recording (called by the scheduler) ---------------------------------
 
     def set_workers(self, workers: int) -> None:
-        with self._lock:
-            self._workers = int(workers)
+        self.workers.set(int(workers))
 
     def set_progress(self, queue_depth: int, running: int) -> None:
         """Current pending-job count and in-flight worker count."""
-        with self._lock:
-            self._queue_depth = int(queue_depth)
-            self._running = int(running)
+        with self.lock:
+            self.queue_depth.set(int(queue_depth))
+            self.running.set(int(running))
 
     def record_started(self) -> None:
-        with self._lock:
-            self._jobs_started += 1
+        self.started.inc()
 
     def record_finished(self, record: Any) -> None:
         """One terminal job record (executed, cached, or resumed)."""
         source = getattr(record, "source", "run")
         status = getattr(record, "status", "?")
-        with self._lock:
-            if source == "cache":
-                self._cached += 1
-                return
-            if source == "manifest":
-                self._resumed += 1
-                return
-            if status == "completed":
-                self._completed += 1
-            elif status == "timeout":
-                self._timeout += 1
-            else:
-                self._failed += 1
-            experiment = str(getattr(record, "experiment", "?"))
-            window = self._elapsed_by_experiment.get(experiment)
-            if window is None:
-                window = deque(maxlen=self.latency_window)
-                self._elapsed_by_experiment[experiment] = window
-            window.append(float(getattr(record, "elapsed", 0.0)))
-
-    # -- reading -------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-safe view of every metric (the ``/metrics.json`` payload)."""
-        with self._lock:
-            snapshot: Dict[str, Any] = {
-                "uptime_s": time.time() - self._started_at,
-                "jobs_started_total": self._jobs_started,
-                "jobs_completed_total": self._completed,
-                "jobs_failed_total": self._failed,
-                "jobs_timeout_total": self._timeout,
-                "jobs_cached_total": self._cached,
-                "jobs_resumed_total": self._resumed,
-                "queue_depth": self._queue_depth,
-                "running": self._running,
-                "workers": self._workers,
-            }
-            elapsed = {name: np.asarray(window, dtype=float)
-                       for name, window in self._elapsed_by_experiment.items()}
-        snapshot["worker_utilization"] = (
-            snapshot["running"] / snapshot["workers"] if snapshot["workers"] else 0.0
-        )
-        experiments: Dict[str, Dict[str, float]] = {}
-        for name in sorted(elapsed):
-            values = elapsed[name]
-            if values.size == 0:  # pragma: no cover - windows start non-empty
-                continue
-            stats = {
-                "count": float(values.size),
-                "mean_s": float(values.mean()),
-                "max_s": float(values.max()),
-            }
-            for quantile in RUNNER_LATENCY_QUANTILES:
-                stats[f"p{quantile}_s"] = (
-                    float(values[0]) if values.size == 1
-                    else float(np.percentile(values, quantile))
-                )
-            experiments[name] = stats
-        snapshot["experiments"] = experiments
-        return snapshot
-
-
-def render_runner_prometheus(snapshot: Dict[str, Any],
-                             prefix: str = RUNNER_METRIC_PREFIX) -> str:
-    """Render a :meth:`RunnerMetrics.snapshot` as Prometheus text exposition."""
-    out = _Families()
-    counters = (
-        ("jobs_started_total", "Jobs handed to a worker (or executed inline)."),
-        ("jobs_completed_total", "Executed jobs that completed."),
-        ("jobs_failed_total", "Executed jobs that failed or crashed."),
-        ("jobs_timeout_total", "Executed jobs killed at their deadline."),
-        ("jobs_cached_total", "Jobs served from the result cache."),
-        ("jobs_resumed_total", "Jobs served from the run manifest."),
-    )
-    for key, help_text in counters:
-        if key in snapshot:
-            out.sample(f"{prefix}_{key}", "counter", help_text,
-                       float(snapshot[key]))
-    gauges = (
-        ("uptime_s", "uptime_seconds", "Seconds since the metrics sink started."),
-        ("queue_depth", "queue_depth", "Jobs waiting for a free worker."),
-        ("running", "running_jobs", "Jobs currently executing."),
-        ("workers", "workers", "Configured worker-process slots."),
-        ("worker_utilization", "worker_utilization",
-         "Fraction of worker slots currently busy."),
-    )
-    for key, name, help_text in gauges:
-        if key in snapshot:
-            out.sample(f"{prefix}_{name}", "gauge", help_text,
-                       float(snapshot[key]))
-    experiments = snapshot.get("experiments")
-    if isinstance(experiments, dict):
-        for experiment in sorted(experiments):
-            stats = experiments[experiment]
-            labels = {"experiment": str(experiment)}
-            out.sample(f"{prefix}_job_seconds_count", "gauge",
-                       "Executed jobs in the per-experiment latency window.",
-                       float(stats.get("count", 0.0)), labels)
-            for quantile in RUNNER_LATENCY_QUANTILES:
-                key = f"p{quantile}_s"
-                if key in stats:
-                    out.sample(
-                        f"{prefix}_job_seconds", "gauge",
-                        "Per-experiment job latency quantiles (seconds).",
-                        float(stats[key]),
-                        {**labels, "quantile": f"{quantile / 100.0:g}"},
-                    )
-            for key, label in (("mean_s", "mean"), ("max_s", "max")):
-                if key in stats:
-                    out.sample(f"{prefix}_job_seconds_{label}", "gauge",
-                               f"Per-experiment {label} job latency (seconds).",
-                               float(stats[key]), labels)
-    return out.text()
+        if source in ("cache", "manifest"):
+            (self.cached if source == "cache" else self.resumed).inc()
+            return
+        outcome = {"completed": self.completed, "timeout": self.timeout}.get(status, self.failed)
+        with self.lock:
+            outcome.inc()
+            self.job_seconds.extend(
+                [float(getattr(record, "elapsed", 0.0))],
+                label=str(getattr(record, "experiment", "?")),
+            )
 
 
 class _RunnerMetricsHTTPServer(ThreadingHTTPServer):
@@ -213,7 +123,7 @@ class _MetricsHandler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         if self.path == "/metrics":
-            text = render_runner_prometheus(self.server.metrics.snapshot())
+            text = render_prometheus([(self.server.metrics, None)])
             self._send(200, text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE)
             return
         if self.path == "/metrics.json":
@@ -238,8 +148,7 @@ class RunnerMetricsServer:
         :attr:`address`).
     """
 
-    def __init__(self, metrics: RunnerMetrics, host: str = "127.0.0.1",
-                 port: int = 0) -> None:
+    def __init__(self, metrics: RunnerMetrics, host: str = "127.0.0.1", port: int = 0) -> None:
         self.metrics = metrics
         self._httpd = _RunnerMetricsHTTPServer((host, port), _MetricsHandler)
         self._httpd.metrics = metrics
@@ -259,7 +168,8 @@ class RunnerMetricsServer:
         if self._thread is None:
             self._thread = threading.Thread(
                 target=self._httpd.serve_forever,
-                name="repro-runner-metrics", daemon=True,
+                name="repro-runner-metrics",
+                daemon=True,
             )
             self._thread.start()
         return self

@@ -1,124 +1,72 @@
-"""Thread-safe serving metrics: counters, batch histogram, latency quantiles.
+"""Request, batch and latency metrics of one serving pool.
 
-One :class:`ServingMetrics` instance is shared by the replica pool's worker
-threads and the HTTP layer.  Latencies are kept in a bounded ring buffer
-(the most recent ``latency_window`` requests) and the p50/p95/p99 quantiles
-are computed on demand when ``/metrics`` (Prometheus text) or
-``/metrics.json`` is scraped, so the per-request bookkeeping cost is a
-deque append under a lock.
+:class:`ServingMetrics` is the pool's
+:class:`~repro.observability.metrics.MetricsRegistry`; the pool adds its
+queue depth, drift state and identity, a process pool its shard state.  The
+latency quantiles over the last :data:`LATENCY_WINDOW` requests are computed
+at scrape time, so recording a batch costs one lock acquisition.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import Counter, deque
-from typing import Deque, Dict, Optional, Sequence
+from typing import Sequence
 
-import numpy as np
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.prometheus import METRIC_PREFIX
 
-from repro.utils.validation import check_positive_int
+#: Requests in the rolling latency window.
+LATENCY_WINDOW = 4096
 
-#: Quantiles reported by :meth:`ServingMetrics.snapshot`.
+#: Quantiles reported by the latency window.
 LATENCY_QUANTILES = (50, 95, 99)
 
 
-class ServingMetrics:
+class ServingMetrics(MetricsRegistry):
     """Aggregate request/batch/latency statistics of one serving deployment."""
 
-    def __init__(self, latency_window: int = 4096) -> None:
-        self.latency_window = check_positive_int(latency_window, "latency_window")
-        self._lock = threading.Lock()
-        self._requests_total = 0
-        self._responses_total = 0
-        self._errors_total = 0
-        self._rejected_total = 0
-        self._batches_total = 0
-        self._batch_sizes: Counter = Counter()
-        self._latencies_ms: Deque[float] = deque(maxlen=self.latency_window)
-        self._started_at = time.time()
-
-    # -- recording -----------------------------------------------------------
+    def __init__(self) -> None:
+        super().__init__(METRIC_PREFIX)
+        self.uptime()
+        self.requests = self.counter("requests_total", "Requests accepted into the queue.")
+        self.responses = self.counter("responses_total", "Requests answered by a worker.")
+        self.errors = self.counter("errors_total", "Requests failed inside a worker.")
+        self.rejected = self.counter(
+            "rejected_total", "Requests shed by backpressure or validation."
+        )
+        self.batches = self.counter("batches_total", "Micro-batches executed.")
+        self.batch_size = self.histogram(
+            "batch_size",
+            "Distribution of executed micro-batch sizes.",
+            key="batch_size_histogram",
+        )
+        self.gauge("mean_batch_size", "Mean executed micro-batch size.", read=self.batch_size.mean)
+        self.latency = self.window(
+            "latency",
+            "Request latency over the rolling window (ms)",
+            size=LATENCY_WINDOW,
+            quantiles=LATENCY_QUANTILES,
+            unit="ms",
+            count_key="window",
+            families=("latency_window", "latency_ms", "latency_mean_ms", "latency_max_ms"),
+        )
 
     def record_request(self) -> None:
         """One request accepted into the queue."""
-        with self._lock:
-            self._requests_total += 1
+        self.requests.inc()
 
     def record_rejected(self) -> None:
-        """One request shed by backpressure (queue full)."""
-        with self._lock:
-            self._rejected_total += 1
+        """One request shed by backpressure (queue full) or validation."""
+        self.rejected.inc()
 
     def record_batch(self, size: int, latencies_s: Sequence[float]) -> None:
         """One completed micro-batch with its per-request latencies."""
-        with self._lock:
-            self._batches_total += 1
-            self._batch_sizes[int(size)] += 1
-            self._responses_total += int(size)
-            for latency in latencies_s:
-                self._latencies_ms.append(float(latency) * 1000.0)
+        latencies_ms = [float(latency) * 1000.0 for latency in latencies_s]
+        with self.lock:
+            self.batches.inc()
+            self.responses.inc(int(size))
+            self.batch_size.observe(size)
+            self.latency.extend(latencies_ms)
 
     def record_errors(self, count: int = 1) -> None:
         """``count`` requests failed inside a worker."""
-        with self._lock:
-            self._errors_total += int(count)
-
-    # -- reading -------------------------------------------------------------
-
-    def snapshot(
-        self, queue_depth: Optional[int] = None, drift: Optional[Dict[str, object]] = None
-    ) -> Dict[str, object]:
-        """JSON-safe view of every metric (the ``/metrics.json`` payload).
-
-        The latency section is fully defined at every window size:
-
-        * **empty window** — quantiles, mean, and max are reported as an
-          explicit ``0.0`` (never NaN, never absent), so scrapers see a
-          stable schema from the first scrape on;
-        * **single sample** — every quantile equals that sample;
-        * **full window** — linear-interpolated percentiles over the ring
-          buffer (the most recent ``latency_window`` requests).
-
-        The ring buffer is copied under the lock, so a concurrent
-        ``record_batch`` can never resize the window mid-computation.
-        """
-        with self._lock:
-            latencies = np.asarray(self._latencies_ms, dtype=float)
-            batch_sizes = dict(sorted(self._batch_sizes.items()))
-            batches_total = self._batches_total
-            snapshot: Dict[str, object] = {
-                "uptime_s": time.time() - self._started_at,
-                "requests_total": self._requests_total,
-                "responses_total": self._responses_total,
-                "errors_total": self._errors_total,
-                "rejected_total": self._rejected_total,
-                "batches_total": self._batches_total,
-                "batch_size_histogram": {str(size): count for size, count in batch_sizes.items()},
-            }
-        if batches_total:
-            total = sum(size * count for size, count in batch_sizes.items())
-            snapshot["mean_batch_size"] = total / max(sum(batch_sizes.values()), 1)
-        latency: Dict[str, float] = {"window": float(latencies.size)}
-        if latencies.size == 0:
-            latency["mean_ms"] = 0.0
-            latency["max_ms"] = 0.0
-            for quantile in LATENCY_QUANTILES:
-                latency[f"p{quantile}_ms"] = 0.0
-        elif latencies.size == 1:
-            single = float(latencies[0])
-            latency["mean_ms"] = single
-            latency["max_ms"] = single
-            for quantile in LATENCY_QUANTILES:
-                latency[f"p{quantile}_ms"] = single
-        else:
-            latency["mean_ms"] = float(latencies.mean())
-            latency["max_ms"] = float(latencies.max())
-            for quantile in LATENCY_QUANTILES:
-                latency[f"p{quantile}_ms"] = float(np.percentile(latencies, quantile))
-        snapshot["latency"] = latency
-        if queue_depth is not None:
-            snapshot["queue_depth"] = int(queue_depth)
-        if drift is not None:
-            snapshot["drift"] = drift
-        return snapshot
+        self.errors.inc(int(count))

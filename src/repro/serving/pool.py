@@ -122,7 +122,16 @@ class ServingPool:
         self.workers = check_positive_int(workers, "workers")
         self.batcher = MicroBatcher(max_batch=max_batch, max_wait_ms=max_wait_ms,
                                     max_queue=max_queue)
-        self.metrics = ServingMetrics()
+        metrics = self.metrics = ServingMetrics()
+        metrics.gauge("queue_depth", "Requests currently waiting in the queue.",
+                      read=lambda: self.queue_depth)
+        if drift_detector is not None:
+            metrics.gauge("drift", "Spike-count drift detector field", read=drift_detector.state)
+        metrics.gauge(None, key="backend", read=lambda: self.backend_name)
+        metrics.gauge(None, key="model", read=lambda: self.model_name)
+        metrics.gauge("info", "Deployment identity (constant 1; identity in labels).",
+                      key=None, value=1,
+                      labels=lambda: {"backend": self.backend_name, "model": self.model_name})
         self.drift_detector = drift_detector
         self.ledger = ledger
         #: Extra fields stamped on every ledger entry (artifact name/version,
@@ -250,15 +259,8 @@ class ServingPool:
 
     def metrics_snapshot(self) -> dict:
         """Current metrics, including queue depth, drift state, backend and
-        model, plus the executor's own sections."""
-        drift = (self.drift_detector.state()
-                 if self.drift_detector is not None else None)
-        snapshot = self.metrics.snapshot(queue_depth=self.queue_depth,
-                                         drift=drift)
-        snapshot["backend"] = self.backend_name
-        snapshot["model"] = self.model_name
-        snapshot.update(self._snapshot_sections())
-        return snapshot
+        model, plus the executor's own metrics."""
+        return self.metrics.snapshot()
 
     # -- worker --------------------------------------------------------------
 
@@ -359,10 +361,6 @@ class ServingPool:
 
     def _batch_fields(self, worker: int) -> Dict[str, int]:
         """Fields naming ``worker`` on its queue-wait spans and batch entries."""
-        return {}
-
-    def _snapshot_sections(self) -> dict:
-        """Executor-specific sections of :meth:`metrics_snapshot`."""
         return {}
 
 

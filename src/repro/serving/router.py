@@ -38,6 +38,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.prometheus import METRIC_PREFIX
 from repro.observability.structlog import get_struct_logger
 from repro.serving.artifacts import ArtifactError, ArtifactRegistry
 from repro.serving.batcher import QueueClosedError, QueueFullError
@@ -98,9 +100,27 @@ class _ModelEntry:
         self.pinned = pinned
         self.buckets: Dict[str, TokenBucket] = {}
         self.bucket_lock = threading.Lock()
-        self.rate_limited_total = 0
-        self.shed_total = 0
-        self.retries_total = 0
+        # The entry's own metrics, exported next to its pool's under the
+        # entry's ``model`` label.
+        self.metrics = MetricsRegistry(METRIC_PREFIX)
+        self.rate_limited = self.metrics.counter(
+            "rate_limited_total", "Requests rejected by per-tenant rate limiting.")
+        self.shed = self.metrics.counter(
+            "shed_total", "Requests shed by the model's open circuit breaker.")
+        self.retries = self.metrics.counter(
+            "retries_total", "Transparent retries after transient shard failures.")
+        if breaker is not None:
+            self.metrics.gauge(
+                "circuit_breaker_open", "1 while the model's circuit breaker is not closed.",
+                key=None, read=lambda: float(breaker.state_name != "closed"))
+            self.metrics.counter(
+                "circuit_breaker_opened_total", "Times the model's circuit breaker opened.",
+                key=None, read=lambda: breaker.state()["opened_total"])
+            self.metrics.gauge(None, key="circuit", read=breaker.state)
+
+    rate_limited_total = property(lambda self: self.rate_limited.value)
+    shed_total = property(lambda self: self.shed.value)
+    retries_total = property(lambda self: self.retries.value)
 
     @property
     def key(self) -> str:
@@ -181,7 +201,12 @@ class ModelRouter:
         # the per-key event instead of stalling every model's traffic.
         self._loading: Dict[Tuple[str, int], threading.Event] = {}
         self._closed = False
-        self.evictions_total = 0
+        #: Router-wide metrics, exported unlabelled on ``/v1/metrics``.
+        self.metrics = MetricsRegistry(METRIC_PREFIX)
+        self.evictions = self.metrics.counter(
+            "evictions_total", "Registry-loaded models evicted least-recently-used.")
+
+    evictions_total = property(lambda self: self.evictions.value)
 
     # -- model table ---------------------------------------------------------
 
@@ -332,7 +357,7 @@ class ModelRouter:
                 while len(self._loaded) > self.max_models:
                     _, victim = self._loaded.popitem(last=False)
                     evicted.append(victim)
-                    self.evictions_total += 1
+                    self.evictions.inc()
         loading.set()
         if closed:
             # The router stopped while we were loading; this pool was
@@ -432,7 +457,7 @@ class ModelRouter:
         """The hardened request path against an already-resolved entry."""
         bucket = self._bucket(entry, tenant)
         if bucket is not None and not bucket.try_acquire():
-            entry.rate_limited_total += 1
+            entry.rate_limited.inc()
             raise RateLimitedError(
                 f"tenant {tenant!r} exceeded {self.rate_rps:g} requests/s "
                 f"for model {entry.key!r}",
@@ -442,7 +467,7 @@ class ModelRouter:
             )
         breaker = entry.breaker
         if breaker is not None and not breaker.allow():
-            entry.shed_total += 1
+            entry.shed.inc()
             raise CircuitOpenError(
                 f"model {entry.key!r} is shedding load "
                 "(circuit breaker open)",
@@ -468,7 +493,7 @@ class ModelRouter:
                         breaker.record_failure()
                         verdict_recorded = True
                     if attempt < self.retries:
-                        entry.retries_total += 1
+                        entry.retries.inc()
                         backoff = self.retry_backoff_s * (2 ** attempt)
                         self._sleep(backoff * (0.5 + self._rng.random()))
                         continue
@@ -560,31 +585,30 @@ class ModelRouter:
             "queue_depth": entry.pool.queue_depth,
             "max_batch": entry.pool.batcher.max_batch,
             "max_wait_ms": entry.pool.batcher.max_wait_ms,
-            "rate_limited_total": entry.rate_limited_total,
-            "shed_total": entry.shed_total,
-            "retries_total": entry.retries_total,
+            **entry.metrics.snapshot(),  # hardening counters and circuit
         }
-        if entry.breaker is not None:
-            payload["circuit"] = entry.breaker.state()
-            if entry.breaker.state_name != "closed":
-                payload["status"] = "shedding"
+        if entry.breaker is not None and entry.breaker.state_name != "closed":
+            payload["status"] = "shedding"
         shards = getattr(entry.pool, "shard_pids", None)
         if shards is not None:
             payload["shard_pids"] = shards()
         return payload
 
     def metrics_snapshots(self) -> "OrderedDict[str, dict]":
-        """Per-model metrics snapshots keyed by entry key, for Prometheus."""
-        snapshots: "OrderedDict[str, dict]" = OrderedDict()
-        for entry in self.entries():
-            snapshot = entry.pool.metrics_snapshot()
-            snapshot["rate_limited_total"] = entry.rate_limited_total
-            snapshot["shed_total"] = entry.shed_total
-            snapshot["retries_total"] = entry.retries_total
-            if entry.breaker is not None:
-                snapshot["circuit"] = entry.breaker.state()
-            snapshots[entry.key] = snapshot
-        return snapshots
+        """Per-model metrics snapshots keyed by entry key: each model's pool
+        and entry metrics (``/v1/metrics.json``)."""
+        return OrderedDict(
+            (entry.key, {**entry.pool.metrics_snapshot(), **entry.metrics.snapshot()})
+            for entry in self.entries()
+        )
+
+    def metrics_registries(self) -> List[Tuple[MetricsRegistry, Optional[Dict[str, str]]]]:
+        """Every registry behind ``/v1/metrics`` with its base labels: each
+        model's pool and entry metrics under its ``model`` label, then the
+        router's own metrics unlabelled."""
+        parts = [(registry, {"model": entry.key}) for entry in self.entries()
+                 for registry in (entry.pool.metrics, entry.metrics)]
+        return parts + [(self.metrics, None)]
 
     # -- lifecycle -----------------------------------------------------------
 

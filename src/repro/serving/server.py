@@ -19,7 +19,8 @@ Endpoints
     Whole-server liveness: status plus the resident model keys.
 ``GET /v1/metrics`` / ``GET /v1/metrics.json``
     All resident models' metrics — Prometheus text exposition with a
-    ``model`` label per sample, or the raw snapshots as JSON.
+    ``model`` label per sample, or the raw snapshots as JSON — plus the
+    router-wide ``evictions_total``.
 
 Every error, on every route, is one structured envelope::
 
@@ -57,11 +58,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.observability.prometheus import (
-    PROMETHEUS_CONTENT_TYPE,
-    render_prometheus,
-    render_prometheus_multi,
-)
+from repro.observability.prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.observability.structlog import get_struct_logger
 from repro.observability.tracing import (
     TRACE_HEADER,
@@ -232,12 +229,13 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if path == "/v1/metrics":
             self._send_text(
-                200, render_prometheus_multi(router.metrics_snapshots()),
+                200, render_prometheus(router.metrics_registries()),
                 PROMETHEUS_CONTENT_TYPE,
             )
             return
         if path == "/v1/metrics.json":
-            self._send_json(200, {"models": router.metrics_snapshots()})
+            self._send_json(200, {"models": router.metrics_snapshots(),
+                                  **router.metrics.snapshot()})
             return
         # -- deprecated single-model aliases (bit-identical to v1.6.0) ------
         if path in ("/healthz", "/metrics", "/metrics.json"):
@@ -254,7 +252,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "max_wait_ms": pool.batcher.max_wait_ms,
                 }, headers)
             elif path == "/metrics":
-                self._send_text(200, render_prometheus(pool.metrics_snapshot()),
+                self._send_text(200, render_prometheus([(pool.metrics, None)]),
                                 PROMETHEUS_CONTENT_TYPE, headers)
             else:
                 self._send_json(200, pool.metrics_snapshot(), headers)

@@ -209,7 +209,15 @@ class ShardProcessPool(ServingPool):
         self.lineage = deployment_lineage(self.artifact, backend)
         self._context = multiprocessing.get_context("spawn")
         self._handles: List[Optional[_ShardHandle]] = [None] * self.shards
-        self._respawns_total = 0
+        self.metrics.gauge("shards", "Configured worker-process shards.",
+                           key="shards.count", value=self.shards)
+        self.metrics.gauge("shards_alive", "Worker-process shards currently alive.",
+                           key="shards.alive",
+                           read=lambda: sum(pid is not None for pid in self.shard_pids()))
+        self._respawns = self.metrics.counter(
+            "shard_respawns_total", "Crashed shards respawned by the supervisor.",
+            key="shards.respawns_total")
+        self.metrics.gauge(None, key="shards.batches_by_shard", read=self._batches_by_shard)
 
     @classmethod
     def from_artifact(cls, artifact: ModelArtifact, shards: int = 2,
@@ -236,10 +244,7 @@ class ShardProcessPool(ServingPool):
     def backend_name(self) -> str:
         return self.backend if self.backend is not None else self.artifact.backend
 
-    @property
-    def respawns_total(self) -> int:
-        with self._lock:
-            return self._respawns_total
+    respawns_total = property(lambda self: self._respawns.value)
 
     def shard_pids(self) -> List[Optional[int]]:
         """PID of every shard (``None`` for a currently-dead slot)."""
@@ -285,19 +290,11 @@ class ShardProcessPool(ServingPool):
     def _batch_fields(self, worker: int) -> Dict[str, int]:
         return {"shard": int(worker)}
 
-    def _snapshot_sections(self) -> dict:
+    def _batches_by_shard(self) -> Dict[str, int]:
         with self._lock:
-            return {"shards": {
-                "count": self.shards,
-                "alive": sum(1 for handle in self._handles
-                             if handle is not None and handle.alive),
-                "respawns_total": self._respawns_total,
-                "batches_by_shard": {
-                    str(index): handle.batches
+            return {str(index): handle.batches
                     for index, handle in enumerate(self._handles)
-                    if handle is not None
-                },
-            }}
+                    if handle is not None}
 
     def _execute(self, index: int, batch: Sequence[PendingRequest],
                  spans: Optional[SpanBuffer]) -> List[PredictResult]:
@@ -433,7 +430,7 @@ class ShardProcessPool(ServingPool):
         self._await_ready(handle)
         with self._lock:
             self._handles[index] = handle
-            self._respawns_total += 1
+            self._respawns.inc()
         self._ledger_shard("respawned", index, handle.pid)
         _log.info("shard_respawned", shard=index, pid=handle.pid)
         return handle

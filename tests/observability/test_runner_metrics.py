@@ -12,12 +12,13 @@ import pytest
 from repro.observability.prometheus import (
     PROMETHEUS_CONTENT_TYPE,
     parse_prometheus_text,
+    render_prometheus,
 )
 from repro.observability.runmetrics import (
+    JOB_WINDOW,
     RUNNER_METRIC_PREFIX,
     RunnerMetrics,
     RunnerMetricsServer,
-    render_runner_prometheus,
 )
 
 
@@ -73,12 +74,7 @@ class TestRunnerMetrics:
         assert experiments["alg1"]["p50_s"] == experiments["alg1"]["p95_s"] == 1.0
 
     def test_latency_window_is_bounded(self):
-        metrics = RunnerMetrics(latency_window=4)
-        for index in range(10):
-            metrics.record_finished(_record(elapsed=float(index)))
-        stats = metrics.snapshot()["experiments"]["fig5"]
-        assert stats["count"] == 4
-        assert stats["mean_s"] == pytest.approx((6 + 7 + 8 + 9) / 4)
+        assert RunnerMetrics().job_seconds.size == JOB_WINDOW
 
     def test_progress_and_utilization(self):
         metrics = RunnerMetrics()
@@ -89,10 +85,6 @@ class TestRunnerMetrics:
         assert snapshot["running"] == 2
         assert snapshot["worker_utilization"] == pytest.approx(0.5)
 
-    def test_rejects_nonpositive_window(self):
-        with pytest.raises(ValueError):
-            RunnerMetrics(latency_window=0)
-
 
 class TestPrometheusRendering:
     def test_round_trips_through_the_strict_parser(self):
@@ -100,7 +92,7 @@ class TestPrometheusRendering:
         metrics.set_workers(2)
         metrics.record_started()
         metrics.record_finished(_record())
-        text = render_runner_prometheus(metrics.snapshot())
+        text = render_prometheus([(metrics, None)])
         assert "# TYPE repro_runner_jobs_started_total counter" in text
         families = parse_prometheus_text(text)
         assert families[f"{RUNNER_METRIC_PREFIX}_jobs_started_total"][()] == 1.0
@@ -109,9 +101,7 @@ class TestPrometheusRendering:
     def test_quantiles_are_labelled_per_experiment(self):
         metrics = RunnerMetrics()
         metrics.record_finished(_record(experiment="fig5", elapsed=0.5))
-        families = parse_prometheus_text(
-            render_runner_prometheus(metrics.snapshot())
-        )
+        families = parse_prometheus_text(render_prometheus([(metrics, None)]))
         samples = families[f"{RUNNER_METRIC_PREFIX}_job_seconds"]
         assert set(samples) == {
             (("experiment", "fig5"), ("quantile", "0.5")),

@@ -8,9 +8,17 @@ each exercised deterministically and in milliseconds.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.prometheus import (
+    METRIC_PREFIX,
+    parse_prometheus_text,
+    render_prometheus,
+)
 from repro.serving.batcher import MicroBatcher, QueueClosedError, QueueFullError
 from repro.serving.errors import (
     ApiError,
@@ -35,6 +43,7 @@ class StubPool:
         self.name = name
         self.batcher = MicroBatcher(max_batch=4, max_wait_ms=1.0)
         self.script = []  # exceptions (or None for success), consumed FIFO
+        self.metrics = MetricsRegistry(METRIC_PREFIX)
         self.calls = 0
         self.started = 0
         self.stopped = 0
@@ -496,3 +505,55 @@ class TestHealthAndMetrics:
         assert set(snapshots) == {"a", "m@v0002"}
         assert snapshots["a"]["rate_limited_total"] == 0
         assert "circuit" in snapshots["a"]
+
+    def test_evictions_are_exported_router_wide(self, pools):
+        router = make_router(pools, registry=FakeRegistry({"a": [1], "b": [1]}),
+                             max_models=1)
+        router.predict("a", IMAGE)
+        router.predict("b", IMAGE)  # evicts a
+        series = parse_prometheus_text(render_prometheus(router.metrics_registries()))
+        assert series[f"{METRIC_PREFIX}_evictions_total"] == {(): 1.0}
+        assert router.metrics.snapshot() == {"evictions_total": 1}
+
+    def test_counters_are_exact_under_concurrent_handlers(self, pools):
+        """N handler threads x M increments of every router/entry counter
+        give exactly N*M, in the JSON snapshot and in the text."""
+        threads_n, per_thread = 8, 250
+        router = make_router(pools, rate_rps=1e-6, rate_burst=1,
+                             breaker_failures=None)
+        router.add_model("a", "dir-a")
+        router.predict("a", IMAGE)  # takes the default tenant's one token
+        entry = router.entries()[0]
+        start = threading.Barrier(threads_n)
+        unexpected = []
+
+        def handler():
+            start.wait()
+            for _ in range(per_thread):
+                try:
+                    router.predict("a", IMAGE)
+                except RateLimitedError:
+                    pass
+                else:
+                    unexpected.append("admitted")
+                entry.shed.inc()
+                entry.retries.inc()
+                router.evictions.inc()
+
+        threads = [threading.Thread(target=handler) for _ in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+        expected = threads_n * per_thread
+        assert unexpected == []
+        snapshot = router.metrics_snapshots()["a"]
+        assert entry.rate_limited_total == entry.shed_total == expected
+        assert router.evictions_total == expected
+        for key in ("rate_limited_total", "shed_total", "retries_total"):
+            assert snapshot[key] == expected
+        series = parse_prometheus_text(render_prometheus(router.metrics_registries()))
+        for key in ("rate_limited_total", "shed_total", "retries_total"):
+            assert series[f"{METRIC_PREFIX}_{key}"] == {(("model", "a"),): expected}
+        assert series[f"{METRIC_PREFIX}_evictions_total"] == {(): expected}

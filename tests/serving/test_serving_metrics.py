@@ -1,10 +1,11 @@
-"""ServingMetrics unit tests: percentile edge cases and thread safety.
+"""ServingMetrics unit tests: batch accounting and thread safety.
 
-The snapshot latency section regressed historically at degenerate window
-sizes (``np.percentile`` of an empty array is NaN); these tests pin the
-contract at windows of 0, 1, and exactly ``latency_window`` samples, and
-hammer ``record_batch`` from many threads to prove the snapshot never
-observes a half-updated window.
+The latency window's edge cases (empty, single, full and overfull windows)
+are pinned once, on the registry window, in
+``tests/observability/test_metrics_registry.py``; these tests cover what the serving
+declarations add on top: the counters a batch feeds, the derived mean batch
+size, and a hammer of ``record_batch`` from many threads proving that a
+scrape never observes a half-recorded batch.
 """
 
 from __future__ import annotations
@@ -12,64 +13,13 @@ from __future__ import annotations
 import math
 import threading
 
-import numpy as np
 import pytest
 
-from repro.serving.metrics import LATENCY_QUANTILES, ServingMetrics
+from repro.observability.prometheus import METRIC_PREFIX, parse_prometheus_text, render_prometheus
+from repro.serving import metrics as serving_metrics
+from repro.serving.metrics import LATENCY_QUANTILES, LATENCY_WINDOW, ServingMetrics
 
 QUANTILE_KEYS = tuple(f"p{quantile}_ms" for quantile in LATENCY_QUANTILES)
-
-
-class TestSnapshotWindowEdges:
-    def test_empty_window_is_all_zeros_not_nan(self):
-        metrics = ServingMetrics()
-        latency = metrics.snapshot()["latency"]
-        assert latency["window"] == 0.0
-        for key in ("mean_ms", "max_ms") + QUANTILE_KEYS:
-            assert latency[key] == 0.0
-            assert not math.isnan(latency[key])
-
-    def test_schema_is_stable_from_first_scrape(self):
-        """Empty and loaded snapshots expose the same latency keys."""
-        empty = set(ServingMetrics().snapshot()["latency"])
-        loaded = ServingMetrics()
-        loaded.record_batch(4, [0.001, 0.002, 0.003, 0.004])
-        assert set(loaded.snapshot()["latency"]) == empty
-
-    def test_single_sample_window_reports_that_sample_everywhere(self):
-        metrics = ServingMetrics()
-        metrics.record_batch(1, [0.0125])
-        latency = metrics.snapshot()["latency"]
-        assert latency["window"] == 1.0
-        for key in ("mean_ms", "max_ms") + QUANTILE_KEYS:
-            assert latency[key] == pytest.approx(12.5)
-
-    def test_exactly_full_window(self):
-        window = 64
-        metrics = ServingMetrics(latency_window=window)
-        samples = [0.001 * (index + 1) for index in range(window)]
-        metrics.record_batch(window, samples)
-        latency = metrics.snapshot()["latency"]
-        assert latency["window"] == float(window)
-        expected_ms = np.asarray(samples) * 1000.0
-        assert latency["max_ms"] == pytest.approx(expected_ms.max())
-        assert latency["mean_ms"] == pytest.approx(expected_ms.mean())
-        for quantile in LATENCY_QUANTILES:
-            assert latency[f"p{quantile}_ms"] == pytest.approx(
-                float(np.percentile(expected_ms, quantile)))
-        assert latency["p50_ms"] <= latency["p95_ms"] <= latency["p99_ms"]
-
-    def test_overfull_window_keeps_most_recent_samples(self):
-        metrics = ServingMetrics(latency_window=8)
-        metrics.record_batch(8, [10.0] * 8)  # old, should be evicted
-        metrics.record_batch(8, [0.001] * 8)
-        latency = metrics.snapshot()["latency"]
-        assert latency["window"] == 8.0
-        assert latency["max_ms"] == pytest.approx(1.0)
-
-    def test_rejects_nonpositive_window(self):
-        with pytest.raises(ValueError):
-            ServingMetrics(latency_window=0)
 
 
 class TestCounters:
@@ -80,7 +30,7 @@ class TestCounters:
         metrics.record_batch(2, [0.001, 0.002])
         metrics.record_rejected()
         metrics.record_errors(3)
-        snapshot = metrics.snapshot(queue_depth=5)
+        snapshot = metrics.snapshot()
         assert snapshot["requests_total"] == 2
         assert snapshot["responses_total"] == 2
         assert snapshot["rejected_total"] == 1
@@ -88,17 +38,28 @@ class TestCounters:
         assert snapshot["batches_total"] == 1
         assert snapshot["batch_size_histogram"] == {"2": 1}
         assert snapshot["mean_batch_size"] == pytest.approx(2.0)
-        assert snapshot["queue_depth"] == 5
+        assert snapshot["latency"]["window"] == 2.0
+        assert snapshot["latency"]["max_ms"] == pytest.approx(2.0)
 
     def test_mean_batch_size_absent_before_first_batch(self):
         assert "mean_batch_size" not in ServingMetrics().snapshot()
 
+    def test_empty_latency_section_is_explicit_zeros(self):
+        latency = ServingMetrics().snapshot()["latency"]
+        assert latency["window"] == 0.0
+        assert all(latency[key] == 0.0 for key in ("mean_ms", "max_ms") + QUANTILE_KEYS)
+
+    def test_latency_window_size(self):
+        assert ServingMetrics().latency.size == LATENCY_WINDOW
+
 
 class TestConcurrency:
-    def test_concurrent_record_batch_hammer(self):
+    def test_concurrent_record_batch_hammer(self, monkeypatch):
         """Many writer threads plus concurrent scrapes: totals must balance
-        and no snapshot may ever contain NaN or a torn window."""
-        metrics = ServingMetrics(latency_window=256)
+        and no snapshot may ever contain NaN, a torn window or a batch whose
+        counters and histogram disagree."""
+        monkeypatch.setattr(serving_metrics, "LATENCY_WINDOW", 256)
+        metrics = ServingMetrics()
         threads_n, batches_per_thread, batch_size = 8, 50, 4
         failures = []
         start = threading.Barrier(threads_n + 1)
@@ -112,12 +73,15 @@ class TestConcurrency:
         def scraper():
             start.wait()
             for _ in range(200):
-                latency = metrics.snapshot()["latency"]
-                if any(math.isnan(latency[key])
-                       for key in ("mean_ms", "max_ms") + QUANTILE_KEYS):
+                snapshot = metrics.snapshot()
+                latency = snapshot["latency"]
+                if any(math.isnan(latency[key]) for key in ("mean_ms", "max_ms") + QUANTILE_KEYS):
                     failures.append("NaN in snapshot")
                 if latency["window"] > 256:
-                    failures.append("window exceeded maxlen")
+                    failures.append("window exceeded its size")
+                batches = snapshot["batch_size_histogram"].get(str(batch_size), 0)
+                if snapshot["responses_total"] != batches * batch_size:
+                    failures.append("half-recorded batch")
 
         threads = [threading.Thread(target=writer) for _ in range(threads_n)]
         threads.append(threading.Thread(target=scraper))
@@ -135,3 +99,5 @@ class TestConcurrency:
         assert snapshot["batch_size_histogram"] == {str(batch_size): expected}
         assert snapshot["latency"]["window"] == 256.0
         assert snapshot["latency"]["p50_ms"] == pytest.approx(1.0)
+        series = parse_prometheus_text(render_prometheus([(metrics, None)]))
+        assert series[f"{METRIC_PREFIX}_batch_size_count"][()] == expected
