@@ -38,7 +38,9 @@ The pre-1.7 single-model surface — ``POST /predict``, ``GET /healthz``,
 *default* model (the first one registered).  Alias responses carry a
 ``Deprecation: true`` header and a ``Link: <successor>;
 rel="successor-version"`` pointer; success bodies are bit-identical to
-v1.6.0 (the equivalence tests assert this).
+v1.6.0 (the equivalence tests assert this), except that the metrics aliases
+keep every family, sample and value but not their order
+(``tests/data/metrics_fixture.json`` pins them).
 
 Implementation notes: ``ThreadingHTTPServer`` gives one handler thread per
 connection — handlers block on the request future while the pools' workers
@@ -237,7 +239,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, {"models": router.metrics_snapshots(),
                                   **router.metrics.snapshot()})
             return
-        # -- deprecated single-model aliases (bit-identical to v1.6.0) ------
+        # -- deprecated single-model aliases (v1.6.0 bodies) ----------------
         if path in ("/healthz", "/metrics", "/metrics.json"):
             pool = router.default_entry().pool
             headers = self._deprecation_headers(path)

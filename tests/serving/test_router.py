@@ -8,6 +8,7 @@ each exercised deterministically and in milliseconds.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -541,12 +542,18 @@ class TestHealthAndMetrics:
                 router.evictions.inc()
 
         threads = [threading.Thread(target=handler) for _ in range(threads_n)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: lost updates show
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
 
         expected = threads_n * per_thread
+        assert not any(thread.is_alive() for thread in threads)
         assert unexpected == []
         snapshot = router.metrics_snapshots()["a"]
         assert entry.rate_limited_total == entry.shed_total == expected

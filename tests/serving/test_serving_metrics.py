@@ -11,6 +11,7 @@ scrape never observes a half-recorded batch.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 
 import pytest
@@ -85,11 +86,17 @@ class TestConcurrency:
 
         threads = [threading.Thread(target=writer) for _ in range(threads_n)]
         threads.append(threading.Thread(target=scraper))
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: lost updates show
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
 
+        assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         snapshot = metrics.snapshot()
         expected = threads_n * batches_per_thread
