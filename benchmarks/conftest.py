@@ -1,8 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark module reproduces one table or figure of the SpikeDyn paper
-(see DESIGN.md section 4 for the experiment index).  The benchmarks run the
-experiment drivers from :mod:`repro.experiments` at two scales:
+(:data:`repro.experiments.registry.EXPERIMENTS` is the experiment index).
+The benchmarks run the experiment drivers from :mod:`repro.experiments` at
+two scales:
 
 * ``bench_scale`` — a seconds-per-experiment scale used for the timed
   benchmark body, so the whole harness completes in a few minutes;

@@ -1,264 +1,106 @@
 #!/usr/bin/env python
-"""In-repo benchmark history: one committed snapshot per release.
+"""Benchmark history: one perfbench snapshot per release, BENCH_v<version>.json.
 
-Every release commits a normalized smoke-benchmark snapshot at the repo
-root (``BENCH_v<version>.json``), so the performance trajectory of the
-project lives in git history next to the code that produced it — no
-external dashboard required.  Snapshots carry both the raw wall-clock
-timings and the calibration-normalized values (every ``*_s`` metric
-divided by the report's ``calibration_s`` reference workload), which is
-what makes snapshots recorded on different machines comparable.
+For every workload of ``BENCHMARK.json`` the writer runs the benchmark's
+``command`` twice with a fixed seed and the file's ``run_seconds``: at
+``--trace 0`` for the end-to-end metrics and at ``--trace 1`` for the
+per-layer ones.  It keeps the last JSON line of each run and writes every
+``end_to_end`` and ``per_layer`` metric that ``BENCHMARK.json`` names to
+``BENCH_v<version>.json`` at the repository root.  perfbench already reports
+times at a nominal host speed, so values are written as measured.
 
-Modes::
+Usage::
 
-    python scripts/bench_history.py                       # run + write snapshot
-    python scripts/bench_history.py --from-report r.json  # reuse a report
-    python scripts/bench_history.py --check               # CI gate
-    python scripts/bench_history.py --list                # show the history
-
-``--check`` is the CI gate: it fails unless the snapshot for the *current*
-package version exists at the repo root, is schema-valid, matches the
-package version, and its normalized timings are consistent with the
-committed baseline (``benchmarks/baseline_smoke.json``) within a tolerance
-— catching both a forgotten snapshot refresh and a snapshot generated
-from a stale or foreign benchmark run.
+    python scripts/bench_history.py            # run every workload, write the snapshot
+    python scripts/bench_history.py --check    # validate the committed snapshot
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
+import math
+import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-BASELINE_PATH = REPO_ROOT / "benchmarks" / "baseline_smoke.json"
 
-#: Reference-workload metric used to normalize timings across machines.
-CALIBRATION_METRIC = "calibration_s"
+#: Seed of every run, so two snapshots measure the same inputs.
+SEED = 1
 
-#: Absolute gates on dimensionless metrics: unlike the *_s timings (which
-#: gate relatively against the committed baseline), these percentages are
-#: machine-independent by construction — both sides of the ratio were
-#: measured back to back on the same machine — so a fixed ceiling applies.
-ABSOLUTE_GATES_PCT = {
-    "tracing_overhead_pct": 3.0,
-}
-
-#: Top-level keys every snapshot must carry.
-REQUIRED_KEYS = (
-    "version",
-    "python",
-    "numpy",
-    "platform",
-    "batch_size",
-    "repeats",
-    "timings",
-    "normalized",
-)
-
-_SNAPSHOT_NAME = re.compile(r"^BENCH_v(?P<version>\d+\.\d+\.\d+)\.json$")
+#: perfbench ``--trace`` value -> the ``BENCHMARK.json`` section it reports.
+SECTIONS = {0: "end_to_end", 1: "per_layer"}
 
 
 def snapshot_path(version: str, root: Path = REPO_ROOT) -> Path:
-    """The snapshot file for ``version`` (``<root>/BENCH_v<version>.json``)."""
     return root / f"BENCH_v{version}.json"
 
 
-def normalize_timings(timings: Dict[str, float]) -> Dict[str, float]:
-    """Calibration-normalized view of a raw ``timings`` section.
-
-    Timing metrics (``*_s``) are divided by ``calibration_s``; ratio
-    metrics (``*_x``) are already dimensionless and pass through; the
-    calibration reference itself is excluded (it would always be 1.0).
-    """
-    calibration = float(timings.get(CALIBRATION_METRIC, 0.0))
-    if calibration <= 0.0:
-        raise ValueError(f"timings lack a positive {CALIBRATION_METRIC!r} reference")
-    normalized: Dict[str, float] = {}
-    for name, value in timings.items():
-        if name == CALIBRATION_METRIC:
-            continue
-        if name.endswith("_s"):
-            normalized[name] = float(value) / calibration
-        else:
-            normalized[name] = float(value)
-    return normalized
+def result_line(stdout: str) -> dict:
+    """The last JSON line of a perfbench run's standard output."""
+    for line in reversed(stdout.splitlines()):
+        if line.startswith("{"):
+            return json.loads(line)
+    raise ValueError("the run printed no JSON result line")
 
 
-def build_snapshot(report: Dict[str, object]) -> Dict[str, object]:
-    """Normalize one ``bench_smoke.py`` report into a history snapshot."""
-    timings = report.get("timings")
-    if not isinstance(timings, dict):
-        raise ValueError("report has no 'timings' section")
-    snapshot: Dict[str, object] = {}
-    missing: List[str] = []
-    for key in REQUIRED_KEYS:
-        if key == "normalized":
-            continue
-        if key in report:
-            snapshot[key] = report[key]
-        else:
-            missing.append(key)
-    if missing:
-        raise ValueError(f"report is missing {', '.join(missing)}")
-    snapshot["normalized"] = normalize_timings(
-        {name: float(value) for name, value in timings.items()}
-    )
-    return snapshot
+def measure(spec: dict, root: Path = REPO_ROOT) -> Dict[str, Dict[int, dict]]:
+    """Result line of every workload at every trace setting."""
+    results: Dict[str, Dict[int, dict]] = {}
+    for workload in spec["workloads"]:
+        name = workload["name"]
+        for trace in SECTIONS:
+            command = [*spec["command"], "--workload", name, "--trace", str(trace)]
+            command += ["--seed", str(SEED), "--seconds", str(spec["run_seconds"])]
+            print(f"running {name} --trace {trace} ...", file=sys.stderr, flush=True)
+            run = subprocess.run(command, cwd=root, stdout=subprocess.PIPE, text=True)
+            if run.returncode != 0:
+                raise RuntimeError(f"{name} --trace {trace} failed with code {run.returncode}")
+            results.setdefault(name, {})[trace] = result_line(run.stdout)
+    return results
 
 
-def validate_snapshot(
-    snapshot: Dict[str, object], expect_version: Optional[str] = None
-) -> List[str]:
-    """Schema problems of a loaded snapshot (empty list = valid)."""
-    problems: List[str] = []
-    for key in REQUIRED_KEYS:
-        if key not in snapshot:
-            problems.append(f"missing top-level key {key!r}")
-    if problems:
-        return problems
-    if expect_version is not None and snapshot["version"] != expect_version:
-        problems.append(
-            f"snapshot records version {snapshot['version']!r} but the "
-            f"package is {expect_version!r}"
-        )
-    timings = snapshot["timings"]
-    normalized = snapshot["normalized"]
-    if not isinstance(timings, dict) or not isinstance(normalized, dict):
-        return problems + ["'timings'/'normalized' must be objects"]
-    if float(timings.get(CALIBRATION_METRIC, 0.0)) <= 0.0:
-        problems.append(f"'timings' lacks a positive {CALIBRATION_METRIC!r} reference")
-        return problems
-    # The normalized section must be exactly what normalize_timings produces
-    # from the raw section — a hand-edited or truncated snapshot fails here.
-    expected = normalize_timings({name: float(value) for name, value in timings.items()})
-    if set(normalized) != set(expected):
-        problems.append("'normalized' metrics do not match 'timings'")
-        return problems
-    for name, value in expected.items():
-        if abs(float(normalized[name]) - value) > 1e-9 * max(1.0, abs(value)):
-            problems.append(f"normalized[{name!r}] is inconsistent with the raw timing")
-    return problems
+def build_snapshot(spec: dict, version: str, results: Dict[str, Dict[int, dict]]) -> dict:
+    workloads = {}
+    for workload in spec["workloads"]:
+        name = workload["name"]
+        workloads[name] = {
+            metric["name"]: results[name][trace]["metrics"][metric["name"]]["value"]
+            for trace, section in SECTIONS.items()
+            for metric in spec[section]
+        }
+    return {
+        "version": version,
+        "seed": SEED,
+        "run_seconds": spec["run_seconds"],
+        "workloads": workloads,
+    }
 
 
-def check_against_baseline(
-    snapshot: Dict[str, object], baseline_path: Path, tolerance: float
-) -> List[str]:
-    """Calibration-consistency problems vs the committed baseline.
-
-    Both the snapshot and the baseline are normalized by their own
-    ``calibration_s``, so machine speed cancels; a shared timing metric
-    drifting beyond ``tolerance`` in either direction means the snapshot
-    was not generated from a run consistent with the committed baseline.
-    """
-    try:
-        with open(baseline_path, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-    except (OSError, ValueError) as error:
-        return [f"cannot read baseline {baseline_path}: {error}"]
-    raw = baseline.get("timings", {})
-    try:
-        baseline_norm = normalize_timings({name: float(value) for name, value in raw.items()})
-    except ValueError as error:
-        return [f"baseline {baseline_path}: {error}"]
-    snapshot_norm = snapshot["normalized"]
-    problems: List[str] = []
-    for name in sorted(set(baseline_norm) & set(snapshot_norm)):
-        if not name.endswith("_s"):
-            continue  # ratio metrics are load-sensitive; the *_s gates suffice
-        base = baseline_norm[name]
-        curr = float(snapshot_norm[name])
-        if base <= 0.0:
-            continue
-        ratio = curr / base
-        if ratio > tolerance or ratio < 1.0 / tolerance:
-            problems.append(
-                f"normalized {name} drifts {ratio:.2f}x from the baseline "
-                f"(tolerance {tolerance:.2f}x)"
-            )
-    return problems
-
-
-def check_absolute_gates(snapshot: Dict[str, object]) -> List[str]:
-    """Absolute-ceiling problems on the snapshot's own timings.
-
-    Applies :data:`ABSOLUTE_GATES_PCT` to metrics present in the snapshot;
-    a gated metric missing from the snapshot is not a problem (older
-    snapshots predate the metric).
-    """
-    timings = snapshot.get("timings", {})
-    problems: List[str] = []
-    for name, ceiling in sorted(ABSOLUTE_GATES_PCT.items()):
-        if name not in timings:
-            continue
-        value = float(timings[name])
-        if value > ceiling:
-            problems.append(
-                f"{name} is {value:.2f}% which exceeds the "
-                f"{ceiling:.2f}% ceiling"
-            )
-    return problems
-
-
-def _cmd_list(root: Path) -> int:
-    rows = []
-    for path in sorted(root.glob("BENCH_v*.json")):
-        match = _SNAPSHOT_NAME.match(path.name)
-        if not match:
-            continue
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                snapshot = json.load(handle)
-            timings = snapshot.get("timings", {})
-            calibration = float(timings.get(CALIBRATION_METRIC, 0.0))
-            python = snapshot.get("python", "?")
-            rows.append((match.group("version"), python, calibration, len(timings)))
-        except (OSError, ValueError):
-            rows.append((match.group("version"), "?", 0.0, 0))
-    if not rows:
-        print(f"no BENCH_v*.json snapshots at {root}")
-        return 1
-    print(f"{'version':10s} {'python':8s} {'calibration_s':>14s} {'metrics':>8s}")
-    for version, python, calibration, metrics in rows:
-        print(f"{version:10s} {python:8s} {calibration:14.4f} {metrics:8d}")
-    return 0
-
-
-def _cmd_check(root: Path, tolerance: float) -> int:
-    import repro
-
-    path = snapshot_path(repro.__version__, root)
+def check(path: Path, version: str, spec: dict) -> List[str]:
+    """Problems of the snapshot at ``path`` (an empty list means it is valid)."""
     if not path.exists():
-        print(
-            f"error: no benchmark-history snapshot at {path}; generate it "
-            "with scripts/bench_history.py and commit it",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            snapshot = json.load(handle)
-    except ValueError as error:
-        print(f"error: {path} is not valid JSON: {error}", file=sys.stderr)
-        return 1
-    problems = validate_snapshot(snapshot, expect_version=repro.__version__)
-    if not problems:
-        problems = check_against_baseline(snapshot, BASELINE_PATH, tolerance)
-        problems += check_absolute_gates(snapshot)
-    if problems:
-        for problem in problems:
-            print(f"error: {path.name}: {problem}", file=sys.stderr)
-        return 1
-    normalized = snapshot["normalized"]
-    print(
-        f"{path.name}: schema valid, version matches {repro.__version__}, "
-        f"{len(normalized)} normalized metrics consistent with "
-        f"{BASELINE_PATH.name} (tolerance {tolerance:.2f}x)"
-    )
-    return 0
+        return [f"no snapshot at {path}; write it with scripts/bench_history.py"]
+    snapshot = json.loads(path.read_text(encoding="utf-8"))
+    found = snapshot.get("version")
+    if found != version:
+        return [f"{path.name} records version {found!r}, the package is {version!r}"]
+    problems = []
+    for workload in spec["workloads"]:
+        name = workload["name"]
+        metrics = snapshot.get("workloads", {}).get(name)
+        if metrics is None:
+            problems.append(f"workload {name} is missing")
+            continue
+        for metric in spec["end_to_end"] + spec["per_layer"]:
+            value = metrics.get(metric["name"])
+            if value is None:
+                problems.append(f"{name}: metric {metric['name']} is missing")
+            elif not isinstance(value, (int, float)) or not math.isfinite(value):
+                problems.append(f"{name}: metric {metric['name']} is not finite ({value!r})")
+    return problems
 
 
 def main(argv=None) -> int:
@@ -266,82 +108,26 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="validate the committed snapshot for the current package version (CI gate)",
-    )
-    parser.add_argument(
-        "--list",
-        action="store_true",
-        help="list the committed snapshot history",
-    )
-    parser.add_argument(
-        "--from-report",
-        type=Path,
-        default=None,
-        help="normalize an existing bench_smoke.py report instead of running the benchmark",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="snapshot path (default: <repo>/BENCH_v<version>.json)",
-    )
-    parser.add_argument(
-        "--root",
-        type=Path,
-        default=REPO_ROOT,
-        help=argparse.SUPPRESS,  # tests point this at a tmp directory
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=3.0,
-        help="allowed normalized-metric drift factor vs the baseline in --check (default: 3.0)",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=32,
-        help="batch size of the benchmark workloads",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="repetitions per workload (best-of timing)",
+        help="validate the committed snapshot of this version instead of writing one",
     )
     args = parser.parse_args(argv)
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    import repro
 
-    if args.tolerance <= 1.0:
-        parser.error(f"--tolerance must be > 1.0, got {args.tolerance}")
-    if args.check and args.list:
-        parser.error("--check and --list are mutually exclusive")
+    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    path = snapshot_path(repro.__version__)
     if args.check:
-        return _cmd_check(args.root, args.tolerance)
-    if args.list:
-        return _cmd_list(args.root)
-
-    if args.from_report is not None:
-        with open(args.from_report, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    else:
-        from bench_smoke import run_smoke
-
-        print("running the smoke benchmark ...", flush=True)
-        report = run_smoke(max(1, args.batch_size), max(1, args.repeats))
-
-    snapshot = build_snapshot(report)
-    output = args.output
-    if output is None:
-        output = snapshot_path(str(snapshot["version"]), args.root)
-    with open(output, "w", encoding="utf-8") as handle:
-        json.dump(snapshot, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    for name, value in sorted(snapshot["normalized"].items()):
-        print(f"{name:30s} {value:10.2f}")
-    print(f"snapshot written to {output}")
+        problems = check(path, repro.__version__, spec)
+        for problem in problems:
+            print(f"error: {problem}", file=sys.stderr)
+        if not problems:
+            print(f"{path.name}: every metric of BENCHMARK.json, finite, for all workloads")
+        return 1 if problems else 0
+    snapshot = build_snapshot(spec, repro.__version__, measure(spec))
+    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"snapshot written to {path}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
     sys.exit(main())

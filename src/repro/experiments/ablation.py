@@ -1,4 +1,4 @@
-"""Mechanism ablation — the design choices DESIGN.md calls out.
+"""Mechanism ablation — one study of SpikeDyn's learning-algorithm design choices.
 
 SpikeDyn's learning algorithm combines four mechanisms (Section III-D):
 adaptive learning rates, synaptic weight decay, the adaptive membrane
@@ -6,7 +6,8 @@ threshold potential, and spurious-update reduction via timestep-gated
 updates.  This study disables one mechanism at a time (plus a "none"
 variant that disables all four) and measures the impact on dynamic-scenario
 accuracy and on per-sample training energy, making the contribution of each
-mechanism explicit.
+mechanism explicit.  It is registered as the ``ablation`` experiment in
+:mod:`repro.experiments.registry`.
 """
 
 from __future__ import annotations

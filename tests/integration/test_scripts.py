@@ -1,6 +1,8 @@
-"""End-to-end tests of the repository scripts (benchmark gate, run-all).
+"""Tests of the repository scripts (benchmark history, run-all, serving smoke).
 
-Each script runs in a subprocess, exactly as CI invokes it.
+The benchmark-history writer is driven through its functions, with a stand-in
+for the perfbench command that prints fabricated result lines; its ``--check``
+mode and the other scripts also run in a subprocess, as CI invokes them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,26 @@ from pathlib import Path
 
 import pytest
 
+import repro
+
 SCRIPTS_DIR = Path(__file__).resolve().parents[2] / "scripts"
+SPEC = json.loads((SCRIPTS_DIR.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+#: Stand-in for ``perfbench/run.py``, run in the writer's root: logs its
+#: arguments, then prints a comment line and a result line holding every
+#: metric of its section (and fails for the workload ``fail``).
+FAKE_PERFBENCH = """
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+with open("calls.jsonl", "a") as log:
+    log.write(json.dumps(args) + "\\n")
+section = "per_layer" if args["--trace"] == "1" else "end_to_end"
+spec = json.load(open("BENCHMARK.json"))
+metrics = {m["name"]: {"value": 0.5, "unit": m["unit"]} for m in spec[section]}
+print("# perfbench", args["--workload"])
+print(json.dumps({"correct": True, "attempted": 11, "failed": 0, "metrics": metrics}))
+sys.exit(int(args["--workload"] == "fail"))
+"""
 
 
 def run_script(script: str, *arguments: str, expect_code: int = 0) -> subprocess.CompletedProcess:
@@ -25,167 +46,111 @@ def run_script(script: str, *arguments: str, expect_code: int = 0) -> subprocess
     return completed
 
 
-def write_report(path: Path, timings: dict) -> Path:
-    path.write_text(json.dumps({"timings": timings}), encoding="utf-8")
+@pytest.fixture(scope="module")
+def history():
+    sys.path.insert(0, str(SCRIPTS_DIR))
+    try:
+        import bench_history
+    finally:
+        sys.path.remove(str(SCRIPTS_DIR))
+    return bench_history
+
+
+def fake_spec(root: Path, workloads=None) -> dict:
+    """``BENCHMARK.json`` with its command swapped for :data:`FAKE_PERFBENCH`."""
+    (root / "BENCHMARK.json").write_text(json.dumps(SPEC), encoding="utf-8")
+    (root / "fake_perfbench.py").write_text(FAKE_PERFBENCH, encoding="utf-8")
+    spec = dict(SPEC, command=[sys.executable, str(root / "fake_perfbench.py")])
+    if workloads is not None:
+        spec["workloads"] = [{"name": name} for name in workloads]
+    return spec
+
+
+def write_snapshot(history, root: Path, snapshot: dict) -> Path:
+    path = history.snapshot_path(snapshot["version"], root)
+    path.write_text(json.dumps(snapshot), encoding="utf-8")
     return path
 
 
+@pytest.fixture
+def snapshot(history, tmp_path):
+    """A snapshot built from fabricated result lines, every value 0.5."""
+    spec = fake_spec(tmp_path)
+    return history.build_snapshot(spec, repro.__version__, history.measure(spec, tmp_path))
+
+
 @pytest.mark.integration
-class TestBenchCompare:
-    def test_identical_reports_pass(self, tmp_path):
-        timings = {"workload_s": 1.0, "speedup_x": 4.0}
-        baseline = write_report(tmp_path / "baseline.json", timings)
-        current = write_report(tmp_path / "current.json", timings)
-        completed = run_script(
-            "bench_compare.py", "--baseline", str(baseline), "--current", str(current)
-        )
-        assert "no regressions" in completed.stdout
+class TestBenchHistory:
+    def test_result_line_is_the_last_json_line(self, history):
+        stdout = '# perfbench\n{"n": 1}\nlayer row\n{"n": 2}\n'
+        assert history.result_line(stdout) == {"n": 2}
+        with pytest.raises(ValueError, match="no JSON result line"):
+            history.result_line("# perfbench: run failed\n")
 
-    def test_slower_timing_gates(self, tmp_path):
-        baseline = write_report(tmp_path / "baseline.json", {"workload_s": 1.0})
-        current = write_report(tmp_path / "current.json", {"workload_s": 2.0})
-        completed = run_script(
-            "bench_compare.py",
-            "--baseline",
-            str(baseline),
-            "--current",
-            str(current),
-            expect_code=1,
-        )
-        assert "workload_s" in completed.stderr
+    def test_measure_runs_every_workload_at_both_traces(self, history, tmp_path):
+        results = history.measure(fake_spec(tmp_path), tmp_path)
+        calls = (tmp_path / "calls.jsonl").read_text().splitlines()
+        calls = [json.loads(call) for call in calls]
+        names = [workload["name"] for workload in SPEC["workloads"]]
+        assert [(call["--workload"], call["--trace"]) for call in calls] == [
+            (name, trace) for name in names for trace in ("0", "1")
+        ]
+        assert {call["--seed"] for call in calls} == {str(history.SEED)}
+        assert {call["--seconds"] for call in calls} == {str(SPEC["run_seconds"])}
+        assert sorted(results) == sorted(names)
 
-    def test_lower_speedup_gates(self, tmp_path):
-        baseline = write_report(tmp_path / "baseline.json", {"speedup_x": 6.0})
-        current = write_report(tmp_path / "current.json", {"speedup_x": 2.0})
-        run_script(
-            "bench_compare.py",
-            "--baseline",
-            str(baseline),
-            "--current",
-            str(current),
-            expect_code=1,
-        )
+    def test_a_failed_run_stops_the_writer(self, history, tmp_path):
+        with pytest.raises(RuntimeError, match="fail --trace 0 failed with code 1"):
+            history.measure(fake_spec(tmp_path, workloads=["fail"]), tmp_path)
 
-    def test_tolerance_absorbs_noise(self, tmp_path):
-        baseline = write_report(tmp_path / "baseline.json", {"workload_s": 1.0})
-        current = write_report(tmp_path / "current.json", {"workload_s": 1.4})
-        run_script(
-            "bench_compare.py", "--baseline", str(baseline), "--current", str(current)
-        )
+    def test_snapshot_holds_every_named_metric(self, history, snapshot):
+        assert snapshot["version"] == repro.__version__
+        assert sorted(snapshot["workloads"]) == sorted(w["name"] for w in SPEC["workloads"])
+        names = {metric["name"] for metric in SPEC["end_to_end"] + SPEC["per_layer"]}
+        for metrics in snapshot["workloads"].values():
+            assert metrics == {name: 0.5 for name in names}
 
-    def test_new_and_missing_metrics_do_not_gate(self, tmp_path):
-        baseline = write_report(tmp_path / "baseline.json", {"old_s": 1.0})
-        current = write_report(tmp_path / "current.json", {"new_s": 1.0})
-        completed = run_script(
-            "bench_compare.py", "--baseline", str(baseline), "--current", str(current)
-        )
-        assert "missing" in completed.stdout
-        assert "new" in completed.stdout
+    def test_check_passes_on_a_built_snapshot(self, history, snapshot, tmp_path):
+        path = write_snapshot(history, tmp_path, snapshot)
+        assert history.check(path, repro.__version__, SPEC) == []
 
-    def test_update_writes_the_baseline(self, tmp_path):
-        current = write_report(tmp_path / "current.json", {"workload_s": 1.0})
-        baseline = tmp_path / "nested" / "baseline.json"
-        completed = run_script(
-            "bench_compare.py",
-            "--baseline",
-            str(baseline),
-            "--current",
-            str(current),
-            "--update",
-        )
-        assert "baseline updated" in completed.stdout
-        assert json.loads(baseline.read_text())["timings"] == {"workload_s": 1.0}
+    def test_check_fails_on_a_missing_file(self, history, tmp_path):
+        path = history.snapshot_path(repro.__version__, tmp_path)
+        assert history.check(path, repro.__version__, SPEC) == [
+            f"no snapshot at {path}; write it with scripts/bench_history.py"
+        ]
 
-    def test_missing_baseline_is_a_distinct_error(self, tmp_path):
-        current = write_report(tmp_path / "current.json", {"workload_s": 1.0})
-        completed = run_script(
-            "bench_compare.py",
-            "--baseline",
-            str(tmp_path / "absent.json"),
-            "--current",
-            str(current),
-            expect_code=2,
-        )
-        assert "no baseline" in completed.stderr
+    def test_check_fails_on_a_wrong_version(self, history, snapshot, tmp_path):
+        path = write_snapshot(history, tmp_path, dict(snapshot, version="0.0.1"))
+        problems = history.check(path, repro.__version__, SPEC)
+        assert problems == [
+            f"{path.name} records version '0.0.1', the package is {repro.__version__!r}"
+        ]
 
-    def test_calibration_normalizes_away_machine_speed(self, tmp_path):
-        # A uniformly slower machine (all timings and the calibration scale
-        # together) must not gate; a single genuinely slower metric must.
-        baseline = write_report(
-            tmp_path / "baseline.json", {"calibration_s": 0.01, "workload_s": 1.0}
-        )
-        slower_machine = write_report(
-            tmp_path / "slow.json", {"calibration_s": 0.04, "workload_s": 4.0}
-        )
-        completed = run_script(
-            "bench_compare.py", "--baseline", str(baseline), "--current", str(slower_machine)
-        )
-        assert "no regressions" in completed.stdout
+    def test_check_fails_on_a_missing_workload(self, history, snapshot, tmp_path):
+        del snapshot["workloads"]["event_stream"]
+        path = write_snapshot(history, tmp_path, snapshot)
+        problems = history.check(path, repro.__version__, SPEC)
+        assert problems == ["workload event_stream is missing"]
 
-        real_regression = write_report(
-            tmp_path / "regressed.json", {"calibration_s": 0.01, "workload_s": 3.0}
-        )
-        run_script(
-            "bench_compare.py",
-            "--baseline",
-            str(baseline),
-            "--current",
-            str(real_regression),
-            expect_code=1,
-        )
+    def test_check_fails_on_a_missing_metric(self, history, snapshot, tmp_path):
+        del snapshot["workloads"]["serve_http"]["snn.engine_ms_per_sample"]
+        path = write_snapshot(history, tmp_path, snapshot)
+        assert history.check(path, repro.__version__, SPEC) == [
+            "serve_http: metric snn.engine_ms_per_sample is missing"
+        ]
 
-    def test_ratio_tolerance_is_independent(self, tmp_path):
-        baseline = write_report(tmp_path / "baseline.json", {"speedup_x": 6.0})
-        current = write_report(tmp_path / "current.json", {"speedup_x": 2.0})
-        # 3x shrink fails the default tolerance but passes a wide ratio one.
-        run_script(
-            "bench_compare.py",
-            "--baseline",
-            str(baseline),
-            "--current",
-            str(current),
-            expect_code=1,
-        )
-        run_script(
-            "bench_compare.py",
-            "--baseline",
-            str(baseline),
-            "--current",
-            str(current),
-            "--ratio-tolerance",
-            "4.0",
-        )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "fast"])
+    def test_check_fails_on_a_non_finite_value(self, history, snapshot, tmp_path, value):
+        snapshot["workloads"]["batch_infer"]["latency_p50_ms"] = value
+        path = write_snapshot(history, tmp_path, snapshot)
+        assert history.check(path, repro.__version__, SPEC) == [
+            f"batch_infer: metric latency_p50_ms is not finite ({value!r})"
+        ]
 
-    def test_percentage_metrics_are_informational(self, tmp_path):
-        # A huge relative jump in a *_pct metric must not gate here: the
-        # absolute ceiling lives in bench_history.py --check instead.
-        baseline = write_report(tmp_path / "baseline.json",
-                                {"tracing_overhead_pct": 0.01})
-        current = write_report(tmp_path / "current.json",
-                               {"tracing_overhead_pct": 2.5})
-        completed = run_script(
-            "bench_compare.py", "--baseline", str(baseline), "--current", str(current)
-        )
-        assert "info" in completed.stdout
-        assert "no regressions" in completed.stdout
-
-    def test_calibration_metric_itself_never_gates(self, tmp_path):
-        baseline = write_report(tmp_path / "baseline.json", {"calibration_s": 0.01})
-        current = write_report(tmp_path / "current.json", {"calibration_s": 0.09})
-        completed = run_script(
-            "bench_compare.py", "--baseline", str(baseline), "--current", str(current)
-        )
-        assert "reference" in completed.stdout
-
-    def test_committed_baseline_has_calibration(self):
-        baseline = SCRIPTS_DIR.parent / "benchmarks" / "baseline_smoke.json"
-        report = json.loads(baseline.read_text(encoding="utf-8"))
-        assert "calibration_s" in report["timings"]
-
-    def test_committed_baseline_is_loadable(self):
-        baseline = SCRIPTS_DIR.parent / "benchmarks" / "baseline_smoke.json"
-        report = json.loads(baseline.read_text(encoding="utf-8"))
-        assert "timings" in report and report["timings"]
+    def test_committed_snapshot_passes_the_check(self):
+        completed = run_script("bench_history.py", "--check")
+        assert f"BENCH_v{repro.__version__}.json" in completed.stdout
 
 
 @pytest.mark.integration
@@ -247,14 +212,10 @@ class TestRunAllExperiments:
 class TestServingSmoke:
     def test_self_contained_smoke_passes(self):
         completed = run_script(
-            "serving_smoke.py", "--requests", "12", "--concurrency", "4",
-            "--n-exc", "10",
+            "serving_smoke.py", "--requests", "12", "--concurrency", "4", "--n-exc", "10"
         )
         assert "prediction-identical to offline evaluation" in completed.stdout
 
     def test_url_without_artifact_is_a_usage_error(self):
-        completed = run_script(
-            "serving_smoke.py", "--url", "http://127.0.0.1:1",
-            expect_code=2,
-        )
+        completed = run_script("serving_smoke.py", "--url", "http://127.0.0.1:1", expect_code=2)
         assert "--url requires --artifact" in completed.stderr
