@@ -79,6 +79,11 @@ def build_snapshot(spec: dict, version: str, results: Dict[str, Dict[int, dict]]
     }
 
 
+def is_number(value) -> bool:
+    """A JSON number: ``true``/``false`` load as ints in Python but are not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def check(path: Path, version: str, spec: dict) -> List[str]:
     """Problems of the snapshot at ``path`` (an empty list means it is valid)."""
     if not path.exists():
@@ -98,7 +103,7 @@ def check(path: Path, version: str, spec: dict) -> List[str]:
             value = metrics.get(metric["name"])
             if value is None:
                 problems.append(f"{name}: metric {metric['name']} is missing")
-            elif not isinstance(value, (int, float)) or not math.isfinite(value):
+            elif not is_number(value) or not math.isfinite(value):
                 problems.append(f"{name}: metric {metric['name']} is not finite ({value!r})")
     return problems
 

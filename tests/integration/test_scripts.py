@@ -140,7 +140,7 @@ class TestBenchHistory:
             "serve_http: metric snn.engine_ms_per_sample is missing"
         ]
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "fast"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "fast", True])
     def test_check_fails_on_a_non_finite_value(self, history, snapshot, tmp_path, value):
         snapshot["workloads"]["batch_infer"]["latency_p50_ms"] = value
         path = write_snapshot(history, tmp_path, snapshot)
@@ -151,6 +151,109 @@ class TestBenchHistory:
     def test_committed_snapshot_passes_the_check(self):
         completed = run_script("bench_history.py", "--check")
         assert f"BENCH_v{repro.__version__}.json" in completed.stdout
+
+    def test_result_line_rejects_a_malformed_json_line(self, history):
+        with pytest.raises(json.JSONDecodeError):
+            history.result_line('{"n": 1}\n{"truncated": \n')
+        with pytest.raises(ValueError, match="no JSON result line"):
+            history.result_line("")
+
+    def test_snapshot_takes_each_section_from_its_trace(self, history):
+        spec = dict(SPEC, workloads=[{"name": "w"}])
+        lines = {
+            trace: {"metrics": {m["name"]: {"value": float(trace)} for m in spec[section]}}
+            for trace, section in history.SECTIONS.items()
+        }
+        # Both runs report every metric; only the section's own run may count.
+        for line in lines.values():
+            for section in history.SECTIONS.values():
+                for metric in spec[section]:
+                    line["metrics"].setdefault(metric["name"], {"value": -1.0})
+        metrics = history.build_snapshot(spec, "9.9.9", {"w": lines})["workloads"]["w"]
+        assert {metrics[m["name"]] for m in spec["end_to_end"]} == {0.0}
+        assert {metrics[m["name"]] for m in spec["per_layer"]} == {1.0}
+
+    def test_snapshot_records_its_seed_and_run_length(self, history, snapshot):
+        assert snapshot["seed"] == history.SEED
+        assert snapshot["run_seconds"] == SPEC["run_seconds"]
+
+    def test_a_result_line_without_a_named_metric_stops_the_writer(self, history):
+        spec = dict(SPEC, workloads=[{"name": "w"}])
+        full = {m["name"]: {"value": 1.0} for m in spec["end_to_end"] + spec["per_layer"]}
+        short = {name: value for name, value in full.items() if name != "accuracy"}
+        results = {"w": {0: {"metrics": short}, 1: {"metrics": full}}}
+        with pytest.raises(KeyError, match="accuracy"):
+            history.build_snapshot(spec, "9.9.9", results)
+
+    def test_check_reports_every_workload_of_a_snapshot_without_workloads(
+        self, history, snapshot, tmp_path
+    ):
+        del snapshot["workloads"]
+        path = write_snapshot(history, tmp_path, snapshot)
+        assert history.check(path, repro.__version__, SPEC) == [
+            f"workload {workload['name']} is missing" for workload in SPEC["workloads"]
+        ]
+
+    def test_check_reports_every_problem_in_spec_order(self, history, snapshot, tmp_path):
+        del snapshot["workloads"]["serve_http"]["accuracy"]
+        snapshot["workloads"]["continual_train"]["perfbench.tracing_overhead_pct"] = None
+        path = write_snapshot(history, tmp_path, snapshot)
+        assert history.check(path, repro.__version__, SPEC) == [
+            "continual_train: metric perfbench.tracing_overhead_pct is missing",
+            "serve_http: metric accuracy is missing",
+        ]
+
+    def test_check_ignores_what_the_benchmark_does_not_name(self, history, snapshot, tmp_path):
+        snapshot["workloads"]["batch_infer"]["retired_metric_s"] = "n/a"
+        snapshot["workloads"]["retired_workload"] = {}
+        path = write_snapshot(history, tmp_path, snapshot)
+        assert history.check(path, repro.__version__, SPEC) == []
+
+    def test_check_mode_fails_when_this_version_has_no_snapshot(self, history, monkeypatch, capsys):
+        monkeypatch.setattr(repro, "__version__", "0.0.0")
+        assert history.main(["--check"]) == 1
+        assert "error: no snapshot at " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "retired", ["--root", "--list", "--from-report", "--baseline", "--tolerance"]
+    )
+    def test_check_is_the_only_option(self, history, retired, capsys):
+        with pytest.raises(SystemExit) as exited:
+            history.main(["--check", retired, "x"])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {retired}" in capsys.readouterr().err
+
+
+HISTORY = sorted(SCRIPTS_DIR.parent.glob("BENCH_v*.json"))
+
+
+@pytest.mark.integration
+class TestCommittedHistory:
+    """The committed ``BENCH_v*.json`` files, old layouts included."""
+
+    @pytest.mark.parametrize("path", HISTORY, ids=[path.stem for path in HISTORY])
+    def test_each_snapshot_records_the_version_of_its_name(self, history, path):
+        version = json.loads(path.read_text(encoding="utf-8"))["version"]
+        assert history.snapshot_path(version, path.parent) == path
+
+    def test_the_current_snapshot_used_the_writer_settings(self, history):
+        path = history.snapshot_path(repro.__version__)
+        snapshot = json.loads(path.read_text(encoding="utf-8"))
+        assert snapshot["seed"] == history.SEED
+        assert snapshot["run_seconds"] == SPEC["run_seconds"]
+
+    @pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+    def test_the_current_snapshot_holds_exactly_the_named_metrics(self, history, workload):
+        path = history.snapshot_path(repro.__version__)
+        metrics = json.loads(path.read_text(encoding="utf-8"))["workloads"][workload]
+        names = {metric["name"] for metric in SPEC["end_to_end"] + SPEC["per_layer"]}
+        assert set(metrics) == names
+
+    @pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+    def test_every_operation_of_the_current_snapshot_succeeded(self, history, workload):
+        path = history.snapshot_path(repro.__version__)
+        metrics = json.loads(path.read_text(encoding="utf-8"))["workloads"][workload]
+        assert metrics["ok_frac"] == 1.0
 
 
 @pytest.mark.integration
