@@ -10,7 +10,9 @@ a scraper sees it:
   process pool) served by a :class:`~repro.serving.server.ModelServer` —
   ``/v1/metrics``, ``/v1/metrics.json`` and the legacy ``/metrics`` and
   ``/metrics.json`` (which serve ``alpha``);
-* ``empty_pool``: a thread pool that has served nothing yet;
+* ``empty_pool``: a thread pool that has served nothing yet, through the
+  legacy ``/metrics`` and ``/metrics.json`` and through ``/v1/metrics`` and
+  ``/v1/metrics.json``;
 * ``runner`` and ``empty_runner``: a :class:`RunnerMetrics` sink behind
   :class:`RunnerMetricsServer`.
 
@@ -123,6 +125,8 @@ def _serving_outputs(artifact_dir: Path) -> Dict[str, Any]:
     with ModelServer(empty) as server:
         outputs["empty_pool_metrics"] = _text_record(_get(f"{server.url}/metrics"))
         outputs["empty_pool_metrics_json"] = _get_json(f"{server.url}/metrics.json")
+        outputs["empty_pool_v1_metrics"] = _text_record(_get(f"{server.url}/v1/metrics"))
+        outputs["empty_pool_v1_metrics_json"] = _get_json(f"{server.url}/v1/metrics.json")
 
     detector = SpikeCountDriftDetector(window=4, threshold=1.0)
     alpha = ReplicaPool.from_artifact(artifact, workers=1, drift_detector=detector)
