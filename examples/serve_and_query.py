@@ -5,8 +5,8 @@ The full serving walkthrough in one script:
 1. train a tiny SpikeDyn model on a few synthetic digit classes;
 2. publish it into a versioned :class:`~repro.serving.ArtifactRegistry`;
 3. boot the micro-batching HTTP server on an ephemeral port (the same
-   stack as ``repro serve``);
-4. query it concurrently over HTTP and check the answers against the
+   stack as ``repro serve``), which serves the pool under its model name;
+4. query it concurrently over ``/v1`` and check the answers against the
    offline batched evaluation path;
 5. print the serving metrics (batch-size histogram, latency quantiles,
    drift state).
@@ -25,6 +25,7 @@ import tempfile
 
 import numpy as np
 
+from repro.client import ServingClient
 from repro.core.config import SpikeDynConfig
 from repro.datasets.synthetic_mnist import SyntheticDigits
 from repro.evaluation.reporting import format_table
@@ -34,7 +35,6 @@ from repro.serving import (
     ModelServer,
     ReplicaPool,
     SpikeCountDriftDetector,
-    fetch_json,
     http_sender,
     offline_predictions,
     run_load,
@@ -107,8 +107,8 @@ def main() -> None:
                     images.append(np.asarray(image, dtype=float))
                     labels.append(cls)
             seeds = list(range(len(images)))
-            report = run_load(http_sender(server.url), images, seeds,
-                              concurrency=args.concurrency)
+            report = run_load(http_sender(server.url, model=pool.model_name),
+                              images, seeds, concurrency=args.concurrency)
             reference = offline_predictions(artifact.build_model(),
                                             images, seeds)
 
@@ -127,7 +127,8 @@ def main() -> None:
                   f"(p95 {report.latency_quantile_ms(95):.1f} ms)")
 
             # 5. Metrics.
-            metrics = fetch_json(server.url, "/metrics.json")
+            snapshots = ServingClient(server.url).metrics_json()["models"]
+            metrics = snapshots[pool.model_name]
             print()
             print("Serving metrics")
             print(f"  requests     : {metrics['requests_total']}")

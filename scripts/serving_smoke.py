@@ -15,11 +15,11 @@ Two modes:
   ``--artifact``), boot an in-process server on an ephemeral port, and
   hammer that.
 
-All HTTP goes through :class:`repro.client.ServingClient`.  By default the
-requests hit the deprecated ``/predict`` alias (proving pre-1.7 clients
-still work); ``--model NAME`` switches to the versioned
-``/v1/models/NAME/predict`` route and validates the per-model ``/v1``
-metrics instead.
+All HTTP goes through :class:`repro.client.ServingClient`: the requests
+post to ``/v1/models/NAME/predict`` and the script validates that model's
+``/v1/metrics.json`` snapshot and the ``/v1/metrics`` exposition.  ``NAME``
+is ``--model``, by default the server's ``default_model`` from
+``/v1/healthz``.
 
 Exit code 0 only when every response arrived and matched.
 
@@ -55,7 +55,7 @@ from repro.serving import (
     run_load,
 )
 
-#: Series every healthy /metrics exposition must carry.
+#: Series every healthy /v1/metrics exposition must carry.
 REQUIRED_METRICS = (
     "repro_serving_requests_total",
     "repro_serving_responses_total",
@@ -67,7 +67,7 @@ REQUIRED_METRICS = (
 
 
 def check_prometheus(text: str, minimum_requests: int) -> list:
-    """Validate the /metrics exposition; returns a list of problems.
+    """Validate the /v1/metrics exposition; returns a list of problems.
 
     Parses every line with the strict text-format parser, asserts the
     required series are present, and cross-checks the request counter
@@ -77,10 +77,10 @@ def check_prometheus(text: str, minimum_requests: int) -> list:
     try:
         families = parse_prometheus_text(text)
     except ValueError as error:
-        return [f"/metrics is not valid Prometheus text format: {error}"]
+        return [f"/v1/metrics is not valid Prometheus text format: {error}"]
     for name in REQUIRED_METRICS:
         if name not in families:
-            problems.append(f"/metrics is missing the {name!r} series")
+            problems.append(f"/v1/metrics is missing the {name!r} series")
     samples = families.get("repro_serving_requests_total", {})
     total = sum(samples.values()) if samples else 0.0
     if total < minimum_requests:
@@ -116,8 +116,9 @@ def main(argv=None) -> int:
                         help="base URL of a running server (in-process "
                              "server on an ephemeral port when omitted)")
     parser.add_argument("--model", default=None,
-                        help="drive POST /v1/models/<MODEL>/predict and the "
-                             "/v1 metrics instead of the deprecated aliases")
+                        help="model to drive through POST "
+                             "/v1/models/<MODEL>/predict (default: the "
+                             "server's default_model)")
     parser.add_argument("--requests", type=int, default=64,
                         help="number of requests to fire (default: 64)")
     parser.add_argument("--concurrency", type=int, default=16,
@@ -166,25 +167,21 @@ def main(argv=None) -> int:
 
         def hammer(url: str):
             client = ServingClient(url, retries=0)
-            report = run_load(http_sender(url, model=args.model),
+            model = args.model or client.health()["default_model"]
+            report = run_load(http_sender(url, model=model),
                               images, seeds, concurrency=args.concurrency)
-            if args.model is not None:
-                snapshots = client.metrics_json()["models"]
-                key = next(
-                    (key for key in snapshots
-                     if key == args.model
-                     or key.startswith(f"{args.model}@")),
-                    None,
+            snapshots = client.metrics_json()["models"]
+            key = next(
+                (key for key in snapshots
+                 if key == model or key.startswith(f"{model}@")),
+                None,
+            )
+            if key is None:
+                raise SystemExit(
+                    f"/v1/metrics.json has no snapshot for model "
+                    f"{model!r} (got: {sorted(snapshots)})"
                 )
-                if key is None:
-                    raise SystemExit(
-                        f"/v1/metrics.json has no snapshot for model "
-                        f"{args.model!r} (got: {sorted(snapshots)})"
-                    )
-                return report, snapshots[key], client.metrics_text()
-            # deprecated aliases: default-model metrics, 1.6-shaped
-            return (report, client.request("GET", "/metrics.json"),
-                    client.request("GET", "/metrics")["text"])
+            return report, snapshots[key], client.metrics_text()
 
         if args.url is not None:
             print(f"waiting for {args.url} ...", flush=True)
@@ -230,7 +227,7 @@ def main(argv=None) -> int:
             print(f"error: {problem}", file=sys.stderr)
     else:
         lines = len(prometheus_text.strip().splitlines())
-        print(f"GET /metrics: valid Prometheus text exposition "
+        print(f"GET /v1/metrics: valid Prometheus text exposition "
               f"({lines} lines)")
     if failures:
         return 1

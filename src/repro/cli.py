@@ -29,7 +29,7 @@ driven without writing Python:
     concurrent inference behind the versioned ``/v1`` API
     (``POST /v1/models/<name>/predict``, ``GET /v1/models``,
     ``GET /v1/metrics``), optionally sharded across worker processes
-    (``--shards``), with the pre-1.7 endpoints kept as deprecated aliases.
+    (``--shards``).
 ``spikedyn-repro backends``
     List the registered compute backends (the sparse event-driven
     reference kernels) with their availability, equivalence tier and the
@@ -693,9 +693,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"({plane}, max_batch={args.max_batch}, "
           f"max_wait_ms={args.max_wait_ms:g})", flush=True)
     print("endpoints: POST /v1/models/<name>/predict, GET /v1/models, "
-          "GET /v1/models/<name>/healthz, GET /v1/metrics[.json]; "
-          "deprecated aliases: POST /predict, GET /healthz, "
-          "GET /metrics[.json]", flush=True)
+          "GET /v1/models/<name>/healthz, GET /v1/healthz, "
+          "GET /v1/metrics[.json]", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -1,9 +1,8 @@
 """Stdlib client for the serving API: typed errors, jittered retries.
 
 :class:`ServingClient` speaks the versioned ``/v1`` surface of
-:class:`~repro.serving.server.ModelServer` (and the deprecated pre-1.7
-aliases when no model name is given) using nothing but ``urllib``.  The
-server's structured error envelope::
+:class:`~repro.serving.server.ModelServer` using nothing but ``urllib``.
+The server's structured error envelope::
 
     {"error": {"code": "rate_limited", "message": "...", "detail": {...}}}
 
@@ -278,9 +277,7 @@ class ServingClient:
     # -- API surface ---------------------------------------------------------
 
     @staticmethod
-    def _predict_path(model: Optional[str], version) -> str:
-        if model is None:
-            return "/predict"  # deprecated single-model alias
+    def _predict_path(model: str, version) -> str:
         if version is None:
             return f"/v1/models/{model}/predict"
         if isinstance(version, int):
@@ -288,14 +285,14 @@ class ServingClient:
         return f"/v1/models/{model}/versions/{version}/predict"
 
     def predict(self, image, seed: Optional[int] = None, *,
-                model: Optional[str] = None,
+                model: str,
                 version: Union[int, str, None] = None,
                 trace_id: Optional[str] = None) -> dict:
-        """One prediction; returns the full response body.
+        """One prediction against ``model``; returns the full response body.
 
-        ``model=None`` uses the deprecated single-model alias (the server's
-        default model); otherwise the versioned ``/v1`` route is used.
-        ``image`` is any nested sequence of pixel intensities.
+        ``version`` pins a registry version (``3``, ``"v3"``); ``None``
+        uses the latest resident one.  ``image`` is any nested sequence of
+        pixel intensities.
         ``trace_id`` sends the ``X-Repro-Trace-Id`` header, activating
         server-side distributed tracing for this request; the response body
         then carries the same id back as ``"trace_id"``.

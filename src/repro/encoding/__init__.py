@@ -1,34 +1,24 @@
 """Spike encoders that convert static inputs into spike trains.
 
-The paper uses Poisson rate coding (Section II / IV); the remaining coding
-schemes it cites (temporal/latency, rank-order, phase, and burst coding) are
-also provided so that downstream users can experiment with alternative
-front-ends without changing the rest of the pipeline.  The event-stream
-family (:mod:`repro.encoding.events`) emits the engine's native sparse
+The paper uses Poisson rate coding (Section II / IV):
+:class:`PoissonRateEncoder`.  The event-stream family
+(:mod:`repro.encoding.events`) emits the engine's native sparse
 :class:`~repro.snn.events.EventStream` representation directly, for the
 long-horizon low-rate workloads served by ``Network.run_events``.
 """
 
 from repro.encoding.base import SpikeEncoder
-from repro.encoding.burst import BurstEncoder
 from repro.encoding.events import (
     DVSEventStreamEncoder,
     EventStreamEncoder,
     PoissonEventStreamEncoder,
 )
-from repro.encoding.phase import PhaseEncoder
-from repro.encoding.rank_order import RankOrderEncoder
 from repro.encoding.rate import PoissonRateEncoder
-from repro.encoding.temporal import LatencyEncoder
 
 __all__ = [
-    "BurstEncoder",
     "DVSEventStreamEncoder",
     "EventStreamEncoder",
-    "LatencyEncoder",
-    "PhaseEncoder",
     "PoissonEventStreamEncoder",
     "PoissonRateEncoder",
-    "RankOrderEncoder",
     "SpikeEncoder",
 ]

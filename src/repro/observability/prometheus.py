@@ -2,11 +2,12 @@
 
 :func:`render_prometheus` renders one or more
 :class:`~repro.observability.metrics.MetricsRegistry` instances in the
-Prometheus text exposition format (version 0.0.4) served on every
-``GET /metrics`` endpoint: counters as ``counter`` samples, gauges (queue
-depth, uptime, window sizes, latency quantiles, the info-style identity
-gauge ``repro_serving_info{backend="sparse",...} 1``) as ``gauge`` samples,
-and the batch-size histogram as a cumulative ``histogram``
+Prometheus text exposition format (version 0.0.4) served on every metrics
+endpoint (serving ``GET /v1/metrics``, the runner's ``GET /metrics``):
+counters as ``counter`` samples, gauges (queue depth, uptime, window sizes,
+latency quantiles, the info-style identity gauge
+``repro_serving_info{backend="sparse",...} 1``) as ``gauge`` samples, and
+the batch-size histogram as a cumulative ``histogram``
 (``_bucket{le=...}`` / ``_sum`` / ``_count``).
 
 Everything is stdlib string formatting, no client library.  The inverse,

@@ -28,8 +28,7 @@ multi-tenant service::
   structured error envelope and the hardening primitives;
 * :mod:`repro.serving.server` — stdlib HTTP API
   (``POST /v1/models/<name>/predict``, ``GET /v1/models``, per-model
-  ``healthz``, Prometheus ``/v1/metrics``; deprecated pre-1.7 aliases)
-  behind ``repro serve``;
+  ``healthz``, Prometheus ``/v1/metrics``) behind ``repro serve``;
 * :mod:`repro.serving.metrics` / :mod:`repro.serving.drift` — request
   counters, batch-size histogram, latency quantiles, and the online
   spike-count drift alarm;
@@ -64,12 +63,9 @@ from repro.serving.inference import (
 )
 from repro.serving.loadgen import (
     LoadReport,
-    fetch_json,
-    fetch_text,
     http_sender,
     pool_sender,
     run_load,
-    wait_until_healthy,
 )
 from repro.serving.metrics import ServingMetrics
 from repro.serving.pool import ReplicaPool
@@ -107,13 +103,10 @@ __all__ = [
     "derive_request_seed",
     "encode_request",
     "error_envelope",
-    "fetch_json",
-    "fetch_text",
     "http_sender",
     "load_artifact",
     "offline_predictions",
     "pool_sender",
     "run_load",
     "save_artifact",
-    "wait_until_healthy",
 ]

@@ -105,7 +105,7 @@ class ModelArtifact:
         return self.config.n_exc
 
     def describe(self) -> Dict[str, object]:
-        """Small JSON-safe summary (for ``/healthz`` and reports)."""
+        """Small JSON-safe summary (for the ``repro serve`` banner and reports)."""
         return {
             "path": str(self.path),
             "schema_version": self.schema_version,

@@ -1,7 +1,6 @@
 """Structured serving errors: one JSON envelope for every failure.
 
-Every error the ``/v1`` API (and the deprecated legacy aliases) returns has
-the same shape::
+Every error the ``/v1`` API returns has the same shape::
 
     {"error": {"code": "rate_limited", "message": "...", "detail": {...}}}
 

@@ -5,9 +5,8 @@ The generator is target-agnostic: a *sender* is any callable taking
 :func:`pool_sender` drives a :class:`~repro.serving.pool.ServingPool` —
 either executor, threads or shard processes — in-process (what the
 benchmarks use — no HTTP noise in the measurement);
-:func:`http_sender` drives a running server over HTTP through
-:class:`~repro.client.ServingClient` — the ``/v1`` model route when a
-model is named, the deprecated ``/predict`` alias otherwise (what the CI
+:func:`http_sender` drives one model of a running server over HTTP through
+:class:`~repro.client.ServingClient` on its ``/v1`` route (what the CI
 smoke test and the example use).
 
 :func:`run_load` fans ``n`` requests over ``concurrency`` client threads
@@ -20,11 +19,8 @@ throughput.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -93,14 +89,13 @@ def pool_sender(pool: ServingPool,
 
 
 def http_sender(url: str, timeout: float = 30.0, *,
-                model: Optional[str] = None,
+                model: str,
                 version: Optional[str] = None,
                 tenant: Optional[str] = None,
                 retries: int = 0) -> Sender:
-    """Sender driving a server through :class:`~repro.client.ServingClient`.
+    """Sender posting to ``model``'s ``/v1`` route (``version`` pins one)
+    through :class:`~repro.client.ServingClient`.
 
-    ``model=None`` posts to the deprecated ``/predict`` alias; naming a
-    model (and optionally a version) posts to the ``/v1`` route.
     ``retries=0`` keeps every failure visible to the load report; smoke
     tests that only care about steady state pass a positive budget.
     """
@@ -115,35 +110,6 @@ def http_sender(url: str, timeout: float = 30.0, *,
         return int(body["prediction"])
 
     return send
-
-
-def fetch_json(url: str, path: str, timeout: float = 10.0) -> dict:
-    """GET ``<url><path>`` and decode the JSON body (/healthz, /metrics.json)."""
-    with urllib.request.urlopen(url.rstrip("/") + path, timeout=timeout) as response:
-        return json.loads(response.read().decode("utf-8"))
-
-
-def fetch_text(url: str, path: str, timeout: float = 10.0) -> str:
-    """GET ``<url><path>`` and return the raw text body (Prometheus /metrics)."""
-    with urllib.request.urlopen(url.rstrip("/") + path, timeout=timeout) as response:
-        return response.read().decode("utf-8")
-
-
-def wait_until_healthy(url: str, timeout: float = 30.0,
-                       interval: float = 0.2) -> dict:
-    """Poll ``GET /healthz`` until it answers 200 or ``timeout`` elapses."""
-    deadline = time.perf_counter() + timeout
-    last_error: Optional[Exception] = None
-    while time.perf_counter() < deadline:
-        try:
-            return fetch_json(url, "/healthz", timeout=interval * 10)
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as error:
-            last_error = error
-            time.sleep(interval)
-    raise TimeoutError(
-        f"server at {url} did not become healthy within {timeout:.0f} s "
-        f"(last error: {last_error})"
-    )
 
 
 def run_load(send: Sender, images: Sequence[np.ndarray],

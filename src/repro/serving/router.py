@@ -253,36 +253,13 @@ class ModelRouter:
 
     @property
     def default_model(self) -> Optional[str]:
-        """The first pinned model — the target of the legacy endpoints."""
+        """The first pinned model, else the first loaded (``/v1/healthz``)."""
         with self._lock:
             for name in self._pinned:
                 return name
             for name, _version in self._loaded:
                 return name
         return None
-
-    def default_entry(self) -> _ModelEntry:
-        """Entry behind the legacy single-model endpoints.
-
-        Resolved under one lock acquisition, so an eviction (or stop)
-        racing between the name lookup and the entry lookup surfaces as a
-        404, never as an internal error.
-        """
-        with self._lock:
-            if self._closed:
-                raise ApiError(CODE_SHUTTING_DOWN, "server is shutting down")
-            for entry in self._pinned.values():
-                return entry
-            first_name = next((key_name for key_name, _ in self._loaded),
-                              None)
-            if first_name is not None:
-                candidates = [entry for (key_name, _), entry
-                              in self._loaded.items()
-                              if key_name == first_name]
-                return max(candidates, key=lambda entry: entry.version or 0)
-        raise ModelNotFoundError(
-            "no models are loaded", detail={"loaded": []}
-        )
 
     def start(self) -> "ModelRouter":
         """Start every resident pool (idempotent, like the pools)."""

@@ -27,20 +27,10 @@ Every error, on every route, is one structured envelope::
     {"error": {"code": "rate_limited", "message": "...", "detail": {...}}}
 
 with stable codes from :mod:`repro.serving.errors`.  Backpressure and
-rate-limit rejections are ``429`` with a ``Retry-After`` header (not the
-bare ``503`` of the pre-1.7 API); an open circuit breaker is ``503`` with
-``Retry-After``.
-
-Deprecated aliases
-------------------
-The pre-1.7 single-model surface — ``POST /predict``, ``GET /healthz``,
-``GET /metrics``, ``GET /metrics.json`` — still works, pinned to the
-*default* model (the first one registered).  Alias responses carry a
-``Deprecation: true`` header and a ``Link: <successor>;
-rel="successor-version"`` pointer; success bodies are bit-identical to
-v1.6.0 (the equivalence tests assert this), except that the metrics aliases
-keep every family, sample and value but not their order
-(``tests/data/metrics_fixture.json`` pins them).
+rate-limit rejections are ``429`` with a ``Retry-After`` header; an open
+circuit breaker is ``503`` with ``Retry-After``.  Any other path answers
+``404`` ``not_found``; that includes the pre-1.7 single-model aliases,
+removed in 1.12.0.
 
 Implementation notes: ``ThreadingHTTPServer`` gives one handler thread per
 connection — handlers block on the request future while the pools' workers
@@ -97,14 +87,6 @@ _MODEL_PREDICT = re.compile(r"^/v1/models/([^/]+)/predict$")
 _VERSION_PREDICT = re.compile(r"^/v1/models/([^/]+)/versions/([^/]+)/predict$")
 _MODEL_HEALTHZ = re.compile(r"^/v1/models/([^/]+)/healthz$")
 
-#: Successor route advertised in each deprecated alias's ``Link`` header.
-_ALIAS_SUCCESSOR = {
-    "/predict": "/v1/models/{model}/predict",
-    "/healthz": "/v1/models/{model}/healthz",
-    "/metrics": "/v1/metrics",
-    "/metrics.json": "/v1/metrics.json",
-}
-
 
 class _ServingHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer carrying the router/server references."""
@@ -154,47 +136,27 @@ class _Handler(BaseHTTPRequestHandler):
         if not self.server.quiet:  # pragma: no cover - CLI verbose mode
             super().log_message(format, *args)
 
-    def _deprecation_headers(self, alias: str) -> Dict[str, str]:
-        successor = _ALIAS_SUCCESSOR[alias]
-        if "{model}" in successor:
-            model = self.server.router.default_model or "default"
-            successor = successor.format(model=model)
-        return {"Deprecation": "true",
-                "Link": f'<{successor}>; rel="successor-version"'}
-
-    def _send_json(self, status: int, payload: object,
-                   headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        merged = {**self._trace_headers(), **(headers or {})}
-        for key, value in merged.items():
-            self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, body: str, content_type: str,
-                   headers: Optional[Dict[str, str]] = None) -> None:
-        data = body.encode("utf-8")
+    def _send(self, status: int, data: bytes, content_type: str,
+              headers: Optional[Dict[str, str]] = None) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
-        merged = {**self._trace_headers(), **(headers or {})}
-        for key, value in merged.items():
+        for key, value in {**self._trace_headers(), **(headers or {})}.items():
             self.send_header(key, value)
         self.end_headers()
         self.wfile.write(data)
 
-    def _send_api_error(self, error: ApiError,
-                        headers: Optional[Dict[str, str]] = None) -> None:
-        merged = dict(headers or {})
+    def _send_json(self, status: int, payload: object,
+                   headers: Optional[Dict[str, str]] = None) -> None:
+        self._send(status, json.dumps(payload).encode("utf-8"),
+                   "application/json", headers)
+
+    def _send_api_error(self, error: ApiError) -> None:
         retry_after = error.retry_after_header
-        if retry_after is not None:
-            merged["Retry-After"] = retry_after
         _log.warning("request_rejected", path=self.path, status=error.status,
                      code=error.code, error=error.message)
-        self._send_json(error.status, error.envelope(), merged)
+        self._send_json(error.status, error.envelope(),
+                        None if retry_after is None else {"Retry-After": retry_after})
 
     # -- GET -----------------------------------------------------------------
 
@@ -230,34 +192,12 @@ class _Handler(BaseHTTPRequestHandler):
             })
             return
         if path == "/v1/metrics":
-            self._send_text(
-                200, render_prometheus(router.metrics_registries()),
-                PROMETHEUS_CONTENT_TYPE,
-            )
+            self._send(200, render_prometheus(router.metrics_registries()).encode("utf-8"),
+                       PROMETHEUS_CONTENT_TYPE)
             return
         if path == "/v1/metrics.json":
             self._send_json(200, {"models": router.metrics_snapshots(),
                                   **router.metrics.snapshot()})
-            return
-        # -- deprecated single-model aliases (v1.6.0 bodies) ----------------
-        if path in ("/healthz", "/metrics", "/metrics.json"):
-            pool = router.default_entry().pool
-            headers = self._deprecation_headers(path)
-            if path == "/healthz":
-                self._send_json(200, {
-                    "status": "ok" if pool.running else "stopped",
-                    "model": pool.model_name,
-                    "n_input": pool.n_input,
-                    "workers": pool.workers,
-                    "queue_depth": pool.queue_depth,
-                    "max_batch": pool.batcher.max_batch,
-                    "max_wait_ms": pool.batcher.max_wait_ms,
-                }, headers)
-            elif path == "/metrics":
-                self._send_text(200, render_prometheus([(pool.metrics, None)]),
-                                PROMETHEUS_CONTENT_TYPE, headers)
-            else:
-                self._send_json(200, pool.metrics_snapshot(), headers)
             return
         raise ApiError(CODE_NOT_FOUND, f"unknown path {self.path!r}")
 
@@ -269,9 +209,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             self._route_post()
         except ApiError as error:
-            headers = (self._deprecation_headers("/predict")
-                       if self.path == "/predict" else None)
-            self._send_api_error(error, headers)
+            self._send_api_error(error)
         except Exception as error:  # noqa: BLE001 - last-resort envelope
             self._send_api_error(ApiError(
                 CODE_INTERNAL, f"{type(error).__name__}: {error}"
@@ -281,25 +219,18 @@ class _Handler(BaseHTTPRequestHandler):
         path = self.path
         match = _MODEL_PREDICT.match(path)
         if match:
-            self._handle_predict(match.group(1), None, legacy=False)
+            self._handle_predict(match.group(1), None)
             return
         match = _VERSION_PREDICT.match(path)
         if match:
-            self._handle_predict(match.group(1), match.group(2), legacy=False)
-            return
-        if path == "/predict":
-            self._handle_predict(None, None, legacy=True)
+            self._handle_predict(match.group(1), match.group(2))
             return
         raise ApiError(CODE_NOT_FOUND, f"unknown path {self.path!r}")
 
-    def _handle_predict(self, name: Optional[str], version: Optional[str],
-                        *, legacy: bool) -> None:
+    def _handle_predict(self, name: str, version: Optional[str]) -> None:
         image, seed = self._read_predict_body()
         router = self.server.router
-        if legacy:
-            entry = router.default_entry()
-        else:
-            entry = router.resolve(name, version)
+        entry = router.resolve(name, version)
         tenant = self.headers.get(TENANT_HEADER, DEFAULT_TENANT)
         if self._trace is None and tracing_forced():
             # REPRO_TRACE: trace every request; deterministic id when the
@@ -331,14 +262,10 @@ class _Handler(BaseHTTPRequestHandler):
             # Only traced responses grow the field — untraced bodies stay
             # bit-identical to the pre-tracing API.
             body["trace_id"] = self._trace.trace_id
-        if legacy:
-            body["model"] = entry.pool.model_name
-            self._send_json(200, body, self._deprecation_headers("/predict"))
-        else:
-            body["model"] = entry.name
-            body["version"] = (f"v{entry.version:04d}"
-                               if entry.version is not None else None)
-            self._send_json(200, body)
+        body["model"] = entry.name
+        body["version"] = (f"v{entry.version:04d}"
+                           if entry.version is not None else None)
+        self._send_json(200, body)
 
     def _read_predict_body(self) -> Tuple[np.ndarray, Optional[int]]:
         """Read and validate the predict payload; raises ``ApiError``."""
@@ -394,8 +321,7 @@ class ModelServer:
     source:
         Either a :class:`~repro.serving.router.ModelRouter` (multi-model
         serving) or a single pool (``ReplicaPool``/``ShardProcessPool``),
-        which is wrapped in a one-model router pinned under its model name —
-        the pre-1.7 construction style keeps working unchanged.
+        which is wrapped in a one-model router pinned under its model name.
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (see
         :attr:`address`).

@@ -1,4 +1,4 @@
-"""Shared utilities: RNG management, validation, logging, and serialization."""
+"""Shared utilities: RNG management, validation, and serialization."""
 
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import (

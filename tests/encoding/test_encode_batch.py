@@ -5,9 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.encoding.burst import BurstEncoder
-from repro.encoding.rank_order import RankOrderEncoder
+from repro.encoding.events import DVSEventStreamEncoder, PoissonEventStreamEncoder
 from repro.encoding.rate import PoissonRateEncoder
+
+#: Each surviving encoder, seeded: a fresh instance per call, so two calls
+#: with one seed consume identical random streams.
+SEEDED_ENCODERS = {
+    "PoissonRateEncoder": lambda seed: PoissonRateEncoder(duration=20.0, rng=seed),
+    "PoissonEventStreamEncoder": lambda seed: PoissonEventStreamEncoder(
+        duration=20.0, max_rate=200.0, rng=seed),
+    "DVSEventStreamEncoder": lambda seed: DVSEventStreamEncoder(
+        duration=20.0, n_bursts=2, burst_steps=4, max_probability=0.5, rng=seed),
+}
 
 
 @pytest.fixture
@@ -51,11 +60,21 @@ class TestPoissonEncodeBatch:
 
 
 class TestDefaultEncodeBatch:
-    """Deterministic encoders inherit the stacked default implementation."""
+    """The event-stream encoders inherit the stacked default implementation;
+    the Poisson rate encoder's vectorized override must agree with it."""
 
-    @pytest.mark.parametrize("encoder_cls", [BurstEncoder, RankOrderEncoder])
-    def test_matches_sequential_encoding(self, encoder_cls, images):
-        encoder = encoder_cls(duration=20.0)
-        sequential = np.stack([encoder.encode(image) for image in images])
-        batched = encoder.encode_batch(images)
+    @pytest.mark.parametrize("name", sorted(SEEDED_ENCODERS))
+    def test_matches_sequential_encoding(self, name, images):
+        make = SEEDED_ENCODERS[name]
+        sequential_encoder, batched_encoder = make(17), make(17)
+        sequential = np.stack([sequential_encoder.encode(image) for image in images])
+        batched = batched_encoder.encode_batch(images)
+        assert batched.shape == (len(images), 20, 49)
+        assert batched.dtype == bool
+        assert batched.any()
         np.testing.assert_array_equal(batched, sequential)
+
+    @pytest.mark.parametrize("name", sorted(SEEDED_ENCODERS))
+    def test_empty_batch_is_rejected(self, name):
+        with pytest.raises(ValueError, match="empty batch"):
+            SEEDED_ENCODERS[name](0).encode_batch([])

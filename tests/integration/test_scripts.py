@@ -318,6 +318,7 @@ class TestServingSmoke:
             "serving_smoke.py", "--requests", "12", "--concurrency", "4", "--n-exc", "10"
         )
         assert "prediction-identical to offline evaluation" in completed.stdout
+        assert "GET /v1/metrics: valid Prometheus text exposition" in completed.stdout
 
     def test_url_without_artifact_is_a_usage_error(self):
         completed = run_script("serving_smoke.py", "--url", "http://127.0.0.1:1", expect_code=2)

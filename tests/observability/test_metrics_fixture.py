@@ -8,11 +8,9 @@ a scraper sees it:
 * ``router``: a two-model :class:`~repro.serving.router.ModelRouter`
   (``alpha``, a thread pool with a drift detector, and ``beta``, a one-shard
   process pool) served by a :class:`~repro.serving.server.ModelServer` —
-  ``/v1/metrics``, ``/v1/metrics.json`` and the legacy ``/metrics`` and
-  ``/metrics.json`` (which serve ``alpha``);
-* ``empty_pool``: a thread pool that has served nothing yet, through the
-  legacy ``/metrics`` and ``/metrics.json`` and through ``/v1/metrics`` and
-  ``/v1/metrics.json``;
+  ``/v1/metrics`` and ``/v1/metrics.json``;
+* ``empty_pool``: a thread pool that has served nothing yet, through
+  ``/v1/metrics`` and ``/v1/metrics.json``;
 * ``runner`` and ``empty_runner``: a :class:`RunnerMetrics` sink behind
   :class:`RunnerMetricsServer`.
 
@@ -123,8 +121,6 @@ def _serving_outputs(artifact_dir: Path) -> Dict[str, Any]:
 
     empty = ReplicaPool.from_artifact(artifact, workers=1)
     with ModelServer(empty) as server:
-        outputs["empty_pool_metrics"] = _text_record(_get(f"{server.url}/metrics"))
-        outputs["empty_pool_metrics_json"] = _get_json(f"{server.url}/metrics.json")
         outputs["empty_pool_v1_metrics"] = _text_record(_get(f"{server.url}/v1/metrics"))
         outputs["empty_pool_v1_metrics_json"] = _get_json(f"{server.url}/v1/metrics.json")
 
@@ -174,16 +170,8 @@ def _serving_outputs(artifact_dir: Path) -> Dict[str, Any]:
                 router.predict("beta", image, tenant=tenant)
             except ApiError:
                 pass
-        for path, key in (
-            ("/v1/metrics", "v1_metrics"),
-            ("/metrics", "legacy_metrics"),
-        ):
-            outputs[key] = _text_record(_get(f"{server.url}{path}"))
-        for path, key in (
-            ("/v1/metrics.json", "v1_metrics_json"),
-            ("/metrics.json", "legacy_metrics_json"),
-        ):
-            outputs[key] = _get_json(f"{server.url}{path}")
+        outputs["v1_metrics"] = _text_record(_get(f"{server.url}/v1/metrics"))
+        outputs["v1_metrics_json"] = _get_json(f"{server.url}/v1/metrics.json")
     return outputs
 
 

@@ -148,7 +148,7 @@ class TestHeaders:
 
     def test_serving_exposition(self, artifact):
         with ModelServer(self._pool(artifact)) as server:
-            assert_every_sample_has_its_own_header(_get(f"{server.url}/metrics"))
+            assert_every_sample_has_its_own_header(_get(f"{server.url}/v1/metrics"))
 
     def test_multi_model_exposition(self, artifact):
         router = ModelRouter()

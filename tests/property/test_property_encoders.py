@@ -8,11 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.encoding.burst import BurstEncoder
-from repro.encoding.phase import PhaseEncoder
-from repro.encoding.rank_order import RankOrderEncoder
+from repro.encoding.events import DVSEventStreamEncoder, PoissonEventStreamEncoder
 from repro.encoding.rate import PoissonRateEncoder
-from repro.encoding.temporal import LatencyEncoder
 
 intensity_images = hnp.arrays(
     dtype=float,
@@ -51,68 +48,16 @@ def test_rate_encoder_probabilities_are_valid(values, seed):
     assert np.all(probabilities <= 1.0)
 
 
-@settings(max_examples=30, deadline=None)
-@given(values=intensity_images, duration=durations)
-def test_latency_encoder_emits_at_most_one_spike_per_element(values, duration):
-    encoder = LatencyEncoder(duration=duration, dt=1.0)
-    train = encoder.encode(values)
-    assert np.all(train.sum(axis=0) <= 1)
-
-
-@settings(max_examples=30, deadline=None)
-@given(values=intensity_images)
-def test_latency_encoder_orders_spikes_by_intensity(values):
-    encoder = LatencyEncoder(duration=50.0, dt=1.0)
-    times = encoder.spike_times(values)
-    active = times >= 0
-    if active.sum() >= 2:
-        active_values = values[active] / max(values.max(), 1e-12)
-        active_times = times[active]
-        order = np.argsort(-active_values, kind="stable")
-        sorted_times = active_times[order]
-        assert np.all(np.diff(sorted_times) >= 0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(values=intensity_images, duration=durations)
-def test_rank_order_encoder_spikes_are_unique_per_timestep(values, duration):
-    encoder = RankOrderEncoder(duration=duration, dt=1.0)
-    train = encoder.encode(values)
-    # At most one element spikes per timestep, and each element at most once.
-    assert np.all(train.sum(axis=1) <= 1)
-    assert np.all(train.sum(axis=0) <= 1)
-
-
-@settings(max_examples=30, deadline=None)
-@given(values=intensity_images)
-def test_phase_encoder_spike_counts_bounded_by_cycles(values):
-    encoder = PhaseEncoder(duration=40.0, dt=1.0, period=10.0)
-    train = encoder.encode(values)
-    assert np.all(train.sum(axis=0) <= 4)
-
-
-@settings(max_examples=30, deadline=None)
-@given(values=intensity_images,
-       max_burst=st.integers(min_value=1, max_value=8))
-def test_burst_encoder_spike_counts_match_burst_lengths(values, max_burst):
-    encoder = BurstEncoder(duration=60.0, dt=1.0, max_burst_length=max_burst,
-                           inter_spike_interval=2)
-    train = encoder.encode(values)
-    lengths = encoder.burst_lengths(values)
-    # Bursts fit comfortably in the 60-step window for max_burst <= 8.
-    np.testing.assert_array_equal(train.sum(axis=0), lengths)
-    assert np.all(lengths <= max_burst)
-
-
 @settings(max_examples=20, deadline=None)
 @given(values=intensity_images)
 def test_all_encoders_reject_negative_intensities(values):
     values = values.copy()
     values[0] = -0.5
     for encoder in (PoissonRateEncoder(duration=10.0, rng=0),
-                    LatencyEncoder(duration=10.0),
-                    RankOrderEncoder(duration=10.0),
-                    PhaseEncoder(duration=10.0),
-                    BurstEncoder(duration=10.0)):
+                    PoissonEventStreamEncoder(duration=10.0, rng=0),
+                    DVSEventStreamEncoder(duration=10.0, n_bursts=2,
+                                          burst_steps=4, rng=0)):
         with pytest.raises(ValueError):
             encoder.encode(values)
+        with pytest.raises(ValueError):
+            encoder.encode_batch([np.abs(values), values])

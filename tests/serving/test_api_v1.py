@@ -158,52 +158,27 @@ class TestMultiTenantRouting:
         assert "spikedyn" in snapshots
 
 
-class TestLegacyAliases:
-    """The pre-1.7 endpoints answer bit-identically, flagged as deprecated."""
+class TestRemovedAliases:
+    """The pre-1.7 single-model aliases were removed in 1.12.0: each is an
+    unknown path now, answered like any other."""
 
-    def test_predict_alias_equals_v1_on_the_default_model(
-            self, api_server, request_images, request_seeds):
-        payload = {"image": list(request_images[0].ravel()),
-                   "seed": int(request_seeds[0])}
-        legacy_status, legacy_headers, legacy_body = _raw(
-            api_server.url, "/predict", payload)
-        v1_status, v1_headers, v1_body = _raw(
-            api_server.url, "/v1/models/spikedyn/predict", payload)
-        assert legacy_status == v1_status == 200
-        assert legacy_headers["Deprecation"] == "true"
-        assert "successor-version" in legacy_headers["Link"]
-        assert "/v1/models/" in legacy_headers["Link"]
-        assert "Deprecation" not in v1_headers
-        # identical prediction payload; /v1 adds routing fields on top of the
-        # legacy body (whose "model" is the model class, as in 1.6)
-        assert legacy_body["prediction"] == v1_body["prediction"]
-        assert legacy_body["seed"] == v1_body["seed"]
-        assert legacy_body["spike_count"] == v1_body["spike_count"]
-        assert legacy_body["scores"] == v1_body["scores"]
-        assert legacy_body["model"] == "spikedyn"
-        assert v1_body["model"] == "spikedyn"
-
-    def test_healthz_alias_keeps_the_v1_6_shape(self, api_server):
-        status, headers, body = _raw(api_server.url, "/healthz")
-        assert status == 200
-        assert headers["Deprecation"] == "true"
-        assert body["status"] == "ok"
-        assert body["model"] == "spikedyn"
-        assert set(body) == {"status", "model", "n_input", "workers",
-                             "queue_depth", "max_batch", "max_wait_ms"}
-
-    def test_metrics_aliases_render_the_default_model(self, api_server):
-        status, headers, _ = _raw(api_server.url, "/metrics.json")
-        assert status == 200
-        assert headers["Deprecation"] == "true"
-        with urllib.request.urlopen(api_server.url + "/metrics",
-                                    timeout=30) as response:
-            assert response.headers["Deprecation"] == "true"
-            text = response.read().decode("utf-8")
-        series = parse_prometheus_text(text)
-        # single-model legacy rendering: samples are unlabelled, as in 1.6
-        assert () in dict(series["repro_serving_requests_total"]) or \
-            [()] == [key for key in series["repro_serving_requests_total"]]
+    @pytest.mark.parametrize("method, path", [
+        ("POST", "/predict"),
+        ("GET", "/healthz"),
+        ("GET", "/metrics"),
+        ("GET", "/metrics.json"),
+    ])
+    def test_removed_alias_is_a_typed_404(self, api_server, request_images,
+                                          method, path):
+        payload = ({"image": list(request_images[0].ravel()), "seed": 0}
+                   if method == "POST" else None)
+        status, headers, body = _raw(api_server.url, path, payload)
+        assert status == 404
+        assert body == {"error": {"code": "not_found",
+                                  "message": f"unknown path {path!r}",
+                                  "detail": None}}
+        assert "Deprecation" not in headers
+        assert "Link" not in headers
 
 
 class TestErrorEnvelope:

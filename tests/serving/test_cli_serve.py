@@ -114,7 +114,8 @@ class TestServeHappyPath:
         assert "listening on http://127.0.0.1:" in captured.out
         assert "backend=sparse" in captured.out
         assert "POST /v1/models/<name>/predict" in captured.out
-        assert "POST /predict" in captured.out  # deprecated alias announced
+        assert "GET /v1/healthz" in captured.out
+        assert "GET /v1/metrics[.json]" in captured.out
         assert "shutting down" in captured.err
 
     def test_serve_with_explicit_name_and_backend_override(

@@ -108,12 +108,19 @@ IMAGE = np.zeros(4)
 
 
 class TestRequestShapes:
-    def test_legacy_predict_posts_to_the_alias(self, stub):
+    def test_predict_requires_a_model(self, stub):
+        with pytest.raises(TypeError, match="model"):
+            ServingClient(stub.url).predict(IMAGE)
+        with pytest.raises(TypeError, match="model"):
+            ServingClient(stub.url).predict(IMAGE, seed=7)
+        assert stub.requests == []
+
+    def test_model_route_posts_image_and_seed(self, stub):
         stub.script((200, {}, ok_body()))
-        body = ServingClient(stub.url).predict(IMAGE, seed=7)
+        body = ServingClient(stub.url).predict(IMAGE, seed=7, model="digits")
         assert body["prediction"] == 3
         method, path, _, payload = stub.requests[0]
-        assert (method, path) == ("POST", "/predict")
+        assert (method, path) == ("POST", "/v1/models/digits/predict")
         assert payload == {"image": [0.0] * 4, "seed": 7}
 
     def test_model_and_version_route(self, stub):
@@ -210,19 +217,19 @@ class TestErrorTyping:
     def test_pre_1_7_string_error_still_parses(self, stub):
         stub.script((400, {}, {"error": "image must be a list"}))
         with pytest.raises(ClientInvalidRequestError) as excinfo:
-            ServingClient(stub.url, retries=0).predict(IMAGE)
+            ServingClient(stub.url, retries=0).predict(IMAGE, model="m")
         assert "image must be a list" in excinfo.value.message
 
     def test_non_json_error_body_falls_back_by_status(self, stub):
         stub.script((503, {}, b"<html>gateway sad</html>"))
         with pytest.raises(ClientUnavailableError):
-            ServingClient(stub.url, retries=0).predict(IMAGE)
+            ServingClient(stub.url, retries=0).predict(IMAGE, model="m")
 
     def test_detail_and_retry_after_surface(self, stub):
         stub.script((429, {"Retry-After": "7"},
                      envelope("rate_limited", detail={"tenant": "t"})))
         with pytest.raises(ClientRateLimitedError) as excinfo:
-            ServingClient(stub.url, retries=0).predict(IMAGE)
+            ServingClient(stub.url, retries=0).predict(IMAGE, model="m")
         assert excinfo.value.retry_after_s == 7.0
         assert excinfo.value.detail == {"tenant": "t"}
 

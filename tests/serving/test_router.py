@@ -290,15 +290,12 @@ class TestRegistryLRU:
         assert router.predict("m", IMAGE).prediction == 1
         assert len(attempts) == 2
 
-    def test_default_entry_serves_registry_model_and_404s_when_empty(
-            self, pools):
+    def test_default_model_is_the_first_loaded_registry_model(self, pools):
         registry = FakeRegistry({"m": [1, 2]})
         router = make_router(pools, registry=registry)
-        with pytest.raises(ModelNotFoundError) as excinfo:
-            router.default_entry()
-        assert excinfo.value.status == 404
+        assert router.default_model is None
         router.predict("m", IMAGE)
-        assert router.default_entry().version == 2
+        assert router.default_model == "m"
 
     def test_list_models_merges_loaded_and_registry(self, pools):
         registry = FakeRegistry({"m": [1, 2]})

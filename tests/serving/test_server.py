@@ -1,4 +1,8 @@
-"""HTTP server tests: the end-to-end hammer plus protocol error paths."""
+"""HTTP server tests: the end-to-end hammer plus protocol error paths.
+
+A server built from one pool serves it under ``pool.model_name`` on the
+``/v1`` routes; every request here goes through them.
+"""
 
 from __future__ import annotations
 
@@ -9,14 +13,13 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.client import ServingClient
 from repro.observability import parse_prometheus_text
 from repro.observability.prometheus import PROMETHEUS_CONTENT_TYPE
 from repro.serving import (
     ModelServer,
     ReplicaPool,
     SpikeCountDriftDetector,
-    fetch_json,
-    fetch_text,
     http_sender,
     offline_predictions,
     run_load,
@@ -33,10 +36,18 @@ def server(artifact):
         yield server
 
 
-def _post(url: str, payload: object, raw: bytes = None) -> tuple:
+def _predict_url(server) -> str:
+    return f"{server.url}/v1/models/{server.pool.model_name}/predict"
+
+
+def _sender(server):
+    return http_sender(server.url, model=server.pool.model_name)
+
+
+def _post(server, payload: object, raw: bytes = None) -> tuple:
     body = raw if raw is not None else json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(
-        url + "/predict", data=body,
+        _predict_url(server), data=body,
         headers={"Content-Type": "application/json"}, method="POST",
     )
     try:
@@ -57,14 +68,13 @@ class TestEndToEnd:
         seeds = [seed + 1000 * repeat
                  for repeat in range(4) for seed in request_seeds]
         reference = offline_predictions(artifact.build_model(), images, seeds)
-        report = run_load(http_sender(server.url), images, seeds,
-                          concurrency=16)
+        report = run_load(_sender(server), images, seeds, concurrency=16)
         assert report.errors == []
         assert report.ok == len(images)
         np.testing.assert_array_equal(report.predictions, reference)
 
     def test_healthz_reports_deployment_shape(self, server):
-        health = fetch_json(server.url, "/healthz")
+        health = ServingClient(server.url).health(server.pool.model_name)
         assert health["status"] == "ok"
         assert health["model"] == "spikedyn"
         assert health["workers"] == 2
@@ -72,9 +82,9 @@ class TestEndToEnd:
         assert health["n_input"] == 196
 
     def test_metrics_after_load(self, server, request_images, request_seeds):
-        run_load(http_sender(server.url), request_images, request_seeds,
-                 concurrency=8)
-        metrics = fetch_json(server.url, "/metrics.json")
+        run_load(_sender(server), request_images, request_seeds, concurrency=8)
+        snapshot = ServingClient(server.url).metrics_json()
+        metrics = snapshot["models"][server.pool.model_name]
         n = len(request_images)
         assert metrics["requests_total"] >= n
         assert metrics["responses_total"] >= n
@@ -90,38 +100,39 @@ class TestEndToEnd:
 
     def test_prometheus_metrics_endpoint(self, server, request_images,
                                          request_seeds):
-        """GET /metrics serves parseable Prometheus text exposition that
-        agrees with the JSON snapshot on /metrics.json."""
-        run_load(http_sender(server.url), request_images, request_seeds,
-                 concurrency=8)
-        request = urllib.request.Request(server.url + "/metrics")
+        """GET /v1/metrics serves parseable Prometheus text exposition that
+        agrees with the JSON snapshot on /v1/metrics.json."""
+        run_load(_sender(server), request_images, request_seeds, concurrency=8)
+        request = urllib.request.Request(server.url + "/v1/metrics")
         with urllib.request.urlopen(request, timeout=30) as response:
             assert response.status == 200
             assert response.headers["Content-Type"] == PROMETHEUS_CONTENT_TYPE
             text = response.read().decode("utf-8")
         series = parse_prometheus_text(text)
+        model = (("model", server.pool.model_name),)
         n = len(request_images)
-        assert series["repro_serving_requests_total"][()] >= n
-        assert series["repro_serving_responses_total"][()] >= n
+        assert series["repro_serving_requests_total"][model] >= n
+        assert series["repro_serving_responses_total"][model] >= n
         buckets = series["repro_serving_batch_size_bucket"]
-        inf_key = (("le", "+Inf"),)
-        assert buckets[inf_key] == series["repro_serving_batch_size_count"][()]
+        inf_key = (("le", "+Inf"),) + model
+        assert buckets[inf_key] == series["repro_serving_batch_size_count"][model]
         info = series["repro_serving_info"]
         labels = dict(next(iter(info)))
-        assert labels["model"] == "spikedyn"
+        assert labels["model"] == server.pool.model_name
+        assert labels["model_class"] == "spikedyn"
         assert labels["backend"] in ("dense", "sparse")
         # Prometheus and JSON views come from the same snapshot machinery.
-        json_metrics = fetch_json(server.url, "/metrics.json")
-        assert series["repro_serving_latency_window"][()] == \
-            json_metrics["latency"]["window"]
+        json_metrics = ServingClient(server.url).metrics_json()
+        assert series["repro_serving_latency_window"][model] == \
+            json_metrics["models"][server.pool.model_name]["latency"]["window"]
 
-    def test_metrics_text_matches_fetch_text_helper(self, server):
-        text = fetch_text(server.url, "/metrics")
+    def test_metrics_text_matches_client_helper(self, server):
+        text = ServingClient(server.url).metrics_text()
         assert "# TYPE repro_serving_requests_total counter" in text
         parse_prometheus_text(text)  # must not raise
 
     def test_predict_response_shape(self, server, request_images):
-        status, body = _post(server.url, {
+        status, body = _post(server, {
             "image": request_images[0].ravel().tolist(), "seed": 3,
         })
         assert status == 200
@@ -133,9 +144,9 @@ class TestEndToEnd:
 
     def test_nested_image_lists_are_accepted(self, server, request_images):
         nested = request_images[0].reshape(14, 14).tolist()
-        status, body = _post(server.url, {"image": nested, "seed": 3})
+        status, body = _post(server, {"image": nested, "seed": 3})
         assert status == 200
-        flat_status, flat_body = _post(server.url, {
+        flat_status, flat_body = _post(server, {
             "image": request_images[0].ravel().tolist(), "seed": 3,
         })
         assert flat_status == 200
@@ -146,7 +157,7 @@ class TestEndToEnd:
 class TestProtocolErrors:
     def test_unknown_paths_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            fetch_json(server.url, "/nope")
+            urllib.request.urlopen(server.url + "/nope", timeout=10)
         assert excinfo.value.code == 404
         request = urllib.request.Request(
             server.url + "/other", data=b"{}", method="POST")
@@ -155,43 +166,43 @@ class TestProtocolErrors:
         assert excinfo.value.code == 404
 
     def test_malformed_json_400(self, server):
-        status, body = _post(server.url, None, raw=b"{not json")
+        status, body = _post(server, None, raw=b"{not json")
         assert status == 400
         assert body["error"]["code"] == "invalid_request"
         assert "JSON" in body["error"]["message"]
 
     def test_missing_image_field_400(self, server):
-        status, body = _post(server.url, {"seed": 1})
+        status, body = _post(server, {"seed": 1})
         assert status == 400
         assert body["error"]["code"] == "invalid_request"
         assert "image" in body["error"]["message"]
 
     def test_wrong_image_size_400(self, server):
-        status, body = _post(server.url, {"image": [0.1, 0.2, 0.3]})
+        status, body = _post(server, {"image": [0.1, 0.2, 0.3]})
         assert status == 400
         assert body["error"]["code"] == "invalid_request"
         assert "pixels" in body["error"]["message"]
 
     def test_non_numeric_image_400(self, server):
-        status, body = _post(server.url, {"image": ["a"] * 196})
+        status, body = _post(server, {"image": ["a"] * 196})
         assert status == 400
 
     def test_non_finite_image_400(self, server):
-        status, body = _post(server.url, {
+        status, body = _post(server, {
             "image": [float("nan")] + [0.0] * 195,
         })
         assert status == 400
         assert "finite" in body["error"]["message"]
 
     def test_negative_image_400(self, server):
-        status, body = _post(server.url, {
+        status, body = _post(server, {
             "image": [-0.1] + [0.0] * 195,
         })
         assert status == 400
         assert "non-negative" in body["error"]["message"]
 
     def test_non_integer_seed_400(self, server, request_images):
-        status, body = _post(server.url, {
+        status, body = _post(server, {
             "image": request_images[0].ravel().tolist(), "seed": "abc",
         })
         assert status == 400
@@ -199,7 +210,7 @@ class TestProtocolErrors:
 
     def test_empty_body_400(self, server):
         request = urllib.request.Request(
-            server.url + "/predict", data=b"",
+            _predict_url(server), data=b"",
             headers={"Content-Type": "application/json"}, method="POST",
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -210,7 +221,7 @@ class TestProtocolErrors:
         # Only this model's pool is gone, not the server: the envelope
         # says "retry", not "we are shutting down".
         server.pool.stop()
-        status, body = _post(server.url, {
+        status, body = _post(server, {
             "image": request_images[0].ravel().tolist(),
         })
         assert status == 503
@@ -218,7 +229,7 @@ class TestProtocolErrors:
 
     def test_shutdown_returns_503(self, server, request_images):
         server.router.stop()
-        status, body = _post(server.url, {
+        status, body = _post(server, {
             "image": request_images[0].ravel().tolist(),
         })
         assert status == 503
