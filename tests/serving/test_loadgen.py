@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serving import ReplicaPool, pool_sender, run_load
+from repro.serving import ReplicaPool, http_sender, pool_sender, run_load
 
 
 @pytest.fixture
@@ -69,3 +69,8 @@ class TestRunLoad:
     def test_seed_count_mismatch_raises(self, pool, request_images):
         with pytest.raises(ValueError, match="seeds"):
             run_load(pool_sender(pool), request_images, [1])
+
+
+def test_http_sender_requires_a_model():
+    with pytest.raises(TypeError, match="model"):
+        http_sender("http://127.0.0.1:1")

@@ -81,6 +81,11 @@ class TestEndToEnd:
         assert health["max_batch"] == 8
         assert health["n_input"] == 196
 
+    def test_server_healthz_names_the_pool_as_default_model(self, server):
+        health = ServingClient(server.url).health()
+        assert health == {"status": "ok", "models": [server.pool.model_name],
+                          "default_model": server.pool.model_name}
+
     def test_metrics_after_load(self, server, request_images, request_seeds):
         run_load(_sender(server), request_images, request_seeds, concurrency=8)
         snapshot = ServingClient(server.url).metrics_json()
