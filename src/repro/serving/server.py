@@ -29,8 +29,7 @@ Every error, on every route, is one structured envelope::
 with stable codes from :mod:`repro.serving.errors`.  Backpressure and
 rate-limit rejections are ``429`` with a ``Retry-After`` header; an open
 circuit breaker is ``503`` with ``Retry-After``.  Any other path answers
-``404`` ``not_found``; that includes the pre-1.7 single-model aliases,
-removed in 1.12.0.
+``404`` ``not_found``.
 
 Implementation notes: ``ThreadingHTTPServer`` gives one handler thread per
 connection — handlers block on the request future while the pools' workers
