@@ -61,3 +61,56 @@ def test_all_encoders_reject_negative_intensities(values):
             encoder.encode(values)
         with pytest.raises(ValueError):
             encoder.encode_batch([np.abs(values), values])
+
+
+event_encoder_factories = st.sampled_from([
+    lambda seed: PoissonEventStreamEncoder(duration=50.0, max_rate=200.0, rng=seed),
+    lambda seed: DVSEventStreamEncoder(duration=50.0, n_bursts=3, burst_steps=5,
+                                       max_probability=0.5, rng=seed),
+])
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=intensity_images, make=event_encoder_factories,
+       seed=st.integers(0, 2**16))
+def test_event_encoders_dense_view_equals_the_stream(values, make, seed):
+    stream = make(seed).encode_events(values)
+    dense = make(seed).encode(values)
+    assert dense.shape == (stream.n_steps, stream.n_channels) == (50, values.size)
+    assert dense.sum() == stream.n_events
+    np.testing.assert_array_equal(dense, stream.to_dense())
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=intensity_images, make=event_encoder_factories,
+       seed=st.integers(0, 2**16))
+def test_event_encoders_never_fire_a_silent_channel(values, make, seed):
+    values = values.copy()
+    values[0] = 0.0
+    stream = make(seed).encode_events(values)
+    assert 0 not in stream.channels
+    assert np.all((stream.channels >= 0) & (stream.channels < values.size))
+    assert np.all((stream.times >= 0) & (stream.times < stream.n_steps))
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=intensity_images, seed=st.integers(0, 2**16))
+def test_dvs_events_lie_inside_burst_windows(values, seed):
+    encoder = DVSEventStreamEncoder(duration=60.0, n_bursts=3, burst_steps=4,
+                                    max_probability=1.0, rng=seed)
+    stream = encoder.encode_events(values)
+    offsets = stream.times[:, None] - encoder.burst_starts()[None, :]
+    inside = (offsets >= 0) & (offsets < encoder.burst_steps)
+    assert np.all(inside.any(axis=1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(batch=st.lists(intensity_images, min_size=1, max_size=4),
+       make=event_encoder_factories, seed=st.integers(0, 2**16))
+def test_event_stream_batch_matches_the_sequential_loop(batch, make, seed):
+    sequential_encoder, batched_encoder = make(seed), make(seed)
+    sequential = [sequential_encoder.encode_events(values) for values in batch]
+    batched = batched_encoder.encode_events_batch(batch)
+    assert len(batched) == len(sequential)
+    for got, want in zip(batched, sequential):
+        np.testing.assert_array_equal(got.to_dense(), want.to_dense())
