@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.architecture import build_spikedyn_network
+from repro.core.config import SpikeDynConfig
 from repro.core.learning import SpikeDynLearningRule
 from repro.core.weight_decay import SynapticWeightDecay
 from repro.snn.neurons import InputGroup, LIFGroup
@@ -204,3 +206,27 @@ class TestBookkeeping:
             SpikeDynLearningRule(update_interval=0.0)
         with pytest.raises(ValueError):
             SpikeDynLearningRule(nu_pre=-1.0)
+
+
+class TestTraceAccounting:
+    def test_rest_steps_are_not_charged_as_trace_bumps(self):
+        """With ``include_rest`` the rule learns only while the sample is
+        presented: the trace work charged is one decay per element per
+        presented step plus one bump per presented input and excitatory
+        spike, none for the spikes of the rest period."""
+        config = SpikeDynConfig(n_input=49, n_exc=10, t_sim=40.0, t_rest=30.0,
+                                update_interval=5.0, seed=3)
+        network = build_spikedyn_network(
+            config, learning_rule=SpikeDynLearningRule(update_interval=5.0), rng=3)
+        train = np.random.default_rng(4).random((40, 49)) < 0.3
+        rest_spikes = 0
+        for _ in range(3):
+            before = network.counter.copy()
+            result = network.run_sample(train, learning=True, include_rest=True)
+            delta = network.counter - before
+            presented = int(result.counts("input").sum()
+                            + result.counts("excitatory").sum())
+            assert delta.trace_updates == 40 * (49 + 10) + presented
+            rest_spikes += delta.spike_events - int(result.counts("excitatory").sum())
+        # The case checks something: the excitatory group fires during rest.
+        assert rest_spikes > 0
