@@ -30,13 +30,15 @@ Conventions shared by every kernel:
 * Decay factors are precomputed by the caller (``exp(-dt / tau)``) so all
   backends see the exact same scalar.
 * Kernels may update their state arguments in place, and the state
-  kernels must *return* the array holding the result either way; callers
-  always rebind, so an allocating kernel (the GEMV oracle) is just as
-  valid.  The state arguments are ``v`` and ``refrac_remaining`` of
-  :meth:`~Backend.lif_step`, ``theta`` of :meth:`~Backend.theta_step`,
-  ``values`` of :meth:`~Backend.decay_state` and
-  :meth:`~Backend.bump_trace`, and ``conductance`` of the propagation
-  kernels (always updated in place, nothing returned).  The STDP kernels
+  kernels must *return* the array holding the result either way, so an
+  allocating kernel (the GEMV oracle) is just as valid.  The state
+  arguments are ``v`` and ``refrac_remaining`` of
+  :meth:`~Backend.lif_step` and ``theta`` of :meth:`~Backend.theta_step`,
+  which callers rebind; ``values`` of :meth:`~Backend.decay_state` and
+  :meth:`~Backend.bump_trace`, which callers land in the array they passed
+  with :func:`store_state`, because conductances and spike traces are
+  views of one buffer per decay phase; and ``conductance`` of the
+  propagation kernels (always updated in place, nothing returned).  The STDP kernels
   update ``weights`` in place, touching only the spiking rows/columns, and
   return the count of weight updates they applied.  Every other argument
   (currents, thresholds, spikes, traces) is read only.
@@ -55,6 +57,18 @@ import numpy as np
 
 #: Valid values of :attr:`Backend.equivalence_tier`.
 EQUIVALENCE_TIERS = ("exact", "tolerance")
+
+
+def store_state(values: np.ndarray, result: np.ndarray) -> np.ndarray:
+    """Land a state kernel's ``result`` in ``values`` and return ``values``.
+
+    In-place kernels hand ``values`` back and nothing is copied; an
+    allocating kernel's result is copied in, so views of a shared state
+    buffer stay live.
+    """
+    if result is not values:
+        values[...] = result
+    return values
 
 
 class Backend(abc.ABC):
@@ -128,8 +142,14 @@ class Backend(abc.ABC):
     # -- synapse kernels -----------------------------------------------------
 
     @abc.abstractmethod
-    def decay_state(self, values: np.ndarray, decay: float) -> np.ndarray:
-        """Exponential decay of a state vector, in place."""
+    def decay_state(self, values: np.ndarray, decay) -> np.ndarray:
+        """Exponential decay of a state vector, in place.
+
+        ``decay`` is a scalar or a factor vector broadcasting against
+        ``values``: the engine decays several state arrays held in one
+        buffer with one call, each element by its own factor (``x * c`` is
+        the same IEEE operation for a scalar ``c`` and a vector element).
+        """
 
     @abc.abstractmethod
     def propagate_spikes(self, conductance: np.ndarray,

@@ -34,7 +34,6 @@ from repro.core.config import SpikeDynConfig
 from repro.core.framework import SpikeDynFramework
 from repro.core.learning import SpikeDynLearningRule
 from repro.core.model_search import ModelCandidate, ModelSearchResult, search_snn_model
-from repro.core.spurious import SpikeAccumulator
 from repro.core.weight_decay import SynapticWeightDecay, decay_rate_for_network_size
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "AdaptiveThresholdPolicy",
     "ModelCandidate",
     "ModelSearchResult",
-    "SpikeAccumulator",
     "SpikeDynConfig",
     "SpikeDynFramework",
     "SpikeDynLearningRule",

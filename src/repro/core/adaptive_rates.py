@@ -11,7 +11,7 @@ two activity-derived factors:
   drive, weakening connections when the network stays silent.
 
 Both factors are computed from the accumulated pre- and postsynaptic spike
-counts maintained by :class:`repro.core.spurious.SpikeAccumulator`.
+counts of the run's spike record (:class:`repro.core.spurious.SpikeRecord`).
 """
 
 from __future__ import annotations

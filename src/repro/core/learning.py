@@ -13,7 +13,10 @@ The rule combines the four mechanisms of Section III-D:
 4. **Spurious-update reduction** — weight changes are committed only at
    update-window boundaries: potentiation of the most active postsynaptic
    neuron if at least one postsynaptic spike occurred in the window,
-   depression of all synapses otherwise.
+   depression of all synapses otherwise.  The accumulated counts behind
+   these decisions are read from the run's spike record
+   (:class:`repro.core.spurious.SpikeRecord`), which the engine keeps
+   anyway; the rule does not count spikes a second time.
 
 Compared to the per-spike-event updates of the baseline and ASP rules, this
 drastically reduces the number of weight updates per sample, which is one of
@@ -23,12 +26,12 @@ eliminated inhibitory layer and the reduced exponential calculations).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.adaptive_rates import AdaptiveLearningRates
-from repro.core.spurious import SpikeAccumulator
+from repro.core.spurious import SpikeRecord
 from repro.core.weight_decay import SynapticWeightDecay
 from repro.learning.base import LearningRule
 from repro.snn.simulation import OperationCounter
@@ -65,6 +68,18 @@ class SpikeDynLearningRule(LearningRule):
 
     Notes
     -----
+    **One spike record.**  ``Nsp_pre``/``Nsp_post`` (hence ``kp``, ``kd``,
+    the most active neuron and "a postsynaptic spike occurred in this
+    window") come from the spike counts the driver hands to
+    :meth:`on_sample_start` and updates before every :meth:`step`: in a
+    :class:`~repro.snn.network.Network` that is the step plan's record of
+    the run.  A driver that hands none (a test stepping the rule by hand)
+    gets a record the rule keeps for it, adding the spikes of each step it
+    is driven through.  The trace work of a presentation is charged once,
+    by :meth:`on_sample_end`, from the same counts; the network freezes
+    the record at the end of the presentation, so rest steps are not
+    charged.
+
     **Clip elision.**  Every window used to end in a full-matrix clip into
     ``[w_min, w_max]``.  Where the clip provably changes nothing it is
     skipped, so the weights stay bit-identical to always clipping; any
@@ -114,19 +129,28 @@ class SpikeDynLearningRule(LearningRule):
         self.adaptive_rates = bool(adaptive_rates)
         self.gate_updates = bool(gate_updates)
         self.soft_bounds = bool(soft_bounds)
-        self.accumulator: Optional[SpikeAccumulator] = None
+        #: The presentation's spike record (``None`` outside a sample).
+        self.record: Optional[SpikeRecord] = None
+        # The counts of a record the rule keeps for a driver that handed
+        # none: (pre, post), the same array for a recurrent connection.
+        self._kept_counts: Optional[tuple] = None
         self._steps_in_sample = 0
 
     # -- internal helpers -----------------------------------------------------
 
-    def _ensure_accumulator(self, connection: Connection) -> SpikeAccumulator:
-        if (
-            self.accumulator is None
-            or self.accumulator.n_pre != connection.pre.n
-            or self.accumulator.n_post != connection.post.n
-        ):
-            self.accumulator = SpikeAccumulator(connection.pre.n, connection.post.n)
-        return self.accumulator
+    def _open_record(self, connection: Connection,
+                     counts: Optional[Dict[str, np.ndarray]]) -> None:
+        """Read the presentation's spike counts from ``counts`` (keyed by
+        group name), or keep a record for a driver that hands none."""
+        pre, post = connection.pre, connection.post
+        if counts is None:
+            pre_counts = np.zeros(pre.n, dtype=np.int64)
+            post_counts = pre_counts if post is pre else np.zeros(post.n, dtype=np.int64)
+            self._kept_counts = (pre_counts, post_counts)
+        else:
+            pre_counts, post_counts = counts[pre.name], counts[post.name]
+            self._kept_counts = None
+        self.record = SpikeRecord(pre_counts, post_counts)
 
     def _steps_per_window(self, dt: float) -> int:
         return max(1, int(round(self.update_interval / dt)))
@@ -135,10 +159,9 @@ class SpikeDynLearningRule(LearningRule):
         """Current (kp, kd) pair, honouring the adaptive-rates ablation switch."""
         if not self.adaptive_rates:
             return 1.0, 1.0
-        accumulator = self.accumulator
-        kp = self.rates.kp(accumulator.max_post)
-        kd = self.rates.kd(accumulator.max_post, accumulator.max_pre)
-        return kp, kd
+        record = self.record
+        max_post = record.max_post
+        return self.rates.kp(max_post), self.rates.kd(max_post, record.max_pre)
 
     # -- weight updates (Eq. 2) -----------------------------------------------
 
@@ -147,7 +170,7 @@ class SpikeDynLearningRule(LearningRule):
         """Potentiation of the most active postsynaptic neuron's synapses."""
         if kp <= 0.0 or self.nu_post <= 0.0:
             return
-        target = self.accumulator.most_active_post
+        target = self.record.most_active_post
         # A view: the update and its clip land in the weights.
         column = connection.weights[:, target]
         delta = kp * self.nu_post * self.pre_trace.values
@@ -171,7 +194,11 @@ class SpikeDynLearningRule(LearningRule):
                 and delta.min() >= 0.0 and delta.max() <= 1.0):
             # ``w - w * d`` with ``0 <= d <= 1`` stays in ``[0, w]``, so no
             # clip.  One full pass: a column with ``d == 0`` subtracts an
-            # exact zero, cheaper than gathering the others.
+            # exact zero, cheaper than gathering the others.  The product
+            # is a fresh temporary on purpose: a scratch matrix kept by the
+            # rule measured slower in paper-scale training and raised its
+            # peak RSS by ~20 MB (glibc then maps and unmaps other large
+            # temporaries instead of reusing heap memory).
             weights -= weights * delta
         else:
             # The soft bound scales the rates by ``w - w_min`` in one
@@ -207,29 +234,39 @@ class SpikeDynLearningRule(LearningRule):
 
     def reset(self) -> None:
         super().reset()
-        self.accumulator = None
+        self.record = None
+        self._kept_counts = None
 
-    def on_sample_start(self, connection: Connection) -> None:
-        super().on_sample_start(connection)
-        self._ensure_accumulator(connection).reset()
+    def on_sample_start(self, connection: Connection,
+                        counts: Optional[Dict[str, np.ndarray]] = None) -> None:
+        super().on_sample_start(connection, counts)
+        self._open_record(connection, counts)
         self._steps_in_sample = 0
 
     def step(self, connection: Connection, dt: float, t_index: int,
              counter: Optional[OperationCounter] = None) -> None:
         """One timestep of Alg. 2.
 
-        Weight updates are charged to ``counter`` as they happen; the trace
-        work of the whole presentation is charged once, by
-        :meth:`on_sample_end`, from the accumulated spike counts.
+        The record already holds this step's spikes.  Weight updates are
+        charged to ``counter`` as they happen; the trace work of the whole
+        presentation is charged once, by :meth:`on_sample_end`, from the
+        record.
         """
         pre_spikes = connection.pre.spikes
         post_spikes = connection.post.spikes
-        self._ensure_traces(connection)
-        self.pre_trace.advance(pre_spikes, dt)
-        self.post_trace.advance(post_spikes, dt)
+        if self.record is None:
+            # Stepped without on_sample_start: set up what it would have.
+            self._ensure_traces(connection)
+            self._open_record(connection, None)
+        self._decay_traces(dt)
+        self.pre_trace.bump(pre_spikes)
+        self.post_trace.bump(post_spikes)
         self._steps_in_sample += 1
-        accumulator = self._ensure_accumulator(connection)
-        accumulator.add(pre_spikes, post_spikes)
+        if self._kept_counts is not None:
+            pre_counts, post_counts = self._kept_counts
+            pre_counts += pre_spikes
+            if post_counts is not pre_counts:
+                post_counts += post_spikes
 
         steps_per_window = self._steps_per_window(dt) if self.gate_updates else 1
         at_boundary = (t_index + 1) % steps_per_window == 0
@@ -237,23 +274,24 @@ class SpikeDynLearningRule(LearningRule):
             return
 
         kp, kd = self._factors()
-        if accumulator.post_spiked_in_window:
+        record = self.record
+        if record.post_spiked_in_window:
             self._potentiate(connection, kp, counter)
         else:
             self._depress(connection, kd, counter)
         self._apply_decay(connection, steps_per_window * dt, counter)
-        accumulator.close_window()
+        record.close_window()
 
     def on_sample_end(self, connection: Connection,
                       counter: Optional[OperationCounter] = None) -> None:
         if counter is not None and self._steps_in_sample:
             # Every step decayed every trace element and bumped one element
-            # per spike: the spikes the accumulator has summed.
+            # per spike: the presented spikes the record holds.
             decayed = self._steps_in_sample * (self.pre_trace.n + self.post_trace.n)
-            bumped = int(self.accumulator.pre_counts.sum()
-                         + self.accumulator.post_counts.sum())
+            record = self.record
+            bumped = int(record.pre_counts.sum() + record.post_counts.sum())
             counter.add(exponential_ops=decayed, trace_updates=decayed + bumped)
         self._steps_in_sample = 0
         super().on_sample_end(connection, counter)
-        if self.accumulator is not None:
-            self.accumulator.reset()
+        self.record = None
+        self._kept_counts = None

@@ -3,15 +3,17 @@
 A learning rule is attached to a plastic :class:`~repro.snn.synapses.Connection`
 and driven by the network once per timestep.  The rule owns its own pre- and
 postsynaptic spike traces so that the connection object stays a passive
-weight container.
+weight container.  Both traces are views of one buffer, so each step decays
+them with one backend call and a per-element factor vector.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
+from repro.backends.base import store_state
 from repro.snn.simulation import OperationCounter
 from repro.snn.synapses import Connection
 from repro.snn.traces import SpikeTrace
@@ -45,6 +47,11 @@ class LearningRule:
         self.trace_mode = trace_mode
         self.pre_trace: Optional[SpikeTrace] = None
         self.post_trace: Optional[SpikeTrace] = None
+        # The buffer both traces' values are views of, and its per-element
+        # decay factors for one timestep size.
+        self._traces: Optional[np.ndarray] = None
+        self._trace_decays: Optional[np.ndarray] = None
+        self._trace_dt: Optional[float] = None
         # The weight matrix found inside [w_min, w_max] at sample start.
         self._bounded_weights: Optional[np.ndarray] = None
 
@@ -64,16 +71,49 @@ class LearningRule:
         # were lazily created).
         self.pre_trace.backend = connection.backend
         self.post_trace.backend = connection.backend
+        traces = self._traces
+        if (traces is None or self.pre_trace.values.base is not traces
+                or self.post_trace.values.base is not traces):
+            self._bind_traces()
+
+    def _bind_traces(self) -> None:
+        """Make both traces' values views of one buffer (values kept)."""
+        pre, post = self.pre_trace, self.post_trace
+        traces = np.concatenate((pre.values, post.values), axis=-1)
+        pre.values = traces[..., :pre.n]
+        post.values = traces[..., pre.n:]
+        self._traces = traces
+        self._trace_dt = None
+
+    def _decay_traces(self, dt: float,
+                      counter: Optional[OperationCounter] = None) -> None:
+        """One timestep of decay for both traces, in one backend call.
+
+        Each element is multiplied by its own trace's ``exp(-dt / tau)``,
+        the same IEEE operation as decaying each trace by its scalar.
+        """
+        if dt != self._trace_dt:
+            pre, post = self.pre_trace, self.post_trace
+            self._trace_decays = np.concatenate(
+                (np.full(pre.n, pre.decay_factor(dt)),
+                 np.full(post.n, post.decay_factor(dt))))
+            self._trace_dt = dt
+        traces = self._traces
+        store_state(traces, self.pre_trace.backend.decay_state(
+            traces, self._trace_decays))
+        if counter is not None:
+            counter.add(exponential_ops=traces.size, trace_updates=traces.size)
 
     def _update_traces(self, connection: Connection, dt: float,
                        counter: Optional[OperationCounter]) -> None:
         """Decay and bump both traces from the current spike vectors."""
         self._ensure_traces(connection)
-        self.pre_trace.step(connection.pre.spikes, dt, counter)
-        self.post_trace.step(connection.post.spikes, dt, counter)
+        self._decay_traces(dt, counter)
+        self.pre_trace.update(connection.pre.spikes, counter)
+        self.post_trace.update(connection.post.spikes, counter)
 
     def reset(self) -> None:
-        """Clear all rule-internal state (traces and accumulators)."""
+        """Clear all rule-internal state (traces and spike records)."""
         if self.pre_trace is not None:
             self.pre_trace.reset()
         if self.post_trace is not None:
@@ -94,8 +134,16 @@ class LearningRule:
         """
         return self._bounded_weights is connection.weights
 
-    def on_sample_start(self, connection: Connection) -> None:
-        """Called before a sample presentation begins."""
+    def on_sample_start(self, connection: Connection,
+                        counts: Optional[Dict[str, np.ndarray]] = None) -> None:
+        """Called before a sample presentation begins.
+
+        ``counts`` is the run's spike record, ``{group name: counts}``, to
+        which the driver adds every group's spikes of a step before the
+        rule steps (:class:`~repro.snn.network.Network` hands over its step
+        plan's counts).  Rules that need accumulated spike counts read them
+        there instead of counting again.
+        """
         self._ensure_traces(connection)
         self.pre_trace.reset()
         self.post_trace.reset()

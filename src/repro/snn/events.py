@@ -284,9 +284,10 @@ def _geometric_drive(mu: float, lam: float, delta: int) -> float:
 def advance_analytic(network, delta: int, *, decay_traces: bool = False) -> None:
     """Advance all exponential state across ``delta`` provably silent steps.
 
-    One closed-form update per state array: membranes get the two-exponential
-    drive formula from the module docstring, conductances / theta / traces a
-    single ``decay**delta``.  Tallies the work actually performed (one
+    One closed-form update per state array, in place (conductances and
+    traces are views of shared buffers, see :mod:`repro.snn.plan`):
+    membranes get the two-exponential drive formula from the module
+    docstring, conductances / theta / traces a single ``decay**delta``.  Tallies the work actually performed (one
     analytic update per element) plus ``steps_skipped=delta``, which is what
     lets the energy model attribute event-driven savings honestly.
 
@@ -307,14 +308,22 @@ def advance_analytic(network, delta: int, *, decay_traces: bool = False) -> None
         for connection, coefficient, mu in stage.inputs:
             drive += (coefficient * _geometric_drive(mu, lam, delta)) \
                 * connection.conductance
-        group.v = group.v_rest + (group.v - group.v_rest) * lam_pow + dt * drive
+        # ``v_rest + (v - v_rest) * lam**delta + dt * drive`` in place (state
+        # arrays may be views): the same IEEE operations, addition commutes.
+        v = group.v
+        v -= group.v_rest
+        v *= lam_pow
+        v += group.v_rest
+        drive *= dt
+        v += drive
         counter.add(neuron_updates=group.n, exponential_ops=group.n)
         if isinstance(group, AdaptiveLIFGroup) and group.adapt_theta:
-            group.theta = group.theta * np.exp(-dt / group.tau_theta) ** delta
+            group.theta *= np.exp(-dt / group.tau_theta) ** delta
             counter.add(neuron_updates=group.n, exponential_ops=group.n)
 
     for connection, mu in plan.transmissions:
-        connection.conductance = connection.conductance * mu ** delta
+        # In place: each conductance is a view of the plan's buffer.
+        connection.conductance *= mu ** delta
         counter.add(exponential_ops=connection.post.n)
 
     if decay_traces:
@@ -326,7 +335,7 @@ def advance_analytic(network, delta: int, *, decay_traces: bool = False) -> None
                           getattr(rule, "post_trace", None)):
                 if trace is None:
                     continue
-                trace.values = trace.values * np.exp(-dt / trace.tau) ** delta
+                trace.values *= np.exp(-dt / trace.tau) ** delta
                 counter.add(exponential_ops=trace.n, trace_updates=trace.n)
 
     counter.add(steps_skipped=int(delta))

@@ -261,16 +261,17 @@ class Network:
         total = steps + (self.params.rest_steps if include_rest else 0)
         plastic = [connection for connection in self.connections
                    if learning and connection.learning_rule is not None]
-        for connection in plastic:
-            connection.learning_rule.on_sample_start(connection)
         plan.begin()
+        for connection in plastic:
+            # The rules read the run's spike record; it stops at the end of
+            # the presentation, when learning does.
+            connection.learning_rule.on_sample_start(connection, plan.counts)
         presented = None
         t_index = 0
         try:
             while t_index < total:
                 if t_index >= steps and presented is None:
-                    presented = {name: counts.copy()
-                                 for name, counts in plan.counts.items()}
+                    presented = plan.end_presentation()
                 learn_now = learning and t_index < steps
                 row = rows[t_index] if t_index < steps else silent
                 if next_input is not None and row is silent:

@@ -7,26 +7,31 @@ non-input group gets the list of connections that target it and one
 preallocated current buffer, and every ``exp(-dt / tau)`` factor of a
 group or connection is evaluated once.  The network caches one plan per
 batch shape and drops them all when a group or connection is added or the
-backend changes; the plan holds no state arrays (groups rebind those every
-step) and copies no weights.
+backend changes.  The plan copies no weights; the one state it holds is
+the conductance buffer: every connection's conductance is a view of one
+array, which :meth:`StepPlan.begin` (re)binds on every run, so that one
+backend call with a per-element factor vector decays them all.
 
 The per-timestep order lives in :meth:`StepPlan.step`:
 
 1. the input group takes this step's input row;
-2. every connection, in insertion order, decays its conductance and injects
-   its presynaptic spikes — input spikes of this step, recurrent and lateral
-   spikes of the previous one;
-3. every non-input group, in insertion order, sums the currents of its
+2. the conductances of all connections decay, in one call;
+3. every connection, in insertion order, injects its presynaptic spikes —
+   input spikes of this step, recurrent and lateral spikes of the previous
+   one;
+4. every non-input group, in insertion order, sums the currents of its
    incoming connections into its buffer, then integrates and fires;
-4. with learning on, every plastic connection's rule steps;
-5. monitors observe;
-6. every group's spikes are added to the run's spike counts.
+5. every group's spikes are added to the run's spike counts;
+6. with learning on, every plastic connection's rule steps (and reads the
+   counts of step 5: the run keeps one spike record);
+7. monitors observe.
 
-Kernels are called through each group's and connection's ``backend``, i.e.
-the instance installed by :meth:`~repro.snn.network.Network.set_backend`.
-Operation tallies that do not depend on spikes are charged once per run by
-:meth:`StepPlan.flush`, from each component's ``step_operations()`` read at
-flush time; spike tallies come from the accumulated spike counts.
+Kernels are called through the network's backend, i.e. the instance
+installed by :meth:`~repro.snn.network.Network.set_backend`, which every
+group and connection also holds.  Operation tallies that do not depend on
+spikes are charged once per run by :meth:`StepPlan.flush`, from each
+component's ``step_operations()`` read at flush time; spike tallies come
+from the accumulated spike counts.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.backends.base import store_state
 from repro.snn.neurons import InputGroup, NeuronGroup
 from repro.snn.simulation import COUNTER_FIELDS, OperationCounter
 
@@ -64,11 +70,18 @@ class StepPlan:
         dt = network.params.dt
         self.network = network
         self.dt = dt
+        self.backend = network.backend
         self.input_group: Optional[InputGroup] = network._input_group
         self.transmissions: List[tuple] = [
             (connection, connection.decay_factor(dt))
             for connection in network.connections
         ]
+        self.connections = list(network.connections)
+        # One factor per conductance element: its connection's decay.
+        self.conductance_decays = np.concatenate(
+            [np.full(connection.post.n, decay)
+             for connection, decay in self.transmissions] or [np.zeros(0)])
+        self.conductances: Optional[np.ndarray] = None
         self.stages = [
             GroupStage(
                 group,
@@ -85,15 +98,46 @@ class StepPlan:
         self.counts: Dict[str, np.ndarray] = {}
         self._counted: List[tuple] = []
         self.steps_taken = 0
+        self.bind_conductances()
+
+    def bind_conductances(self) -> None:
+        """Make every connection's conductance a view of one buffer.
+
+        The current values are kept.  Batch mode and state rebound outside
+        the engine replace the arrays, so :meth:`begin` binds again on
+        every run.
+        """
+        if not self.connections:
+            return
+        buffer = np.concatenate(
+            [connection.conductance for connection in self.connections], axis=-1)
+        start = 0
+        for connection in self.connections:
+            stop = start + connection.post.n
+            connection.conductance = buffer[..., start:stop]
+            start = stop
+        self.conductances = buffer
 
     def begin(self) -> None:
-        """Start a run: fresh spike counts and no steps taken yet."""
+        """Start a run: fresh spike counts, no steps taken yet and the
+        conductances bound to the plan's buffer."""
         groups = self.network.groups
         self.counts = {name: np.zeros(group.state_shape, dtype=np.int64)
                        for name, group in groups.items()}
         self._counted = [(groups[name], counts)
                          for name, counts in self.counts.items()]
         self.steps_taken = 0
+        self.bind_conductances()
+
+    def end_presentation(self) -> Dict[str, np.ndarray]:
+        """The spike counts of the presentation so far, frozen; the rest
+        steps count on in copies, which :meth:`flush` charges."""
+        presented = self.counts
+        groups = self.network.groups
+        self.counts = {name: counts.copy() for name, counts in presented.items()}
+        self._counted = [(groups[name], counts)
+                         for name, counts in self.counts.items()]
+        return presented
 
     def step(self, input_spikes: Optional[np.ndarray], t_index: int,
              learning: bool) -> None:
@@ -103,8 +147,12 @@ class StepPlan:
         dt = self.dt
         if self.input_group is not None:
             self.input_group.spikes = input_spikes
-        for connection, decay in self.transmissions:
-            connection.transmit(decay)
+        conductances = self.conductances
+        if conductances is not None:
+            store_state(conductances, self.backend.decay_state(
+                conductances, self.conductance_decays))
+        for connection in self.connections:
+            connection.inject()
         for stage in self.stages:
             current = stage.current
             current.fill(0.0)
@@ -119,9 +167,11 @@ class StepPlan:
                 else:
                     current += gain * connection.conductance
             stage.group.integrate(current, dt, stage.decays)
+        for group, counts in self._counted:
+            counts += group.spikes
         if learning:
             counter = network.counter
-            for connection in network.connections:
+            for connection in self.connections:
                 rule = connection.learning_rule
                 if rule is not None:
                     rule.step(connection, dt, t_index, counter)
@@ -129,8 +179,6 @@ class StepPlan:
             monitor.observe()
         for monitor in network.state_monitors:
             monitor.observe()
-        for group, counts in self._counted:
-            counts += group.spikes
         self.steps_taken += 1
 
     def flush(self, counter: OperationCounter) -> None:

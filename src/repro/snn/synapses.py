@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.backends import BackendLike, get_backend
+from repro.backends.base import store_state
 from repro.snn.neurons import NeuronGroup
 from repro.snn.simulation import OperationCounter
 from repro.utils.validation import check_positive, check_positive_int
@@ -191,11 +192,15 @@ class Connection:
 
     def transmit(self, decay: float) -> None:
         """Decay the conductance, then inject this step's presynaptic spikes
-        (the compiled step plan's entry point: no tallies)."""
-        # Rebind per the kernel contract: backends running at a different
-        # state dtype (float32) hand back a converted array here, after
-        # which the conductance stays at the backend's precision.
-        self.conductance = self.backend.decay_state(self.conductance, decay)
+        (no tallies)."""
+        store_state(self.conductance,
+                    self.backend.decay_state(self.conductance, decay))
+        self.inject()
+
+    def inject(self) -> None:
+        """Add this step's presynaptic spikes into the conductance (the
+        compiled step plan's entry point: the plan decays the conductances
+        of all connections first, in one call)."""
         self.backend.propagate_spikes(self.conductance, self.pre.spikes,
                                       self.weights)
 
@@ -343,7 +348,13 @@ class UniformLateralInhibition:
 
     def transmit(self, decay: float) -> None:
         """Decay the conductance, then inject this step's lateral inhibition."""
-        self.conductance = self.backend.decay_state(self.conductance, decay)
+        store_state(self.conductance,
+                    self.backend.decay_state(self.conductance, decay))
+        self.inject()
+
+    def inject(self) -> None:
+        """Add this step's lateral inhibition into the conductance (see
+        :meth:`Connection.inject`)."""
         self.backend.propagate_lateral(self.conductance, self.pre.spikes,
                                        self.strength)
 

@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro.backends import BackendLike, get_backend
+from repro.backends.base import store_state
 from repro.snn.simulation import OperationCounter
 from repro.utils.validation import check_choice, check_positive, check_positive_int
 
@@ -104,7 +105,8 @@ class SpikeTrace:
 
     def decay(self, dt: float, counter: Optional[OperationCounter] = None) -> None:
         """Apply one timestep of exponential decay."""
-        self.values = self.backend.decay_state(self.values, self.decay_factor(dt))
+        store_state(self.values,
+                    self.backend.decay_state(self.values, self.decay_factor(dt)))
         if counter is not None:
             batch = self._batch_size if self._batch_size is not None else 1
             counter.add(exponential_ops=self.n * batch, trace_updates=self.n * batch)
@@ -117,9 +119,7 @@ class SpikeTrace:
             raise ValueError(
                 f"spikes must have shape {self.state_shape}, got {spikes.shape}"
             )
-        self.values = self.backend.bump_trace(
-            self.values, spikes, self.increment, self.mode
-        )
+        self.bump(spikes)
         if counter is not None:
             counter.add(trace_updates=int(spikes.sum()))
 
@@ -130,15 +130,12 @@ class SpikeTrace:
         self.update(spikes, counter)
         return self.values
 
-    def advance(self, spikes: np.ndarray, dt: float) -> None:
-        """:meth:`step` for a caller that has already validated ``spikes``
-        and charges the trace work itself: the same kernels, no checks and
+    def bump(self, spikes: np.ndarray) -> None:
+        """:meth:`update` for a caller that has already validated ``spikes``
+        and charges the trace work itself: the same kernel, no checks and
         no tallies."""
-        backend = self.backend
-        self.values = backend.bump_trace(
-            backend.decay_state(self.values, self.decay_factor(dt)),
-            spikes, self.increment, self.mode,
-        )
+        store_state(self.values, self.backend.bump_trace(
+            self.values, spikes, self.increment, self.mode))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SpikeTrace(n={self.n}, tau={self.tau}, mode={self.mode!r})"

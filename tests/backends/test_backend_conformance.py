@@ -37,6 +37,7 @@ from repro.backends import (
     get_backend,
     register_backend,
 )
+from repro.backends.base import store_state
 from repro.core.config import SpikeDynConfig
 from repro.models.spikedyn_model import SpikeDynModel
 
@@ -111,6 +112,53 @@ class TestNeuronKernelConformance:
         reference = ORACLE.decay_state(values.copy(), 0.9048374180359595)
         actual = backend.decay_state(values.copy(), 0.9048374180359595)
         assert_state_close(backend, actual, reference, "decayed state")
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """The IEEE bit patterns of float64 values (tells -0.0 from 0.0)."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+class TestFusedDecayContract:
+    """``decay_state`` with a per-element factor vector is the engine's
+    fused decay: one call over a buffer holding several state arrays (every
+    connection's conductance, a rule's pre- and postsynaptic traces).  It
+    must equal decaying each block by its own scalar, bit for bit."""
+
+    SIZES = (5, 1, 7, 3)
+    FACTORS = (0.8187307530779818, 0.36787944117144233, 0.951229424500714, 0.0)
+
+    def _blocks(self, batched):
+        rng = np.random.default_rng(31)
+        shape = (3,) if batched else ()
+        blocks = [rng.uniform(-2.0, 2.0, shape + (size,)) for size in self.SIZES]
+        blocks[0][..., 0] = -0.0
+        blocks[2][..., 1] = 5e-324  # the smallest subnormal
+        return blocks
+
+    def test_vector_decay_equals_per_block_scalar_decays(self, backend, batched):
+        blocks = self._blocks(batched)
+        buffer = np.concatenate(blocks, axis=-1)
+        factors = np.concatenate([np.full(size, factor)
+                                  for size, factor in zip(self.SIZES, self.FACTORS)])
+        fused = backend.decay_state(buffer.copy(), factors)
+        for reference_backend in (backend, ORACLE):
+            separate = np.concatenate(
+                [reference_backend.decay_state(block.copy(), factor)
+                 for block, factor in zip(blocks, self.FACTORS)], axis=-1)
+            np.testing.assert_array_equal(_bits(fused), _bits(separate))
+
+    def test_vector_decay_lands_in_the_views(self, backend, batched):
+        blocks = self._blocks(batched)
+        buffer = np.concatenate(blocks, axis=-1)
+        bounds = np.cumsum((0,) + self.SIZES)
+        views = [buffer[..., start:stop] for start, stop in zip(bounds, bounds[1:])]
+        factors = np.concatenate([np.full(size, factor)
+                                  for size, factor in zip(self.SIZES, self.FACTORS)])
+        store_state(buffer, backend.decay_state(buffer, factors))
+        for view, block, factor in zip(views, blocks, self.FACTORS):
+            np.testing.assert_array_equal(_bits(view), _bits(block * factor))
 
 
 @pytest.mark.parametrize("density", [0.0, 0.03, 0.5, 1.0])

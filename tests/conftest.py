@@ -4,9 +4,16 @@ The fixtures provide small, deterministic building blocks: a tiny
 configuration (14x14 input, a handful of excitatory neurons, short
 presentation window), a synthetic digit source, and pre-built models.  All
 stochastic components are seeded so test outcomes are reproducible.
+
+A session hook also guards the layout: ``tests/`` has no ``__init__.py``
+files, so pytest imports each test module by its basename, and two modules
+sharing one would abort the whole collection with an opaque "import file
+mismatch".
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +21,31 @@ import pytest
 from repro.core.config import SpikeDynConfig
 from repro.datasets.synthetic_mnist import SyntheticDigits
 from repro.experiments.common import ExperimentScale
+
+TESTS_DIR = Path(__file__).resolve().parent
+
+
+def duplicate_test_modules(root: Path) -> list:
+    """``(first, second)`` path pairs of test modules under ``root`` that
+    share a basename, in sorted path order."""
+    seen, duplicates = {}, []
+    for path in sorted(root.rglob("*.py")):
+        if path.name.startswith(("test_", "bench_")):
+            first = seen.setdefault(path.name, path)
+            if first != path:
+                duplicates.append((first, path))
+    return duplicates
+
+
+def pytest_sessionstart(session) -> None:
+    """Fail fast, naming both files, when two test modules share a basename."""
+    duplicates = duplicate_test_modules(TESTS_DIR)
+    if duplicates:
+        lines = [f"  {first} and {second}" for first, second in duplicates]
+        raise pytest.UsageError(
+            "test modules must have unique basenames (tests/ is not a "
+            "package, so pytest imports them by name); rename one of:\n"
+            + "\n".join(lines))
 
 
 @pytest.fixture

@@ -165,28 +165,68 @@ class TestWeightDecayIntegration:
 
 
 class TestBookkeeping:
-    def test_accumulator_matches_connection_shape(self):
+    def test_record_matches_connection_shape(self):
         rule = SpikeDynLearningRule()
         _, _, connection = make_connection(6, 5, rule=rule)
         rule.on_sample_start(connection)
-        assert rule.accumulator.n_pre == 6
-        assert rule.accumulator.n_post == 5
+        assert rule.record.pre_counts.shape == (6,)
+        assert rule.record.post_counts.shape == (5,)
 
-    def test_sample_end_resets_accumulator(self):
+    def test_sample_end_releases_the_record(self):
         rule = SpikeDynLearningRule(update_interval=4.0)
         pre, post, connection = make_connection(rule=rule)
-        rule.on_sample_start(connection)
-        drive(rule, connection, pre, post, [1, 1, 1, 1], [1, 1, 1], steps=4)
+        counts = {"pre": np.zeros(4, dtype=np.int64), "post": np.zeros(3, dtype=np.int64)}
+        rule.on_sample_start(connection, counts)
+        for t in range(4):
+            pre.spikes = np.ones(4, dtype=bool)
+            post.spikes = np.ones(3, dtype=bool)
+            counts["pre"] += pre.spikes
+            counts["post"] += post.spikes
+            rule.step(connection, 1.0, t)
         rule.on_sample_end(connection)
-        assert rule.accumulator.max_pre == 0
-        assert rule.accumulator.max_post == 0
+        assert rule.record is None
+        # The driver's counts are its own: the rule leaves them as they are.
+        np.testing.assert_array_equal(counts["pre"], 4)
+        np.testing.assert_array_equal(counts["post"], 4)
 
-    def test_reset_drops_the_accumulator(self):
+    def test_reset_drops_the_record(self):
         rule = SpikeDynLearningRule()
         _, _, connection = make_connection(rule=rule)
         rule.on_sample_start(connection)
         rule.reset()
-        assert rule.accumulator is None
+        assert rule.record is None
+
+    def test_a_handed_record_is_read_not_counted(self):
+        """Handed a record, the rule never adds spikes to it: counts the
+        driver leaves at zero keep ``kp`` at zero, so a window full of
+        postsynaptic spikes potentiates nothing."""
+        rule = SpikeDynLearningRule(update_interval=4.0, weight_decay=None,
+                                    nu_post=0.1)
+        pre, post, connection = make_connection(rule=rule)
+        counts = {"pre": np.zeros(4, dtype=np.int64), "post": np.zeros(3, dtype=np.int64)}
+        rule.on_sample_start(connection, counts)
+        before = connection.weights.copy()
+        drive(rule, connection, pre, post, [1, 1, 1, 1], [1, 1, 1], steps=4)
+        np.testing.assert_array_equal(counts["pre"], 0)
+        np.testing.assert_array_equal(counts["post"], 0)
+        np.testing.assert_array_equal(connection.weights, before)
+
+    def test_in_a_network_the_record_is_the_plans_counts(self):
+        config = SpikeDynConfig.scaled_down(n_input=49, n_exc=10, t_sim=30.0, seed=2)
+        records = []
+
+        class Recording(SpikeDynLearningRule):
+            def on_sample_end(self, connection, counter=None):
+                records.append(self.record)
+                super().on_sample_end(connection, counter)
+
+        network = build_spikedyn_network(config, learning_rule=Recording(), rng=2)
+        trains = np.random.default_rng(5).random((2, 30, 49)) < 0.3
+        results = [network.run_sample(train, learning=True) for train in trains]
+        for record, result in zip(records, results):
+            assert record.pre_counts is result.counts("input")
+            assert record.post_counts is result.counts("excitatory")
+        assert results[1].counts("excitatory").sum() > 0
 
     def test_weights_stay_within_bounds_under_random_drive(self):
         rule = SpikeDynLearningRule(update_interval=5.0, nu_post=1.0, nu_pre=1.0,

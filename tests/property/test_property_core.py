@@ -11,8 +11,11 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.adaptive_rates import depression_factor, potentiation_factor
 from repro.core.adaptive_threshold import adaptation_potential
-from repro.core.spurious import SpikeAccumulator
+from repro.core.learning import SpikeDynLearningRule
+from repro.core.spurious import SpikeRecord
 from repro.core.weight_decay import SynapticWeightDecay, decay_rate_for_network_size
+from repro.snn.neurons import InputGroup, LIFGroup
+from repro.snn.synapses import Connection
 
 spike_counts = st.integers(min_value=0, max_value=10_000)
 positive_floats = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -96,15 +99,28 @@ def test_weight_decay_composes_over_time(w_decay, first, second):
     pre_spikes=hnp.arrays(dtype=bool, shape=(20, 6)),
     post_spikes=hnp.arrays(dtype=bool, shape=(20, 4)),
 )
-def test_spike_accumulator_counts_match_direct_sums(pre_spikes, post_spikes):
-    accumulator = SpikeAccumulator(6, 4)
-    for pre_row, post_row in zip(pre_spikes, post_spikes):
-        accumulator.update(pre_row, post_row)
-    np.testing.assert_array_equal(accumulator.pre_counts, pre_spikes.sum(axis=0))
-    np.testing.assert_array_equal(accumulator.post_counts, post_spikes.sum(axis=0))
-    assert accumulator.max_pre == pre_spikes.sum(axis=0).max()
-    assert accumulator.max_post == post_spikes.sum(axis=0).max()
-    assert accumulator.post_spiked_in_window == bool(post_spikes.any())
+def test_rule_reads_the_record_its_driver_keeps(pre_spikes, post_spikes):
+    """Driven like the engine drives it (counts added before each step),
+    the rule's record is the driver's counts and reads their statistics;
+    one window spans the whole run."""
+    pre = InputGroup(6, name="pre")
+    post = LIFGroup(4, name="post")
+    rule = SpikeDynLearningRule(update_interval=100.0)
+    connection = Connection(pre, post, np.full((6, 4), 0.5), learning_rule=rule)
+    counts = {"pre": np.zeros(6, dtype=np.int64), "post": np.zeros(4, dtype=np.int64)}
+    rule.on_sample_start(connection, counts)
+    for t, (pre_row, post_row) in enumerate(zip(pre_spikes, post_spikes)):
+        pre.spikes, post.spikes = pre_row, post_row
+        counts["pre"] += pre_row
+        counts["post"] += post_row
+        rule.step(connection, 1.0, t)
+    record = rule.record
+    assert record.pre_counts is counts["pre"] and record.post_counts is counts["post"]
+    np.testing.assert_array_equal(record.pre_counts, pre_spikes.sum(axis=0))
+    np.testing.assert_array_equal(record.post_counts, post_spikes.sum(axis=0))
+    assert record.max_pre == pre_spikes.sum(axis=0).max()
+    assert record.max_post == post_spikes.sum(axis=0).max()
+    assert record.post_spiked_in_window == bool(post_spikes.any())
 
 
 @settings(max_examples=50, deadline=None)
@@ -113,14 +129,18 @@ def test_spike_accumulator_counts_match_direct_sums(pre_spikes, post_spikes):
     post_spikes=hnp.arrays(dtype=bool, shape=(12, 3)),
     boundary=st.integers(min_value=1, max_value=11),
 )
-def test_spike_accumulator_window_flag_only_sees_the_current_window(
+def test_spike_record_window_flag_only_sees_the_current_window(
         pre_spikes, post_spikes, boundary):
-    accumulator = SpikeAccumulator(5, 3)
+    pre_counts = np.zeros(5, dtype=np.int64)
+    post_counts = np.zeros(3, dtype=np.int64)
+    record = SpikeRecord(pre_counts, post_counts)
     for pre_row, post_row in zip(pre_spikes[:boundary], post_spikes[:boundary]):
-        accumulator.update(pre_row, post_row)
-    accumulator.close_window()
+        pre_counts += pre_row
+        post_counts += post_row
+    record.close_window()
     for pre_row, post_row in zip(pre_spikes[boundary:], post_spikes[boundary:]):
-        accumulator.update(pre_row, post_row)
-    assert accumulator.post_spiked_in_window == bool(post_spikes[boundary:].any())
+        pre_counts += pre_row
+        post_counts += post_row
+    assert record.post_spiked_in_window == bool(post_spikes[boundary:].any())
     # The sample-level counts still cover every timestep.
-    np.testing.assert_array_equal(accumulator.post_counts, post_spikes.sum(axis=0))
+    np.testing.assert_array_equal(record.post_counts, post_spikes.sum(axis=0))

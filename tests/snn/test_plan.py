@@ -112,11 +112,12 @@ class TestSeamsStayLive:
         recorder = RecordingBackend()
         network.set_backend(recorder)
         result = network.run_sample(second)
-        # Per step: both connections decay and propagate, the group
-        # integrates and adapts theta, and both traces decay and bump.
+        # Per step: one call decays both connections' conductances and one
+        # both traces; both connections propagate, the group integrates and
+        # adapts theta, and both traces bump.
         assert recorder.calls == Counter(
             propagate_spikes=STEPS, propagate_lateral=STEPS, lif_step=STEPS,
-            theta_step=STEPS, decay_state=4 * STEPS, bump_trace=2 * STEPS,
+            theta_step=STEPS, decay_state=2 * STEPS, bump_trace=2 * STEPS,
         )
         expected = reference.run_sample(second)
         np.testing.assert_array_equal(result.counts("excitatory"),
