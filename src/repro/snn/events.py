@@ -287,9 +287,10 @@ def advance_analytic(network, delta: int, *, decay_traces: bool = False) -> None
     One closed-form update per state array, in place (conductances and
     traces are views of shared buffers, see :mod:`repro.snn.plan`):
     membranes get the two-exponential drive formula from the module
-    docstring, conductances / theta / traces a single ``decay**delta``.  Tallies the work actually performed (one
-    analytic update per element) plus ``steps_skipped=delta``, which is what
-    lets the energy model attribute event-driven savings honestly.
+    docstring, conductances / theta / traces a single ``decay**delta``.
+    Tallies the work actually performed (one analytic update per element)
+    plus ``steps_skipped=delta``, which is what lets the energy model
+    attribute event-driven savings honestly.
 
     Callers must have established :func:`silence_is_provable` first; this
     function assumes zero refractory timers and no pending spikes.

@@ -181,7 +181,9 @@ class Connection:
         backend, which gathers only the spiking weight rows, one spiking
         sample at a time (bit-for-bit identical to the sequential path).
         """
-        self.transmit(self.decay_factor(dt))
+        store_state(self.conductance,
+                    self.backend.decay_state(self.conductance, self.decay_factor(dt)))
+        self.inject()
         if counter is not None:
             counter.add(**self.step_operations())
         return self.sign * self.gain * self.conductance
@@ -189,13 +191,6 @@ class Connection:
     def decay_factor(self, dt: float) -> float:
         """Per-step conductance decay ``exp(-dt / tau_syn)``."""
         return np.exp(-dt / self.tau_syn)
-
-    def transmit(self, decay: float) -> None:
-        """Decay the conductance, then inject this step's presynaptic spikes
-        (no tallies)."""
-        store_state(self.conductance,
-                    self.backend.decay_state(self.conductance, decay))
-        self.inject()
 
     def inject(self) -> None:
         """Add this step's presynaptic spikes into the conductance (the
@@ -205,7 +200,7 @@ class Connection:
                                       self.weights)
 
     def step_operations(self) -> dict:
-        """Operation tallies of one :meth:`transmit` call."""
+        """Operation tallies of one step: the decay plus :meth:`inject`."""
         # Dense (GPU-style) accounting: the stored projection is processed
         # once per timestep regardless of how many presynaptic spikes
         # occurred, matching the paper's GPU-based energy measurements.
@@ -337,7 +332,9 @@ class UniformLateralInhibition:
     def propagate(self, dt: float,
                   counter: Optional[OperationCounter] = None) -> np.ndarray:
         """Advance the conductance and return the (negative) lateral current."""
-        self.transmit(self.decay_factor(dt))
+        store_state(self.conductance,
+                    self.backend.decay_state(self.conductance, self.decay_factor(dt)))
+        self.inject()
         if counter is not None:
             counter.add(**self.step_operations())
         return -self.gain * self.conductance
@@ -346,12 +343,6 @@ class UniformLateralInhibition:
         """Per-step conductance decay ``exp(-dt / tau_syn)``."""
         return np.exp(-dt / self.tau_syn)
 
-    def transmit(self, decay: float) -> None:
-        """Decay the conductance, then inject this step's lateral inhibition."""
-        store_state(self.conductance,
-                    self.backend.decay_state(self.conductance, decay))
-        self.inject()
-
     def inject(self) -> None:
         """Add this step's lateral inhibition into the conductance (see
         :meth:`Connection.inject`)."""
@@ -359,7 +350,7 @@ class UniformLateralInhibition:
                                        self.strength)
 
     def step_operations(self) -> dict:
-        """Operation tallies of one :meth:`transmit` call."""
+        """Operation tallies of one step: the decay plus :meth:`inject`."""
         # O(n) broadcast: decay plus a scalar subtraction per neuron.
         size = self.post.n * (self._batch_size or 1)
         return {"exponential_ops": size, "synaptic_events": size}
