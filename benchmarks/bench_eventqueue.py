@@ -43,10 +43,9 @@ MIN_SPEEDUP = 3.0
 MAX_DENSITY = 0.01
 
 
-def _make_network(backend: str):
+def _make_network():
     config = SpikeDynConfig.scaled_down(
-        n_input=N_INPUT, n_exc=N_EXC, t_sim=float(TIMESTEPS),
-        seed=0, backend=backend,
+        n_input=N_INPUT, n_exc=N_EXC, t_sim=float(TIMESTEPS), seed=0,
     )
     return SpikeDynModel(config).network
 
@@ -87,8 +86,8 @@ def _best_of(fn, repeats: int = 3) -> float:
 def test_eventqueue_equivalence_and_speedup_on_long_horizons():
     """Counts bit-equal to stepped sparse; >= 3x faster at <= 1% density."""
     streams = _event_streams()
-    stepped_net = _make_network("sparse")
-    event_net = _make_network("sparse")
+    stepped_net = _make_network()
+    event_net = _make_network()
 
     # Correctness first, on every stream: the event engine must reproduce
     # the stepped reference's excitatory counts exactly.
@@ -132,8 +131,7 @@ def test_eventqueue_predictions_match_the_stepped_reference():
     """Model-level: assignments + predictions identical on both paths."""
     streams = _event_streams()[:3]
     config = SpikeDynConfig.scaled_down(
-        n_input=N_INPUT, n_exc=N_EXC, t_sim=float(TIMESTEPS),
-        seed=1, backend="sparse",
+        n_input=N_INPUT, n_exc=N_EXC, t_sim=float(TIMESTEPS), seed=1,
     )
     stepped_model = SpikeDynModel(config)
     event_model = SpikeDynModel(config)

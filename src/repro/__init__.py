@@ -22,7 +22,7 @@ Quickstart
 """
 
 from repro.core.config import SpikeDynConfig
-from repro.backends import available_backends, get_backend
+from repro.backends import get_backend
 from repro.core.framework import SpikeDynFramework
 from repro.core.learning import SpikeDynLearningRule
 from repro.core.model_search import search_snn_model
@@ -43,7 +43,6 @@ __all__ = [
     "SpikeDynLearningRule",
     "SpikeDynModel",
     "SyntheticDigits",
-    "available_backends",
     "get_backend",
     "search_snn_model",
     "__version__",

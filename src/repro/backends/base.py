@@ -6,18 +6,19 @@ conductance/trace decay, synaptic propagation, and the in-place STDP
 weight updates.  The orchestration layers (:mod:`repro.snn`,
 :mod:`repro.learning`) own shapes, lifecycles, and
 :class:`~repro.snn.simulation.OperationCounter` accounting; backends own
-nothing but the arithmetic.  That split is what
-makes the engine retargetable: a backend may reorder the arithmetic (e.g.
-visit only spike events), run at a different precision, or dispatch to a
-JIT/GPU kernel, without the network, models, runner, or serving layers
-knowing anything changed.
+nothing but the arithmetic.  That split makes the kernels a substitution
+seam: a caller hands a ``Backend`` instance to
+``Network(backend=...)``, :meth:`~repro.snn.network.Network.set_backend` or
+``model.set_backend``, and the network, models and serving layers run on it
+unchanged.  The tests install the dense vector-matrix (GEMV) oracle in
+``tests/gemv_oracle.py`` that way, and perfbench a wrapper that times
+every kernel.
 
-One implementation ships: :class:`repro.backends.sparse.SparseEventBackend`
-(registered as ``sparse``), the event-driven gather/scatter kernels that
-touch only spiking rows/columns.  It is the reference kernel set: every
-committed fixture is reproduced on it, and the conformance suite in
-``tests/backends/`` holds it against the dense vector-matrix (GEMV) oracle
-in ``tests/gemv_oracle.py``.  Older backend names resolve to it through the alias table in
+One kernel set ships: :class:`repro.backends.sparse.SparseEventBackend`
+(``"sparse"``), the event-driven gather/scatter kernels that touch only
+spiking rows/columns.  Every committed fixture is reproduced on it, and the
+conformance suite in ``tests/backends/`` holds it against the GEMV oracle.
+Retired backend names resolve to it through the alias table in
 :mod:`repro.backends`.  Operation accounting is *modelled* (GPU-style dense
 charging, paper Section III) rather than measured, so any backend reports
 identical ``OperationCounter`` tallies for the same simulation.
@@ -55,10 +56,6 @@ from typing import Optional
 import numpy as np
 
 
-#: Valid values of :attr:`Backend.equivalence_tier`.
-EQUIVALENCE_TIERS = ("exact", "tolerance")
-
-
 def store_state(values: np.ndarray, result: np.ndarray) -> np.ndarray:
     """Land a state kernel's ``result`` in ``values`` and return ``values``.
 
@@ -74,47 +71,20 @@ def store_state(values: np.ndarray, result: np.ndarray) -> np.ndarray:
 class Backend(abc.ABC):
     """Abstract kernel set behind the simulation engine's hot path."""
 
-    #: Registry key (``repro.backends.get_backend(name)``).
+    #: Name the network, the model and serving report (``backend_name``).
     name: str = "abstract"
-    #: One-line human-readable description (``repro backends list``).
+    #: Whether :meth:`repro.snn.network.Network.run_events` jumps silent
+    #: gaps by default on this kernel set.  ``run_events`` works on any
+    #: backend; one declaring ``False`` steps through every timestep.
+    supports_events: bool = False
+    #: Read-only declarations left from the retired backend registry.
+    #: Nothing in the package reads them; wrappers that copy them from the
+    #: backend they wrap (perfbench's timing backend) keep working.
     description: str = ""
-    #: Declared equivalence tier against the dense GEMV oracle, enforced by
-    #: the conformance suite in ``tests/backends/``:
-    #:
-    #: ``"exact"``
-    #:     Spike counts, predictions, and ``OperationCounter`` tallies are
-    #:     *identical* to the oracle; float state (membranes,
-    #:     conductances, traces) may differ only by summation-order rounding
-    #:     and must match within ``(state_rtol, state_atol)``.
-    #: ``"tolerance"``
-    #:     Counts, predictions, and tallies are still identical, but float
-    #:     state is computed at reduced precision and only has to agree
-    #:     within the (much wider) declared bounds.
     equivalence_tier: str = "exact"
-    #: Relative/absolute bounds the backend's float state must satisfy
-    #: against the oracle (``0.0`` means bit-for-bit).
     state_rtol: float = 1e-9
     state_atol: float = 1e-12
-    #: dtype the backend keeps rebound float state in.  Callers that follow
-    #: the rebinding contract end up holding state of this dtype, so a
-    #: reduced-precision backend needs no allocation changes upstream.
     state_dtype = np.float64
-    #: Whether the backend is meant to drive the event-queue simulation
-    #: path (:meth:`repro.snn.network.Network.run_events` with analytic
-    #: silent-gap jumps).  ``run_events`` works on any backend, but only
-    #: backends declaring ``supports_events`` jump silent gaps by default
-    #: and advertise the event mode in the CLI.
-    supports_events: bool = False
-
-    @classmethod
-    def available(cls) -> bool:
-        """Whether this backend can run in the current environment.
-
-        Pure-NumPy backends are always available; backends wrapping optional
-        accelerators (a GPU, a JIT) override this to probe their dependency
-        instead of failing at first kernel call.
-        """
-        return True
 
     # -- neuron kernels ------------------------------------------------------
 
@@ -209,16 +179,6 @@ class Backend(abc.ABC):
         untouched.  Returns the number of non-zero delta entries, as
         :meth:`stdp_potentiation` does.
         """
-
-    def describe(self) -> dict:
-        """JSON-safe summary used by the CLI and the serving metrics."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "available": type(self).available(),
-            "tier": self.equivalence_tier,
-            "events": self.supports_events,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

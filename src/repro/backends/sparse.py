@@ -57,10 +57,6 @@ class SparseEventBackend(Backend):
     """Event-driven kernels: gather/scatter on spike positions only."""
 
     name = "sparse"
-    description = (
-        "Event-driven gather/scatter kernels; synaptic work scales with "
-        "spike events (O(events * fanout)); the reference kernel set"
-    )
     # Drives Network.run_events' analytic silent-gap jumps by default.
     supports_events = True
 

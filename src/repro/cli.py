@@ -30,10 +30,6 @@ driven without writing Python:
     (``POST /v1/models/<name>/predict``, ``GET /v1/models``,
     ``GET /v1/metrics``), optionally sharded across worker processes
     (``--shards``).
-``spikedyn-repro backends``
-    List the registered compute backends (the sparse event-driven
-    reference kernels) with their availability, equivalence tier and the
-    retired names that resolve to them.
 ``spikedyn-repro cache``
     Inspect or clear the on-disk result cache.
 ``spikedyn-repro ledger``
@@ -62,15 +58,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.backends import (
-    BACKEND_ALIASES,
-    DEFAULT_BACKEND,
-    backend_choices,
-    backend_names,
-    describe_backend,
-    get_backend,
-    normalize_backend_name,
-)
+from repro.backends import BACKEND_ALIASES, DEFAULT_BACKEND
 from repro.core.config import SpikeDynConfig
 from repro.core.model_search import search_snn_model
 from repro.datasets.streams import dynamic_task_stream, nondynamic_stream
@@ -128,23 +116,7 @@ def _build_config(args: argparse.Namespace) -> SpikeDynConfig:
         n_exc=args.n_exc,
         t_sim=args.t_sim,
         seed=args.seed,
-        backend=getattr(args, "backend", DEFAULT_BACKEND),
     )
-
-
-def _backend_name(text: str) -> str:
-    """argparse type resolving a backend name or retired alias."""
-    try:
-        return normalize_backend_name(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from error
-
-
-def _add_backend_argument(parser: argparse.ArgumentParser, help: str,
-                          default: Optional[str] = DEFAULT_BACKEND) -> None:
-    """``--backend``: any registered name or alias, stored resolved."""
-    parser.add_argument("--backend", type=_backend_name, choices=backend_choices(),
-                        default=default, help=help)
 
 
 def _positive_int(text: str) -> int:
@@ -191,8 +163,6 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eval-batch-size", type=_positive_int, default=32,
                         help="samples advanced per vectorized engine step "
                              "during evaluation (1 = sequential)")
-    _add_backend_argument(parser, "compute backend executing the simulation "
-                                  "kernels (see 'backends list')")
 
 
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
@@ -223,8 +193,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"SpikeDyn reproduction, version {repro.__version__}")
     print()
     print("models     :", ", ".join(sorted(MODEL_BUILDERS)))
-    print("backends   :", ", ".join(backend_names()),
-          f"(aliases: {', '.join(BACKEND_ALIASES)})")
+    print("kernels    :", DEFAULT_BACKEND,
+          f"(retired names accepted: {', '.join(BACKEND_ALIASES)})")
     print("devices    :", ", ".join(device.name for device in default_devices()))
     print("experiments:", ", ".join(sorted(EXPERIMENT_DRIVERS)))
     print("scales     :", ", ".join(sorted(SCALE_PRESETS)))
@@ -360,14 +330,9 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     print(format_table(
         ["model", "training_J", "inference_J", "training_vs_baseline"], rows
     ))
-    backend = get_backend(config.backend)
     print()
-    print(
-        f"backend '{backend.name}' "
-        f"{'supports' if backend.supports_events else 'does not support'} "
-        "event-driven execution (Network.run_events); tallies below stay "
-        "zero on the clock-driven paths used here"
-    )
+    print("event-driven execution tallies (Network.run_events; zero on "
+          "the clock-driven paths used here)")
     print(format_table(
         ["model", "events_processed", "steps_skipped"], event_rows
     ))
@@ -447,7 +412,7 @@ def _summarize_run(records: Sequence[JobRecord]) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    scale = SCALE_PRESETS[args.scale](seed=args.seed, backend=args.backend)
+    scale = SCALE_PRESETS[args.scale](seed=args.seed)
     if args.workers is None:
         ignored = [flag for flag, value in (
             ("--timeout", args.timeout is not None),
@@ -484,8 +449,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 def _cmd_run_all(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     scales = scales_for_preset(args.scale, seed=args.seed,
-                               paper_networks=args.paper_networks,
-                               backend=args.backend)
+                               paper_networks=args.paper_networks)
     jobs = build_suite(scales, experiments=args.drivers,
                        scale_overrides=default_scale_overrides(args.scale, scales),
                        timeout=args.timeout)
@@ -627,7 +591,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return ShardProcessPool(
                 artifact_dir,
                 shards=args.shards,
-                backend=args.backend,
                 max_batch=args.max_batch,
                 max_wait_ms=args.max_wait_ms,
                 max_queue=args.max_queue,
@@ -637,7 +600,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return ReplicaPool.from_artifact(
             load_artifact(artifact_dir),
             workers=args.workers,
-            backend=args.backend,
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
             max_queue=args.max_queue,
@@ -682,7 +644,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serving {name}: {described['model']} "
               f"({described['n_input']}x{described['n_exc']}, "
               f"schema v{described['schema_version']}, "
-              f"backend={args.backend or described['backend']}) from {path}",
+              f"backend={described['backend']}) from {path}",
               flush=True)
     if registry is not None:
         print(f"registry: {args.registry} "
@@ -702,31 +664,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               file=sys.stderr, flush=True)
     finally:
         server.stop()
-    return 0
-
-
-def _cmd_backends(args: argparse.Namespace) -> int:
-    if args.action != "list":  # pragma: no cover - argparse enforces choices
-        print(f"error: unknown backends action {args.action!r}", file=sys.stderr)
-        return 2
-    rows = []
-    for name in backend_names():
-        # describe_backend works off the registered class, so unavailable
-        # backends (missing optional dependency) still render as a row with
-        # "no" instead of raising at instantiation.
-        info = describe_backend(name)
-        aliases = [alias for alias, target in BACKEND_ALIASES.items() if target == name]
-        rows.append([
-            info["name"],
-            "yes" if info["available"] else "no",
-            info["tier"],
-            "yes" if info["events"] else "no",
-            ", ".join(aliases) or "-",
-            info["description"],
-        ])
-    print(format_table(
-        ["backend", "available", "tier", "events", "aliases", "description"], rows
-    ))
     return 0
 
 
@@ -783,7 +720,7 @@ def _ledger_row(entry: Dict[str, object]) -> List[object]:
         what = str(entry.get("experiment", "?"))
         detail = str(entry.get("key", ""))[:16]
     return [when, kind, what, entry.get("outcome", "?"),
-            entry.get("backend", "?"), entry.get("version", "?"), detail]
+            entry.get("backend", "-"), entry.get("version", "?"), detail]
 
 
 _LEDGER_COLUMNS = ["when", "kind", "what", "outcome", "backend", "version",
@@ -945,8 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run through the parallel runner with N worker "
                                 "processes and result caching (default: run "
                                 "in-process without caching)")
-    _add_backend_argument(reproduce, "compute backend the experiment's models "
-                                     "run on (part of the result-cache key)")
     _add_runner_arguments(reproduce)
     reproduce.set_defaults(handler=_cmd_reproduce)
 
@@ -973,8 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_all.add_argument("--no-resume", action="store_true",
                          help="ignore a pre-existing manifest instead of "
                               "resuming from it")
-    _add_backend_argument(run_all, "compute backend every experiment's models "
-                                   "run on (part of each job's cache key)")
     run_all.add_argument("--metrics-port", type=_nonnegative_int, default=None,
                          metavar="PORT",
                          help="serve runner metrics over HTTP on this port "
@@ -1065,21 +998,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--drift-threshold", type=float, default=3.0,
                        help="drift alarm threshold in reference standard "
                             "deviations")
-    _add_backend_argument(serve, "compute backend the replicas run on "
-                                 "(default: the backend recorded in the "
-                                 "artifact)", default=None)
     serve.add_argument("--verbose", "-v", action="store_true",
                        help="log every HTTP request to stderr")
     _add_ledger_arguments(serve)
     serve.set_defaults(handler=_cmd_serve)
-
-    backends = subparsers.add_parser(
-        "backends",
-        help="list the registered compute backends",
-    )
-    backends.add_argument("action", choices=("list",),
-                          help="what to do with the backend registry")
-    backends.set_defaults(handler=_cmd_backends)
 
     cache = subparsers.add_parser(
         "cache", help="inspect or clear the on-disk result cache"

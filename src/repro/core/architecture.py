@@ -120,7 +120,7 @@ def build_baseline_network(
         Network identifier.
     backend:
         Compute backend (name or instance) for the network's kernels;
-        defaults to the configuration's ``backend`` field.
+        defaults to the one shared kernel set.
     """
     rng = ensure_rng(rng if rng is not None else config.seed)
     inh_strength = (
@@ -128,7 +128,7 @@ def build_baseline_network(
     )
 
     network = Network(config.simulation_parameters(), name=name,
-                      backend=backend if backend is not None else config.backend)
+                      backend=backend)
     input_group, excitatory = _make_input_and_excitatory(config)
     inhibitory = LIFGroup(config.n_exc, name="inhibitory", **INHIBITORY_NEURON_DEFAULTS)
 
@@ -193,12 +193,12 @@ def build_spikedyn_network(
         Network identifier.
     backend:
         Compute backend (name or instance) for the network's kernels;
-        defaults to the configuration's ``backend`` field.
+        defaults to the one shared kernel set.
     """
     rng = ensure_rng(rng if rng is not None else config.seed)
 
     network = Network(config.simulation_parameters(), name=name,
-                      backend=backend if backend is not None else config.backend)
+                      backend=backend)
     input_group, excitatory = _make_input_and_excitatory(config)
 
     policy = AdaptiveThresholdPolicy(

@@ -15,7 +15,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.backends import DEFAULT_BACKEND, normalize_backend_name
+from repro.backends import drop_legacy_backend
 from repro.core.weight_decay import DECAY_SCALE, decay_rate_for_network_size
 from repro.snn.simulation import SimulationParameters
 from repro.utils.validation import (
@@ -71,12 +71,6 @@ class SpikeDynConfig:
         Bits per stored parameter, used by the analytical memory model.
     seed:
         Seed controlling weight initialization and Poisson encoding.
-    backend:
-        Registry name of the compute backend executing the simulation
-        kernels (``"sparse"``, the reference kernel set; see
-        :mod:`repro.backends`).  A retired name (``"dense"``,
-        ``"float32"``, ...) is accepted and stored as the backend it
-        resolves to.
     """
 
     n_input: int = 784
@@ -131,11 +125,6 @@ class SpikeDynConfig:
     # Reproducibility.
     seed: Optional[int] = 0
 
-    # Compute backend executing the simulation kernels (see repro.backends).
-    # Like ``seed`` it never changes *what* the model computes, only how, so
-    # artifact compatibility checks exempt it.
-    backend: str = DEFAULT_BACKEND
-
     def __post_init__(self) -> None:
         check_positive_int(self.n_input, "n_input")
         check_positive_int(self.n_exc, "n_exc")
@@ -161,7 +150,6 @@ class SpikeDynConfig:
         check_non_negative(self.decay_scale, "decay_scale")
         check_positive(self.tau_decay, "tau_decay")
         check_positive_int(self.bit_precision, "bit_precision")
-        self.backend = normalize_backend_name(self.backend)
         if self.w_max <= self.w_min:
             raise ValueError(
                 f"w_max ({self.w_max}) must exceed w_min ({self.w_min})"
@@ -248,7 +236,13 @@ class SpikeDynConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpikeDynConfig":
-        """Rebuild a configuration from :meth:`to_dict` output."""
+        """Rebuild a configuration from :meth:`to_dict` output.
+
+        A legacy ``backend`` key (written before the configuration stopped
+        recording one) is checked and dropped.
+        """
+        data = dict(data)
+        drop_legacy_backend(data)
         field_names = {spec.name for spec in dataclasses.fields(cls)}
         unknown = set(data) - field_names
         if unknown:

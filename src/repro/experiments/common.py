@@ -25,7 +25,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends import DEFAULT_BACKEND, normalize_backend_name
 from repro.core.config import SpikeDynConfig
 from repro.datasets.synthetic_mnist import SyntheticDigits
 from repro.models.asp_model import ASPModel
@@ -80,10 +79,6 @@ class ExperimentScale:
     eval_batch_size:
         Samples advanced per vectorized engine step during protocol
         evaluation (1 = sequential per-sample inference).
-    backend:
-        Compute backend every model built at this scale runs on (see
-        :mod:`repro.backends`).  Part of the scale, and therefore of every
-        :class:`~repro.runner.jobs.JobSpec` cache key derived from it.
     """
 
     image_size: int = 14
@@ -98,7 +93,6 @@ class ExperimentScale:
     n_inference_samples: int = 10_000
     seed: int = 0
     eval_batch_size: int = 32
-    backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         check_positive_int(self.image_size, "image_size")
@@ -111,7 +105,6 @@ class ExperimentScale:
         check_positive_int(self.samples_per_task, "samples_per_task")
         check_positive_int(self.eval_samples_per_class, "eval_samples_per_class")
         check_positive_int(self.eval_batch_size, "eval_batch_size")
-        object.__setattr__(self, "backend", normalize_backend_name(self.backend))
 
     # -- presets ---------------------------------------------------------------
 
@@ -185,7 +178,6 @@ class ExperimentScale:
             t_rest=0.0,
             update_interval=self.update_interval,
             seed=self.seed,
-            backend=self.backend,
         )
         parameters.update(overrides)
         return SpikeDynConfig(**parameters)

@@ -52,7 +52,7 @@ class EventStreamStudyResult:
     scale:
         The experiment scale the study was run at.
     backend:
-        Compute backend both engines ran on.
+        Name of the kernel set both engines ran on.
     horizon_steps:
         Timesteps per presentation (the long horizon).
     streams:
@@ -119,7 +119,6 @@ def run_eventstream_study(
     scale: Optional[ExperimentScale] = None,
     *,
     model: str = "spikedyn",
-    backend: str = DEFAULT_BACKEND,
     classes: Sequence[int] = (0, 1, 2),
     streams_per_class: int = 1,
     duration: float = 600.0,
@@ -135,9 +134,6 @@ def run_eventstream_study(
         Experiment scale; defaults to :meth:`ExperimentScale.tiny`.
     model:
         Which comparison partner's network to run (``"spikedyn"`` default).
-    backend:
-        Compute backend for both engines (default the reference backend,
-        which declares ``supports_events``).
     classes, streams_per_class:
         Which digit classes to encode and how many streams per class.
     duration, n_bursts, burst_steps, max_probability:
@@ -145,7 +141,7 @@ def run_eventstream_study(
         defaults give a sub-1 % density, 600-step horizon.
     """
     scale = scale if scale is not None else ExperimentScale.tiny()
-    config = scale.config(scale.network_sizes[0], backend=backend)
+    config = scale.config(scale.network_sizes[0])
     encoder = DVSEventStreamEncoder(
         duration=duration,
         dt=config.dt,

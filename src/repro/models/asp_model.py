@@ -40,7 +40,7 @@ class ASPModel(UnsupervisedDigitClassifier):
         (see :class:`~repro.models.base.UnsupervisedDigitClassifier`).
     backend:
         Compute backend (name or instance) executing the network's kernels;
-        defaults to the configuration's ``backend`` field.
+        defaults to the one shared kernel set.
     """
 
     def __init__(self, config: SpikeDynConfig, *,

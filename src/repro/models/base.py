@@ -47,8 +47,8 @@ DEFAULT_EVAL_BATCH_SIZE = 32
 #: (no ``schema_version`` field, no encoder spec, no shape validation on
 #: load); version 2 adds the self-describing metadata consumed by the
 #: serving subsystem (:mod:`repro.serving.artifacts`); version 3 records the
-#: compute backend the model ran on (``backend`` key, validated against the
-#: backend registry on load — the stored state itself is backend-agnostic).
+#: name of the kernel set the model ran on (``backend`` key, checked against
+#: the accepted names on load — the stored state itself is backend-agnostic).
 ARTIFACT_SCHEMA_VERSION = 3
 
 #: JSON metadata file of a saved model artifact.
@@ -101,19 +101,12 @@ def read_artifact_dir(directory: PathLike):
 def validate_artifact_backend(metadata: Dict[str, object], *,
                               schema_version: int,
                               source: object = "artifact") -> str:
-    """Check (and return) the compute backend recorded in an artifact.
+    """Check (and return) the kernel-set name recorded in an artifact.
 
-    Schema v3 artifacts must name a backend *registered* in this process
-    (earlier schemas predate the backend layer and load on the default
-    backend).  Retired names resolve through
-    :data:`repro.backends.BACKEND_ALIASES`, so the returned name is always
-    a registered one.
-    Registration is the whole requirement: an unavailable backend — one
-    whose optional dependency is missing — loads fine, because the stored
-    arrays are backend-agnostic and the recorded name is only the default
-    for rebuilds (``build_model(backend=...)`` can always override it).
-    Only a name no registered backend claims is rejected, exactly like any
-    other invalid configuration value.
+    Schema v3 artifacts must name ``"sparse"`` or a retired name in
+    :data:`repro.backends.BACKEND_ALIASES`, and the returned name is always
+    ``"sparse"``; earlier schemas predate the field.  An unknown name is
+    rejected like any other invalid configuration value.
     """
     backend = metadata.get("backend")
     if backend is None:
@@ -137,18 +130,15 @@ def validate_config_compatibility(stored: "SpikeDynConfig",
                                   source: object = "artifact") -> None:
     """Check that a stored configuration matches the target model's.
 
-    Every field except ``seed`` and ``backend`` must agree: the loaded
-    weights and theta assume the stored neuron constants, encoder timing
-    (``t_sim``/``dt``), and rate-coding parameters, so a mismatch silently
-    degrades inference rather than failing.  ``seed`` only controls
-    stochastic draws and ``backend`` only controls which kernels execute the
-    arithmetic; both may legitimately differ (e.g. evaluating a saved model
-    on fresh samples, or serving an artifact saved under a retired backend
-    name).
+    Every field except ``seed`` must agree: the loaded weights and theta
+    assume the stored neuron constants, encoder timing (``t_sim``/``dt``),
+    and rate-coding parameters, so a mismatch silently degrades inference
+    rather than failing.  ``seed`` only controls stochastic draws and may
+    legitimately differ (e.g. evaluating a saved model on fresh samples).
     """
     mismatched = []
     for spec in dataclasses.fields(type(stored)):
-        if spec.name in ("seed", "backend"):
+        if spec.name == "seed":
             continue
         stored_value = getattr(stored, spec.name)
         current_value = getattr(current, spec.name)
@@ -243,12 +233,6 @@ class UnsupervisedDigitClassifier:
                  encoder: Optional[PoissonRateEncoder] = None,
                  name: str = "model",
                  eval_batch_size: Optional[int] = DEFAULT_EVAL_BATCH_SIZE) -> None:
-        # Keep ``config.backend`` authoritative about the network actually
-        # running: a constructor-level backend override (``backend=`` kwarg
-        # on the model classes) would otherwise leave a saved artifact's
-        # top-level backend and ``config.backend`` disagreeing.
-        if network.backend_name != config.backend:
-            config = config.replace(backend=network.backend_name)
         self.config = config
         self.network = network
         self.name = str(name)
@@ -282,18 +266,13 @@ class UnsupervisedDigitClassifier:
 
     @property
     def backend_name(self) -> str:
-        """Registry name of the compute backend the network runs on."""
+        """Name of the kernel set the network runs on."""
         return self.network.backend_name
 
     def set_backend(self, backend: BackendLike) -> None:
-        """Retarget the model's network to another compute backend.
-
-        The configuration's ``backend`` field follows along so that a
-        subsequently saved artifact stays self-consistent (its top-level
-        ``backend`` key and ``config.backend`` always agree).
-        """
+        """Run the model's network on another kernel set (see
+        :meth:`repro.snn.network.Network.set_backend`)."""
         self.network.set_backend(backend)
-        self.config = self.config.replace(backend=self.network.backend_name)
 
     @property
     def input_weights(self) -> np.ndarray:

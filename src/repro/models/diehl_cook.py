@@ -39,7 +39,7 @@ class DiehlCookModel(UnsupervisedDigitClassifier):
         (see :class:`~repro.models.base.UnsupervisedDigitClassifier`).
     backend:
         Compute backend (name or instance) executing the network's kernels;
-        defaults to the configuration's ``backend`` field.
+        defaults to the one shared kernel set.
     """
 
     def __init__(self, config: SpikeDynConfig, *,

@@ -141,7 +141,7 @@ def job_entry(job: Any, record: Any, outcome: Optional[str] = None) -> Dict[str,
     ----------
     job:
         The :class:`~repro.runner.jobs.JobSpec` (duck-typed: ``key()``,
-        ``experiment``, ``seed``, ``backend``, ``scale``).
+        ``experiment``, ``seed``, ``scale``).
     record:
         The terminal :class:`~repro.runner.manifest.JobRecord`.
     outcome:
@@ -163,7 +163,6 @@ def job_entry(job: Any, record: Any, outcome: Optional[str] = None) -> Dict[str,
         "key": job.key(),
         "experiment": job.experiment,
         "seed": job.seed,
-        "backend": job.backend,
         "config_hash": config_hash(scale),
         "outcome": outcome,
         "status": record.status,

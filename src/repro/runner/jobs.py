@@ -4,11 +4,9 @@ A :class:`JobSpec` is one independent unit of work of a reproduction run: one
 experiment driver at one :class:`~repro.experiments.common.ExperimentScale`
 with one seed and optional driver overrides.  Its :meth:`JobSpec.key` is a
 SHA-256 digest of the canonical JSON payload — driver name, every scale
-field (including the seed and the compute backend), the overrides, and the
-package version — so two jobs share a cache entry exactly when they would
-compute the same report.  The backend is keyed deliberately even though
-cross-backend results are statistically equivalent: cache entries must be
-attributable to the exact kernels that produced them.
+field (including the seed), the overrides, and the package version — so
+two jobs share a cache entry exactly when they would compute the same
+report.
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import repro
+from repro.backends import drop_legacy_backend
 from repro.experiments.common import ExperimentScale
 
 #: ExperimentScale fields that are tuples and come back from JSON as lists.
@@ -38,8 +37,13 @@ def scale_to_dict(scale: ExperimentScale) -> Dict[str, Any]:
 
 
 def scale_from_dict(data: Mapping[str, Any]) -> ExperimentScale:
-    """Rebuild an :class:`ExperimentScale` from :func:`scale_to_dict` output."""
+    """Rebuild an :class:`ExperimentScale` from :func:`scale_to_dict` output.
+
+    A legacy ``backend`` key (written before scales stopped recording one)
+    is checked and dropped.
+    """
     fields = dict(data)
+    drop_legacy_backend(fields)
     for name in _SCALE_TUPLE_FIELDS:
         if name in fields:
             fields[name] = tuple(fields[name])
@@ -90,11 +94,6 @@ class JobSpec:
     def seed(self) -> int:
         """The seed every stochastic component of this job derives from."""
         return self.scale.seed
-
-    @property
-    def backend(self) -> str:
-        """Compute backend this job's models run on (part of the cache key)."""
-        return self.scale.backend
 
     @property
     def output_stem(self) -> str:

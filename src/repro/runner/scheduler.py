@@ -101,7 +101,7 @@ class ParallelRunner:
         Optional persistent :class:`~repro.observability.ledger.RunLedger`.
         Every terminal job — executed, cache-served (``outcome="cached"``),
         or manifest-resumed — is appended with its full lineage (content
-        key, backend, config hash, package version, timing, outcome).
+        key, config hash, package version, timing, outcome).
         ``None`` disables ledger recording.
     on_event:
         Optional callback ``(event, record)`` invoked on ``"start"``,
@@ -240,7 +240,6 @@ class ParallelRunner:
                 key=job.key(),
                 experiment=job.experiment,
                 seed=job.seed,
-                backend=job.backend,
                 inline=True,
             )
             self._emit("start", self._pending_record(job))
@@ -331,7 +330,6 @@ class ParallelRunner:
             key=job.key(),
             experiment=job.experiment,
             seed=job.seed,
-            backend=job.backend,
             pid=process.pid,
             timeout_s=job.timeout,
         )

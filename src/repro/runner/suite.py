@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.backends import DEFAULT_BACKEND
 from repro.experiments.common import ExperimentScale
 from repro.experiments.registry import EXPERIMENTS, ExperimentSpec
 from repro.runner.jobs import JobSpec
@@ -26,7 +25,7 @@ SUITE_OVERRIDES: Dict[str, Dict[str, Any]] = {
 
 
 def scales_for_preset(
-    preset: str, seed: int = 0, paper_networks: bool = False, backend: str = DEFAULT_BACKEND
+    preset: str, seed: int = 0, paper_networks: bool = False
 ) -> Dict[str, ExperimentScale]:
     """The per-family scales of one named preset (``tiny``/``small``/``paper``).
 
@@ -34,23 +33,22 @@ def scales_for_preset(
     minutes-scale accuracy settings with 28x28 energy estimation (N200/N400
     when ``paper_networks`` is set, N100/N200 otherwise), matching the scales
     the EXPERIMENTS.md record was produced at.  ``paper`` uses the paper's
-    own sizes throughout.  ``backend`` selects the compute backend of every
-    scale (and therefore enters every job's cache key).
+    own sizes throughout.
     """
     if preset == "tiny":
-        accuracy = ExperimentScale.tiny(seed=seed, backend=backend)
+        accuracy = ExperimentScale.tiny(seed=seed)
         energy = ExperimentScale.tiny(
-            image_size=28, network_sizes=(50, 100), t_sim=50.0, seed=seed, backend=backend
+            image_size=28, network_sizes=(50, 100), t_sim=50.0, seed=seed
         )
     elif preset == "small":
-        accuracy = ExperimentScale.small(seed=seed, backend=backend)
+        accuracy = ExperimentScale.small(seed=seed)
         sizes = (200, 400) if paper_networks else (100, 200)
         energy = ExperimentScale.tiny(
-            image_size=28, network_sizes=sizes, t_sim=100.0, seed=seed, backend=backend
+            image_size=28, network_sizes=sizes, t_sim=100.0, seed=seed
         )
     elif preset == "paper":
-        accuracy = ExperimentScale.paper(seed=seed, backend=backend)
-        energy = ExperimentScale.paper(seed=seed, backend=backend)
+        accuracy = ExperimentScale.paper(seed=seed)
+        energy = ExperimentScale.paper(seed=seed)
     else:
         raise ValueError(f"unknown scale preset {preset!r}; known: tiny, small, paper")
 

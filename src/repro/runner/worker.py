@@ -60,9 +60,7 @@ def execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     propagating (crash isolation also holds on the in-process path).
     """
     job = JobSpec.from_dict(payload)
-    job_log = _log.bind(
-        key=job.key(), experiment=job.experiment, seed=job.seed, backend=job.backend
-    )
+    job_log = _log.bind(key=job.key(), experiment=job.experiment, seed=job.seed)
     started = time.perf_counter()
     record: Dict[str, Any] = {
         "key": job.key(),

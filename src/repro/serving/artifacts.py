@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
-from repro.backends import DEFAULT_BACKEND, available_backends, describe_backend
+from repro.backends import DEFAULT_BACKEND, BackendLike
 from repro.core.config import SpikeDynConfig
 from repro.models.asp_model import ASPModel
 from repro.models.base import (
@@ -80,11 +80,9 @@ class ModelArtifact:
         The stored state arrays (``input_weights``, ``assignments``, and
         ``theta`` when present).
     backend:
-        Registered compute backend the model was saved under, with retired
-        names resolved through :data:`repro.backends.BACKEND_ALIASES` (the
-        default backend for pre-v3 artifacts).  The arrays are
-        backend-agnostic; this is the default backend :meth:`build_model`
-        rebuilds replicas on.
+        Kernel set the model was saved under, with retired names resolved
+        through :data:`repro.backends.BACKEND_ALIASES` (always ``"sparse"``).
+        The arrays are backend-agnostic.
     """
 
     path: Path
@@ -118,7 +116,7 @@ class ModelArtifact:
         }
 
     def build_model(self, *, eval_batch_size: Optional[int] = None,
-                    backend: Optional[str] = None
+                    backend: BackendLike = None
                     ) -> UnsupervisedDigitClassifier:
         """Reconstruct the trained classifier from this artifact.
 
@@ -128,9 +126,9 @@ class ModelArtifact:
         weights, assignments, and theta — exactly what the replica pool
         needs to shard load across workers.
 
-        ``backend`` selects the compute backend of the rebuilt network and
-        defaults to the backend recorded in the artifact; the stored state
-        is backend-agnostic, so any registered backend is valid.
+        ``backend`` (a name or a :class:`~repro.backends.Backend`
+        instance) is passed to the model constructor; the default is the
+        one shared kernel set, and the stored state is backend-agnostic.
         """
         if self.model_name not in MODEL_CLASSES:
             known = ", ".join(sorted(MODEL_CLASSES))
@@ -139,21 +137,7 @@ class ModelArtifact:
                 f"{self.model_name!r}; known models: {known}"
             )
         cls = MODEL_CLASSES[self.model_name]
-        build_backend = self.backend if backend is None else backend
-        # Loading an artifact that records an unavailable backend succeeds
-        # (the arrays are backend-agnostic), but rebuilding on it cannot:
-        # fail here with the artifact context and the override escape hatch
-        # instead of letting the registry's bare RuntimeError surface.
-        info = describe_backend(build_backend)
-        if not info["available"]:
-            usable = ", ".join(sorted(available_backends()))
-            raise ArtifactError(
-                f"artifact at {self.path} records compute backend "
-                f"{build_backend!r}, which is registered but not available "
-                f"in this environment; rebuild with build_model(backend=...) "
-                f"on an available backend ({usable})"
-            )
-        build_kwargs: Dict[str, object] = {"backend": build_backend}
+        build_kwargs: Dict[str, object] = {"backend": backend}
         if eval_batch_size is not None:
             build_kwargs["eval_batch_size"] = eval_batch_size
         model = cls(self.config, **build_kwargs)

@@ -31,7 +31,6 @@ not extra syscalls per span.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
@@ -79,16 +78,6 @@ def _resolve(future: Future, result=None, error=None) -> None:
             future.set_result(result)
     except InvalidStateError:
         pass
-
-
-def deployment_lineage(artifact: ModelArtifact,
-                       backend: Optional[str] = None) -> dict:
-    """Ledger lineage of ``artifact`` served on ``backend`` (default: the
-    backend recorded in the artifact)."""
-    lineage = artifact_lineage(artifact)
-    if backend is not None:
-        lineage["backend"] = backend
-    return lineage
 
 
 class ServingPool:
@@ -388,18 +377,16 @@ class ReplicaPool(ServingPool):
         ]
 
     @classmethod
-    def from_artifact(cls, artifact: ModelArtifact, workers: int = 2, *,
-                      backend: Optional[str] = None, **options) -> "ReplicaPool":
+    def from_artifact(cls, artifact: ModelArtifact, workers: int = 2,
+                      **options) -> "ReplicaPool":
         """Pool whose replicas are independent reconstructions of ``artifact``.
 
-        ``backend`` overrides the compute backend every replica runs on
-        (default: the backend recorded in the artifact).  The artifact's
-        lineage (name, version, config hash, backend) is attached to the
-        pool so ledger entries can attribute every batch to it.
+        The artifact's lineage (name, version, config hash, backend) is
+        attached to the pool so ledger entries can attribute every batch
+        to it.
         """
-        pool = cls(functools.partial(artifact.build_model, backend=backend),
-                   workers, **options)
-        pool.lineage = deployment_lineage(artifact, backend)
+        pool = cls(artifact.build_model, workers, **options)
+        pool.lineage = artifact_lineage(artifact)
         return pool
 
     @property

@@ -34,14 +34,19 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.observability.ledger import KIND_SERVING_SHARD, RunLedger, SpanBuffer
+from repro.observability.ledger import (
+    KIND_SERVING_SHARD,
+    RunLedger,
+    SpanBuffer,
+    artifact_lineage,
+)
 from repro.observability.structlog import configure_from_env, get_struct_logger
 from repro.observability.tracing import TraceContext, record_span
 from repro.serving.artifacts import ModelArtifact, load_artifact
 from repro.serving.batcher import PendingRequest
 from repro.serving.errors import ShardCrashedError
 from repro.serving.inference import PredictionService, PredictRequest, PredictResult
-from repro.serving.pool import ServingPool, deployment_lineage
+from repro.serving.pool import ServingPool
 from repro.utils.validation import check_positive_int
 
 _log = get_struct_logger("serving.shards")
@@ -57,8 +62,7 @@ BATCH_TIMEOUT_S = 120.0
 _POLL_S = 0.1
 
 
-def _shard_main(artifact_dir: str, backend: Optional[str],
-                conn: "multiprocessing.connection.Connection",
+def _shard_main(artifact_dir: str, conn: "multiprocessing.connection.Connection",
                 shard_index: int, ledger_root: Optional[str] = None) -> None:
     """Worker-process entry point: load the artifact, answer predict RPCs.
 
@@ -82,7 +86,7 @@ def _shard_main(artifact_dir: str, backend: Optional[str],
     log = get_struct_logger("serving.shard").bind(shard=shard_index)
     try:
         artifact = load_artifact(artifact_dir)
-        model = artifact.build_model(backend=backend)
+        model = artifact.build_model()
         span_ledger = RunLedger(ledger_root) if ledger_root else None
         service = PredictionService(model)
     except BaseException as error:  # noqa: BLE001 - reported to the parent
@@ -185,8 +189,6 @@ class ShardProcessPool(ServingPool):
         path crosses the process boundary, not the model).
     shards:
         Number of worker processes.
-    backend:
-        Compute-backend override for every shard (default: the artifact's).
     **options:
         ``max_batch``, ``max_wait_ms``, ``max_queue``, ``drift_detector``
         and ``ledger``, as on :class:`~repro.serving.pool.ServingPool`;
@@ -197,16 +199,14 @@ class ShardProcessPool(ServingPool):
         respawned).
     """
 
-    def __init__(self, artifact_dir, shards: int = 2, *,
-                 backend: Optional[str] = None, **options) -> None:
+    def __init__(self, artifact_dir, shards: int = 2, **options) -> None:
         self.artifact_dir = str(artifact_dir)
         self.shards = check_positive_int(shards, "shards")
-        self.backend = backend
         # Validates the artifact in the parent at construction time, so a
         # broken path fails fast instead of inside the first spawn.
         self.artifact: ModelArtifact = load_artifact(self.artifact_dir)
         super().__init__(self.shards, **options)
-        self.lineage = deployment_lineage(self.artifact, backend)
+        self.lineage = artifact_lineage(self.artifact)
         self._context = multiprocessing.get_context("spawn")
         self._handles: List[Optional[_ShardHandle]] = [None] * self.shards
         self.metrics.gauge("shards", "Configured worker-process shards.",
@@ -242,7 +242,7 @@ class ShardProcessPool(ServingPool):
 
     @property
     def backend_name(self) -> str:
-        return self.backend if self.backend is not None else self.artifact.backend
+        return self.artifact.backend
 
     respawns_total = property(lambda self: self._respawns.value)
 
@@ -368,8 +368,7 @@ class ShardProcessPool(ServingPool):
         ledger_root = str(self.ledger.root) if self.ledger is not None else None
         process = self._context.Process(
             target=_shard_main,
-            args=(self.artifact_dir, self.backend, child_conn, index,
-                  ledger_root),
+            args=(self.artifact_dir, child_conn, index, ledger_root),
             name=f"repro-shard-{index}", daemon=True,
         )
         process.start()

@@ -137,7 +137,7 @@ class Network:
 
     @property
     def backend_name(self) -> str:
-        """Registry name of the active compute backend."""
+        """Name of the kernel set the network runs on."""
         return self.backend.name
 
     def set_backend(self, backend: BackendLike) -> None:

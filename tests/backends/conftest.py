@@ -1,25 +1,18 @@
 """Shared fixtures for the backend-conformance suite.
 
-The conformance tests are parametrized over every name a backend may be
-selected by — each registered backend that reports itself available in
-this environment, then each retired name in
-:data:`repro.backends.BACKEND_ALIASES` that resolves to one — plus the
-unregistered dense GEMV oracle (:mod:`gemv_oracle`).  A new backend
-registered through ``repro.backends`` is picked up automatically, a
-configuration or artifact that still names a retired backend is held to
-the same contract as one naming its target, and the oracle checks the
-suite's own expectations.  Parametrized cases get the instance the name
-resolves to through :func:`repro.backends.get_backend` and run a model on
-it with ``model.network.set_backend(backend)``, which works for the
-unregistered oracle too.
+The conformance tests are parametrized over every name the kernel set may
+be reached by — ``"sparse"`` and each retired name in
+:data:`repro.backends.BACKEND_ALIASES`, all resolving to the one shared
+instance — plus the dense GEMV oracle (:mod:`gemv_oracle`).  A
+configuration or artifact that still names a retired backend is thereby
+held to the same contract as one naming ``sparse``, and the oracle checks
+the suite's own expectations.  Cases run a model on the instance with
+``model.network.set_backend(backend)``.
 
-Tolerances come from the backend classes themselves: each backend declares
-an equivalence tier (``exact`` or ``tolerance``) plus ``state_rtol`` /
-``state_atol`` bounds for its float state, and :func:`assert_state_close`
-applies exactly those bounds — bit-for-bit when a backend claims zero
-tolerance (the oracle), ``allclose`` otherwise.  Integer results (spike
-counts, predictions, operation tallies) are never toleranced; every tier
-must reproduce them exactly.
+The float-state bounds live here, not in the package: the oracle is held
+to itself bit for bit (:data:`ORACLE_BOUNDS`), the sparse kernels to
+summation-order rounding (:data:`SPARSE_BOUNDS`).  Integer results (spike
+counts, predictions, operation tallies) are never toleranced.
 """
 
 from __future__ import annotations
@@ -28,28 +21,24 @@ import numpy as np
 import pytest
 from gemv_oracle import GemvOracle
 
-from repro.backends import (
-    BACKEND_ALIASES,
-    available_backends,
-    backend_choices,
-    get_backend,
-)
+from repro.backends import BACKEND_ALIASES, DEFAULT_BACKEND, get_backend
 
-#: The shared instance behind every selectable name plus the oracle, by
-#: name.  Computed at collection time so the parametrized tests enumerate
-#: what ``repro backends list`` reports as available, the aliases that
-#: resolve to it, and the oracle.
+#: ``(rtol, atol)`` of the oracle's float state against itself: bit-exact.
+ORACLE_BOUNDS = (0.0, 0.0)
+
+#: ``(rtol, atol)`` of the sparse kernels' float state against the oracle.
+SPARSE_BOUNDS = (1e-9, 1e-12)
+
+#: The instance behind every accepted name, plus the oracle, by name.
 CONFORMANCE_BACKENDS = {
-    name: get_backend(name)
-    for name in backend_choices()
-    if BACKEND_ALIASES.get(name, name) in available_backends()
+    name: get_backend(name) for name in [DEFAULT_BACKEND, *BACKEND_ALIASES]
 }
 CONFORMANCE_BACKENDS[GemvOracle.name] = GemvOracle()
 
 
 @pytest.fixture(params=list(CONFORMANCE_BACKENDS))
 def backend_name(request) -> str:
-    """Every selectable backend name and the oracle's, one case each."""
+    """Every accepted backend name and the oracle's, one case each."""
     return request.param
 
 
@@ -60,14 +49,12 @@ def backend(backend_name: str):
 
 
 def assert_state_close(backend, actual, desired, err_msg: str = "") -> None:
-    """Assert float state agreement at ``backend``'s declared tolerance.
+    """Assert float state agreement within ``backend``'s bounds.
 
-    A backend declaring zero tolerance (``state_rtol == state_atol == 0.0``,
-    i.e. the oracle) is held to bit-for-bit equality; every other backend is
-    held to its own ``state_rtol`` / ``state_atol`` bounds.
+    The oracle is held to bit-for-bit equality (:data:`ORACLE_BOUNDS`), the
+    sparse kernels to :data:`SPARSE_BOUNDS`.
     """
-    rtol = type(backend).state_rtol
-    atol = type(backend).state_atol
+    rtol, atol = ORACLE_BOUNDS if isinstance(backend, GemvOracle) else SPARSE_BOUNDS
     if rtol == 0.0 and atol == 0.0:
         np.testing.assert_array_equal(actual, desired, err_msg=err_msg)
     else:

@@ -1,23 +1,15 @@
-"""Backend-conformance suite: every available backend vs the GEMV oracle.
+"""Backend-conformance suite: the kernel set vs the GEMV oracle.
 
-Auto-parametrized over :func:`repro.backends.available_backends`, the
-retired names that alias them, and the dense GEMV oracle (see
-``conftest.py``), so registering a new backend automatically enrolls it
-here.  Each backend is held to its *declared*
-equivalence tier:
-
-* ``exact`` (sparse) — spike decisions, counts, predictions, and operation
-  tallies are bit-identical to the oracle; float state may differ only by
-  summation-order rounding (``state_rtol``/``state_atol`` at
-  double-precision tightness; zero for the oracle itself).
-* ``tolerance`` — integer results are *still* exact; float state is held to
-  the backend's own reduced-precision bounds.  No shipped backend uses it.
+Parametrized over ``"sparse"``, the retired names that resolve to it, and
+the dense GEMV oracle (see ``conftest.py``).  Spike decisions, counts,
+predictions and operation tallies must be bit-identical to the oracle;
+float state may differ only by summation-order rounding, within the bounds
+``conftest.py`` names (zero for the oracle itself).
 
 The suite checks three layers: individual kernels against the oracle's,
 batched-vs-sequential agreement within each backend (bit for bit, at the
 kernel and at the model), and a full golden-trace replay against the
-committed fixture.  A final test pins the registry's degradation contract
-for backends whose ``available()`` probe fails.
+committed fixture.
 """
 
 from __future__ import annotations
@@ -30,13 +22,6 @@ import pytest
 
 from gemv_oracle import GemvOracle
 
-from repro.backends import (
-    SparseEventBackend,
-    available_backends,
-    describe_backend,
-    get_backend,
-    register_backend,
-)
 from repro.backends.base import store_state
 from repro.core.config import SpikeDynConfig
 from repro.models.spikedyn_model import SpikeDynModel
@@ -57,21 +42,6 @@ def _load_golden_trace_module():
 
 def _spikes(shape, density, seed):
     return np.random.default_rng(seed).random(shape) < density
-
-
-class TestDeclaredTiers:
-    def test_every_backend_declares_a_known_tier(self, backend):
-        from repro.backends.base import EQUIVALENCE_TIERS
-
-        assert backend.equivalence_tier in EQUIVALENCE_TIERS
-        if backend.name in available_backends():
-            assert describe_backend(backend.name)["tier"] == backend.equivalence_tier
-
-    def test_exact_tier_backends_have_double_precision_bounds(self, backend):
-        if backend.equivalence_tier != "exact":
-            pytest.skip("tolerance-tier backend")
-        assert type(backend).state_rtol <= 1e-9
-        assert type(backend).state_atol <= 1e-12
 
 
 @pytest.mark.parametrize("batched", [False, True])
@@ -175,7 +145,7 @@ class TestPropagationConformance:
         seed_cond = rng.random(cond_shape)
         reference = seed_cond.copy()
         ORACLE.propagate_spikes(reference, spikes, weights)
-        actual = np.asarray(seed_cond, dtype=backend.state_dtype).copy()
+        actual = seed_cond.copy()
         backend.propagate_spikes(actual, spikes, weights)
         assert_state_close(backend, actual, reference, "conductance")
 
@@ -188,7 +158,7 @@ class TestPropagationConformance:
         seed_cond = rng.random(shape)
         reference = seed_cond.copy()
         ORACLE.propagate_lateral(reference, spikes, 17.0)
-        actual = np.asarray(seed_cond, dtype=backend.state_dtype).copy()
+        actual = seed_cond.copy()
         backend.propagate_lateral(actual, spikes, 17.0)
         assert_state_close(backend, actual, reference, "lateral conductance")
 
@@ -313,10 +283,10 @@ class TestBatchedVersusSequential:
 
 
 class TestGoldenTraceReplay:
-    """Every selectable backend name and the oracle replay the golden trace.
+    """Every accepted backend name and the oracle replay the golden trace.
 
-    Spike counts must be bit-exact for *all* tiers; learned weights and
-    adapted thresholds are held to each backend's declared state tolerance.
+    Spike counts must be bit-exact; learned weights and adapted thresholds
+    are held to the backend's state bounds.
     """
 
     @pytest.fixture(scope="class")
@@ -351,36 +321,3 @@ class TestGoldenTraceReplay:
         assert_state_close(backend, actual["final_theta"],
                            expected["final_theta"],
                            f"{backend_name}: adapted theta")
-
-
-class TestUnavailableBackendDegradation:
-    """A backend whose ``available()`` probe fails degrades cleanly.
-
-    It stays *registered* (visible, describable) but is excluded from the
-    conformance parametrization source and cannot be instantiated through
-    the registry — the contract an optional-dependency accelerator backend
-    follows on machines without its dependency.
-    """
-
-    def test_stub_backend_is_registered_but_not_available(self):
-        class Stub(SparseEventBackend):
-            name = "conformance-stub"
-            description = "import probe always fails"
-
-            @classmethod
-            def available(cls):
-                return False
-
-        register_backend(Stub)
-        try:
-            assert "conformance-stub" not in available_backends()
-            assert "conformance-stub" not in list(available_backends())
-            info = describe_backend("conformance-stub")
-            assert info["available"] is False
-            assert info["tier"] == "exact"
-            with pytest.raises(RuntimeError, match="not available"):
-                get_backend("conformance-stub")
-        finally:
-            from repro import backends as backends_module
-
-            backends_module._REGISTRY.pop("conformance-stub", None)

@@ -1,10 +1,8 @@
-"""Error paths of backend selection: every wrong turn fails loudly.
+"""Error paths of backend names: every wrong turn fails loudly.
 
-Covers the registry (unknown names, registered-but-unavailable backends),
-configuration validation, and the serving artifact layer — an artifact that
-*records* an unavailable backend still loads (its arrays are
-backend-agnostic), but rebuilding a model on that backend fails with an
-``ArtifactError`` that names the override escape hatch.
+Covers name resolution (unknown names), configuration input, and the
+serving artifact layer, where an unknown recorded name is an
+``ArtifactError``.
 """
 
 from __future__ import annotations
@@ -14,39 +12,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.backends import (
-    BACKEND_ALIASES,
-    SparseEventBackend,
-    available_backends,
-    describe_backend,
-    get_backend,
-    normalize_backend_name,
-    register_backend,
-)
+from repro.backends import BACKEND_ALIASES, get_backend
 from repro.core.config import SpikeDynConfig
 from repro.models.base import ARTIFACT_METADATA_FILE
 from repro.models.spikedyn_model import SpikeDynModel
 from repro.serving.artifacts import load_artifact
 from repro.utils.serialization import ArtifactError
-
-
-@pytest.fixture
-def unavailable_backend():
-    """A registered backend whose availability probe always fails."""
-
-    class Unavailable(SparseEventBackend):
-        name = "errors-unavailable"
-        description = "dependency never importable"
-
-        @classmethod
-        def available(cls):
-            return False
-
-    register_backend(Unavailable)
-    yield "errors-unavailable"
-    from repro import backends as backends_module
-
-    backends_module._REGISTRY.pop("errors-unavailable", None)
 
 
 class TestRegistryErrors:
@@ -57,42 +28,17 @@ class TestRegistryErrors:
         for known in ["sparse", *BACKEND_ALIASES]:
             assert known in message
 
-    def test_unavailable_backend_raises_runtime_error(self,
-                                                      unavailable_backend):
-        with pytest.raises(RuntimeError, match="not available"):
-            get_backend(unavailable_backend)
-
-    def test_unavailable_backend_is_still_describable(self,
-                                                      unavailable_backend):
-        info = describe_backend(unavailable_backend)
-        assert info["available"] is False
-        assert info["name"] == unavailable_backend
-        assert info["description"] == "dependency never importable"
-
-    def test_unavailable_backend_is_excluded_from_available(
-            self, unavailable_backend):
-        assert unavailable_backend not in available_backends()
-
-    def test_normalize_accepts_registered_but_unavailable_names(
-            self, unavailable_backend):
-        # Normalization is a *name* check, not an availability check —
-        # configs and artifacts may legitimately carry the name of a
-        # backend this environment cannot run.
-        assert normalize_backend_name(unavailable_backend) == \
-            unavailable_backend
-
 
 class TestConfigErrors:
     def test_config_rejects_unknown_backend_names(self):
+        data = SpikeDynConfig.scaled_down(n_input=16, n_exc=4).to_dict()
         with pytest.raises(ValueError, match="unknown backend"):
-            SpikeDynConfig.scaled_down(n_input=16, n_exc=4,
-                                       backend="does-not-exist")
+            SpikeDynConfig.from_dict({**data, "backend": "does-not-exist"})
 
     def test_config_accepts_every_registered_backend_name(self):
+        config = SpikeDynConfig.scaled_down(n_input=16, n_exc=4)
         for name in ["sparse", *BACKEND_ALIASES]:
-            config = SpikeDynConfig.scaled_down(n_input=16, n_exc=4,
-                                                backend=name)
-            assert config.backend == "sparse"
+            assert SpikeDynConfig.from_dict({**config.to_dict(), "backend": name}) == config
 
 
 class TestArtifactErrors:
@@ -117,31 +63,6 @@ class TestArtifactErrors:
         self._rewrite_backend(artifact_dir, "does-not-exist")
         with pytest.raises(ArtifactError, match="unknown backend"):
             load_artifact(artifact_dir)
-
-    def test_artifact_with_unavailable_backend_loads_but_cannot_rebuild(
-            self, artifact_dir, unavailable_backend):
-        self._rewrite_backend(artifact_dir, unavailable_backend)
-        # Loading succeeds: the stored arrays are backend-agnostic and the
-        # recorded name is only the default for rebuilds.
-        artifact = load_artifact(artifact_dir)
-        assert artifact.backend == unavailable_backend
-        # Rebuilding on the recorded default cannot work here, and the
-        # error must say how to escape (override the backend).
-        with pytest.raises(ArtifactError,
-                           match="registered but not available"):
-            artifact.build_model()
-        with pytest.raises(ArtifactError, match="build_model"):
-            artifact.build_model()
-
-    def test_rebuild_backend_override_escapes_the_unavailable_default(
-            self, artifact_dir, unavailable_backend):
-        self._rewrite_backend(artifact_dir, unavailable_backend)
-        artifact = load_artifact(artifact_dir)
-        model = artifact.build_model(backend="sparse")
-        assert model.backend_name == "sparse"
-        # The rebuilt replica carries the artifact's learned state.
-        np.testing.assert_array_equal(model.input_weights,
-                                      artifact.arrays["input_weights"])
 
     def test_rebuild_on_available_recorded_backend_still_works(
             self, artifact_dir):

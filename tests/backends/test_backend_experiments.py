@@ -5,9 +5,9 @@ experiment driver at the tiny (CI) scale must render a report
 byte-identical to the one the dense GEMV oracle renders — same predictions,
 labels, accuracies, and operation tallies.  The report text is the
 experiment's complete observable output, so string equality is the
-strongest cheap check.  Drivers build their models by backend *name*, so
-the oracle run swaps the registry's shared ``sparse`` instance for an
-oracle that answers to that name.
+strongest cheap check.  Drivers build their models on the shared kernel
+instance, so the oracle run swaps that instance for an oracle that answers
+to its name.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ pytestmark = pytest.mark.integration
 
 
 class _OracleAsSparse(GemvOracle):
-    """The oracle's kernels behind the registered backend's declarations."""
+    """The oracle's kernels behind the shared backend's name and event flag."""
 
     name = SparseEventBackend.name
     supports_events = SparseEventBackend.supports_events
@@ -36,7 +36,7 @@ class _OracleAsSparse(GemvOracle):
 def test_report_is_byte_identical_on_the_oracle(name, monkeypatch):
     spec = EXPERIMENTS[name]
     sparse_report = spec.report(ExperimentScale.tiny(seed=0))
-    monkeypatch.setitem(backends_module._INSTANCES, "sparse", _OracleAsSparse())
+    monkeypatch.setattr(backends_module, "_SHARED", _OracleAsSparse())
     oracle_report = spec.report(ExperimentScale.tiny(seed=0))
     assert sparse_report == oracle_report, (
         f"experiment {name!r} renders different reports on the sparse "

@@ -1,4 +1,6 @@
-"""Backend selection threads through network, config, models, and artifacts."""
+"""The kernel seam threads through network and models; the configuration,
+scales, job specs and artifacts accept retired backend names from outside
+input and run on the one kernel set."""
 
 from __future__ import annotations
 
@@ -8,12 +10,12 @@ import numpy as np
 import pytest
 from gemv_oracle import GemvOracle
 
-from repro.backends import BACKEND_ALIASES, SparseEventBackend, get_backend
+from repro.backends import BACKEND_ALIASES, get_backend
 from repro.core.config import SpikeDynConfig
 from repro.experiments.common import ExperimentScale
 from repro.models.diehl_cook import DiehlCookModel
 from repro.models.spikedyn_model import SpikeDynModel
-from repro.runner.jobs import JobSpec
+from repro.runner.jobs import JobSpec, scale_from_dict, scale_to_dict
 from repro.serving.artifacts import load_artifact
 from repro.snn.network import Network
 from repro.snn.neurons import InputGroup, LIFGroup
@@ -65,98 +67,82 @@ class TestNetworkBackend:
 
 
 class TestConfigBackend:
-    def test_config_records_and_validates_the_backend(self):
-        assert _tiny_config().backend == "sparse"
-        assert _tiny_config(backend="sparse").backend == "sparse"
-        assert _tiny_config(backend="dense").backend == "sparse"
+    def test_from_dict_drops_a_legacy_backend_key(self):
+        data = _tiny_config().to_dict()
+        assert "backend" not in data
+        for name in ["sparse", *BACKEND_ALIASES]:
+            assert SpikeDynConfig.from_dict({**data, "backend": name}) == _tiny_config()
         with pytest.raises(ValueError, match="unknown backend"):
-            _tiny_config(backend="quantum")
+            SpikeDynConfig.from_dict({**data, "backend": "quantum"})
 
     def test_config_backend_reaches_the_model_network(self):
-        model = SpikeDynModel(_tiny_config(backend="sparse"))
+        model = SpikeDynModel(_tiny_config())
         assert model.backend_name == "sparse"
         assert "backend" in model.describe()
         assert model.describe()["backend"] == "sparse"
 
-    def test_constructor_backend_overrides_the_config(self):
-        model = DiehlCookModel(_tiny_config(), backend="sparse")
-        assert model.backend_name == "sparse"
-        # The config follows the override, so a saved artifact's top-level
-        # backend and config.backend can never disagree.
-        assert model.config.backend == "sparse"
+    def test_constructor_backend_reaches_the_network(self):
+        oracle = GemvOracle()
+        model = DiehlCookModel(_tiny_config(), backend=oracle)
+        assert model.network.backend is oracle
+        assert model.backend_name == "gemv-oracle"
+        assert model.config == _tiny_config()
 
     def test_constructor_override_saves_a_consistent_artifact(self, tmp_path):
         model = SpikeDynModel(_tiny_config(), backend="sparse")
         artifact = load_artifact(model.save(tmp_path / "overridden"))
         assert artifact.backend == "sparse"
-        assert artifact.config.backend == "sparse"
+        assert artifact.config == model.config
 
-    def test_set_backend_keeps_config_and_saved_artifact_consistent(
-            self, tmp_path):
+    def test_set_backend_leaves_the_config_alone(self):
         model = SpikeDynModel(_tiny_config())
-        model.set_backend("sparse")
-        assert model.backend_name == "sparse"
-        assert model.config.backend == "sparse"
-        artifact = load_artifact(model.save(tmp_path / "switched"))
-        assert artifact.backend == "sparse"
-        assert artifact.config.backend == "sparse"
+        model.set_backend(GemvOracle())
+        assert model.backend_name == "gemv-oracle"
+        assert model.config == _tiny_config()
+        model.set_backend("dense")
+        assert model.network.backend is get_backend()
 
     def test_config_round_trips_through_dict(self):
-        config = _tiny_config(backend="sparse")
-        assert SpikeDynConfig.from_dict(config.to_dict()).backend == "sparse"
+        config = _tiny_config()
+        assert SpikeDynConfig.from_dict(config.to_dict()) == config
 
 
 class TestScaleAndJobBackend:
-    def test_scale_backend_reaches_the_config(self):
-        scale = ExperimentScale.tiny(backend="sparse")
-        assert scale.config(8).backend == "sparse"
+    def test_scale_from_dict_drops_a_legacy_backend_key(self):
+        data = scale_to_dict(ExperimentScale.tiny())
+        assert "backend" not in data
+        assert scale_from_dict({**data, "backend": "dense"}) == ExperimentScale.tiny()
         with pytest.raises(ValueError, match="unknown backend"):
-            ExperimentScale.tiny(backend="quantum")
-
-    def test_backend_is_part_of_the_job_key(self):
-        from repro import backends as backends_module
-
-        class Other(SparseEventBackend):
-            name = "job-key-other"
-
-        backends_module.register_backend(Other)
-        try:
-            sparse_job = JobSpec("fig5", ExperimentScale.tiny())
-            other_job = JobSpec("fig5", ExperimentScale.tiny(backend="job-key-other"))
-            assert sparse_job.backend == "sparse"
-            assert other_job.backend == "job-key-other"
-            assert sparse_job.key() != other_job.key()
-            assert sparse_job.payload()["scale"]["backend"] == "sparse"
-        finally:
-            backends_module._REGISTRY.pop("job-key-other", None)
+            scale_from_dict({**data, "backend": "quantum"})
 
     @pytest.mark.parametrize("alias", sorted(BACKEND_ALIASES))
     def test_retired_names_share_the_job_key(self, alias):
-        aliased = JobSpec("fig5", ExperimentScale.tiny(backend=alias))
-        assert aliased.backend == "sparse"
+        payload = JobSpec("fig5", ExperimentScale.tiny()).to_dict()
+        payload["scale"]["backend"] = alias
+        aliased = JobSpec.from_dict(payload)
         assert aliased.key() == JobSpec("fig5", ExperimentScale.tiny()).key()
 
-    def test_job_round_trip_preserves_the_backend(self):
-        job = JobSpec("fig5", ExperimentScale.tiny(backend="sparse"))
+    def test_job_round_trip_preserves_the_key(self):
+        job = JobSpec("fig5", ExperimentScale.tiny())
         restored = JobSpec.from_dict(job.to_dict())
-        assert restored.backend == "sparse"
+        assert "backend" not in job.payload()["scale"]
         assert restored.key() == job.key()
 
 
 class TestArtifactBackend:
-    def _saved(self, tmp_path, backend="sparse"):
-        model = SpikeDynModel(_tiny_config(backend=backend))
+    def _saved(self, tmp_path):
+        model = SpikeDynModel(_tiny_config())
         return model, model.save(tmp_path / "artifact")
 
     def test_schema_v3_records_the_backend(self, tmp_path):
-        _, directory = self._saved(tmp_path, backend="sparse")
+        _, directory = self._saved(tmp_path)
         artifact = load_artifact(directory)
         assert artifact.schema_version == 3
         assert artifact.backend == "sparse"
         assert artifact.describe()["backend"] == "sparse"
 
     def test_build_model_defaults_to_the_recorded_backend(self, tmp_path):
-        _, directory = self._saved(tmp_path, backend="sparse")
+        _, directory = self._saved(tmp_path)
         rebuilt = load_artifact(directory).build_model()
         assert rebuilt.backend_name == "sparse"
 
@@ -168,7 +154,7 @@ class TestArtifactBackend:
                                       saved.input_weights)
 
     def test_cross_backend_load_state_is_allowed(self, tmp_path):
-        _, directory = self._saved(tmp_path, backend="sparse")
+        _, directory = self._saved(tmp_path)
         oracle_model = SpikeDynModel(_tiny_config())
         oracle_model.network.set_backend(GemvOracle())
         oracle_model.load_state(directory)  # backend mismatch is exempt
@@ -199,7 +185,7 @@ class TestArtifactBackend:
         metadata = json.loads(metadata_path.read_text())
         metadata["schema_version"] = 2
         del metadata["backend"]
-        del metadata["config"]["backend"]
+        metadata["config"].pop("backend", None)
         metadata["meta"].pop("backend", None)
         metadata_path.write_text(json.dumps(metadata))
         artifact = load_artifact(directory)

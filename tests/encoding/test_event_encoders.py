@@ -142,10 +142,8 @@ class TestModelEventPath:
         from repro.core.config import SpikeDynConfig
         from repro.models.spikedyn_model import SpikeDynModel
 
-        config = SpikeDynConfig.scaled_down(
-            n_input=16, n_exc=4, t_sim=20.0, backend="eventqueue"
-        )
-        model = SpikeDynModel(config)
+        config = SpikeDynConfig.scaled_down(n_input=16, n_exc=4, t_sim=20.0)
+        model = SpikeDynModel(config, backend="eventqueue")
         model.encoder = DVSEventStreamEncoder(
             duration=200.0, n_bursts=3, burst_steps=4, rng=8
         )

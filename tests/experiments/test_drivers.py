@@ -248,24 +248,3 @@ class TestEventStreamStudy:
         text = result.to_text()
         assert "events_processed=" in text and "steps_skipped=" in text
         assert "energy proxy" in text
-
-    def test_stepping_fallback_backend(self, tiny_scale):
-        from repro import backends
-        from repro.experiments import run_eventstream_study
-
-        class SteppingOnly(backends.SparseEventBackend):
-            name = "stepping-only"
-            supports_events = False
-
-        backends.register_backend(SteppingOnly)
-        try:
-            result = run_eventstream_study(
-                tiny_scale, backend="stepping-only", classes=(0,),
-                duration=200.0, n_bursts=2, burst_steps=4,
-            )
-        finally:
-            backends._REGISTRY.pop("stepping-only", None)
-            backends._INSTANCES.pop("stepping-only", None)
-        # A non-event backend steps everything but stays equivalent.
-        assert result.event_ops["steps_skipped"] == 0
-        assert result.equivalence["counts_match"] is True

@@ -4,7 +4,7 @@
 full vector-matrix product (GEMV) per propagation step, full-matrix
 outer-product STDP deltas added to every weight, and ``np.where`` trace
 bumps.  The golden trace and the engine fixture (``tests/data/``) were
-generated on these kernels.  They are not registered: work is
+generated on these kernels.  No name resolves to them: work is
 ``O(state size)`` per step regardless of spike sparsity, so the engine runs
 the event-driven :class:`~repro.backends.sparse.SparseEventBackend`, and
 the conformance suite and the throughput gates compare it with this oracle.
@@ -14,7 +14,8 @@ kernels update ``v``, the refractory clocks and ``theta`` in place; callers
 rebind, so both obey the :class:`~repro.backends.base.Backend` conventions.
 
 Run a network on it with ``network.set_backend(GemvOracle())``; the
-model's configuration keeps recording the registered default.  Benchmarks
+network and the model then report ``backend_name == "gemv-oracle"``, and
+nothing else about them changes.  Benchmarks
 and scripts outside the test tree load this file by path with
 ``importlib``, since ``tests/`` is not a package.
 """
@@ -30,10 +31,6 @@ class GemvOracle(Backend):
     """Vectorized dense kernels (the bit-for-bit fixture reference)."""
 
     name = "gemv-oracle"
-    description = "Dense GEMV kernels; O(state size) per step (test oracle)"
-    # The oracle is compared against itself bit for bit.
-    state_rtol = 0.0
-    state_atol = 0.0
 
     # -- neuron kernels ------------------------------------------------------
 

@@ -25,7 +25,7 @@ class TestServeParser:
         assert args.max_wait_ms == 5.0
         assert args.max_queue == 1024
         assert args.drift_window == 256
-        assert args.backend is None  # use the backend recorded in the artifact
+        assert not hasattr(args, "backend")
         assert not args.verbose
 
     def test_knobs_parse(self):
@@ -118,8 +118,7 @@ class TestServeHappyPath:
         assert "GET /v1/metrics[.json]" in captured.out
         assert "shutting down" in captured.err
 
-    def test_serve_with_explicit_name_and_backend_override(
-            self, artifact_dir, capsys, monkeypatch):
+    def test_serve_with_explicit_name(self, artifact_dir, capsys, monkeypatch):
         from repro.serving.server import ModelServer
 
         def interrupt(self):
@@ -127,7 +126,7 @@ class TestServeHappyPath:
 
         monkeypatch.setattr(ModelServer, "serve_forever", interrupt)
         exit_code = main(["serve", f"digits={artifact_dir}", "--port", "0",
-                          "--workers", "1", "--backend", "sparse"])
+                          "--workers", "1"])
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "serving digits: spikedyn" in out

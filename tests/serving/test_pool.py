@@ -227,15 +227,13 @@ class TestLifecycleAndFailures:
     def test_metrics_report_the_active_backend(self, pool, artifact):
         assert pool.backend_name == "sparse"
         assert pool.metrics_snapshot()["backend"] == "sparse"
-        sparse_pool = ReplicaPool.from_artifact(artifact, workers=1,
-                                                backend="dense")
+        sparse_pool = ReplicaPool.from_artifact(artifact, workers=1)
         assert sparse_pool.backend_name == "sparse"
         assert sparse_pool.metrics_snapshot()["backend"] == "sparse"
 
     def test_sparse_backend_replicas_predict_identically(
             self, pool, artifact, request_images, request_seeds):
-        with ReplicaPool.from_artifact(artifact, workers=2,
-                                       backend="sparse") as sparse_pool:
+        with ReplicaPool.from_artifact(artifact, workers=2) as sparse_pool:
             sparse = [sparse_pool.predict(image, seed=seed, timeout=30.0)
                       for image, seed in zip(request_images, request_seeds)]
         # The shared pool fixture is already running.

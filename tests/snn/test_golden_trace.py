@@ -40,10 +40,11 @@ TRAIN_SEED = 2024
 def _build_network(backend: str = "dense"):
     config = SpikeDynConfig.scaled_down(
         n_input=N_INPUT, n_exc=N_EXC, t_sim=float(TIMESTEPS),
-        seed=NETWORK_SEED, backend=backend,
+        seed=NETWORK_SEED,
     )
     return build_spikedyn_network(
-        config, learning_rule=SpikeDynLearningRule(), rng=NETWORK_SEED
+        config, learning_rule=SpikeDynLearningRule(), rng=NETWORK_SEED,
+        backend=backend,
     )
 
 

@@ -15,7 +15,7 @@ class TestParser:
         commands = set(subparser_actions[0].choices)
         assert commands == {"info", "train", "evaluate", "search", "energy",
                             "reproduce", "run-all", "scenarios", "serve",
-                            "backends", "cache", "ledger", "trace"}
+                            "cache", "ledger", "trace"}
 
     def test_reproduce_knows_every_driver(self):
         assert set(EXPERIMENT_DRIVERS) == {
@@ -24,6 +24,16 @@ class TestParser:
             "alg1", "ablation", "eventstream",
             "scen-classinc", "scen-recurring", "scen-drift", "scen-corrupt",
         }
+
+    @pytest.mark.parametrize("command", [["train"], ["evaluate", "model-dir"],
+                                         ["search"], ["energy"],
+                                         ["reproduce", "fig5"], ["run-all"],
+                                         ["serve", "model-dir"]],
+                             ids=lambda command: command[0])
+    def test_no_subcommand_accepts_backend(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([*command, "--backend", "sparse"])
+        assert "--backend" in capsys.readouterr().err
 
     def test_scale_presets(self):
         assert set(SCALE_PRESETS) == {"tiny", "small", "paper"}
@@ -45,34 +55,9 @@ class TestInfo:
         assert "spikedyn" in output
         assert "Jetson Nano" in output
         assert "fig11" in output
-        assert "dense" in output and "sparse" in output
-
-
-class TestBackends:
-    def test_list_prints_every_registered_backend(self, capsys):
-        assert main(["backends", "list"]) == 0
-        output = capsys.readouterr().out
-        assert "backend" in output and "available" in output
-        assert "dense" in output and "sparse" in output
-        assert "yes" in output
-
-    def test_list_shows_event_mode_availability(self, capsys):
-        assert main(["backends", "list"]) == 0
-        output = capsys.readouterr().out
-        assert "events" in output
-        sparse_row = next(line for line in output.splitlines()
-                          if line.startswith("sparse"))
-        assert "yes" in sparse_row
+        assert "kernels    : sparse" in output
         for retired in ("dense", "float32", "numba", "auto", "eventqueue"):
-            assert retired in sparse_row
-
-    def test_unknown_action_is_an_error(self):
-        with pytest.raises(SystemExit):
-            main(["backends", "frobnicate"])
-
-    def test_train_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            main(["train", "--backend", "quantum"])
+            assert retired in output
 
 
 class TestTrainAndEvaluate:
