@@ -15,6 +15,13 @@ artifact loads, no first-batch effects.  ``max_batch`` is set well below the
 request count so the queue always holds several batches and the shards can
 actually run them concurrently.
 
+Estimator: :data:`PAIRS` single-process/shard pairs of measured passes;
+which deployment runs first alternates from pair to pair, so drifting
+machine load cancels instead of favouring whichever runs later.  The
+speedup is the median of the per-pair throughput ratios, so one preempted
+pass moves it no more than any other.  Every pass must match the offline
+reference.
+
 Gate
 ----
 Scaling requires cores.  On runners with >= 4 CPUs (the CI case) the shard
@@ -22,11 +29,14 @@ pool must be **>= 2x** the single-process pool; with 2-3 CPUs the bound
 relaxes to the shard headroom available; on a single core the throughput
 assertion is skipped outright — process shards cannot beat the GIL without
 a second core — but the bit-equivalence assertions still run everywhere.
+
+Run with ``python -m pytest -q benchmarks/bench_serving_mp.py -s``.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import tempfile
 
 import numpy as np
@@ -50,6 +60,9 @@ N_REQUESTS = 64
 #: so there is always shard-level parallelism to exploit.
 MAX_BATCH = 8
 
+#: Alternating single-process/shard pairs; the gate reads their median.
+PAIRS = 9
+
 #: Required multi-process speedup on a >= 4-core runner.
 MIN_SPEEDUP = 2.0
 
@@ -69,15 +82,15 @@ def _make_artifact_and_requests(tmp_dir: str):
     return artifact, images, seeds
 
 
-def _steady_state_load(pool, images, seeds):
-    """Warm-up pass, then the measured pass, against an already-started pool."""
-    run_load(pool_sender(pool), images, seeds, concurrency=CONCURRENCY)
+def _load(pool, images, seeds):
+    """One pass of every request against an already-started pool."""
     return run_load(pool_sender(pool), images, seeds, concurrency=CONCURRENCY)
 
 
 def test_multiprocess_serving_speedup_at_c64():
     """Shard pool >= 2x the single-process pool (cores permitting)."""
     shards = _shard_count()
+    speedups = []
     with tempfile.TemporaryDirectory() as tmp:
         artifact, images, seeds = _make_artifact_and_requests(tmp)
         reference = offline_predictions(artifact.build_model(), images, seeds)
@@ -86,28 +99,29 @@ def test_multiprocess_serving_speedup_at_c64():
             artifact, workers=shards, max_batch=MAX_BATCH, max_wait_ms=5.0,
             max_queue=4 * N_REQUESTS,
         )
-        with sp_pool:
-            single = _steady_state_load(sp_pool, images, seeds)
-
         mp_pool = ShardProcessPool.from_artifact(
             artifact, shards=shards, max_batch=MAX_BATCH, max_wait_ms=5.0,
             max_queue=4 * N_REQUESTS,
         )
-        with mp_pool:
-            multi = _steady_state_load(mp_pool, images, seeds)
+        with sp_pool, mp_pool:
+            for pool in (sp_pool, mp_pool):
+                _load(pool, images, seeds)  # warm-up, untimed
+            for pair in range(PAIRS):
+                order = (sp_pool, mp_pool) if pair % 2 == 0 else (mp_pool, sp_pool)
+                reports = {pool: _load(pool, images, seeds) for pool in order}
+                for report in reports.values():
+                    assert report.errors == []
+                    np.testing.assert_array_equal(report.predictions, reference)
+                speedups.append(reports[mp_pool].throughput_rps
+                                / reports[sp_pool].throughput_rps)
         assert mp_pool.respawns_total == 0  # a crashy run is not a benchmark
 
-    assert single.errors == []
-    assert multi.errors == []
-    np.testing.assert_array_equal(single.predictions, reference)
-    np.testing.assert_array_equal(multi.predictions, reference)
-
-    speedup = multi.throughput_rps / single.throughput_rps
+    speedup = statistics.median(speedups)
     cpus = os.cpu_count() or 1
-    print(f"\nsingle-process {single.throughput_rps:8.1f} req/s   "
-          f"multi-process {multi.throughput_rps:8.1f} req/s   "
-          f"speedup {speedup:4.2f}x "
-          f"(shards={shards}, cpus={cpus}, concurrency={CONCURRENCY})")
+    print(f"\nmulti-process/single-process speedup {speedup:4.2f}x (median of "
+          f"{PAIRS} alternating pairs: "
+          f"{', '.join(f'{ratio:.2f}' for ratio in speedups)}; "
+          f"shards={shards}, cpus={cpus}, concurrency={CONCURRENCY})")
 
     if cpus >= 4:
         required = MIN_SPEEDUP
@@ -121,7 +135,8 @@ def test_multiprocess_serving_speedup_at_c64():
         return
     assert speedup >= required, (
         f"multi-process serving at concurrency {CONCURRENCY} is only "
-        f"{speedup:.2f}x the single-process pool on {cpus} CPUs "
+        f"{speedup:.2f}x (median of {PAIRS} pairs) the single-process pool "
+        f"on {cpus} CPUs "
         f"(required: >= {required}x)"
     )
 
