@@ -27,8 +27,8 @@ the one the dense vector-matrix formulation applies, so membrane, clock,
 trace, theta, and STDP results are bit-for-bit equal to it.  Propagation
 sums the spiking weight rows in order (``weights[active].sum(axis=0)``)
 instead of a length-n dot product over mostly zeros; the conformance suite
-holds it to the ``exact`` tier against the GEMV oracle in
-``tests/gemv_oracle.py``.
+holds its counts exactly, and its float state to summation-order rounding,
+against the GEMV oracle in ``tests/gemv_oracle.py``.
 """
 
 from __future__ import annotations
