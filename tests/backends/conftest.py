@@ -48,13 +48,18 @@ def backend(backend_name: str):
     return CONFORMANCE_BACKENDS[backend_name]
 
 
-def assert_state_close(backend, actual, desired, err_msg: str = "") -> None:
-    """Assert float state agreement within ``backend``'s bounds.
+def state_bounds(backend) -> tuple:
+    """The ``(rtol, atol)`` that ``backend``'s float state is held to.
 
     The oracle is held to bit-for-bit equality (:data:`ORACLE_BOUNDS`), the
     sparse kernels to :data:`SPARSE_BOUNDS`.
     """
-    rtol, atol = ORACLE_BOUNDS if isinstance(backend, GemvOracle) else SPARSE_BOUNDS
+    return ORACLE_BOUNDS if isinstance(backend, GemvOracle) else SPARSE_BOUNDS
+
+
+def assert_state_close(backend, actual, desired, err_msg: str = "") -> None:
+    """Assert float state agreement within :func:`state_bounds`."""
+    rtol, atol = state_bounds(backend)
     if rtol == 0.0 and atol == 0.0:
         np.testing.assert_array_equal(actual, desired, err_msg=err_msg)
     else:
@@ -66,3 +71,9 @@ def assert_state_close(backend, actual, desired, err_msg: str = "") -> None:
 def assert_state_close_fixture():
     """Function-fixture alias so test modules need no conftest import."""
     return assert_state_close
+
+
+@pytest.fixture(name="state_bounds")
+def state_bounds_fixture():
+    """Function-fixture alias of :func:`state_bounds`."""
+    return state_bounds

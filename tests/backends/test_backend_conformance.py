@@ -44,6 +44,30 @@ def _spikes(shape, density, seed):
     return np.random.default_rng(seed).random(shape) < density
 
 
+class TestConformanceBounds:
+    """Every conformance case is held to double precision, in float64."""
+
+    def test_bounds_are_at_double_precision(self, backend, state_bounds):
+        rtol, atol = state_bounds(backend)
+        assert 0.0 <= rtol <= 1e-9
+        assert 0.0 <= atol <= 1e-12
+        if isinstance(backend, GemvOracle):
+            assert (rtol, atol) == (0.0, 0.0)
+
+    def test_float_state_stays_float64(self, backend):
+        rng = np.random.default_rng(26)
+        v, spikes, refrac = backend.lif_step(
+            rng.uniform(-70, -50, 6), np.zeros(6), rng.uniform(0, 30, 6),
+            np.full(6, -54.0), decay=0.98, v_rest=-65.0, v_reset=-65.0,
+            refractory=5.0, dt=1.0)
+        theta = backend.theta_step(rng.uniform(0, 1, 6), spikes,
+                                   decay=0.999, theta_plus=0.05)
+        decayed = backend.decay_state(rng.uniform(0, 2, 6), 0.5)
+        trace = backend.bump_trace(np.zeros(6), spikes, 1.0, "add")
+        for state in (v, refrac, theta, decayed, trace):
+            assert state.dtype == np.float64
+
+
 @pytest.mark.parametrize("batched", [False, True])
 class TestNeuronKernelConformance:
     def test_lif_step_spikes_are_exact_and_state_is_in_tier(

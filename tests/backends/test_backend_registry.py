@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+import repro
+import repro.backends
 from repro.backends import (
     BACKEND_ALIASES,
     DEFAULT_BACKEND,
+    Backend,
     SparseEventBackend,
+    drop_legacy_backend,
     get_backend,
     normalize_backend_name,
 )
@@ -52,3 +56,43 @@ class TestAliases:
     def test_aliases_resolve_everywhere(self, name):
         assert normalize_backend_name(name) == "sparse"
         assert get_backend(name) is get_backend("sparse")
+
+
+class TestDropLegacyBackend:
+    """Outside input may carry a ``backend`` key; it is checked, then dropped."""
+
+    @pytest.mark.parametrize("name", ["sparse", *RETIRED])
+    def test_an_accepted_name_is_dropped(self, name):
+        fields = {"seed": 3, "backend": name, "n_exc": 4}
+        drop_legacy_backend(fields)
+        assert fields == {"seed": 3, "n_exc": 4}
+
+    def test_input_without_the_key_is_left_alone(self):
+        fields = {"seed": 3}
+        drop_legacy_backend(fields)
+        assert fields == {"seed": 3}
+
+    @pytest.mark.parametrize("name", ["quantum", "SPARSE", ""])
+    def test_an_unknown_name_is_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown backend"):
+            drop_legacy_backend({"backend": name})
+
+
+class TestNoRegistry:
+    """Nothing registers, probes or describes kernel sets any more."""
+
+    @pytest.mark.parametrize("attribute", [
+        "register_backend", "backend_names", "backend_choices",
+        "available_backends", "describe_backend",
+    ])
+    def test_the_registry_api_is_gone(self, attribute):
+        assert not hasattr(repro.backends, attribute)
+        assert attribute not in repro.backends.__all__
+        assert not hasattr(repro, attribute)
+
+    def test_backends_are_not_probed_or_described(self):
+        import repro.backends.base as base
+
+        assert not hasattr(Backend, "available")
+        assert not hasattr(Backend, "describe")
+        assert not hasattr(base, "EQUIVALENCE_TIERS")

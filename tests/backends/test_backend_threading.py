@@ -4,6 +4,7 @@ input and run on the one kernel set."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -254,3 +255,36 @@ class TestRetiredBackendArtifacts:
         assert artifact.schema_version == 2
         assert artifact.backend == "sparse"
         np.testing.assert_array_equal(artifact.build_model().predict(images), expected)
+
+
+class TestNoSelectionKnob:
+    """No configuration, scale, job, pool, driver or preset picks kernels."""
+
+    @pytest.mark.parametrize("record", [SpikeDynConfig, ExperimentScale, JobSpec],
+                             ids=lambda record: record.__name__)
+    def test_records_have_no_backend_field(self, record):
+        assert "backend" not in {field.name for field in dataclasses.fields(record)}
+
+    @pytest.mark.parametrize("pool", ["replica", "shard"])
+    def test_pools_take_no_backend_option(self, tmp_path, pool):
+        from repro.serving.pool import ReplicaPool
+        from repro.serving.shards import ShardProcessPool
+
+        directory = SpikeDynModel(_tiny_config()).save(tmp_path / "artifact")
+        pool_class = ReplicaPool if pool == "replica" else ShardProcessPool
+        with pytest.raises(TypeError, match="backend"):
+            pool_class.from_artifact(load_artifact(directory), 1, backend="sparse")
+
+    def test_eventstream_study_takes_no_backend(self):
+        from repro.experiments import run_eventstream_study
+
+        with pytest.raises(TypeError, match="backend"):
+            run_eventstream_study(ExperimentScale.tiny(), backend="sparse")
+
+    def test_suite_presets_take_no_backend(self):
+        from repro.runner.suite import build_suite, scales_for_preset
+
+        with pytest.raises(TypeError, match="backend"):
+            scales_for_preset("tiny", backend="sparse")
+        with pytest.raises(TypeError, match="backend"):
+            build_suite(scales_for_preset("tiny"), backend="sparse")
