@@ -13,8 +13,8 @@ Two architectures are provided:
 
 Group and connection names are fixed (``input``, ``excitatory``,
 ``inhibitory``; ``input_to_exc``, ``exc_to_inh``, ``inh_to_exc``,
-``lateral_inhibition``) so that models, monitors, and the estimation code can
-find them by name.
+``lateral_inhibition``) so that models and the estimation code can find them
+by name.
 """
 
 from __future__ import annotations

@@ -3,7 +3,10 @@
 This package implements the simulation engine that every model in the
 reproduction is built on: neuron groups (Poisson input, LIF, adaptive LIF),
 conductance-style synaptic connections, spike traces, topology builders,
-monitors, and the :class:`~repro.snn.network.Network` orchestrator.
+and the :class:`~repro.snn.network.Network` orchestrator.  Only the
+compiled :class:`~repro.snn.plan.StepPlan` and the analytic silent-gap
+jumps of :mod:`repro.snn.events` advance a network; a run's spike counts
+are its record.
 
 The engine is intentionally small and fully vectorized with numpy, with the
 same semantics as the BindsNET/Brian-style pipelines used by the original
@@ -11,7 +14,6 @@ paper: exponential membrane / conductance / trace decay, adaptive threshold
 potential, and per-timestep learning-rule hooks.
 """
 
-from repro.snn.monitors import SpikeMonitor, StateMonitor
 from repro.snn.network import Network
 from repro.snn.neurons import (
     AdaptiveLIFGroup,
@@ -39,9 +41,7 @@ __all__ = [
     "NeuronGroup",
     "OperationCounter",
     "SimulationParameters",
-    "SpikeMonitor",
     "SpikeTrace",
-    "StateMonitor",
     "StepPlan",
     "UniformLateralInhibition",
     "all_to_all_except_self_weights",

@@ -1,4 +1,4 @@
-"""Network orchestration: groups, connections, monitors, and the run loop.
+"""Network orchestration: groups, connections, and the run loop.
 
 A :class:`Network` owns an input group, any number of downstream neuron
 groups, and the connections between them.  :meth:`Network.run_sample`
@@ -33,7 +33,6 @@ import numpy as np
 from repro.backends import BackendLike, get_backend
 from repro.snn.events import (EventRows, advance_analytic, as_event_stream,
                               silence_is_provable)
-from repro.snn.monitors import SpikeMonitor, StateMonitor
 from repro.snn.neurons import InputGroup, NeuronGroup
 from repro.snn.plan import StepPlan
 from repro.snn.simulation import OperationCounter, SimulationParameters
@@ -89,8 +88,6 @@ class Network:
         self.backend = get_backend(backend)
         self.groups: Dict[str, NeuronGroup] = {}
         self.connections: List[Connection] = []
-        self.spike_monitors: List[SpikeMonitor] = []
-        self.state_monitors: List[StateMonitor] = []
         self.counter = OperationCounter()
         self._input_group: Optional[InputGroup] = None
         self._plans: Dict[Optional[int], StepPlan] = {}
@@ -122,16 +119,6 @@ class Network:
         connection.backend = self.backend
         self._plans.clear()
         return connection
-
-    def add_spike_monitor(self, monitor: SpikeMonitor) -> SpikeMonitor:
-        """Attach a spike monitor that is sampled every timestep."""
-        self.spike_monitors.append(monitor)
-        return monitor
-
-    def add_state_monitor(self, monitor: StateMonitor) -> StateMonitor:
-        """Attach a state monitor that is sampled every timestep."""
-        self.state_monitors.append(monitor)
-        return monitor
 
     # -- introspection -------------------------------------------------------
 
@@ -219,19 +206,14 @@ class Network:
 
         With ``full=True`` adaptation variables and learning-rule state are
         also cleared; synaptic weights are never touched.  An active batch
-        mode is always exited first, so after a reset every state buffer —
-        and every monitor attached afterwards — sees plain ``(n,)`` shapes
-        rather than stale ``(batch_size, n)`` buffers.
+        mode is always exited first, so after a reset every state buffer has
+        its plain ``(n,)`` shape rather than a stale ``(batch_size, n)`` one.
         """
         self._end_batch()
         for group in self.groups.values():
             group.reset_state(full=full)
         for connection in self.connections:
             connection.reset_state(full=full)
-        for monitor in self.spike_monitors:
-            monitor.reset()
-        for monitor in self.state_monitors:
-            monitor.reset()
         self.counter.reset()
 
     def compile(self) -> StepPlan:
@@ -452,8 +434,7 @@ class Network:
             presentation — usually one analytic jump.
         allow_jumps:
             Override the jump policy; defaults to the active backend's
-            ``supports_events`` declaration, and monitors always force
-            stepping (they observe every timestep).
+            ``supports_events`` declaration.
 
         Returns
         -------
@@ -475,8 +456,6 @@ class Network:
 
         jumps = allow_jumps if allow_jumps is not None \
             else self.backend.supports_events
-        if self.spike_monitors or self.state_monitors:
-            jumps = False
         if learning and jumps:
             jumps = all(
                 getattr(conn.learning_rule, "supports_analytic_silence", False)

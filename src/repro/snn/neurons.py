@@ -16,17 +16,20 @@ Three neuron groups are provided:
     Diehl & Cook (2015) and in the SpikeDyn paper's Section II.
 
 All state is vectorized; a group of ``n`` neurons stores ``n``-element numpy
-arrays and advances one timestep per :meth:`step` call.
+arrays and advances one timestep per :meth:`~NeuronGroup.integrate` call,
+which a compiled :class:`~repro.snn.plan.StepPlan` makes with the summed
+current of the group's incoming connections.
 
 Batched simulation
 ------------------
 Every group additionally supports a *batch mode* used by
 :meth:`repro.snn.network.Network.run_batch`: between :meth:`~NeuronGroup.begin_batch`
 and :meth:`~NeuronGroup.end_batch` the per-neuron state arrays take the shape
-``(batch_size, n)`` and :meth:`step` advances ``batch_size`` independent
-samples at once.  Because every state update is elementwise, the batched
-update of sample ``b`` performs exactly the same floating-point operations as
-a sequential update of that sample, so results are bit-for-bit identical.
+``(batch_size, n)`` and :meth:`~NeuronGroup.integrate` advances
+``batch_size`` independent samples at once.  Because every state update is
+elementwise, the batched update of sample ``b`` performs exactly the same
+floating-point operations as a sequential update of that sample, so results
+are bit-for-bit identical.
 Slowly-varying adaptation state (``theta``) is copied per sample on entry and
 restored on exit — a batched run never mutates persistent adaptation state.
 """
@@ -38,7 +41,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.backends import BackendLike, get_backend
-from repro.snn.simulation import OperationCounter
 from repro.utils.validation import check_non_negative, check_positive, check_positive_int
 
 
@@ -50,7 +52,8 @@ class NeuronGroup:
     n:
         Number of neurons in the group.
     name:
-        Human-readable identifier used by the network and monitors.
+        Human-readable identifier; the network keys its groups and spike
+        counts by it.
     backend:
         Compute backend executing the group's state-update kernels; defaults
         to the reference backend.  :meth:`repro.snn.network.Network.
@@ -131,11 +134,6 @@ class NeuronGroup:
         # Reassign instead of zeroing in place: ``spikes`` may alias external
         # data (e.g. the spike-train row the step plan fed an InputGroup).
         self.spikes = np.zeros(self.state_shape, dtype=bool)
-
-    def step(self, input_current: np.ndarray, dt: float,
-             counter: Optional[OperationCounter] = None) -> np.ndarray:
-        """Advance the group by one timestep and return the spike vector."""
-        raise NotImplementedError
 
     # -- compiled stepping ----------------------------------------------------
 
@@ -267,20 +265,6 @@ class LIFGroup(NeuronGroup):
         super()._exit_batch()
         self.v = np.full(self.n, self.v_rest, dtype=float)
         self.refrac_remaining = np.zeros(self.n, dtype=float)
-
-    def step(self, input_current: np.ndarray, dt: float,
-             counter: Optional[OperationCounter] = None) -> np.ndarray:
-        input_current = np.asarray(input_current, dtype=float)
-        if input_current.shape != self.state_shape:
-            raise ValueError(
-                f"input_current must have shape {self.state_shape}, "
-                f"got {input_current.shape}"
-            )
-        self.integrate(input_current, dt, self.decay_factors(dt))
-        if counter is not None:
-            counter.add(spike_events=int(self.spikes.sum()),
-                        **self.step_operations())
-        return self.spikes
 
     def decay_factors(self, dt: float) -> tuple:
         return (np.exp(-dt / self.tau_m),)

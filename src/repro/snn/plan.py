@@ -23,8 +23,11 @@ The per-timestep order lives in :meth:`StepPlan.step`:
    incoming connections into its buffer, then integrates and fires;
 5. every group's spikes are added to the run's spike counts;
 6. with learning on, every plastic connection's rule steps (and reads the
-   counts of step 5: the run keeps one spike record);
-7. monitors observe.
+   counts of step 5: the run keeps one spike record).
+
+The plan and :func:`repro.snn.events.advance_analytic` are the only code
+that advances network state; whatever a caller observes of a run is read
+from its spike counts or from the state left behind.
 
 Kernels are called through the network's backend, i.e. the instance
 installed by :meth:`~repro.snn.network.Network.set_backend`, which every
@@ -143,7 +146,6 @@ class StepPlan:
              learning: bool) -> None:
         """Advance the network by one timestep with ``input_spikes`` as the
         input group's spikes (the single-step entry point of every run)."""
-        network = self.network
         dt = self.dt
         if self.input_group is not None:
             self.input_group.spikes = input_spikes
@@ -170,15 +172,11 @@ class StepPlan:
         for group, counts in self._counted:
             counts += group.spikes
         if learning:
-            counter = network.counter
+            counter = self.network.counter
             for connection in self.connections:
                 rule = connection.learning_rule
                 if rule is not None:
                     rule.step(connection, dt, t_index, counter)
-        for monitor in network.spike_monitors:
-            monitor.observe()
-        for monitor in network.state_monitors:
-            monitor.observe()
         self.steps_taken += 1
 
     def flush(self, counter: OperationCounter) -> None:

@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from repro.backends import BackendLike, get_backend
-from repro.backends.base import store_state
 from repro.snn.neurons import NeuronGroup
 from repro.snn.simulation import OperationCounter
 from repro.utils.validation import check_positive, check_positive_int
@@ -170,32 +169,19 @@ class Connection:
 
     # -- simulation ---------------------------------------------------------
 
-    def propagate(self, dt: float,
-                  counter: Optional[OperationCounter] = None) -> np.ndarray:
-        """Advance the conductance one timestep and return the input current
-        delivered to the postsynaptic group (signed).
-
-        In batch mode the presynaptic spikes have shape ``(batch_size, pre.n)``
-        and the returned current ``(batch_size, post.n)``.  Decay and the
-        spike-to-conductance projection run on the connection's compute
-        backend, which gathers only the spiking weight rows, one spiking
-        sample at a time (bit-for-bit identical to the sequential path).
-        """
-        store_state(self.conductance,
-                    self.backend.decay_state(self.conductance, self.decay_factor(dt)))
-        self.inject()
-        if counter is not None:
-            counter.add(**self.step_operations())
-        return self.sign * self.gain * self.conductance
-
     def decay_factor(self, dt: float) -> float:
         """Per-step conductance decay ``exp(-dt / tau_syn)``."""
         return np.exp(-dt / self.tau_syn)
 
     def inject(self) -> None:
-        """Add this step's presynaptic spikes into the conductance (the
-        compiled step plan's entry point: the plan decays the conductances
-        of all connections first, in one call)."""
+        """Add this step's presynaptic spikes into the conductance.
+
+        The compiled step plan decays the conductances of all connections
+        first, in one call, then injects each.  In batch mode the
+        presynaptic spikes have shape ``(batch_size, pre.n)``; the backend
+        gathers only the spiking weight rows, one spiking sample at a time
+        (bit-for-bit identical to the sequential path).
+        """
         self.backend.propagate_spikes(self.conductance, self.pre.spikes,
                                       self.weights)
 
@@ -328,16 +314,6 @@ class UniformLateralInhibition:
     def reset_state(self, full: bool = False) -> None:
         """Clear the inhibitory conductance."""
         self.conductance[:] = 0.0
-
-    def propagate(self, dt: float,
-                  counter: Optional[OperationCounter] = None) -> np.ndarray:
-        """Advance the conductance and return the (negative) lateral current."""
-        store_state(self.conductance,
-                    self.backend.decay_state(self.conductance, self.decay_factor(dt)))
-        self.inject()
-        if counter is not None:
-            counter.add(**self.step_operations())
-        return -self.gain * self.conductance
 
     def decay_factor(self, dt: float) -> float:
         """Per-step conductance decay ``exp(-dt / tau_syn)``."""

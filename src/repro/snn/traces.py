@@ -5,6 +5,11 @@ keeps a low-pass-filtered record of recent spiking activity per neuron: a
 trace ``x`` is bumped whenever the neuron spikes and decays exponentially
 otherwise.  The trace value at the moment of the *other* side's spike
 determines the magnitude of the weight change.
+
+A trace does not advance itself: its learning rule decays the pre- and
+postsynaptic traces together (both are views of one rule buffer, see
+:meth:`repro.learning.base.LearningRule._decay_traces`) and bumps each with
+:meth:`SpikeTrace.update` or :meth:`SpikeTrace.bump`.
 """
 
 from __future__ import annotations
@@ -35,8 +40,9 @@ class SpikeTrace:
         ``'set'`` clamps the trace to ``increment`` on each spike, which is
         the behaviour used by Diehl & Cook style pipelines.
     backend:
-        Compute backend executing the decay/bump kernels; learning rules
-        keep it synchronized with their connection's backend.
+        Compute backend executing the bump kernel (and the rule's decay);
+        learning rules keep it synchronized with their connection's
+        backend.
     """
 
     def __init__(
@@ -52,45 +58,9 @@ class SpikeTrace:
         self.increment = float(increment)
         self.mode = check_choice(mode, ("set", "add"), "mode")
         self.backend = get_backend(backend)
-        self._batch_size: Optional[int] = None
         self.values = np.zeros(self.n, dtype=float)
         self._decay_dt: Optional[float] = None
         self._decay = 1.0
-
-    @property
-    def batch_size(self) -> Optional[int]:
-        """Active batch size, or ``None`` outside batch mode."""
-        return self._batch_size
-
-    @property
-    def state_shape(self) -> tuple:
-        """Shape of the trace array in the current mode."""
-        if self._batch_size is None:
-            return (self.n,)
-        return (self._batch_size, self.n)
-
-    def begin_batch(self, batch_size: int) -> None:
-        """Track ``batch_size`` independent trace vectors at once.
-
-        Note: the engine currently applies plasticity sequentially
-        (``run_batch(learning=True)`` delegates to ``run_sample``), so this
-        lifecycle is not driven by :class:`~repro.snn.network.Network` yet;
-        it exists so learning rules can batch their trace updates when a
-        vectorized learning path lands.
-        """
-        if self._batch_size is not None:
-            raise RuntimeError(
-                f"trace is already in batch mode (batch_size={self._batch_size})"
-            )
-        self._batch_size = check_positive_int(batch_size, "batch_size")
-        self.values = np.zeros(self.state_shape, dtype=float)
-
-    def end_batch(self) -> None:
-        """Return to a single trace vector (no-op outside batch mode)."""
-        if self._batch_size is None:
-            return
-        self._batch_size = None
-        self.values = np.zeros(self.n, dtype=float)
 
     def reset(self) -> None:
         """Zero all trace values."""
@@ -103,32 +73,17 @@ class SpikeTrace:
             self._decay = np.exp(-dt / self.tau)
         return self._decay
 
-    def decay(self, dt: float, counter: Optional[OperationCounter] = None) -> None:
-        """Apply one timestep of exponential decay."""
-        store_state(self.values,
-                    self.backend.decay_state(self.values, self.decay_factor(dt)))
-        if counter is not None:
-            batch = self._batch_size if self._batch_size is not None else 1
-            counter.add(exponential_ops=self.n * batch, trace_updates=self.n * batch)
-
     def update(self, spikes: np.ndarray,
                counter: Optional[OperationCounter] = None) -> None:
         """Bump the traces of the neurons that spiked this timestep."""
         spikes = np.asarray(spikes, dtype=bool)
-        if spikes.shape != self.state_shape:
+        if spikes.shape != (self.n,):
             raise ValueError(
-                f"spikes must have shape {self.state_shape}, got {spikes.shape}"
+                f"spikes must have shape ({self.n},), got {spikes.shape}"
             )
         self.bump(spikes)
         if counter is not None:
             counter.add(trace_updates=int(spikes.sum()))
-
-    def step(self, spikes: np.ndarray, dt: float,
-             counter: Optional[OperationCounter] = None) -> np.ndarray:
-        """Decay then update in one call; returns the current trace values."""
-        self.decay(dt, counter)
-        self.update(spikes, counter)
-        return self.values
 
     def bump(self, spikes: np.ndarray) -> None:
         """:meth:`update` for a caller that has already validated ``spikes``

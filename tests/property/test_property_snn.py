@@ -11,31 +11,52 @@ from repro.core.learning import SpikeDynLearningRule
 from repro.core.weight_decay import SynapticWeightDecay
 from repro.learning.asp import ASPLearningRule
 from repro.learning.stdp import PairwiseSTDP
+from repro.backends.base import store_state
 from repro.snn.neurons import AdaptiveLIFGroup, InputGroup, LIFGroup
 from repro.snn.synapses import Connection, UniformLateralInhibition
-from repro.snn.traces import SpikeTrace
 
 spike_rasters = hnp.arrays(dtype=bool, shape=(30, 5))
+
+
+def _traced_rule(n, tau, mode):
+    """A pairwise STDP rule whose presynaptic trace has ``n`` elements."""
+    rule = PairwiseSTDP(tau_pre=tau, trace_mode=mode)
+    rule._ensure_traces(Connection(InputGroup(n, name="pre"),
+                                   LIFGroup(1, name="post"), np.zeros((n, 1)),
+                                   learning_rule=rule))
+    return rule
+
+
+def _trace_history(rule, raster):
+    """Decay the rule's traces and bump the presynaptic one, row by row;
+    the presynaptic values after every row."""
+    history = []
+    for row in raster:
+        rule._decay_traces(1.0)
+        rule.pre_trace.update(row)
+        history.append(rule.pre_trace.values.copy())
+    return history
 
 
 @settings(max_examples=40, deadline=None)
 @given(raster=spike_rasters, tau=st.floats(min_value=1.0, max_value=100.0))
 def test_set_mode_traces_stay_in_unit_interval(raster, tau):
-    trace = SpikeTrace(5, tau=tau, increment=1.0, mode="set")
-    for row in raster:
-        trace.step(row, 1.0)
-        assert np.all(trace.values >= 0.0)
-        assert np.all(trace.values <= 1.0)
+    for values in _trace_history(_traced_rule(5, tau, "set"), raster):
+        assert np.all(values >= 0.0)
+        assert np.all(values <= 1.0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(raster=spike_rasters)
 def test_add_mode_traces_are_bounded_by_the_spike_count(raster):
-    trace = SpikeTrace(5, tau=20.0, increment=1.0, mode="add")
-    for row in raster:
-        trace.step(row, 1.0)
-    assert np.all(trace.values <= raster.sum(axis=0) + 1e-12)
-    assert np.all(trace.values >= 0.0)
+    values = _trace_history(_traced_rule(5, 20.0, "add"), raster)[-1]
+    assert np.all(values <= raster.sum(axis=0) + 1e-12)
+    assert np.all(values >= 0.0)
+
+
+def _integrate(group, current):
+    group.integrate(current, 1.0, group.decay_factors(1.0))
+    return group.spikes
 
 
 @settings(max_examples=30, deadline=None)
@@ -46,7 +67,7 @@ def test_add_mode_traces_are_bounded_by_the_spike_count(raster):
 def test_lif_membrane_stays_finite_and_resets_on_spikes(currents):
     group = LIFGroup(6, refractory=0.0)
     for row in currents:
-        spikes = group.step(row, 1.0)
+        spikes = _integrate(group, row)
         assert np.all(np.isfinite(group.v))
         # A neuron that spiked is at the reset potential.
         assert np.all(group.v[spikes] == group.v_reset)
@@ -65,7 +86,7 @@ def test_adaptive_theta_is_nonnegative_and_bounded(currents, theta_plus):
                              tau_theta=50.0)
     total_spikes = 0
     for row in currents:
-        spikes = group.step(row, 1.0)
+        spikes = _integrate(group, row)
         total_spikes += int(spikes.sum())
         assert np.all(group.theta >= 0.0)
     # Theta can never exceed what the spikes alone could have accumulated.
@@ -80,7 +101,10 @@ def test_lateral_inhibition_current_is_never_positive(raster, strength):
     lateral = UniformLateralInhibition(group, strength)
     for row in raster:
         group.spikes = row
-        current = lateral.propagate(1.0)
+        store_state(lateral.conductance, lateral.backend.decay_state(
+            lateral.conductance, lateral.decay_factor(1.0)))
+        lateral.inject()
+        current = -lateral.gain * lateral.conductance
         assert np.all(current <= 1e-12)
         assert np.all(np.isfinite(current))
 

@@ -16,7 +16,6 @@ from repro.core.architecture import build_baseline_network, build_spikedyn_netwo
 from repro.core.config import SpikeDynConfig
 from repro.core.learning import SpikeDynLearningRule
 from repro.learning.stdp import PairwiseSTDP
-from repro.snn.monitors import SpikeMonitor
 from repro.snn.neurons import AdaptiveLIFGroup, InputGroup
 from repro.snn.network import Network
 from repro.snn.simulation import SimulationParameters
@@ -217,50 +216,33 @@ class TestRunBatchValidation:
 
 
 class TestBatchedMonitors:
-    def test_spike_monitor_counts_stay_per_neuron_in_batch_mode(self):
-        network = _spikedyn_net()
-        monitor = network.add_spike_monitor(
-            SpikeMonitor(network.group("excitatory"))
-        )
-        results = network.run_batch(_random_trains(4, 40), learning=False)
-        assert monitor.counts.shape == (network.group("excitatory").n,)
-        total = sum(result.counts("excitatory").sum() for result in results)
-        assert monitor.total_spikes == total
+    """Whatever reads a network after a batch (its state, the next run's
+    counts) sees plain ``(n,)`` shapes."""
 
     def test_monitor_after_reset_has_no_stale_batch_buffers(self):
         """Regression: reset() must leave no batch-shaped state behind."""
         network = _spikedyn_net()
-        monitor = network.add_spike_monitor(
-            SpikeMonitor(network.group("excitatory"), record_raster=True)
-        )
-        network.run_batch(_random_trains(3, 20), learning=False)
-        assert monitor.raster.ndim == 3  # (timesteps, batch, n)
+        excitatory = network.group("excitatory")
+        network._begin_batch(3)
+        plan = network.compile()
+        plan.begin()
+        for t, row in enumerate(np.swapaxes(_random_trains(3, 20), 0, 1)):
+            plan.step(row, t, learning=False)
+        assert excitatory.v.shape == excitatory.theta.shape == (3, excitatory.n)
+        assert network.connection("input_to_exc").conductance.shape == (3, excitatory.n)
 
         network.reset(full=True)
-        assert monitor.total_spikes == 0
-        assert monitor.raster.shape == (0, network.group("excitatory").n)
-
-        # A fresh monitor attached after the reset sees plain (n,) spikes.
-        late_monitor = network.add_spike_monitor(
-            SpikeMonitor(network.group("excitatory"), record_raster=True)
-        )
-        steps = 20
-        train = _random_trains(1, steps)[0]
-        network.run_sample(train, learning=False)
-        assert late_monitor.counts.shape == (network.group("excitatory").n,)
-        assert late_monitor.raster.shape == (steps, network.group("excitatory").n)
-
-    def test_mixed_shape_raster_raises_until_reset(self):
-        network = _spikedyn_net()
-        monitor = network.add_spike_monitor(
-            SpikeMonitor(network.group("excitatory"), record_raster=True)
-        )
-        network.run_batch(_random_trains(2, 10), learning=False)
-        network.run_sample(_random_trains(1, 10)[0], learning=False)
-        with pytest.raises(ValueError, match="mixes"):
-            monitor.raster
-        monitor.reset()
-        assert monitor.raster.shape == (0, network.group("excitatory").n)
+        assert network.batch_size is None
+        for group in network.groups.values():
+            assert group.spikes.shape == (group.n,)
+            for state in ("v", "refrac_remaining", "theta"):
+                if hasattr(group, state):
+                    assert getattr(group, state).shape == (group.n,)
+        for connection in network.connections:
+            assert connection.conductance.shape == (connection.post.n,)
+        # The next run compiles against plain (n,) state.
+        result = network.run_sample(_random_trains(1, 20)[0], learning=False)
+        assert result.counts("excitatory").shape == (excitatory.n,)
 
 
 class TestHandBuiltNetworkBatched:
@@ -291,78 +273,3 @@ class TestHandBuiltNetworkBatched:
             np.testing.assert_array_equal(bat.counts("excitatory"),
                                           seq.counts("excitatory"))
         assert batched_net.counter.as_dict() == sequential_net.counter.as_dict()
-
-
-class TestBatchedTraces:
-    """Batch lifecycle of SpikeTrace (used by future batched learning)."""
-
-    def test_batched_updates_match_sequential_per_sample(self):
-        from repro.snn.traces import SpikeTrace
-
-        rng = np.random.default_rng(0)
-        spikes = rng.random((3, 4, 6)) < 0.3  # (timesteps, batch, n)
-
-        batched = SpikeTrace(6, tau=15.0, mode="set")
-        batched.begin_batch(4)
-        assert batched.state_shape == (4, 6)
-        for step in spikes:
-            batched.step(step, dt=1.0)
-        batched_values = batched.values.copy()
-        batched.end_batch()
-        assert batched.values.shape == (6,)
-
-        for sample in range(4):
-            sequential = SpikeTrace(6, tau=15.0, mode="set")
-            for step in spikes:
-                sequential.step(step[sample], dt=1.0)
-            np.testing.assert_array_equal(batched_values[sample],
-                                          sequential.values)
-
-    def test_batched_counter_accounting(self):
-        from repro.snn.simulation import OperationCounter
-        from repro.snn.traces import SpikeTrace
-
-        batched_counter, sequential_counter = OperationCounter(), OperationCounter()
-        spikes = np.ones((3, 5), dtype=bool)
-
-        batched = SpikeTrace(5, mode="add")
-        batched.begin_batch(3)
-        batched.step(spikes, dt=1.0, counter=batched_counter)
-
-        sequential = SpikeTrace(5, mode="add")
-        for row in spikes:
-            sequential.reset()
-            sequential.step(row, dt=1.0, counter=sequential_counter)
-        assert batched_counter.as_dict() == sequential_counter.as_dict()
-
-    def test_shape_validation_and_lifecycle_errors(self):
-        from repro.snn.traces import SpikeTrace
-
-        trace = SpikeTrace(4)
-        trace.begin_batch(2)
-        with pytest.raises(RuntimeError):
-            trace.begin_batch(2)
-        with pytest.raises(ValueError):
-            trace.update(np.zeros(4, dtype=bool))  # 1-D spikes in batch mode
-        trace.end_batch()
-        trace.end_batch()  # idempotent
-        with pytest.raises(ValueError):
-            trace.update(np.zeros((2, 4), dtype=bool))  # batch spikes outside
-
-
-class TestBatchedStateMonitor:
-    def test_mixed_shape_history_raises_until_reset(self):
-        from repro.snn.monitors import StateMonitor
-
-        network = _spikedyn_net()
-        monitor = network.add_state_monitor(
-            StateMonitor(network.group("excitatory"), "v")
-        )
-        network.run_batch(_random_trains(2, 10), learning=False)
-        assert monitor.history.shape[1:] == (2, network.group("excitatory").n)
-        network.run_sample(_random_trains(1, 10)[0], learning=False)
-        with pytest.raises(ValueError, match="mixes"):
-            monitor.history
-        monitor.reset()
-        network.run_sample(_random_trains(1, 10)[0], learning=False)
-        assert monitor.history.shape[1:] == (network.group("excitatory").n,)

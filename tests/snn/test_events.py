@@ -15,7 +15,6 @@ from repro.snn.events import (
     as_event_stream,
     silence_is_provable,
 )
-from repro.snn.monitors import SpikeMonitor
 from repro.snn.network import Network
 from repro.snn.neurons import AdaptiveLIFGroup, InputGroup
 from repro.snn.simulation import SimulationParameters
@@ -209,12 +208,6 @@ class TestRunEventsEquivalence:
                 network.run_events(EventStream.empty(10, N_INPUT))
         finally:
             network._end_batch()
-
-    def test_monitors_force_full_stepping(self):
-        network = build_network()
-        network.add_spike_monitor(SpikeMonitor(network.group("excitatory")))
-        network.run_events(bursty_train(), learning=False)
-        assert network.counter.steps_skipped == 0
 
     def test_unsupporting_backend_defaults_to_stepping(self):
         class SteppingOnly(SparseEventBackend):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.learning.stdp import PairwiseSTDP
-from repro.snn.monitors import SpikeMonitor, StateMonitor
 from repro.snn.network import Network, SampleResult
 from repro.snn.neurons import AdaptiveLIFGroup, InputGroup, LIFGroup
 from repro.snn.simulation import SimulationParameters
@@ -158,18 +157,6 @@ class TestRunSample:
         assert first_total > 0
         assert network.counter.total_ops() > first_total
 
-    def test_monitors_observe_every_step(self):
-        network = build_feedforward_network()
-        spike_monitor = network.add_spike_monitor(
-            SpikeMonitor(network.group("excitatory"), record_raster=True)
-        )
-        state_monitor = network.add_state_monitor(
-            StateMonitor(network.group("excitatory"), "v")
-        )
-        network.run_sample(np.ones((10, 6), dtype=bool), learning=False)
-        assert spike_monitor.raster.shape == (10, 4)
-        assert state_monitor.history.shape == (10, 4)
-
 
 class TestLateralInhibitionNetwork:
     def test_lateral_inhibition_sharpens_competition(self):
@@ -190,15 +177,11 @@ class TestLateralInhibitionNetwork:
 
 
 class TestReset:
-    def test_full_reset_clears_counters_and_monitors(self):
+    def test_full_reset_clears_counters(self):
         network = build_feedforward_network()
-        monitor = network.add_spike_monitor(
-            SpikeMonitor(network.group("excitatory"))
-        )
         network.run_sample(np.ones((10, 6), dtype=bool), learning=False)
         network.reset(full=True)
         assert network.counter.total_ops() == 0
-        assert monitor.total_spikes == 0
 
     def test_reset_never_touches_weights(self):
         network = build_feedforward_network(learning_rule=PairwiseSTDP())

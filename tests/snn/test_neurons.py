@@ -1,4 +1,9 @@
-"""Tests for the neuron group models (input, LIF, adaptive LIF)."""
+"""Tests for the neuron group models (input, LIF, adaptive LIF).
+
+Groups are stepped the way a compiled step plan steps them: one
+``integrate`` call with the summed input current and the group's
+precomputed decay factors.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,12 @@ import numpy as np
 import pytest
 
 from repro.snn.neurons import AdaptiveLIFGroup, InputGroup, LIFGroup, NeuronGroup
-from repro.snn.simulation import OperationCounter
+
+
+def step(group, current, dt=1.0):
+    """Advance ``group`` one timestep on ``current``; return its spikes."""
+    group.integrate(np.asarray(current, dtype=float), dt, group.decay_factors(dt))
+    return group.spikes
 
 
 class TestNeuronGroupBase:
@@ -20,9 +30,8 @@ class TestNeuronGroupBase:
         assert not group.spikes.any()
 
     def test_step_is_abstract(self):
-        group = NeuronGroup(2)
         with pytest.raises(NotImplementedError):
-            group.step(np.zeros(2), 1.0)
+            step(NeuronGroup(2), np.zeros(2))
 
 
 class TestInputGroup:
@@ -82,60 +91,53 @@ class TestLIFGroup:
         with pytest.raises(ValueError):
             LIFGroup(2, v_reset=-50.0, v_thresh=-60.0)
 
-    def test_step_validates_input_shape(self):
-        group = self.make_group(n=3)
-        with pytest.raises(ValueError):
-            group.step(np.zeros(4), 1.0)
-
     def test_membrane_integrates_input(self):
         group = self.make_group()
-        group.step(np.full(3, 1.0), 1.0)
+        step(group, np.full(3, 1.0))
         assert np.all(group.v > -65.0)
 
     def test_membrane_decays_towards_rest(self):
         group = self.make_group(tau_m=10.0)
         group.v[:] = -55.0
-        group.step(np.zeros(3), 1.0)
+        step(group, np.zeros(3))
         assert np.all(group.v < -55.0)
         assert np.all(group.v > -65.0)
 
     def test_strong_input_elicits_spike_and_reset(self):
         group = self.make_group()
-        spikes = group.step(np.full(3, 100.0), 1.0)
+        spikes = step(group, np.full(3, 100.0))
         assert spikes.all()
         np.testing.assert_allclose(group.v, group.v_reset)
 
     def test_refractory_period_blocks_integration(self):
         group = self.make_group(refractory=5.0)
-        group.step(np.full(3, 100.0), 1.0)           # spike -> refractory
-        spikes = group.step(np.full(3, 100.0), 1.0)  # still refractory
+        step(group, np.full(3, 100.0))           # spike -> refractory
+        spikes = step(group, np.full(3, 100.0))  # still refractory
         assert not spikes.any()
         np.testing.assert_allclose(group.v, group.v_rest, atol=1e-9)
 
     def test_zero_refractory_allows_consecutive_spikes(self):
         group = self.make_group(refractory=0.0)
-        assert group.step(np.full(3, 100.0), 1.0).all()
-        assert group.step(np.full(3, 100.0), 1.0).all()
+        assert step(group, np.full(3, 100.0)).all()
+        assert step(group, np.full(3, 100.0)).all()
 
     def test_refractory_expires(self):
         group = self.make_group(refractory=2.0)
-        group.step(np.full(3, 100.0), 1.0)
-        group.step(np.zeros(3), 1.0)
-        group.step(np.zeros(3), 1.0)
-        spikes = group.step(np.full(3, 100.0), 1.0)
+        step(group, np.full(3, 100.0))
+        step(group, np.zeros(3))
+        step(group, np.zeros(3))
+        spikes = step(group, np.full(3, 100.0))
         assert spikes.all()
 
     def test_counter_accounting(self):
         group = self.make_group(n=4)
-        counter = OperationCounter()
-        group.step(np.full(4, 100.0), 1.0, counter)
-        assert counter.neuron_updates == 4
-        assert counter.exponential_ops == 4
-        assert counter.spike_events == 4
+        spikes = step(group, np.full(4, 100.0))
+        assert group.step_operations() == {"neuron_updates": 4, "exponential_ops": 4}
+        assert int(spikes.sum()) == 4
 
     def test_reset_state(self):
         group = self.make_group()
-        group.step(np.full(3, 100.0), 1.0)
+        step(group, np.full(3, 100.0))
         group.reset_state()
         np.testing.assert_allclose(group.v, group.v_rest)
         assert np.all(group.refrac_remaining == 0.0)
@@ -157,13 +159,13 @@ class TestAdaptiveLIFGroup:
 
     def test_theta_grows_on_spikes(self):
         group = self.make_group()
-        group.step(np.full(3, 100.0), 1.0)
+        step(group, np.full(3, 100.0))
         assert np.all(group.theta > 0.0)
 
     def test_theta_decays_without_spikes(self):
         group = self.make_group(tau_theta=10.0)
         group.theta[:] = 1.0
-        group.step(np.zeros(3), 1.0)
+        step(group, np.zeros(3))
         assert np.all(group.theta < 1.0)
         assert np.all(group.theta > 0.0)
 
@@ -171,13 +173,13 @@ class TestAdaptiveLIFGroup:
         group = self.make_group(theta_plus=5.0)
         # A current that spikes a fresh neuron but not one with elevated theta.
         current = np.full(3, 14.0)
-        assert group.step(current, 1.0).all()
-        assert not group.step(current, 1.0).all()
+        assert step(group, current).all()
+        assert not step(group, current).all()
 
     def test_adaptation_can_be_disabled(self):
         group = self.make_group()
         group.adapt_theta = False
-        group.step(np.full(3, 100.0), 1.0)
+        step(group, np.full(3, 100.0))
         np.testing.assert_allclose(group.theta, 0.0)
 
     def test_theta_decay_rate_property(self):
@@ -186,21 +188,19 @@ class TestAdaptiveLIFGroup:
 
     def test_partial_reset_keeps_theta(self):
         group = self.make_group()
-        group.step(np.full(3, 100.0), 1.0)
+        step(group, np.full(3, 100.0))
         theta_before = group.theta.copy()
         group.reset_state(full=False)
         np.testing.assert_array_equal(group.theta, theta_before)
 
     def test_full_reset_restores_theta_init(self):
         group = self.make_group(theta_init=0.25)
-        group.step(np.full(3, 100.0), 1.0)
+        step(group, np.full(3, 100.0))
         group.reset_state(full=True)
         np.testing.assert_allclose(group.theta, 0.25)
 
     def test_counter_counts_theta_update(self):
         group = self.make_group(n=2)
-        counter = OperationCounter()
-        group.step(np.zeros(2), 1.0, counter)
+        step(group, np.zeros(2))
         # One membrane update + one theta update per neuron.
-        assert counter.neuron_updates == 4
-        assert counter.exponential_ops == 4
+        assert group.step_operations() == {"neuron_updates": 4, "exponential_ops": 4}

@@ -1,23 +1,28 @@
 """Tests for the compiled step plan and the seams that must keep it live.
 
 Perfbench's traced mode and ``bench_batched_engine.py`` change networks
-that have already run: they install a wrapping backend, attach monitors or
-flip ``adapt_theta``.  Each change must reach the very next run.
+that have already run: they install a wrapping backend or flip
+``adapt_theta``.  Each change must reach the very next run.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from collections import Counter
 
 import numpy as np
+import pytest
 
+import repro.snn
 from repro.backends import SparseEventBackend
 from repro.core.architecture import build_spikedyn_network
 from repro.core.config import SpikeDynConfig
 from repro.core.learning import SpikeDynLearningRule
-from repro.snn.monitors import SpikeMonitor
+from repro.snn.network import Network
+from repro.snn.neurons import AdaptiveLIFGroup, InputGroup, LIFGroup, NeuronGroup
 from repro.snn.simulation import OperationCounter
-from repro.snn.synapses import Connection
+from repro.snn.synapses import Connection, UniformLateralInhibition
+from repro.snn.traces import SpikeTrace
 
 KERNELS = ("lif_step", "theta_step", "decay_state", "propagate_spikes",
            "propagate_lateral", "bump_trace", "stdp_potentiation",
@@ -132,17 +137,6 @@ class TestSeamsStayLive:
         assert replacement.calls["lif_step"] == STEPS
         assert replacement.calls["propagate_spikes"] == STEPS
 
-    def test_monitor_attached_after_a_run_sees_every_step(self):
-        network = build()
-        first, second = trains()
-        network.run_sample(first, learning=False)
-        monitor = network.add_spike_monitor(
-            SpikeMonitor(network.group("excitatory"), record_raster=True))
-        result = network.run_sample(second, learning=False)
-        assert monitor.raster.shape == (STEPS, N_EXC)
-        np.testing.assert_array_equal(monitor.raster.sum(axis=0),
-                                      result.counts("excitatory"))
-
     def test_adapt_theta_flip_after_a_run_changes_the_tallies(self):
         # theta_plus = 0 keeps theta at zero, so the flag changes the work
         # charged but not the spikes, and both networks stay comparable.
@@ -171,3 +165,33 @@ class TestSeamsStayLive:
             exponential_ops=STEPS * (2 * N_EXC + 2 * N_EXC),
             spike_events=spikes,
         )
+
+
+class TestOneSteppingPath:
+    """The step plan (and the analytic jump) is the only code that advances
+    a network: no monitors, no per-component stepping methods."""
+
+    def test_no_monitors(self):
+        assert importlib.util.find_spec("repro.snn.monitors") is None
+        for name in ("SpikeMonitor", "StateMonitor"):
+            assert not hasattr(repro.snn, name)
+            assert name not in repro.snn.__all__
+        network = build()
+        for attribute in ("add_spike_monitor", "add_state_monitor",
+                          "spike_monitors", "state_monitors"):
+            assert not hasattr(network, attribute)
+            assert not hasattr(Network, attribute)
+
+    @pytest.mark.parametrize("component, attributes", [
+        (NeuronGroup, ("step",)),
+        (InputGroup, ("step",)),
+        (LIFGroup, ("step",)),
+        (AdaptiveLIFGroup, ("step",)),
+        (Connection, ("propagate",)),
+        (UniformLateralInhibition, ("propagate",)),
+        (SpikeTrace, ("step", "decay", "begin_batch", "end_batch",
+                      "batch_size", "state_shape")),
+    ])
+    def test_components_do_not_step_themselves(self, component, attributes):
+        for attribute in attributes:
+            assert not hasattr(component, attribute), attribute

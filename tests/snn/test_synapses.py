@@ -1,13 +1,19 @@
-"""Tests for synaptic connections and direct lateral inhibition."""
+"""Tests for synaptic connections and direct lateral inhibition.
+
+A connection is stepped the way a compiled step plan steps it: its
+conductance decays (``decay_state``), then ``inject`` adds this step's
+presynaptic spikes, and the signed, scaled conductance is the current its
+target integrates.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.backends.base import store_state
 from repro.learning.stdp import PairwiseSTDP
 from repro.snn.neurons import InputGroup, LIFGroup
-from repro.snn.simulation import OperationCounter
 from repro.snn.synapses import Connection, UniformLateralInhibition
 
 
@@ -15,6 +21,15 @@ def make_groups(n_pre=4, n_post=3):
     pre = InputGroup(n_pre, name="pre")
     post = LIFGroup(n_post, name="post")
     return pre, post
+
+
+def transmit(connection, dt=1.0):
+    """Advance ``connection`` one timestep; return the current it delivers."""
+    conductance = connection.conductance
+    store_state(conductance, connection.backend.decay_state(
+        conductance, connection.decay_factor(dt)))
+    connection.inject()
+    return connection.sign * connection.gain * conductance
 
 
 class TestConnectionConstruction:
@@ -68,7 +83,7 @@ class TestConnectionPropagation:
     def test_no_spikes_no_current(self):
         pre, post = make_groups()
         connection = Connection(pre, post, np.ones((4, 3)))
-        current = connection.propagate(1.0)
+        current = transmit(connection)
         np.testing.assert_allclose(current, 0.0)
 
     def test_spike_injects_weighted_conductance(self):
@@ -76,7 +91,7 @@ class TestConnectionPropagation:
         weights = np.arange(12, dtype=float).reshape(4, 3)
         connection = Connection(pre, post, weights, tau_syn=5.0, w_max=20.0)
         pre.spikes = np.array([True, False, False, False])
-        current = connection.propagate(1.0)
+        current = transmit(connection)
         np.testing.assert_allclose(current, weights[0])
 
     def test_multiple_spikes_sum(self):
@@ -84,45 +99,43 @@ class TestConnectionPropagation:
         weights = np.ones((4, 3))
         connection = Connection(pre, post, weights, w_max=5.0)
         pre.spikes = np.array([True, True, False, False])
-        current = connection.propagate(1.0)
+        current = transmit(connection)
         np.testing.assert_allclose(current, 2.0)
 
     def test_conductance_decays_exponentially(self):
         pre, post = make_groups()
         connection = Connection(pre, post, np.ones((4, 3)), tau_syn=2.0, w_max=5.0)
         pre.spikes = np.array([True, False, False, False])
-        first = connection.propagate(1.0)
+        first = transmit(connection)
         pre.spikes = np.zeros(4, dtype=bool)
-        second = connection.propagate(1.0)
+        second = transmit(connection)
         np.testing.assert_allclose(second, first * np.exp(-0.5))
 
     def test_inhibitory_sign_flips_current(self):
         pre, post = make_groups()
         connection = Connection(pre, post, np.ones((4, 3)), sign=-1, w_max=5.0)
         pre.spikes = np.array([True, False, False, False])
-        current = connection.propagate(1.0)
+        current = transmit(connection)
         assert np.all(current < 0.0)
 
     def test_gain_scales_current(self):
         pre, post = make_groups()
         connection = Connection(pre, post, np.ones((4, 3)), gain=2.5, w_max=5.0)
         pre.spikes = np.array([True, False, False, False])
-        np.testing.assert_allclose(connection.propagate(1.0), 2.5)
+        np.testing.assert_allclose(transmit(connection), 2.5)
 
     def test_counter_charges_dense_ops_for_plastic_projection(self):
         pre, post = make_groups()
         connection = Connection(pre, post, np.ones((4, 3)),
                                 learning_rule=PairwiseSTDP())
-        counter = OperationCounter()
-        connection.propagate(1.0, counter)
-        assert counter.synaptic_events == 12
-        assert counter.exponential_ops == 3
+        assert connection.step_operations() == {"synaptic_events": 12,
+                                                "exponential_ops": 3}
 
     def test_reset_clears_conductance(self):
         pre, post = make_groups()
         connection = Connection(pre, post, np.ones((4, 3)), w_max=5.0)
         pre.spikes = np.array([True, False, False, False])
-        connection.propagate(1.0)
+        transmit(connection)
         connection.reset_state()
         np.testing.assert_allclose(connection.conductance, 0.0)
 
@@ -181,7 +194,7 @@ class TestUniformLateralInhibition:
         group = LIFGroup(3, name="exc")
         lateral = UniformLateralInhibition(group, 2.0, tau_syn=5.0)
         group.spikes = np.array([True, False, False])
-        current = lateral.propagate(1.0)
+        current = transmit(lateral)
         assert current[0] == pytest.approx(0.0)
         assert current[1] == pytest.approx(-2.0)
         assert current[2] == pytest.approx(-2.0)
@@ -190,7 +203,7 @@ class TestUniformLateralInhibition:
         group = LIFGroup(3, name="exc")
         lateral = UniformLateralInhibition(group, 1.0)
         group.spikes = np.array([True, True, False])
-        current = lateral.propagate(1.0)
+        current = transmit(lateral)
         # Each spiker is inhibited only by the other spiker; the silent neuron
         # is inhibited by both.
         assert current[0] == pytest.approx(-1.0)
@@ -201,24 +214,22 @@ class TestUniformLateralInhibition:
         group = LIFGroup(3, name="exc")
         lateral = UniformLateralInhibition(group, 1.0, tau_syn=2.0)
         group.spikes = np.array([True, False, False])
-        first = lateral.propagate(1.0)
+        first = transmit(lateral)
         group.spikes = np.zeros(3, dtype=bool)
-        second = lateral.propagate(1.0)
+        second = transmit(lateral)
         np.testing.assert_allclose(second, first * np.exp(-0.5))
 
     def test_counter_charges_linear_cost(self):
         group = LIFGroup(10, name="exc")
         lateral = UniformLateralInhibition(group, 1.0)
-        counter = OperationCounter()
-        lateral.propagate(1.0, counter)
-        assert counter.synaptic_events == 10
-        assert counter.exponential_ops == 10
+        assert lateral.step_operations() == {"synaptic_events": 10,
+                                             "exponential_ops": 10}
 
     def test_reset_clears_conductance(self):
         group = LIFGroup(3, name="exc")
         lateral = UniformLateralInhibition(group, 1.0)
         group.spikes = np.array([True, True, True])
-        lateral.propagate(1.0)
+        transmit(lateral)
         lateral.reset_state()
         np.testing.assert_allclose(lateral.conductance, 0.0)
 
@@ -237,5 +248,5 @@ class TestUniformLateralInhibition:
         for _ in range(5):
             group.spikes = rng.random(n) < 0.4
             np.testing.assert_allclose(
-                lateral.propagate(1.0), dense.propagate(1.0), atol=1e-12
+                transmit(lateral), transmit(dense), atol=1e-12
             )

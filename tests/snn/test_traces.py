@@ -1,12 +1,31 @@
-"""Tests for exponentially decaying spike traces."""
+"""Tests for exponentially decaying spike traces.
+
+A trace is bumped by ``update``/``bump`` and decayed by its learning rule,
+which decays the pre- and postsynaptic traces together in
+``_decay_traces``; the decay tests drive the presynaptic trace of a pairwise
+STDP rule that way.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.learning.stdp import PairwiseSTDP
+from repro.snn.neurons import InputGroup, LIFGroup
 from repro.snn.simulation import OperationCounter
+from repro.snn.synapses import Connection
 from repro.snn.traces import SpikeTrace
+
+
+def rule_with_traces(n_pre, n_post=1, **rule_options):
+    """A pairwise STDP rule whose traces are bound to an ``n_pre`` x
+    ``n_post`` connection."""
+    rule = PairwiseSTDP(**rule_options)
+    pre, post = InputGroup(n_pre, name="pre"), LIFGroup(n_post, name="post")
+    rule._ensure_traces(Connection(pre, post, np.zeros((n_pre, n_post)),
+                                   learning_rule=rule))
+    return rule
 
 
 class TestConstruction:
@@ -29,15 +48,16 @@ class TestConstruction:
 
 class TestDecay:
     def test_exponential_decay_factor(self):
-        trace = SpikeTrace(3, tau=20.0)
-        trace.values[:] = 1.0
-        trace.decay(1.0)
-        np.testing.assert_allclose(trace.values, np.exp(-1.0 / 20.0))
+        rule = rule_with_traces(3, tau_pre=20.0)
+        rule.pre_trace.values[:] = 1.0
+        rule._decay_traces(1.0)
+        np.testing.assert_allclose(rule.pre_trace.values, np.exp(-1.0 / 20.0))
 
     def test_decay_counts_operations(self):
-        trace = SpikeTrace(4, tau=20.0)
+        rule = rule_with_traces(3, n_post=1)
         counter = OperationCounter()
-        trace.decay(1.0, counter)
+        rule._decay_traces(1.0, counter)
+        # Every element of both traces decays once.
         assert counter.exponential_ops == 4
         assert counter.trace_updates == 4
 
@@ -69,16 +89,24 @@ class TestUpdate:
 
 class TestStepAndReset:
     def test_step_decays_then_updates(self):
-        trace = SpikeTrace(2, tau=10.0, increment=1.0, mode="set")
+        rule = rule_with_traces(2, tau_pre=10.0, trace_mode="set")
+        trace = rule.pre_trace
         trace.values[:] = 1.0
-        values = trace.step(np.array([False, True]), 1.0)
-        assert values[0] == pytest.approx(np.exp(-0.1))
-        assert values[1] == pytest.approx(1.0)
+        rule._decay_traces(1.0)
+        trace.update(np.array([False, True]))
+        assert trace.values[0] == pytest.approx(np.exp(-0.1))
+        assert trace.values[1] == pytest.approx(1.0)
 
     def test_step_returns_live_view(self):
-        trace = SpikeTrace(2)
-        values = trace.step(np.array([True, False]), 1.0)
-        assert values is trace.values
+        """Decay and bump write into the rule's one trace buffer: the
+        values a caller holds stay live."""
+        rule = rule_with_traces(2)
+        values = rule.pre_trace.values
+        rule._decay_traces(1.0)
+        rule.pre_trace.update(np.array([True, False]))
+        assert values is rule.pre_trace.values
+        assert values.base is rule._traces
+        np.testing.assert_array_equal(values, [1.0, 0.0])
 
     def test_reset(self):
         trace = SpikeTrace(3)
@@ -87,8 +115,8 @@ class TestStepAndReset:
         np.testing.assert_allclose(trace.values, 0.0)
 
     def test_trace_never_negative_under_decay(self):
-        trace = SpikeTrace(3, tau=1.0)
-        trace.update(np.array([True, True, True]))
+        rule = rule_with_traces(3, tau_pre=1.0)
+        rule.pre_trace.update(np.array([True, True, True]))
         for _ in range(50):
-            trace.decay(5.0)
-        assert np.all(trace.values >= 0.0)
+            rule._decay_traces(5.0)
+        assert np.all(rule.pre_trace.values >= 0.0)
