@@ -47,8 +47,11 @@ DEFAULT_EVAL_BATCH_SIZE = 32
 #: (no ``schema_version`` field, no encoder spec, no shape validation on
 #: load); version 2 adds the self-describing metadata consumed by the
 #: serving subsystem (:mod:`repro.serving.artifacts`); version 3 records the
-#: name of the kernel set the model ran on (``backend`` key, checked against
-#: the accepted names on load — the stored state itself is backend-agnostic).
+#: name of the kernel set a loaded model rebuilds on
+#: (:data:`repro.backends.DEFAULT_BACKEND` in the ``backend`` key, checked
+#: against the accepted names on load).  The stored state is backend-agnostic,
+#: so a model run on a substituted backend (a test oracle, a timing wrapper)
+#: saves the same key.
 ARTIFACT_SCHEMA_VERSION = 3
 
 #: JSON metadata file of a saved model artifact.
@@ -460,10 +463,10 @@ class UnsupervisedDigitClassifier:
         The artifact is a directory holding ``state.npz`` (learned input
         weights, neuron-label assignments, and — when the excitatory group
         adapts — the threshold potential ``theta``) next to ``model.json``
-        (schema version, compute backend, full configuration, model
-        identity, and the encoder spec).  :meth:`load_state` and
-        :func:`repro.serving.artifacts.load_artifact` restore it
-        bit-for-bit.
+        (schema version, the kernel set a load rebuilds on, full
+        configuration, model identity, and the encoder spec).
+        :meth:`load_state` and :func:`repro.serving.artifacts.load_artifact`
+        restore it bit-for-bit.
 
         Returns the directory the files were written to.
         """
@@ -482,7 +485,7 @@ class UnsupervisedDigitClassifier:
             {
                 "format": "spikedyn-repro-model",
                 "schema_version": ARTIFACT_SCHEMA_VERSION,
-                "backend": self.backend_name,
+                "backend": DEFAULT_BACKEND,
                 "config": self.config.to_dict(),
                 "meta": self.describe(),
                 "encoder": self.encoder_spec(),

@@ -12,8 +12,9 @@ import json
 
 import numpy as np
 import pytest
+from gemv_oracle import GemvOracle
 
-from repro.backends import BACKEND_ALIASES, get_backend
+from repro.backends import BACKEND_ALIASES, DEFAULT_BACKEND, get_backend
 from repro.core.config import SpikeDynConfig
 from repro.experiments.common import ExperimentScale
 from repro.models.base import ARTIFACT_METADATA_FILE
@@ -23,12 +24,12 @@ from repro.serving.artifacts import load_artifact
 from repro.utils.serialization import ArtifactError
 
 IMAGES = np.random.default_rng(7).random((5, 36)) * 0.7
+CONFIG = SpikeDynConfig.scaled_down(n_input=36, n_exc=6, t_sim=20.0, seed=3)
 
 
 @pytest.fixture
 def artifact_dir(tmp_path):
-    config = SpikeDynConfig.scaled_down(n_input=36, n_exc=6, t_sim=20.0, seed=3)
-    model = SpikeDynModel(config)
+    model = SpikeDynModel(CONFIG)
     model.train_batch(IMAGES[:3])
     model.assign_labels(IMAGES[:3], [0, 1, 0])
     return model.save(tmp_path / "artifact")
@@ -57,6 +58,28 @@ def test_artifact_naming_an_unknown_backend_fails_to_load(artifact_dir):
     _rewrite_backend(artifact_dir, "does-not-exist")
     with pytest.raises(ArtifactError, match="unknown backend"):
         load_artifact(artifact_dir)
+
+
+def test_artifact_saved_on_a_substituted_backend_loads(tmp_path):
+    """The stored state is backend-agnostic: a model run on the test oracle
+    saves the kernel set a load rebuilds on, and both loaders accept it."""
+    model = SpikeDynModel(CONFIG)
+    model.set_backend(GemvOracle())
+    model.train_batch(IMAGES[:3])
+    model.assign_labels(IMAGES[:3], [0, 1, 0])
+    directory = model.save(tmp_path / "oracle")
+
+    artifact = load_artifact(directory)
+    assert artifact.backend == DEFAULT_BACKEND
+    metadata = json.loads((directory / ARTIFACT_METADATA_FILE).read_text())
+    assert metadata["backend"] == DEFAULT_BACKEND
+    restored = SpikeDynModel(CONFIG)
+    restored.load_state(directory)
+    for loaded in (artifact.build_model(), restored):
+        np.testing.assert_array_equal(loaded.input_weights, model.input_weights)
+        np.testing.assert_array_equal(loaded.assignments, model.assignments)
+        np.testing.assert_array_equal(loaded.network.group("excitatory").theta,
+                                      model.network.group("excitatory").theta)
 
 
 def test_job_spec_scale_naming_a_retired_backend_rebuilds_the_same_scale():
