@@ -30,7 +30,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.evaluation.protocols import N_CLASSES, draw_evaluation_sets
+from repro.evaluation.protocols import (N_CLASSES, _apply_eval_batch_size,
+                                        draw_evaluation_sets)
 from repro.scenarios.spec import Phase, ScenarioSpec
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_positive_int
@@ -202,8 +203,7 @@ def run_scenario_protocol(
         Seed or generator; fixes the stream and every evaluation draw.
     """
     check_positive_int(eval_samples_per_class, "eval_samples_per_class")
-    if eval_batch_size is not None:
-        model.eval_batch_size = check_positive_int(eval_batch_size, "eval_batch_size")
+    _apply_eval_batch_size(model, eval_batch_size)
     generator = ensure_rng(rng)
 
     phases = spec.phases()

@@ -117,9 +117,6 @@ def draw_evaluation_sets(
     return assignment, evaluation
 
 
-# Backwards-compatible private alias (pre-1.3 name).
-_evaluation_sets = draw_evaluation_sets
-
 
 def _assign_from_sets(model, assignment: Dict[int, np.ndarray],
                       classes: Sequence[int]) -> None:
@@ -194,7 +191,7 @@ def run_dynamic_protocol(
     if not sequence:
         raise ValueError("class_sequence must not be empty")
 
-    assignment, evaluation = _evaluation_sets(
+    assignment, evaluation = draw_evaluation_sets(
         source, sequence, eval_samples_per_class, generator
     )
 
@@ -271,7 +268,7 @@ def run_nondynamic_protocol(
     generator = ensure_rng(rng)
     eval_classes = [int(c) for c in (classes if classes is not None
                                      else source.classes)]
-    assignment, evaluation = _evaluation_sets(
+    assignment, evaluation = draw_evaluation_sets(
         source, eval_classes, eval_samples_per_class, generator
     )
 

@@ -11,6 +11,7 @@ operation counts, which the hardware model converts into time and energy.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Dict
 
@@ -132,21 +133,19 @@ class OperationCounter:
         """Return an independent copy of the current counts."""
         return OperationCounter(**self.as_dict())
 
-    def __add__(self, other: "OperationCounter") -> "OperationCounter":
+    def _combine(self, other, operation) -> "OperationCounter":
+        """A new counter holding ``operation(mine, theirs)`` field by field."""
         if not isinstance(other, OperationCounter):
             return NotImplemented
-        merged = {
-            key: self.as_dict()[key] + other.as_dict()[key] for key in self.as_dict()
-        }
-        return OperationCounter(**merged)
+        mine, theirs = self.as_dict(), other.as_dict()
+        return OperationCounter(**{key: operation(value, theirs[key])
+                                   for key, value in mine.items()})
+
+    def __add__(self, other: "OperationCounter") -> "OperationCounter":
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "OperationCounter") -> "OperationCounter":
-        if not isinstance(other, OperationCounter):
-            return NotImplemented
-        merged = {
-            key: self.as_dict()[key] - other.as_dict()[key] for key in self.as_dict()
-        }
-        return OperationCounter(**merged)
+        return self._combine(other, operator.sub)
 
 
 #: Names of the :class:`OperationCounter` fields, in declaration order.
