@@ -158,6 +158,25 @@ class TestRunSample:
         assert network.counter.total_ops() > first_total
 
 
+    def test_counts_cover_the_presentation_only(self):
+        train = np.ones((10, 6), dtype=bool)
+        presented = build_feedforward_network().run_sample(train, learning=False)
+        network = build_feedforward_network()
+        with_rest = network.run_sample(train, learning=False, include_rest=True)
+        for name in ("input", "excitatory"):
+            np.testing.assert_array_equal(with_rest.counts(name),
+                                          presented.counts(name))
+
+    def test_results_keep_their_counts_after_later_runs(self):
+        network = build_feedforward_network()
+        first = network.run_sample(np.ones((10, 6), dtype=bool), learning=False)
+        kept = {name: counts.copy() for name, counts in first.spike_counts.items()}
+        network.run_sample(np.ones((10, 6), dtype=bool), learning=False)
+        network.run_batch(np.ones((2, 10, 6), dtype=bool))
+        for name, counts in kept.items():
+            np.testing.assert_array_equal(first.counts(name), counts)
+
+
 class TestLateralInhibitionNetwork:
     def test_lateral_inhibition_sharpens_competition(self):
         """With strong lateral inhibition, fewer excitatory spikes survive."""

@@ -135,6 +135,19 @@ class TestLIFGroup:
         assert group.step_operations() == {"neuron_updates": 4, "exponential_ops": 4}
         assert int(spikes.sum()) == 4
 
+    def test_decay_factors_are_the_membrane_decay(self):
+        group = self.make_group(tau_m=20.0)
+        assert group.decay_factors(0.5) == (np.exp(-0.5 / 20.0),)
+
+    def test_step_operations_scale_with_the_batch(self):
+        group = self.make_group(n=4)
+        group.begin_batch(3)
+        spikes = step(group, np.full((3, 4), 100.0))
+        assert spikes.shape == (3, 4) and spikes.all()
+        assert group.step_operations() == {"neuron_updates": 12, "exponential_ops": 12}
+        group.end_batch()
+        assert group.step_operations() == {"neuron_updates": 4, "exponential_ops": 4}
+
     def test_reset_state(self):
         group = self.make_group()
         step(group, np.full(3, 100.0))
@@ -198,6 +211,11 @@ class TestAdaptiveLIFGroup:
         step(group, np.full(3, 100.0))
         group.reset_state(full=True)
         np.testing.assert_allclose(group.theta, 0.25)
+
+    def test_decay_factors_add_the_theta_decay(self):
+        group = self.make_group(tau_theta=50.0)
+        assert group.decay_factors(1.0) == (np.exp(-1.0 / group.tau_m),
+                                            np.exp(-1.0 / 50.0))
 
     def test_counter_counts_theta_update(self):
         group = self.make_group(n=2)

@@ -3,6 +3,9 @@
 Perfbench's traced mode and ``bench_batched_engine.py`` change networks
 that have already run: they install a wrapping backend or flip
 ``adapt_theta``.  Each change must reach the very next run.
+
+The plan's spike counts are the one record of a run (there are no
+monitors), so the step order and the life of that record are pinned here.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from repro.core.config import SpikeDynConfig
 from repro.core.learning import SpikeDynLearningRule
 from repro.snn.network import Network
 from repro.snn.neurons import AdaptiveLIFGroup, InputGroup, LIFGroup, NeuronGroup
-from repro.snn.simulation import OperationCounter
+from repro.snn.simulation import OperationCounter, SimulationParameters
 from repro.snn.synapses import Connection, UniformLateralInhibition
 from repro.snn.traces import SpikeTrace
 
@@ -195,3 +198,176 @@ class TestOneSteppingPath:
     def test_components_do_not_step_themselves(self, component, attributes):
         for attribute in attributes:
             assert not hasattr(component, attribute), attribute
+
+
+def chain(weight=20.0, params=None):
+    """input -> first -> second, two neurons each, one-to-one weights
+    strong enough that one presynaptic spike fires the target."""
+    network = Network(params or SimulationParameters(dt=1.0, t_sim=10.0, t_rest=5.0))
+    source = network.add_group(InputGroup(2, name="input"))
+    first = network.add_group(LIFGroup(2, refractory=0.0, name="first"))
+    second = network.add_group(LIFGroup(2, refractory=0.0, name="second"))
+    network.add_connection(Connection(source, first, weight * np.eye(2),
+                                      w_max=2 * weight, name="input_to_first"))
+    network.add_connection(Connection(first, second, weight * np.eye(2),
+                                      w_max=2 * weight, name="first_to_second"))
+    return network
+
+
+def first_spike_steps(network, train):
+    """Step ``network`` through ``train`` with its plan; return the first
+    step at which each non-input group fired (``None`` if it never did)."""
+    plan = network.compile()
+    plan.begin()
+    first = {stage.group.name: None for stage in plan.stages}
+    for t_index, row in enumerate(train):
+        plan.step(row, t_index, learning=False)
+        for stage in plan.stages:
+            if first[stage.group.name] is None and stage.group.spikes.any():
+                first[stage.group.name] = t_index
+    return first
+
+
+class TestStepOrder:
+    """The per-step order documented in :mod:`repro.snn.plan`."""
+
+    def test_input_spikes_reach_their_target_on_the_same_step(self):
+        train = np.zeros((4, 2), dtype=bool)
+        train[0, 0] = True
+        first = first_spike_steps(chain(), train)
+        assert first["first"] == 0
+
+    def test_spikes_of_a_group_arrive_one_step_later(self):
+        train = np.zeros((4, 2), dtype=bool)
+        train[0, 0] = True
+        first = first_spike_steps(chain(), train)
+        assert first["second"] == first["first"] + 1
+
+    def test_conductances_decay_before_this_steps_spikes_are_injected(self):
+        network = chain()
+        plan = network.compile()
+        plan.begin()
+        connection = network.connection("input_to_first")
+        row = np.array([True, False])
+        plan.step(row, 0, learning=False)
+        np.testing.assert_array_equal(connection.conductance, [20.0, 0.0])
+        plan.step(row, 1, learning=False)
+        decay = connection.decay_factor(network.params.dt)
+        np.testing.assert_array_equal(connection.conductance,
+                                      [20.0 * decay + 20.0, 0.0])
+
+    def test_learning_off_never_steps_a_rule(self):
+        network = build()
+        rule = network.connection("input_to_exc").learning_rule
+        weights = network.connection("input_to_exc").weights.copy()
+        plan = network.compile()
+        plan.begin()
+        rule.on_sample_start(network.connection("input_to_exc"), plan.counts)
+        for t_index, row in enumerate(trains(1)[0]):
+            plan.step(row, t_index, learning=False)
+        np.testing.assert_array_equal(rule._traces, 0.0)
+        np.testing.assert_array_equal(network.connection("input_to_exc").weights,
+                                      weights)
+
+    def test_a_network_without_connections_still_counts_its_input(self):
+        network = Network(SimulationParameters(dt=1.0, t_sim=10.0, t_rest=0.0))
+        network.add_group(InputGroup(3, name="input"))
+        plan = network.compile()
+        assert plan.conductances is None and plan.stages == []
+        train = np.random.default_rng(3).random((10, 3)) < 0.5
+        result = network.run_sample(train, learning=False)
+        np.testing.assert_array_equal(result.counts("input"), train.sum(axis=0))
+        assert network.counter.total_ops() == 0
+
+
+class TestRunRecord:
+    """The plan's spike counts are the one record of a run: whatever a
+    caller observes of the spikes is read from them."""
+
+    def test_begin_starts_fresh_counts_for_every_group(self):
+        network = chain()
+        previous = network.run_sample(np.ones((5, 2), dtype=bool), learning=False)
+        plan = network.compile()
+        plan.begin()
+        assert set(plan.counts) == set(network.groups)
+        for name, counts in plan.counts.items():
+            assert counts.dtype == np.int64
+            assert counts.shape == (network.group(name).n,)
+            assert not counts.any()
+            assert not np.shares_memory(counts, previous.counts(name))
+        assert plan.steps_taken == 0
+        assert previous.counts("input").sum() == 10
+
+    def test_counts_are_the_sum_of_every_steps_spikes(self):
+        network = build()
+        plan = network.compile()
+        plan.begin()
+        train = trains(1)[0]
+        raster = {name: [] for name in network.groups}
+        for t_index, row in enumerate(train):
+            plan.step(row, t_index, learning=False)
+            for name, group in network.groups.items():
+                raster[name].append(group.spikes.copy())
+        assert plan.steps_taken == STEPS
+        for name, rows in raster.items():
+            np.testing.assert_array_equal(plan.counts[name],
+                                          np.sum(rows, axis=0))
+        np.testing.assert_array_equal(plan.counts["input"], train.sum(axis=0))
+        assert plan.counts["excitatory"].sum() > 0
+
+    def test_counts_take_the_batch_shape(self):
+        network = build()
+        network._begin_batch(3)
+        try:
+            plan = network.compile()
+            plan.begin()
+            for t_index, row in enumerate(np.swapaxes(trains(3), 0, 1)):
+                plan.step(row, t_index, learning=False)
+            assert plan.counts["input"].shape == (3, N_INPUT)
+            assert plan.counts["excitatory"].shape == (3, N_EXC)
+            np.testing.assert_array_equal(plan.counts["input"],
+                                          trains(3).sum(axis=1))
+        finally:
+            network._end_batch()
+
+    def test_end_presentation_freezes_the_presented_counts(self):
+        network = chain()
+        plan = network.compile()
+        plan.begin()
+        for t_index in range(3):
+            plan.step(np.ones(2, dtype=bool), t_index, learning=False)
+        presented = plan.end_presentation()
+        frozen = {name: counts.copy() for name, counts in presented.items()}
+        for name, counts in plan.counts.items():
+            np.testing.assert_array_equal(counts, frozen[name])
+            assert not np.shares_memory(counts, presented[name])
+        for t_index in range(3, 6):
+            plan.step(plan.silent_input, t_index, learning=False)
+        for name, counts in presented.items():
+            np.testing.assert_array_equal(counts, frozen[name])
+        # The conductance tail keeps "first" firing into the silence.
+        assert plan.counts["first"].sum() > frozen["first"].sum()
+
+    def test_flush_charges_the_rest_spikes_the_result_leaves_out(self):
+        network = chain()
+        result = network.run_sample(np.ones((3, 2), dtype=bool),
+                                    learning=False, include_rest=True)
+        presented = int(result.counts("first").sum() + result.counts("second").sum())
+        assert network.counter.spike_events > presented
+
+    def test_flush_charges_every_step_once_and_starts_over(self):
+        network = chain()
+        plan = network.compile()
+        plan.begin()
+        for t_index in range(4):
+            plan.step(np.ones(2, dtype=bool), t_index, learning=False)
+        counter = OperationCounter()
+        plan.flush(counter)
+        assert plan.steps_taken == 0
+        # Two LIF groups and two connections of two neurons each.
+        assert counter.neuron_updates == 4 * 2 * 2
+        assert counter.synaptic_events == 4 * 2 * 2
+        assert counter.exponential_ops == 4 * (2 * 2 + 2 * 2)
+        # Input spikes are delivered, not emitted by a simulated neuron.
+        assert counter.spike_events == int(plan.counts["first"].sum()
+                                           + plan.counts["second"].sum())

@@ -131,6 +131,19 @@ class TestConnectionPropagation:
         assert connection.step_operations() == {"synaptic_events": 12,
                                                 "exponential_ops": 3}
 
+    def test_batched_injection_is_per_sample(self):
+        pre, post = make_groups()
+        weights = np.arange(12, dtype=float).reshape(4, 3)
+        connection = Connection(pre, post, weights, w_max=20.0)
+        connection.begin_batch(2)
+        pre.spikes = np.array([[True, False, True, False],
+                               [False, False, False, True]])
+        current = transmit(connection)
+        np.testing.assert_array_equal(current, [weights[0] + weights[2], weights[3]])
+        # A fixed projection is charged its 11 non-zero weights per sample.
+        assert connection.step_operations() == {"synaptic_events": 2 * 11,
+                                                "exponential_ops": 2 * 3}
+
     def test_reset_clears_conductance(self):
         pre, post = make_groups()
         connection = Connection(pre, post, np.ones((4, 3)), w_max=5.0)
@@ -232,6 +245,16 @@ class TestUniformLateralInhibition:
         transmit(lateral)
         lateral.reset_state()
         np.testing.assert_allclose(lateral.conductance, 0.0)
+
+    def test_batched_inhibition_is_per_sample(self):
+        group = LIFGroup(3, name="exc")
+        lateral = UniformLateralInhibition(group, 1.0)
+        lateral.begin_batch(2)
+        group.spikes = np.array([[True, False, False], [False, False, False]])
+        current = transmit(lateral)
+        np.testing.assert_allclose(current, [[0.0, -1.0, -1.0], [0.0, 0.0, 0.0]])
+        assert lateral.step_operations() == {"synaptic_events": 6,
+                                             "exponential_ops": 6}
 
     def test_equivalent_to_dense_all_to_all_matrix(self):
         """The O(n) broadcast matches an explicit all-to-all-except-self matrix."""

@@ -53,6 +53,12 @@ class TestDecay:
         rule._decay_traces(1.0)
         np.testing.assert_allclose(rule.pre_trace.values, np.exp(-1.0 / 20.0))
 
+    def test_decay_factor_follows_the_timestep(self):
+        trace = SpikeTrace(2, tau=10.0)
+        assert trace.decay_factor(1.0) == np.exp(-0.1)
+        assert trace.decay_factor(2.0) == np.exp(-0.2)
+        assert trace.decay_factor(1.0) == np.exp(-0.1)
+
     def test_decay_counts_operations(self):
         rule = rule_with_traces(3, n_post=1)
         counter = OperationCounter()
@@ -79,6 +85,20 @@ class TestUpdate:
         trace = SpikeTrace(3)
         with pytest.raises(ValueError):
             trace.update(np.array([True, False]))
+
+    def test_update_rejects_batch_shaped_spikes(self):
+        trace = SpikeTrace(4)
+        with pytest.raises(ValueError):
+            trace.update(np.zeros((2, 4), dtype=bool))
+
+    def test_bump_is_update_without_tallies(self):
+        spikes = np.array([True, False, True])
+        bumped, updated = SpikeTrace(3, mode="add"), SpikeTrace(3, mode="add")
+        counter = OperationCounter()
+        bumped.bump(spikes)
+        updated.update(spikes, counter)
+        np.testing.assert_array_equal(bumped.values, updated.values)
+        assert counter.trace_updates == 2
 
     def test_update_counts_spiking_elements_only(self):
         trace = SpikeTrace(4)
