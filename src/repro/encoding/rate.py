@@ -56,21 +56,31 @@ class PoissonRateEncoder(SpikeEncoder):
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Return a boolean spike train of shape ``(timesteps, n_input)``."""
-        probabilities = self.spike_probabilities(values)
-        draws = self._rng.random((self.timesteps, probabilities.size))
-        return draws < probabilities[None, :]
+        return self._draw(self.spike_probabilities(values)[None, :])[0]
 
     def encode_batch(self, batch) -> np.ndarray:
         """Return a boolean spike train of shape ``(B, timesteps, n_input)``.
 
-        One vectorized uniform draw covers the whole batch.  numpy fills the
-        ``(B, timesteps, n)`` buffer in C order, which is exactly the order a
-        sequential :meth:`encode` loop consumes the generator in, so the
-        batched trains are bit-for-bit identical to sequential encoding.
+        Every input's probabilities are computed (and validated) before any
+        random number is drawn, so a bad input raises with the generator
+        untouched.  The draws then take one ``(timesteps, n_input)`` float
+        scratch, reused for every sample: beyond the boolean output, the
+        batch needs no more memory than one :meth:`encode`.  Samples draw in
+        order, each filling its scratch in C order, which is exactly how a
+        sequential :meth:`encode` loop consumes the generator, so the batched
+        trains are bit-for-bit identical to sequential encoding.
         """
         probabilities = [self.spike_probabilities(values) for values in batch]
         if not probabilities:
             raise ValueError("cannot encode an empty batch")
-        stacked = np.stack(probabilities)
-        draws = self._rng.random((stacked.shape[0], self.timesteps, stacked.shape[1]))
-        return draws < stacked[:, None, :]
+        return self._draw(np.stack(probabilities))
+
+    def _draw(self, probabilities: np.ndarray) -> np.ndarray:
+        """Spike trains ``(B, timesteps, n)`` for ``(B, n)`` probabilities."""
+        trains = np.empty((len(probabilities), self.timesteps, probabilities.shape[1]),
+                          dtype=bool)
+        scratch = np.empty(trains.shape[1:])
+        for sample_probabilities, train in zip(probabilities, trains):
+            self._rng.random(out=scratch)
+            np.less(scratch, sample_probabilities, out=train)
+        return trains

@@ -309,7 +309,7 @@ class Network:
         spike_trains:
             Boolean array of shape ``(batch_size, timesteps, n_input)`` (or a
             sequence of equal-length ``(timesteps, n_input)`` trains, which is
-            stacked).
+            stacked).  A boolean array is read in place, not copied.
         learning:
             When ``False`` (the default, the inference hot path) all samples
             advance simultaneously in ``(batch_size, n)``-shaped vectorized
@@ -330,9 +330,10 @@ class Network:
         -----
         **Equivalence guarantee.**  Batched inference performs, per sample,
         exactly the same floating-point operations as the sequential path
-        (elementwise updates broadcast over the batch axis; the dense
-        spike-to-conductance projection runs one vector-matrix product per
-        spiking sample), so spike counts, membrane trajectories, and
+        (elementwise updates broadcast over the batch axis; the
+        spike-to-conductance projection gathers each spiking sample's
+        weight rows and sums them first to last, as a single sample's step
+        does), so spike counts, membrane trajectories, and
         :class:`~repro.snn.simulation.OperationCounter` totals are bit-for-bit
         identical to ``B`` independent :meth:`run_sample` calls.
 
@@ -382,7 +383,7 @@ class Network:
         self._begin_batch(batch_size)
         try:
             # rows[t] is the (batch_size, n_input) input of step t.
-            rows = np.swapaxes(trains.astype(bool), 0, 1)
+            rows = np.swapaxes(trains.astype(bool, copy=False), 0, 1)
             batched = self._simulate(rows, steps, learning=False,
                                      include_rest=include_rest)
         finally:

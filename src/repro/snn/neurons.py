@@ -174,9 +174,10 @@ class InputGroup(NeuronGroup):
         return 0
 
     def validate_train(self, train: np.ndarray) -> np.ndarray:
-        """A boolean copy of ``train``, checked against the current mode's
+        """``train`` as a boolean array, checked against the current mode's
         shape: ``(timesteps, n)`` in single-sample mode and
-        ``(batch_size, timesteps, n)`` in batch mode."""
+        ``(batch_size, timesteps, n)`` in batch mode.  A boolean train is
+        returned as is, without a copy; the engine only reads it."""
         train = np.asarray(train)
         if self._batch_size is None:
             if train.ndim != 2 or train.shape[1] != self.n:
@@ -189,7 +190,7 @@ class InputGroup(NeuronGroup):
                 "batched spike train must have shape "
                 f"({self._batch_size}, timesteps, {self.n}), got {train.shape}"
             )
-        return train.astype(bool)
+        return train.astype(bool, copy=False)
 
 
 class LIFGroup(NeuronGroup):

@@ -9,6 +9,8 @@ one batched, and compare exactly (no tolerances).
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,35 @@ class TestRunBatchValidation:
         trains = [train for train in _random_trains(3, 20)]
         results = network.run_batch(trains, learning=False)
         assert len(results) == 3
+
+
+class TestRunBatchReadsTrainsInPlace:
+    """A boolean batch is read where it lies: the engine's own allocations
+    over a run stay below the size of the train it is handed."""
+
+    def test_bool_batch_is_not_copied(self):
+        network = _spikedyn_net()
+        trains = _random_trains(16, 300)
+        network.run_batch(trains[:, :20], learning=False)  # compile the B=16 plan
+        tracemalloc.start()
+        try:
+            results = network.run_batch(trains, learning=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 16
+        assert peak < trains.nbytes, (peak, trains.nbytes)
+
+    def test_validate_train_returns_a_bool_train_as_is(self):
+        network = _spikedyn_net()
+        train = _random_trains(1, 300)[0]
+        assert network.input_group.validate_train(train) is train
+        network._begin_batch(2)
+        try:
+            trains = _random_trains(2, 30)
+            assert network.input_group.validate_train(trains) is trains
+        finally:
+            network._end_batch()
 
 
 class TestBatchedMonitors:
