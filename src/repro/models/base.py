@@ -487,7 +487,9 @@ class UnsupervisedDigitClassifier:
                 "schema_version": ARTIFACT_SCHEMA_VERSION,
                 "backend": DEFAULT_BACKEND,
                 "config": self.config.to_dict(),
-                "meta": self.describe(),
+                # ``describe()`` names the live kernels, which may be a
+                # substitute; the artifact names the set a load rebuilds on.
+                "meta": {**self.describe(), "backend": DEFAULT_BACKEND},
                 "encoder": self.encoder_spec(),
             },
             directory / ARTIFACT_METADATA_FILE,

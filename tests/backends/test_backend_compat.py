@@ -82,6 +82,28 @@ def test_artifact_saved_on_a_substituted_backend_loads(tmp_path):
                                       model.network.group("excitatory").theta)
 
 
+def test_artifact_saved_on_a_substituted_backend_names_one_kernel_set(tmp_path):
+    """Both backend fields of ``model.json`` name the kernels a load rebuilds
+    on, while ``describe()`` keeps reporting the live substitute."""
+    model = SpikeDynModel(CONFIG)
+    model.set_backend(GemvOracle())
+    model.train_batch(IMAGES[:3])
+    directory = model.save(tmp_path / "oracle")
+
+    assert model.describe()["backend"] == "gemv-oracle"
+    metadata = json.loads((directory / ARTIFACT_METADATA_FILE).read_text())
+    assert metadata["backend"] == "sparse"
+    assert metadata["meta"]["backend"] == "sparse"
+    artifact = load_artifact(directory)
+    assert artifact.backend == "sparse"
+    assert artifact.describe()["backend"] == "sparse"
+    rebuilt = artifact.build_model()
+    assert rebuilt.backend_name == "sparse"
+    np.testing.assert_array_equal(rebuilt.input_weights, model.input_weights)
+    np.testing.assert_array_equal(rebuilt.network.group("excitatory").theta,
+                                  model.network.group("excitatory").theta)
+
+
 def test_job_spec_scale_naming_a_retired_backend_rebuilds_the_same_scale():
     scale = ExperimentScale.tiny(seed=4)
     payload = JobSpec("fig5", scale).to_dict()
