@@ -33,7 +33,7 @@ from repro.models.spikedyn_model import SpikeDynModel
 
 # Part of every content-addressed job key: bumping the version invalidates
 # the on-disk result cache by design.
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "ASPModel",
