@@ -62,17 +62,22 @@ def test_artifact_naming_an_unknown_backend_fails_to_load(artifact_dir):
 
 def test_artifact_saved_on_a_substituted_backend_loads(tmp_path):
     """The stored state is backend-agnostic: a model run on the test oracle
-    saves the kernel set a load rebuilds on, and both loaders accept it."""
+    saves the kernel set a load rebuilds on in both backend fields of
+    ``model.json`` (``describe()`` keeps naming the live substitute), and
+    both loaders accept it."""
     model = SpikeDynModel(CONFIG)
     model.set_backend(GemvOracle())
     model.train_batch(IMAGES[:3])
     model.assign_labels(IMAGES[:3], [0, 1, 0])
     directory = model.save(tmp_path / "oracle")
 
+    assert model.describe()["backend"] == "gemv-oracle"
     artifact = load_artifact(directory)
     assert artifact.backend == DEFAULT_BACKEND
+    assert artifact.describe()["backend"] == DEFAULT_BACKEND
     metadata = json.loads((directory / ARTIFACT_METADATA_FILE).read_text())
     assert metadata["backend"] == DEFAULT_BACKEND
+    assert metadata["meta"]["backend"] == DEFAULT_BACKEND
     restored = SpikeDynModel(CONFIG)
     restored.load_state(directory)
     for loaded in (artifact.build_model(), restored):
@@ -80,28 +85,6 @@ def test_artifact_saved_on_a_substituted_backend_loads(tmp_path):
         np.testing.assert_array_equal(loaded.assignments, model.assignments)
         np.testing.assert_array_equal(loaded.network.group("excitatory").theta,
                                       model.network.group("excitatory").theta)
-
-
-def test_artifact_saved_on_a_substituted_backend_names_one_kernel_set(tmp_path):
-    """Both backend fields of ``model.json`` name the kernels a load rebuilds
-    on, while ``describe()`` keeps reporting the live substitute."""
-    model = SpikeDynModel(CONFIG)
-    model.set_backend(GemvOracle())
-    model.train_batch(IMAGES[:3])
-    directory = model.save(tmp_path / "oracle")
-
-    assert model.describe()["backend"] == "gemv-oracle"
-    metadata = json.loads((directory / ARTIFACT_METADATA_FILE).read_text())
-    assert metadata["backend"] == "sparse"
-    assert metadata["meta"]["backend"] == "sparse"
-    artifact = load_artifact(directory)
-    assert artifact.backend == "sparse"
-    assert artifact.describe()["backend"] == "sparse"
-    rebuilt = artifact.build_model()
-    assert rebuilt.backend_name == "sparse"
-    np.testing.assert_array_equal(rebuilt.input_weights, model.input_weights)
-    np.testing.assert_array_equal(rebuilt.network.group("excitatory").theta,
-                                  model.network.group("excitatory").theta)
 
 
 def test_job_spec_scale_naming_a_retired_backend_rebuilds_the_same_scale():
