@@ -73,9 +73,9 @@ class SpikeDynLearningRule(LearningRule):
     window") come from the spike counts the driver hands to
     :meth:`on_sample_start` and updates before every :meth:`step`: in a
     :class:`~repro.snn.network.Network` that is the step plan's record of
-    the run.  A driver that hands none (a test stepping the rule by hand)
-    gets a record the rule keeps for it, adding the spikes of each step it
-    is driven through.  The trace work of a presentation is charged once,
+    the run.  The rule never counts spikes itself, so a driver that hands
+    no record, or steps the rule outside a sample, gets a ``ValueError``
+    or ``RuntimeError``.  The trace work of a presentation is charged once,
     by :meth:`on_sample_end`, from the same counts; the network freezes
     the record at the end of the presentation, so rest steps are not
     charged.
@@ -131,26 +131,9 @@ class SpikeDynLearningRule(LearningRule):
         self.soft_bounds = bool(soft_bounds)
         #: The presentation's spike record (``None`` outside a sample).
         self.record: Optional[SpikeRecord] = None
-        # The counts of a record the rule keeps for a driver that handed
-        # none: (pre, post), the same array for a recurrent connection.
-        self._kept_counts: Optional[tuple] = None
         self._steps_in_sample = 0
 
     # -- internal helpers -----------------------------------------------------
-
-    def _open_record(self, connection: Connection,
-                     counts: Optional[Dict[str, np.ndarray]]) -> None:
-        """Read the presentation's spike counts from ``counts`` (keyed by
-        group name), or keep a record for a driver that hands none."""
-        pre, post = connection.pre, connection.post
-        if counts is None:
-            pre_counts = np.zeros(pre.n, dtype=np.int64)
-            post_counts = pre_counts if post is pre else np.zeros(post.n, dtype=np.int64)
-            self._kept_counts = (pre_counts, post_counts)
-        else:
-            pre_counts, post_counts = counts[pre.name], counts[post.name]
-            self._kept_counts = None
-        self.record = SpikeRecord(pre_counts, post_counts)
 
     def _steps_per_window(self, dt: float) -> int:
         return max(1, int(round(self.update_interval / dt)))
@@ -235,12 +218,16 @@ class SpikeDynLearningRule(LearningRule):
     def reset(self) -> None:
         super().reset()
         self.record = None
-        self._kept_counts = None
 
     def on_sample_start(self, connection: Connection,
                         counts: Optional[Dict[str, np.ndarray]] = None) -> None:
+        if counts is None:
+            raise ValueError(
+                "SpikeDynLearningRule reads the run's spike record: hand "
+                "on_sample_start the {group name: counts} dict the driver "
+                "adds every step's spikes to")
         super().on_sample_start(connection, counts)
-        self._open_record(connection, counts)
+        self.record = SpikeRecord(counts[connection.pre.name], counts[connection.post.name])
         self._steps_in_sample = 0
 
     def step(self, connection: Connection, dt: float, t_index: int,
@@ -252,21 +239,13 @@ class SpikeDynLearningRule(LearningRule):
         presentation is charged once, by :meth:`on_sample_end`, from the
         record.
         """
-        pre_spikes = connection.pre.spikes
-        post_spikes = connection.post.spikes
         if self.record is None:
-            # Stepped without on_sample_start: set up what it would have.
-            self._ensure_traces(connection)
-            self._open_record(connection, None)
+            raise RuntimeError("SpikeDynLearningRule stepped outside a sample: "
+                               "call on_sample_start with the run's spike record first")
         self._decay_traces(dt)
-        self.pre_trace.bump(pre_spikes)
-        self.post_trace.bump(post_spikes)
+        self.pre_trace.bump(connection.pre.spikes)
+        self.post_trace.bump(connection.post.spikes)
         self._steps_in_sample += 1
-        if self._kept_counts is not None:
-            pre_counts, post_counts = self._kept_counts
-            pre_counts += pre_spikes
-            if post_counts is not pre_counts:
-                post_counts += post_spikes
 
         steps_per_window = self._steps_per_window(dt) if self.gate_updates else 1
         at_boundary = (t_index + 1) % steps_per_window == 0
@@ -294,4 +273,3 @@ class SpikeDynLearningRule(LearningRule):
         self._steps_in_sample = 0
         super().on_sample_end(connection, counter)
         self.record = None
-        self._kept_counts = None

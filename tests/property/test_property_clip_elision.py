@@ -64,10 +64,16 @@ def _train(rule, weights, w_min, w_max, pre, post):
     connection.clip_weights = counted_clip
     counter = OperationCounter()
     for pre_raster, post_raster in zip(pre, post):
-        rule.on_sample_start(connection)
+        # The spike record, kept as a network's step plan keeps it: every
+        # step's spikes are added before the rule steps.
+        counts = {"pre": np.zeros(pre_group.n, dtype=np.int64),
+                  "post": np.zeros(post_group.n, dtype=np.int64)}
+        rule.on_sample_start(connection, counts)
         for t, (pre_row, post_row) in enumerate(zip(pre_raster, post_raster)):
             pre_group.spikes = pre_row
             post_group.spikes = post_row
+            counts["pre"] += pre_row
+            counts["post"] += post_row
             rule.step(connection, 1.0, t, counter)
         rule.on_sample_end(connection, counter)
     return connection.weights, counter.as_dict(), len(clips)

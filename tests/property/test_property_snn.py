@@ -114,10 +114,14 @@ def _drive_rule(rule, pre_raster, post_raster):
     post = LIFGroup(post_raster.shape[1], name="post")
     connection = Connection(pre, post,
                             np.full((pre.n, post.n), 0.5), learning_rule=rule)
-    rule.on_sample_start(connection)
+    # The spike record, kept as a network's step plan keeps it.
+    counts = {"pre": np.zeros(pre.n, dtype=np.int64), "post": np.zeros(post.n, dtype=np.int64)}
+    rule.on_sample_start(connection, counts)
     for t, (pre_row, post_row) in enumerate(zip(pre_raster, post_raster)):
         pre.spikes = pre_row
         post.spikes = post_row
+        counts["pre"] += pre_row
+        counts["post"] += post_row
         rule.step(connection, 1.0, t)
     rule.on_sample_end(connection)
     return connection
