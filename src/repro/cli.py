@@ -608,18 +608,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
 
     registry = ArtifactRegistry(args.registry) if args.registry else None
-    router = ModelRouter(
-        pool_factory,
-        registry=registry,
-        max_models=args.max_models,
-        rate_rps=args.rate_rps,
-        rate_burst=args.rate_burst,
-        breaker_failures=args.breaker_failures or None,
-        breaker_window_s=args.breaker_window_s,
-        breaker_reset_s=args.breaker_reset_s,
-        retries=args.retries,
-        retry_backoff_s=args.retry_backoff_s,
-    )
+    try:
+        router = ModelRouter(
+            pool_factory,
+            registry=registry,
+            max_models=args.max_models,
+            rate_rps=args.rate_rps,
+            rate_burst=args.rate_burst,
+            breaker_failures=args.breaker_failures or None,
+            breaker_window_s=args.breaker_window_s,
+            breaker_reset_s=args.breaker_reset_s,
+            retries=args.retries,
+            retry_backoff_s=args.retry_backoff_s,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     served = []
     try:
         for spec in args.artifacts:

@@ -19,12 +19,13 @@ request proceed *now*" and "when should the caller try again".
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
 from typing import Callable, Deque, Dict, Optional
 
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive, check_positive_int
 
 Clock = Callable[[], float]
 
@@ -32,6 +33,14 @@ Clock = Callable[[], float]
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
+
+
+def check_burst(value: float, name: str) -> float:
+    """Raise ``ValueError`` unless ``value`` is a finite bucket capacity
+    of at least one token (a smaller bucket never admits a request)."""
+    if not math.isfinite(value) or value < 1.0:
+        raise ValueError(f"{name} must be a finite number >= 1 token, got {value!r}")
+    return float(value)
 
 
 class TokenBucket:
@@ -50,12 +59,8 @@ class TokenBucket:
 
     def __init__(self, rate: float, burst: Optional[float] = None, *,
                  clock: Clock = time.monotonic) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0 tokens/s, got {rate}")
-        self.rate = float(rate)
-        self.burst = float(burst) if burst is not None else max(1.0, self.rate)
-        if self.burst < 1.0:
-            raise ValueError(f"burst must be >= 1 token, got {self.burst}")
+        self.rate = check_positive(rate, "rate")
+        self.burst = check_burst(burst, "burst") if burst is not None else max(1.0, self.rate)
         self._clock = clock
         self._tokens = self.burst
         self._updated = clock()
@@ -109,12 +114,8 @@ class CircuitBreaker:
                  clock: Clock = time.monotonic) -> None:
         self.failure_threshold = check_positive_int(failure_threshold,
                                                     "failure_threshold")
-        if window_s <= 0:
-            raise ValueError(f"window_s must be > 0, got {window_s}")
-        if reset_s <= 0:
-            raise ValueError(f"reset_s must be > 0, got {reset_s}")
-        self.window_s = float(window_s)
-        self.reset_s = float(reset_s)
+        self.window_s = check_positive(window_s, "window_s")
+        self.reset_s = check_positive(reset_s, "reset_s")
         self.half_open_max = check_positive_int(half_open_max, "half_open_max")
         self._clock = clock
         self._lock = threading.Lock()

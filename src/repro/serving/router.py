@@ -54,7 +54,8 @@ from repro.serving.errors import (
     ShardCrashedError,
 )
 from repro.serving.inference import PredictResult
-from repro.serving.ratelimit import CircuitBreaker, TokenBucket
+from repro.serving.ratelimit import CircuitBreaker, TokenBucket, check_burst
+from repro.utils.validation import check_positive, check_positive_int
 
 _log = get_struct_logger("serving.router")
 
@@ -182,11 +183,14 @@ class ModelRouter:
         self.pool_factory = pool_factory
         self.registry = registry
         self.max_models = int(max_models)
-        self.rate_rps = rate_rps
-        self.rate_burst = rate_burst
-        self.breaker_failures = breaker_failures
-        self.breaker_window_s = float(breaker_window_s)
-        self.breaker_reset_s = float(breaker_reset_s)
+        # Checked here, not by the first request's bucket or breaker: a bad
+        # limit is the server's misconfiguration, not the client's.
+        self.rate_rps = None if rate_rps is None else check_positive(rate_rps, "rate_rps")
+        self.rate_burst = None if rate_burst is None else check_burst(rate_burst, "rate_burst")
+        self.breaker_failures = (None if breaker_failures is None else
+                                 check_positive_int(breaker_failures, "breaker_failures"))
+        self.breaker_window_s = check_positive(breaker_window_s, "breaker_window_s")
+        self.breaker_reset_s = check_positive(breaker_reset_s, "breaker_reset_s")
         self.retries = int(retries)
         self.retry_backoff_s = float(retry_backoff_s)
         self._sleep = sleep

@@ -73,6 +73,22 @@ class TestServeParser:
         assert exit_code == 2
         assert "--registry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,name", [
+        (["--rate-rps", "0"], "rate_rps"),
+        (["--rate-rps", "nan"], "rate_rps"),
+        (["--rate-rps", "10", "--rate-burst", "0.5"], "rate_burst"),
+        (["--breaker-window-s", "nan"], "breaker_window_s"),
+    ])
+    def test_bad_limits_fail_at_startup(self, capsys, tmp_path, flags, name):
+        """Checked before any artifact loads: the missing artifact is
+        never reached, and the error names the setting."""
+        exit_code = main(["serve", str(tmp_path / "missing"), "--port", "0",
+                          "--no-ledger", *flags])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert name in err
+        assert "missing" not in err
+
 
 class TestModelSpecParsing:
     def test_explicit_name(self):

@@ -8,7 +8,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serving.ratelimit import CLOSED, HALF_OPEN, OPEN, CircuitBreaker, TokenBucket
+from repro.serving.ratelimit import (
+    CLOSED,
+    HALF_OPEN,
+    OPEN,
+    CircuitBreaker,
+    TokenBucket,
+    check_burst,
+)
 
 
 class FakeClock:
@@ -63,6 +70,40 @@ class TestTokenBucket:
             TokenBucket(rate=0.0)
         with pytest.raises(ValueError):
             TokenBucket(rate=1.0, burst=0.5)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rate_rejected(self, rate):
+        # ``min(burst, nan)`` is ``burst``: a NaN rate refills at once and never limits.
+        with pytest.raises(ValueError, match="rate"):
+            TokenBucket(rate=rate)
+
+    @pytest.mark.parametrize("burst", [float("nan"), float("inf")])
+    def test_non_finite_burst_rejected(self, burst):
+        # A NaN burst would refuse every request, an infinite one would never limit.
+        with pytest.raises(ValueError, match="burst"):
+            TokenBucket(rate=1.0, burst=burst)
+
+
+class TestCheckBurst:
+    @pytest.mark.parametrize("value", [1, 1.0, 2.5, 1e6])
+    def test_accepts_one_token_or_more(self, value):
+        assert check_burst(value, "burst") == float(value)
+        assert isinstance(check_burst(value, "burst"), float)
+
+    @pytest.mark.parametrize("value", [0.999, 0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_what_never_admits_or_never_empties(self, value):
+        with pytest.raises(ValueError, match="cap must be a finite number >= 1"):
+            check_burst(value, "cap")
+
+    def test_a_one_token_bucket_admits_one_request_per_refill(self):
+        clock = FakeClock()
+        bucket = TokenBucket(rate=0.5, burst=1, clock=clock)
+        assert bucket.try_acquire()
+        assert not bucket.try_acquire()
+        clock.advance(1.0)
+        assert not bucket.try_acquire()
+        clock.advance(1.0)
+        assert bucket.try_acquire()
 
 
 class TestCircuitBreaker:
@@ -177,3 +218,10 @@ class TestCircuitBreaker:
             CircuitBreaker(window_s=0.0)
         with pytest.raises(ValueError):
             CircuitBreaker(reset_s=-1.0)
+
+    @pytest.mark.parametrize("name", ["window_s", "reset_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_durations_rejected(self, name, value):
+        # A NaN window would never prune old failures.
+        with pytest.raises(ValueError, match=name):
+            CircuitBreaker(**{name: value})
