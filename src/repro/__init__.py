@@ -23,7 +23,6 @@ Quickstart
 
 from repro.core.config import SpikeDynConfig
 from repro.backends import get_backend
-from repro.core.framework import SpikeDynFramework
 from repro.core.learning import SpikeDynLearningRule
 from repro.core.model_search import search_snn_model
 from repro.datasets.synthetic_mnist import SyntheticDigits
@@ -39,7 +38,6 @@ __all__ = [
     "ASPModel",
     "DiehlCookModel",
     "SpikeDynConfig",
-    "SpikeDynFramework",
     "SpikeDynLearningRule",
     "SpikeDynModel",
     "SyntheticDigits",

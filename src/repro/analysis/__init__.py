@@ -1,6 +1,6 @@
 """Analysis utilities on top of trained models and search results.
 
-The paper's figures are built from three kinds of post-processing, all
+The paper's figures are built from these kinds of post-processing, all
 provided here so downstream users can inspect their own runs:
 
 * :mod:`repro.analysis.receptive_fields` — the learned input→excitatory
@@ -8,41 +8,31 @@ provided here so downstream users can inspect their own runs:
   Diehl & Cook style unsupervised SNNs);
 * :mod:`repro.analysis.spike_stats` — activity statistics of the excitatory
   layer (firing rates, selectivity, winner-take-all sharpness);
-* :mod:`repro.analysis.pareto` — Pareto-front utilities over the candidates
-  explored by the Alg. 1 model search;
 * :mod:`repro.analysis.ascii_art` — dependency-free terminal rendering (bar
   charts and heat maps) used by the examples and reports.
 """
 
 from repro.analysis.ascii_art import ascii_bar_chart, ascii_heatmap
-from repro.analysis.pareto import ParetoPoint, pareto_front, search_result_pareto
 from repro.analysis.receptive_fields import (
     neuron_class_map,
     receptive_field,
-    receptive_field_grid,
     receptive_field_similarity,
 )
 from repro.analysis.spike_stats import (
     ResponseStatistics,
     class_selectivity,
-    population_sparseness,
     response_statistics,
     winner_share,
 )
 
 __all__ = [
-    "ParetoPoint",
     "ResponseStatistics",
     "ascii_bar_chart",
     "ascii_heatmap",
     "class_selectivity",
     "neuron_class_map",
-    "pareto_front",
-    "population_sparseness",
     "receptive_field",
-    "receptive_field_grid",
     "receptive_field_similarity",
     "response_statistics",
-    "search_result_pareto",
     "winner_share",
 ]

@@ -10,11 +10,9 @@ receptive fields; they operate on any
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 import numpy as np
-
-from repro.utils.validation import check_positive_int
 
 
 def _weight_matrix(model) -> np.ndarray:
@@ -58,44 +56,6 @@ def receptive_field(model, neuron: int, *, normalize: bool = True) -> np.ndarray
     if normalize and field.max() > 0:
         field = field / field.max()
     return field
-
-
-def receptive_field_grid(model, *, columns: int = 8,
-                         neurons: Optional[Sequence[int]] = None,
-                         normalize: bool = True, pad: int = 1) -> np.ndarray:
-    """Tile receptive fields into one image grid (row-major neuron order).
-
-    Parameters
-    ----------
-    model:
-        The classifier whose fields are tiled.
-    columns:
-        Number of fields per grid row.
-    neurons:
-        Which neurons to include; defaults to all of them.
-    normalize:
-        Normalize each field individually to [0, 1].
-    pad:
-        Number of zero pixels inserted between adjacent fields.
-    """
-    check_positive_int(columns, "columns")
-    if pad < 0:
-        raise ValueError(f"pad must be >= 0, got {pad}")
-    weights = _weight_matrix(model)
-    indices = list(range(weights.shape[1])) if neurons is None else list(neurons)
-    if not indices:
-        raise ValueError("at least one neuron is required")
-
-    side = _image_side(weights.shape[0])
-    rows = int(np.ceil(len(indices) / columns))
-    cell = side + pad
-    grid = np.zeros((rows * cell - pad, columns * cell - pad), dtype=float)
-    for position, neuron in enumerate(indices):
-        field = receptive_field(model, neuron, normalize=normalize)
-        row, column = divmod(position, columns)
-        top, left = row * cell, column * cell
-        grid[top:top + side, left:left + side] = field
-    return grid
 
 
 def receptive_field_similarity(model, reference: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ population participates at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -74,23 +74,6 @@ def winner_share(responses: np.ndarray) -> np.ndarray:
     return np.where(totals > 0, share, 0.0)
 
 
-def population_sparseness(responses: np.ndarray) -> float:
-    """Treves–Rolls population sparseness of the mean response, in [0, 1].
-
-    Values near 1 mean the activity is spread evenly over the population;
-    values near 0 mean a handful of neurons carry almost all activity.
-    """
-    responses = _validate_responses(responses)
-    mean_response = responses.mean(axis=0)
-    total = mean_response.sum()
-    if total == 0:
-        return 0.0
-    n = mean_response.size
-    numerator = (mean_response.sum() / n) ** 2
-    denominator = (mean_response ** 2).sum() / n
-    return float(numerator / denominator)
-
-
 def class_selectivity(responses: np.ndarray,
                       labels: Sequence[int]) -> Dict[int, float]:
     """Per-class selectivity of the population response.
@@ -121,10 +104,3 @@ def class_selectivity(responses: np.ndarray,
         denominator = own[best] + others[best]
         selectivity[int(cls)] = float(numerator / denominator) if denominator else 0.0
     return selectivity
-
-
-def mean_selectivity(selectivity: Mapping[int, float]) -> float:
-    """Average of the per-class selectivities."""
-    if not selectivity:
-        raise ValueError("selectivity mapping must not be empty")
-    return float(np.mean(list(selectivity.values())))

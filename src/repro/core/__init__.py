@@ -13,8 +13,10 @@ The three mechanisms of the SpikeDyn framework (DAC 2021) live here:
    weight decay, an adaptive membrane threshold potential, and
    spurious-update reduction (Section III-D).
 
-The :class:`~repro.core.framework.SpikeDynFramework` facade ties all three
-together behind a small API.
+Callers compose them directly, as in the paper's tool flow (Fig. 3):
+:func:`~repro.core.model_search.search_snn_model` picks the largest model
+that fits the constraints, :class:`~repro.models.spikedyn_model.SpikeDynModel`
+builds and trains it, and :mod:`repro.evaluation.protocols` evaluates it.
 """
 
 from repro.core.adaptive_rates import (
@@ -31,7 +33,6 @@ from repro.core.architecture import (
     build_spikedyn_network,
 )
 from repro.core.config import SpikeDynConfig
-from repro.core.framework import SpikeDynFramework
 from repro.core.learning import SpikeDynLearningRule
 from repro.core.model_search import ModelCandidate, ModelSearchResult, search_snn_model
 from repro.core.weight_decay import SynapticWeightDecay, decay_rate_for_network_size
@@ -42,7 +43,6 @@ __all__ = [
     "ModelCandidate",
     "ModelSearchResult",
     "SpikeDynConfig",
-    "SpikeDynFramework",
     "SpikeDynLearningRule",
     "SynapticWeightDecay",
     "adaptation_potential",

@@ -202,16 +202,6 @@ class SpikeDynConfig:
         return dataclasses.replace(self, **changes)
 
     @classmethod
-    def paper_n200(cls, **overrides) -> "SpikeDynConfig":
-        """Paper-scale configuration with 200 excitatory neurons (N200)."""
-        return cls(n_exc=200, **overrides)
-
-    @classmethod
-    def paper_n400(cls, **overrides) -> "SpikeDynConfig":
-        """Paper-scale configuration with 400 excitatory neurons (N400)."""
-        return cls(n_exc=400, **overrides)
-
-    @classmethod
     def scaled_down(cls, *, n_input: int = 196, n_exc: int = 30,
                     t_sim: float = 60.0, update_interval: float = 10.0,
                     **overrides) -> "SpikeDynConfig":

@@ -24,24 +24,6 @@ from repro.estimation.memory import architecture_parameter_counts
 from repro.utils.validation import check_positive_int
 
 
-def quantization_levels(bits: int, w_min: float, w_max: float) -> np.ndarray:
-    """The ``2**bits`` representable weight values in ``[w_min, w_max]``.
-
-    Parameters
-    ----------
-    bits:
-        Precision in bits (1–32).
-    w_min, w_max:
-        Weight bounds the grid spans.
-    """
-    check_positive_int(bits, "bits")
-    if bits > 32:
-        raise ValueError(f"bits must be at most 32, got {bits}")
-    if w_max <= w_min:
-        raise ValueError(f"w_max ({w_max}) must exceed w_min ({w_min})")
-    return np.linspace(w_min, w_max, 2 ** bits)
-
-
 def quantize_weights(weights: np.ndarray, bits: int, *, w_min: float,
                      w_max: float) -> np.ndarray:
     """Uniformly quantize ``weights`` to ``bits`` of precision.
@@ -64,14 +46,6 @@ def quantize_weights(weights: np.ndarray, bits: int, *, w_min: float,
     step = (w_max - w_min) / (2 ** bits - 1)
     indices = np.round((clipped - w_min) / step)
     return w_min + indices * step
-
-
-def quantization_error(weights: np.ndarray, bits: int, *, w_min: float,
-                       w_max: float) -> float:
-    """Root-mean-square error introduced by quantizing ``weights``."""
-    weights = np.asarray(weights, dtype=float)
-    quantized = quantize_weights(weights, bits, w_min=w_min, w_max=w_max)
-    return float(np.sqrt(np.mean((weights - quantized) ** 2)))
 
 
 @dataclass(frozen=True)

@@ -55,12 +55,6 @@ class SynapticWeightDecay:
         self.w_decay = check_non_negative(w_decay, "w_decay")
         self.tau_decay = check_positive(tau_decay, "tau_decay")
 
-    @classmethod
-    def for_network_size(cls, n_exc: int, *, scale: float = DECAY_SCALE,
-                         tau_decay: float = 1.0e4) -> "SynapticWeightDecay":
-        """Build a decay whose rate follows ``w_decay ∝ 1 / n_exc``."""
-        return cls(decay_rate_for_network_size(n_exc, scale), tau_decay)
-
     @property
     def enabled(self) -> bool:
         """Whether the decay has any effect."""

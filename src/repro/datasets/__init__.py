@@ -1,11 +1,9 @@
 """Datasets and task streams.
 
 The paper evaluates on MNIST.  Because this reproduction must run fully
-offline, the default digit source is :class:`SyntheticDigits` — a procedural
+offline, the digit source is :class:`SyntheticDigits` — a procedural
 generator of MNIST-like 28x28 digit images (stroke-based prototypes per
 class, random geometric jitter, stroke-intensity variation, and pixel noise).
-A loader for real MNIST IDX files is provided in :mod:`repro.datasets.mnist`
-and is picked up automatically when the files are available on disk.
 
 :mod:`repro.datasets.streams` builds the two evaluation protocols of the
 paper's Section IV: *dynamic environments* (consecutive task changes without
@@ -17,9 +15,7 @@ from repro.datasets.event_streams import (
     EventStreamDigitSource,
     EventStreamSample,
 )
-from repro.datasets.mnist import load_digit_source, load_mnist_idx
 from repro.datasets.streams import (
-    ArrayDigitSource,
     StreamSample,
     dynamic_task_stream,
     nondynamic_stream,
@@ -29,14 +25,11 @@ from repro.datasets.streams import (
 from repro.datasets.synthetic_mnist import SyntheticDigits
 
 __all__ = [
-    "ArrayDigitSource",
     "EventStreamDigitSource",
     "EventStreamSample",
     "StreamSample",
     "SyntheticDigits",
     "dynamic_task_stream",
-    "load_digit_source",
-    "load_mnist_idx",
     "nondynamic_stream",
     "normalize_task_schedule",
     "task_schedule_stream",

@@ -1,10 +1,10 @@
 """Dataset adapter from digit sources to labelled event streams.
 
-Bridges the static-image datasets (synthetic or real MNIST digit sources,
-see :mod:`repro.datasets.streams`) to the event-driven engine: each sampled
-image is pushed through an :class:`~repro.encoding.events.EventStreamEncoder`
-and comes out as a labelled :class:`~repro.snn.events.EventStream` —
-a DVS-style long-horizon presentation of an otherwise static digit.
+Bridges the static-image digit sources (see :mod:`repro.datasets.streams`)
+to the event-driven engine: each sampled image is pushed through an
+:class:`~repro.encoding.events.EventStreamEncoder` and comes out as a
+labelled :class:`~repro.snn.events.EventStream` — a DVS-style long-horizon
+presentation of an otherwise static digit.
 
 The adapter mirrors the digit-source protocol's shape (``generate`` /
 ``classes``) so stream builders and experiments can treat it like any other

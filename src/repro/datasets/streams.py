@@ -8,9 +8,7 @@ distributed.
 
 Both stream builders operate on a *digit source*: any object exposing
 ``generate(digit, n, rng=None) -> (n, size, size) array`` and a ``classes``
-attribute.  :class:`~repro.datasets.synthetic_mnist.SyntheticDigits` and
-:class:`ArrayDigitSource` (a wrapper around real image/label arrays) both
-satisfy this interface.
+attribute, such as :class:`~repro.datasets.synthetic_mnist.SyntheticDigits`.
 """
 
 from __future__ import annotations
@@ -46,64 +44,6 @@ class StreamSample:
     image: np.ndarray
     label: int
     task_index: int
-
-
-class ArrayDigitSource:
-    """Digit source backed by pre-existing image and label arrays.
-
-    Parameters
-    ----------
-    images:
-        Array of shape ``(n, rows, cols)`` with intensities in [0, 1].
-    labels:
-        Integer labels of shape ``(n,)``.
-    seed:
-        Seed for sampling without replacement within a class.
-    """
-
-    def __init__(self, images: np.ndarray, labels: np.ndarray,
-                 seed: SeedLike = None) -> None:
-        images = np.asarray(images, dtype=float)
-        labels = np.asarray(labels, dtype=int)
-        if images.ndim != 3:
-            raise ValueError(f"images must be 3-D (n, rows, cols), got {images.shape}")
-        if images.shape[0] == 0:
-            raise ValueError(
-                "the dataset is empty (zero images); a digit source needs at "
-                "least one labelled image per class it serves"
-            )
-        if labels.shape != (images.shape[0],):
-            raise ValueError(
-                f"labels must have shape ({images.shape[0]},), got {labels.shape}"
-            )
-        self.images = images
-        self.labels = labels
-        self.classes: Tuple[int, ...] = tuple(sorted(np.unique(labels).tolist()))
-        self._rng = ensure_rng(seed)
-        self._by_class = {
-            digit: np.flatnonzero(labels == digit) for digit in self.classes
-        }
-
-    @property
-    def image_size(self) -> int:
-        """Side length of the (square) images."""
-        return int(self.images.shape[1])
-
-    @property
-    def n_pixels(self) -> int:
-        """Number of pixels per image."""
-        return int(self.images.shape[1] * self.images.shape[2])
-
-    def generate(self, digit: int, n: int, rng: SeedLike = None) -> np.ndarray:
-        """Draw ``n`` images of class ``digit`` (with replacement if needed)."""
-        check_positive_int(n, "n")
-        if digit not in self._by_class:
-            raise ValueError(f"class {digit} is not present in the dataset")
-        generator = ensure_rng(rng) if rng is not None else self._rng
-        pool = self._by_class[digit]
-        replace = n > pool.size
-        chosen = generator.choice(pool, size=n, replace=replace)
-        return self.images[chosen]
 
 
 def dynamic_task_stream(

@@ -11,14 +11,12 @@ from repro.encoding.base import SpikeEncoder
 from repro.encoding.events import (
     DVSEventStreamEncoder,
     EventStreamEncoder,
-    PoissonEventStreamEncoder,
 )
 from repro.encoding.rate import PoissonRateEncoder
 
 __all__ = [
     "DVSEventStreamEncoder",
     "EventStreamEncoder",
-    "PoissonEventStreamEncoder",
     "PoissonRateEncoder",
     "SpikeEncoder",
 ]

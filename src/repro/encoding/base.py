@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive
 
 
 class SpikeEncoder:

@@ -7,10 +7,6 @@ almost every bin is empty.  The encoders here produce the native sparse
 representation (:class:`~repro.snn.events.EventStream`) directly, in
 O(events) rather than O(grid):
 
-:class:`PoissonEventStreamEncoder`
-    Uniform low-rate Poisson coding over a long horizon — the rate-coded
-    analogue of :class:`~repro.encoding.rate.PoissonRateEncoder`, emitting
-    events instead of a grid.
 :class:`DVSEventStreamEncoder`
     DVS-style burst structure: activity arrives in a few short global
     bursts (an event camera seeing intermittent motion) separated by long
@@ -32,7 +28,7 @@ import numpy as np
 from repro.encoding.base import SpikeEncoder
 from repro.snn.events import EventStream
 from repro.utils.rng import SeedLike, ensure_rng
-from repro.utils.validation import check_non_negative, check_positive_int
+from repro.utils.validation import check_positive_int
 
 
 class EventStreamEncoder(SpikeEncoder):
@@ -50,71 +46,6 @@ class EventStreamEncoder(SpikeEncoder):
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Dense view of :meth:`encode_events` (grid-engine compatibility)."""
         return self.encode_events(values).to_dense()
-
-    def encode_events_batch(self, batch) -> List[EventStream]:
-        """Encode a sequence of inputs into one stream each, in order."""
-        streams = [self.encode_events(values) for values in batch]
-        if not streams:
-            raise ValueError("cannot encode an empty batch")
-        return streams
-
-
-class PoissonEventStreamEncoder(EventStreamEncoder):
-    """Low-rate Poisson coding emitted directly as events.
-
-    Each input intensity maps to a Bernoulli-per-bin firing probability
-    exactly as in :class:`~repro.encoding.rate.PoissonRateEncoder`, but the
-    events are sampled channel by channel — a binomial event count followed
-    by an unordered draw of bin indices, which is distributionally
-    identical to thresholding a dense uniform grid without ever
-    materializing one.
-
-    Parameters
-    ----------
-    duration, dt:
-        Presentation window and timestep in milliseconds.  The default
-        horizon is long (2000 ms) because that is the regime this encoder
-        exists for.
-    max_rate:
-        Firing rate (Hz) assigned to the maximum intensity.  The default
-        (5 Hz) keeps the stream at sub-1 % density on the default horizon.
-    rng:
-        Seed or generator for the event draws.
-    """
-
-    def __init__(self, duration: float = 2000.0, dt: float = 1.0, *,
-                 max_rate: float = 5.0, rng: SeedLike = None) -> None:
-        super().__init__(duration, dt)
-        self.max_rate = check_non_negative(max_rate, "max_rate")
-        self._rng = ensure_rng(rng)
-
-    def spike_probabilities(self, values: np.ndarray) -> np.ndarray:
-        """Per-bin spike probability of each channel."""
-        intensities = self._normalize_intensities(values)
-        return np.clip(intensities * self.max_rate * (self.dt / 1000.0),
-                       0.0, 1.0)
-
-    def encode_events(self, values: np.ndarray) -> EventStream:
-        probabilities = self.spike_probabilities(values)
-        timesteps = self.timesteps
-        counts = self._rng.binomial(timesteps, probabilities)
-        times: List[np.ndarray] = []
-        channels: List[np.ndarray] = []
-        for channel, count in enumerate(counts):
-            if not count:
-                continue
-            times.append(self._rng.choice(timesteps, size=int(count),
-                                          replace=False))
-            channels.append(np.full(int(count), channel, dtype=np.int64))
-        if times:
-            all_times = np.concatenate(times)
-            all_channels = np.concatenate(channels)
-        else:
-            all_times = np.zeros(0, dtype=np.int64)
-            all_channels = np.zeros(0, dtype=np.int64)
-        return EventStream(times=all_times, channels=all_channels,
-                           n_steps=timesteps,
-                           n_channels=int(probabilities.size))
 
 
 class DVSEventStreamEncoder(EventStreamEncoder):

@@ -20,14 +20,12 @@ validated against (Fig. 5).
 from repro.estimation.actual_run import (
     ActualRunMeasurement,
     actual_memory_bytes,
-    measure_sample_operations,
     run_actual_measurement,
 )
 from repro.estimation.energy import (
     DEFAULT_OP_ENERGY_COSTS,
     EnergyEstimate,
     EnergyModel,
-    estimate_total_energy,
     weighted_operations,
 )
 from repro.estimation.hardware import (
@@ -47,8 +45,6 @@ from repro.estimation.memory import (
     ArchitectureParameterCounts,
     architecture_parameter_counts,
     estimate_memory_bytes,
-    network_memory_bytes,
-    network_parameter_counts,
 )
 
 __all__ = [
@@ -66,11 +62,7 @@ __all__ = [
     "architecture_parameter_counts",
     "default_devices",
     "estimate_memory_bytes",
-    "estimate_total_energy",
     "get_device",
-    "measure_sample_operations",
-    "network_memory_bytes",
-    "network_parameter_counts",
     "processing_time_report",
     "run_actual_measurement",
     "time_per_sample_seconds",

@@ -66,10 +66,9 @@ def actual_memory_bytes(network: Network, bit_precision: int = 32) -> float:
     vectors owned by learning rules).
     """
     bytes_per_value = bit_precision / 8.0
-    elements = 0
+    elements = network.weight_count + network.neuron_parameter_count
 
     for connection in network.connections:
-        elements += connection.weight_count
         conductance = getattr(connection, "conductance", None)
         if conductance is not None:
             elements += int(np.asarray(conductance).size)
@@ -81,21 +80,12 @@ def actual_memory_bytes(network: Network, bit_precision: int = 32) -> float:
                     elements += trace.n
 
     for group in network.groups.values():
-        elements += group.parameter_count
         if isinstance(group, (LIFGroup, AdaptiveLIFGroup)):
             elements += group.n  # spike flags
         elif isinstance(group, InputGroup):
             elements += group.n  # spike flags
 
     return elements * bytes_per_value
-
-
-def measure_sample_operations(network: Network, spike_train: np.ndarray, *,
-                              learning: bool = True) -> OperationCounter:
-    """Operation counts of presenting exactly one sample to ``network``."""
-    before = network.counter.copy()
-    network.run_sample(spike_train, learning=learning)
-    return network.counter - before
 
 
 def run_actual_measurement(

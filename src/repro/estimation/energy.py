@@ -21,7 +21,7 @@ from typing import Dict, Mapping, Optional
 
 from repro.estimation.hardware import DeviceProfile, GTX_1080_TI
 from repro.snn.simulation import OperationCounter
-from repro.utils.validation import check_non_negative, check_positive_int
+from repro.utils.validation import check_non_negative
 
 #: Relative energy cost of each primitive operation class.  Synaptic events
 #: are multiply-accumulates (cost 2); neuron updates and exponential decays
@@ -82,21 +82,6 @@ class EnergyEstimate:
         )
 
 
-def estimate_total_energy(single_sample: EnergyEstimate,
-                          n_samples: int) -> EnergyEstimate:
-    """The paper's analytical model ``E = E1 * N``.
-
-    Parameters
-    ----------
-    single_sample:
-        Energy estimate for processing exactly one sample (``E1``).
-    n_samples:
-        Number of samples that will be processed (``N``).
-    """
-    check_positive_int(n_samples, "n_samples")
-    return single_sample.scaled(float(n_samples))
-
-
 class EnergyModel:
     """Converts operation counters into time/energy on a specific device.
 
@@ -130,11 +115,6 @@ class EnergyModel:
             joules=joules,
             weighted_ops=ops,
         )
-
-    def estimate_phase(self, per_sample_counter: OperationCounter,
-                       n_samples: int) -> EnergyEstimate:
-        """Analytical phase energy ``E = E1 * N`` from a one-sample counter."""
-        return estimate_total_energy(self.estimate(per_sample_counter), n_samples)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EnergyModel(device={self.device.name!r})"

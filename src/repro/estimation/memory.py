@@ -5,21 +5,19 @@ The memory footprint of a candidate SNN model is estimated as::
     mem = (Pw + Pn) * BP
 
 where ``Pw`` is the number of synaptic weights, ``Pn`` the number of neuron
-parameters, and ``BP`` the bit precision.  Two front-ends are provided:
-
-* :func:`architecture_parameter_counts` computes ``Pw``/``Pn`` directly from
-  the architecture type and layer sizes without building anything — this is
-  what the model-search algorithm (Alg. 1) uses for fast estimation;
-* :func:`network_parameter_counts` counts the parameters of an actually
-  constructed :class:`~repro.snn.network.Network` — this is the "actual run"
-  reference the analytical model is validated against (Fig. 5a).
+parameters, and ``BP`` the bit precision.
+:func:`architecture_parameter_counts` computes ``Pw``/``Pn`` directly from
+the architecture type and layer sizes without building anything — this is
+what the model-search algorithm (Alg. 1) uses for fast estimation.  The
+"actual run" reference it is validated against (Fig. 5a) counts a
+constructed network
+(:func:`~repro.estimation.actual_run.actual_memory_bytes`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.snn.network import Network
 from repro.utils.validation import check_choice, check_positive_int
 
 #: Architecture identifier for the excitatory + inhibitory layer topology.
@@ -83,14 +81,6 @@ def architecture_parameter_counts(architecture: str, n_input: int,
                                        neuron_parameters=neuron_parameters)
 
 
-def network_parameter_counts(network: Network) -> ArchitectureParameterCounts:
-    """``Pw``/``Pn`` counted from a constructed network (the reference run)."""
-    return ArchitectureParameterCounts(
-        weights=network.weight_count,
-        neuron_parameters=network.neuron_parameter_count,
-    )
-
-
 def estimate_memory_bytes(weights: int, neuron_parameters: int,
                           bit_precision: int = 32) -> float:
     """Memory footprint ``(Pw + Pn) * BP`` expressed in bytes."""
@@ -98,9 +88,3 @@ def estimate_memory_bytes(weights: int, neuron_parameters: int,
         raise ValueError("parameter counts must be non-negative")
     check_positive_int(bit_precision, "bit_precision")
     return (weights + neuron_parameters) * bit_precision / 8.0
-
-
-def network_memory_bytes(network: Network, bit_precision: int = 32) -> float:
-    """Memory footprint of a constructed network in bytes."""
-    counts = network_parameter_counts(network)
-    return counts.memory_bytes(bit_precision)

@@ -19,7 +19,7 @@ from repro.evaluation.labeling import (
     class_scores,
     predict_from_responses,
 )
-from repro.evaluation.metrics import accuracy, mean_accuracy, per_class_accuracy
+from repro.evaluation.metrics import accuracy
 from repro.evaluation.protocols import (
     DynamicProtocolResult,
     NonDynamicProtocolResult,
@@ -36,9 +36,7 @@ __all__ = [
     "assign_neuron_labels",
     "confusion_matrix",
     "format_table",
-    "mean_accuracy",
     "normalize_to",
-    "per_class_accuracy",
     "class_scores",
     "predict_from_responses",
     "run_dynamic_protocol",

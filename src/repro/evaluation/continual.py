@@ -103,12 +103,6 @@ class ContinualResult:
     # -- metrics -----------------------------------------------------------------
 
     @property
-    def final_accuracies(self) -> Dict[int, float]:
-        """``{task_id: accuracy}`` after the whole stream was learned."""
-        last = self.accuracy_matrix[-1]
-        return {task: float(last[self._column(task)]) for task in self.task_ids}
-
-    @property
     def average_accuracy(self) -> float:
         """Mean final accuracy over all tasks."""
         return float(self.accuracy_matrix[-1].mean())

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping
 
 import numpy as np
-
-from repro.utils.validation import check_positive_int
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -22,46 +20,6 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(predictions == labels))
 
 
-def per_class_accuracy(predictions: np.ndarray, labels: np.ndarray,
-                       classes: Sequence[int]) -> Dict[int, float]:
-    """Accuracy restricted to each class in ``classes``.
-
-    Classes with no samples in ``labels`` are reported as ``nan`` so callers
-    can distinguish "never evaluated" from "always wrong".
-    """
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    results: Dict[int, float] = {}
-    for cls in classes:
-        mask = labels == cls
-        if not mask.any():
-            results[int(cls)] = float("nan")
-        else:
-            results[int(cls)] = float(np.mean(predictions[mask] == cls))
-    return results
-
-
-def mean_accuracy(per_class: Mapping[int, float]) -> float:
-    """Mean of per-class accuracies, ignoring ``nan`` entries."""
-    values = [value for value in per_class.values() if not np.isnan(value)]
-    if not values:
-        raise ValueError("no finite per-class accuracies to average")
-    return float(np.mean(values))
-
-
-def improvement_percentage_points(candidate: float, reference: float) -> float:
-    """Accuracy improvement of ``candidate`` over ``reference`` in points.
-
-    Both inputs are fractions in [0, 1]; the result is expressed in
-    percentage points, matching how the paper reports accuracy deltas
-    ("improves the accuracy by up to 29 %").
-    """
-    for name, value in (("candidate", candidate), ("reference", reference)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} accuracy must lie in [0, 1], got {value}")
-    return (candidate - reference) * 100.0
-
-
 def forgetting(per_task_recent: Mapping[int, float],
                per_task_final: Mapping[int, float]) -> Dict[int, float]:
     """Per-task forgetting: accuracy right after learning minus final accuracy.
@@ -75,20 +33,3 @@ def forgetting(per_task_recent: Mapping[int, float],
             raise KeyError(f"task {task} missing from the final accuracies")
         results[int(task)] = float(recent - per_task_final[task])
     return results
-
-
-def top_k_response_sparsity(responses: np.ndarray, k: int) -> float:
-    """Fraction of total response carried by each sample's ``k`` strongest neurons.
-
-    Used as a health metric of the winner-take-all dynamics: values close to
-    1.0 indicate strong competition (few neurons dominate each response).
-    """
-    responses = np.asarray(responses, dtype=float)
-    check_positive_int(k, "k")
-    if responses.ndim != 2:
-        raise ValueError(f"responses must be 2-D, got shape {responses.shape}")
-    totals = responses.sum(axis=1)
-    safe_totals = np.where(totals > 0, totals, 1.0)
-    top_k = np.sort(responses, axis=1)[:, -k:].sum(axis=1)
-    fractions = np.where(totals > 0, top_k / safe_totals, 0.0)
-    return float(fractions.mean())

@@ -50,8 +50,3 @@ def normalize_to(values: Mapping[str, float], reference_key: str) -> Dict[str, f
     if reference == 0.0:
         raise ZeroDivisionError("reference value is zero; cannot normalize")
     return {key: float(value) / reference for key, value in values.items()}
-
-
-def format_percentage(fraction: float) -> str:
-    """Render a fraction in [0, 1] as a percentage string (e.g. ``'73.5%'``)."""
-    return f"{fraction * 100.0:.1f}%"

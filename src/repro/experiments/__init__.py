@@ -58,7 +58,6 @@ from repro.experiments.fig11_energy import EnergyComparisonResult, run_energy_co
 from repro.experiments.registry import (
     EXPERIMENTS,
     ExperimentSpec,
-    experiment_names,
     get_experiment,
 )
 from repro.experiments.table1_gpus import gpu_specification_table
@@ -85,7 +84,6 @@ __all__ = [
     "ProcessingTimeStudy",
     "build_model",
     "default_digit_source",
-    "experiment_names",
     "get_experiment",
     "gpu_specification_table",
     "measure_sample_counters",

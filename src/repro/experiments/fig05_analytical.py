@@ -21,7 +21,7 @@ which is exactly where the (small) validation error comes from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.estimation.actual_run import actual_memory_bytes, run_actual_measurement
 from repro.estimation.energy import EnergyModel
@@ -98,15 +98,6 @@ class AnalyticalValidationResult:
     rows: List[ValidationRow] = field(default_factory=list)
     search_exploration_seconds: float = 0.0
     actual_exploration_seconds: float = 0.0
-
-    @property
-    def max_error(self) -> float:
-        """Largest relative error across all quantities and network sizes."""
-        errors = []
-        for row in self.rows:
-            errors.extend([row.memory_error, row.training_energy_error,
-                           row.inference_energy_error])
-        return max(errors) if errors else 0.0
 
     @property
     def exploration_speedup(self) -> float:

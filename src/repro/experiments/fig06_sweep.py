@@ -13,7 +13,7 @@ accuracy, which is the quantity Fig. 6 plots per task.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.learning import SpikeDynLearningRule
 from repro.core.weight_decay import SynapticWeightDecay
@@ -68,10 +68,6 @@ class DecayThetaSweepResult:
         if not self.points:
             raise ValueError("the sweep recorded no points")
         return max(self.points, key=lambda point: point.mean_recent_accuracy)
-
-    def accuracy_by_label(self) -> Dict[str, float]:
-        """``{legend label: mean new-task accuracy}`` for every sweep point."""
-        return {point.label: point.mean_recent_accuracy for point in self.points}
 
     def to_text(self) -> str:
         """Render the sweep as a plain-text table (one row per legend entry)."""

@@ -299,11 +299,6 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
 }
 
 
-def experiment_names() -> List[str]:
-    """Registered driver names in registration (paper-artifact) order."""
-    return list(EXPERIMENTS)
-
-
 def get_experiment(name: str) -> ExperimentSpec:
     """Look up one driver by CLI name.
 

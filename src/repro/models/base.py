@@ -12,7 +12,7 @@ import dataclasses
 import json
 import zipfile
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -423,12 +423,6 @@ class UnsupervisedDigitClassifier:
         return predict_from_responses(responses, self.assignments, N_CLASSES)
 
     # -- bookkeeping -------------------------------------------------------------
-
-    def reset_counter(self) -> OperationCounter:
-        """Return a copy of the counter and reset it (for per-phase accounting)."""
-        snapshot = self.network.counter.copy()
-        self.network.counter.reset()
-        return snapshot
 
     def describe(self) -> Dict[str, object]:
         """Small summary dictionary used in reports and serialization."""

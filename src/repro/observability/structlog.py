@@ -113,11 +113,6 @@ class StructLogger:
         merged.update(ctx)
         return StructLogger(self._logger, merged)
 
-    def unbind(self, *keys: str) -> "StructLogger":
-        """A new logger with ``keys`` removed from the context."""
-        remaining = {key: value for key, value in self._context.items() if key not in keys}
-        return StructLogger(self._logger, remaining)
-
     # -- emission -----------------------------------------------------------
 
     def log(self, level: int, event: str, **fields: Any) -> None:

@@ -156,10 +156,6 @@ class TraceContext:
             retry=int(payload.get("retry", 0)),
         )
 
-    def to_headers(self) -> Dict[str, str]:
-        """The outbound HTTP header carrying this trace."""
-        return {TRACE_HEADER: self.trace_id}
-
     @classmethod
     def from_headers(cls, headers: Mapping[str, str]) -> Optional["TraceContext"]:
         """Root scope from an incoming header set; ``None`` without one.
@@ -186,11 +182,6 @@ class TraceContext:
 def current_trace() -> Optional[TraceContext]:
     """The active trace context of this thread, if any."""
     return _current.get()
-
-
-def current_span_sink() -> Optional[Any]:
-    """The active span sink of this thread, if any."""
-    return _sink.get()
 
 
 def trace_fields() -> Dict[str, Any]:

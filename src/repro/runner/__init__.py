@@ -32,7 +32,7 @@ from repro.runner.manifest import (
     JobRecord,
     RunManifest,
 )
-from repro.runner.scheduler import ParallelRunner, run_jobs
+from repro.runner.scheduler import ParallelRunner
 from repro.runner.suite import (
     SUITE_OVERRIDES,
     build_suite,
@@ -60,7 +60,6 @@ __all__ = [
     "default_scale_overrides",
     "execute_payload",
     "resolve_runner",
-    "run_jobs",
     "scale_from_dict",
     "scale_to_dict",
     "scales_for_preset",

@@ -134,13 +134,3 @@ class JobSpec:
             output=data.get("output"),
             timeout=data.get("timeout"),
         )
-
-    def with_seed(self, seed: int) -> "JobSpec":
-        """Copy of this job reseeded to ``seed``."""
-        return JobSpec(
-            experiment=self.experiment,
-            scale=self.scale.replace(seed=seed),
-            overrides=dict(self.overrides),
-            output=self.output,
-            timeout=self.timeout,
-        )

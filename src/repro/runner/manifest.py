@@ -12,10 +12,9 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 import repro
-from repro.runner.jobs import JobSpec
 from repro.utils.serialization import atomic_write_json
 
 PathLike = Union[str, Path]
@@ -122,21 +121,9 @@ class RunManifest:
         if save:
             self.save()
 
-    def completed_keys(self) -> List[str]:
-        """Keys of every job recorded as completed."""
-        return [key for key, record in self.records.items() if record.ok]
-
     def is_complete(self, key: str) -> bool:
         record = self.records.get(key)
         return record is not None and record.ok
-
-    def pending_jobs(self, jobs: Iterable[JobSpec]) -> List[JobSpec]:
-        """The subset of ``jobs`` a resumed run still has to execute.
-
-        Completed jobs are skipped; failed, timed-out, and never-attempted
-        jobs are returned for (re-)execution.
-        """
-        return [job for job in jobs if not self.is_complete(job.key())]
 
     def counts(self) -> Dict[str, int]:
         """``{status: count}`` over every record."""

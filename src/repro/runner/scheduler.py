@@ -503,29 +503,3 @@ class ParallelRunner:
         if process.is_alive():
             process.kill()
             process.join()
-
-
-def run_jobs(
-    jobs: Sequence[JobSpec],
-    *,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    manifest: Optional[RunManifest] = None,
-    resume: bool = True,
-    force: bool = False,
-    ledger: Optional[RunLedger] = None,
-    on_event: Optional[EventCallback] = None,
-    metrics: Optional[RunnerMetrics] = None,
-) -> List[JobRecord]:
-    """Convenience wrapper: build a :class:`ParallelRunner` and run ``jobs``."""
-    runner = ParallelRunner(
-        workers,
-        cache=cache,
-        manifest=manifest,
-        resume=resume,
-        force=force,
-        ledger=ledger,
-        on_event=on_event,
-        metrics=metrics,
-    )
-    return runner.run(jobs)

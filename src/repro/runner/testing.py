@@ -23,12 +23,6 @@ def echo_driver(scale: ExperimentScale, tag: str = "echo") -> str:
     )
 
 
-def slow_driver(scale: ExperimentScale, delay: float = 0.2, tag: str = "slow") -> str:
-    """Sleep ``delay`` seconds, then report — for concurrency timing tests."""
-    time.sleep(delay)
-    return f"{tag}: slept {delay} (seed={scale.seed})"
-
-
 def crashing_driver(scale: ExperimentScale, message: str = "intentional crash") -> str:
     """Raise inside the worker — exercises the failed-job path."""
     raise RuntimeError(f"{message} (seed={scale.seed})")

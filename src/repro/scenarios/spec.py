@@ -25,7 +25,6 @@ a builder ``(scale) -> ScenarioSpec`` that sizes the scenario from an
 
 from __future__ import annotations
 
-import json
 import copy
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
@@ -217,17 +216,6 @@ class ScenarioSpec:
             transforms=tuple(dict(t) for t in data.get("transforms", ())),
             description=data.get("description", ""),
         )
-
-    def canonical_json(self) -> str:
-        """Canonical JSON form (sorted keys): a stable, order-independent
-        serialization for comparing or hashing specs.
-
-        Note that the runner's job keys do *not* include this: the catalogue
-        scenarios are part of the driver code, so editing one is covered by
-        the same contract as editing any other driver — bump the package
-        version (which is in every job key) to invalidate cached results.
-        """
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 # -- catalogue -------------------------------------------------------------------

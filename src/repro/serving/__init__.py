@@ -41,7 +41,6 @@ from repro.serving.artifacts import (
     ArtifactRegistry,
     ModelArtifact,
     load_artifact,
-    save_artifact,
 )
 from repro.serving.batcher import MicroBatcher, QueueClosedError, QueueFullError
 from repro.serving.drift import SpikeCountDriftDetector
@@ -108,5 +107,4 @@ __all__ = [
     "offline_predictions",
     "pool_sender",
     "run_load",
-    "save_artifact",
 ]

@@ -148,12 +148,6 @@ class ModelArtifact:
         return model
 
 
-def save_artifact(model: UnsupervisedDigitClassifier,
-                  directory: PathLike) -> Path:
-    """Save ``model`` as a self-describing artifact (alias of ``model.save``)."""
-    return model.save(directory)
-
-
 def load_artifact(directory: PathLike) -> ModelArtifact:
     """Load and validate the artifact stored in ``directory``.
 

@@ -118,8 +118,3 @@ class SpikeCountDriftDetector:
             if score is not None:
                 state["score"] = score
         return state
-
-    def reset_alarm(self) -> None:
-        """Clear a latched alarm (the reference window is kept)."""
-        with self._lock:
-            self._alarmed = False

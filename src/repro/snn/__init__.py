@@ -27,7 +27,6 @@ from repro.snn.synapses import Connection, UniformLateralInhibition
 from repro.snn.topology import (
     all_to_all_except_self_weights,
     dense_random_weights,
-    lateral_inhibition_weights,
     one_to_one_weights,
 )
 from repro.snn.traces import SpikeTrace
@@ -46,6 +45,5 @@ __all__ = [
     "UniformLateralInhibition",
     "all_to_all_except_self_weights",
     "dense_random_weights",
-    "lateral_inhibition_weights",
     "one_to_one_weights",
 ]

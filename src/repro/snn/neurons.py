@@ -350,11 +350,6 @@ class AdaptiveLIFGroup(LIFGroup):
         # Membrane potential, refractory timer, and theta per neuron.
         return 3 * self.n
 
-    @property
-    def theta_decay_rate(self) -> float:
-        """Decay rate of the adaptation potential (``1 / tau_theta``)."""
-        return 1.0 / self.tau_theta
-
     def firing_threshold(self) -> np.ndarray:
         return self.v_thresh + self.theta
 

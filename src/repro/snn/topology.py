@@ -52,13 +52,3 @@ def all_to_all_except_self_weights(n: int, value: float) -> np.ndarray:
     weights = np.full((n, n), value, dtype=float)
     np.fill_diagonal(weights, 0.0)
     return weights
-
-
-def lateral_inhibition_weights(n: int, strength: float) -> np.ndarray:
-    """Direct lateral inhibition among excitatory neurons.
-
-    Equivalent in connectivity to :func:`all_to_all_except_self_weights` but
-    intended to be used with a *negative* (inhibitory) sign on the excitatory
-    group itself, eliminating the inhibitory layer entirely (paper Fig. 4a).
-    """
-    return all_to_all_except_self_weights(n, strength)

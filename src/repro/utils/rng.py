@@ -7,7 +7,7 @@ behaviour uniform and the experiments reproducible.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -42,24 +42,3 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     raise TypeError(
         f"seed must be None, an int, or a numpy Generator, got {type(seed).__name__}"
     )
-
-
-def spawn_rngs(seed: SeedLike, n: int) -> list:
-    """Create ``n`` statistically independent child generators.
-
-    Parameters
-    ----------
-    seed:
-        Seed or generator for the parent stream.
-    n:
-        Number of independent child generators to create.
-
-    Returns
-    -------
-    list of numpy.random.Generator
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    parent = ensure_rng(seed)
-    seeds = parent.integers(0, 2**63 - 1, size=n)
-    return [np.random.default_rng(int(s)) for s in seeds]

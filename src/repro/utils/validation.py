@@ -7,7 +7,7 @@ silently wrong simulation results.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -33,26 +33,6 @@ def check_positive_int(value: int, name: str) -> int:
     if value <= 0:
         raise ValueError(f"{name} must be a positive integer, got {value}")
     return int(value)
-
-
-def check_probability(value: float, name: str) -> float:
-    """Raise ``ValueError`` unless ``value`` lies in the closed interval [0, 1]."""
-    if not np.isfinite(value) or value < 0.0 or value > 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(value)
-
-
-def check_fraction(value: float, name: str) -> float:
-    """Alias of :func:`check_probability` for readability at call sites."""
-    return check_probability(value, name)
-
-
-def check_shape(array: np.ndarray, shape: Tuple[int, ...], name: str) -> np.ndarray:
-    """Raise ``ValueError`` unless ``array`` has exactly the expected ``shape``."""
-    array = np.asarray(array)
-    if array.shape != tuple(shape):
-        raise ValueError(f"{name} must have shape {tuple(shape)}, got {array.shape}")
-    return array
 
 
 def check_choice(value, choices: Sequence, name: str):

@@ -1,4 +1,4 @@
-"""Tests for the Pareto-front utilities and the ASCII rendering helpers."""
+"""Tests for the ASCII rendering helpers."""
 
 from __future__ import annotations
 
@@ -6,80 +6,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.ascii_art import ascii_bar_chart, ascii_heatmap
-from repro.analysis.pareto import ParetoPoint, pareto_front, search_result_pareto
-from repro.core.config import SpikeDynConfig
-from repro.core.model_search import search_snn_model
-from repro.estimation.memory import ARCH_SPIKEDYN, architecture_parameter_counts
-
-
-class TestParetoFront:
-    def test_dominated_points_are_removed(self):
-        points = [
-            ParetoPoint((1.0, 1.0), "good"),
-            ParetoPoint((2.0, 2.0), "dominated"),
-            ParetoPoint((0.5, 3.0), "trade-off"),
-        ]
-        front = pareto_front(points)
-        payloads = {point.payload for point in front}
-        assert payloads == {"good", "trade-off"}
-
-    def test_all_non_dominated_points_survive(self):
-        points = [ParetoPoint((float(i), float(10 - i))) for i in range(5)]
-        assert len(pareto_front(points)) == 5
-
-    def test_identical_points_are_all_kept(self):
-        points = [ParetoPoint((1.0, 1.0), "a"), ParetoPoint((1.0, 1.0), "b")]
-        assert len(pareto_front(points)) == 2
-
-    def test_empty_input(self):
-        assert pareto_front([]) == []
-
-    def test_single_point(self):
-        assert len(pareto_front([ParetoPoint((3.0,))])) == 1
-
-    def test_mismatched_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            pareto_front([ParetoPoint((1.0,)), ParetoPoint((1.0, 2.0))])
-
-    def test_front_points_are_mutually_non_dominating(self):
-        rng = np.random.default_rng(0)
-        points = [ParetoPoint(tuple(row)) for row in rng.random((30, 3))]
-        front = pareto_front(points)
-        for a in front:
-            for b in front:
-                if a is b:
-                    continue
-                dominates = (all(x <= y for x, y in zip(a.objectives, b.objectives))
-                             and any(x < y for x, y in zip(a.objectives, b.objectives)))
-                assert not dominates
-
-
-class TestSearchResultPareto:
-    @pytest.fixture
-    def search_result(self):
-        config = SpikeDynConfig.scaled_down(n_input=64, n_exc=8, t_sim=20.0, seed=0)
-        budget = architecture_parameter_counts(
-            ARCH_SPIKEDYN, 64, 16
-        ).memory_bytes(config.bit_precision) * 1.01
-        return search_snn_model(config, memory_budget_bytes=budget, n_add=4)
-
-    def test_front_is_a_subset_of_the_feasible_candidates(self, search_result):
-        front = search_result_pareto(search_result)
-        feasible = set(id(c) for c in search_result.feasible_candidates)
-        assert front
-        assert all(id(candidate) in feasible for candidate in front)
-
-    def test_largest_candidate_is_always_on_the_front(self, search_result):
-        """No other candidate can dominate the largest model (it wins the
-        negated-size objective), so Alg. 1's selection is Pareto-optimal."""
-        front = search_result_pareto(search_result)
-        largest = max(search_result.feasible_candidates, key=lambda c: c.n_exc)
-        assert largest in front
-
-    def test_smallest_candidate_is_always_on_the_front(self, search_result):
-        front = search_result_pareto(search_result)
-        smallest = min(search_result.feasible_candidates, key=lambda c: c.n_exc)
-        assert smallest in front
 
 
 class TestAsciiBarChart:

@@ -8,7 +8,6 @@ import pytest
 from repro.analysis.receptive_fields import (
     neuron_class_map,
     receptive_field,
-    receptive_field_grid,
     receptive_field_similarity,
 )
 from repro.core.config import SpikeDynConfig
@@ -58,30 +57,20 @@ class TestReceptiveField:
             receptive_field(model, -1)
 
 
-class TestReceptiveFieldGrid:
-    def test_grid_shape(self, model):
-        grid = receptive_field_grid(model, columns=3, pad=1)
-        # 6 neurons in 3 columns -> 2 rows of 8x8 cells with 1 pixel padding.
-        assert grid.shape == (2 * 9 - 1, 3 * 9 - 1)
+class TestWeightShapes:
+    def test_non_square_input_is_rejected(self):
+        class Model:
+            input_weights = np.zeros((10, 3))
 
-    def test_grid_contains_each_field(self, model):
-        grid = receptive_field_grid(model, columns=3, pad=0, normalize=False)
-        np.testing.assert_allclose(grid[:8, :8],
-                                   receptive_field(model, 0, normalize=False))
-        np.testing.assert_allclose(grid[8:16, 8:16],
-                                   receptive_field(model, 4, normalize=False))
+        with pytest.raises(ValueError, match="not a square number"):
+            receptive_field(Model(), 0)
 
-    def test_subset_of_neurons(self, model):
-        grid = receptive_field_grid(model, columns=2, neurons=[1, 5], pad=0)
-        assert grid.shape == (8, 16)
+    def test_weights_must_be_a_matrix(self):
+        class Model:
+            input_weights = np.zeros(9)
 
-    def test_invalid_arguments(self, model):
-        with pytest.raises(ValueError):
-            receptive_field_grid(model, columns=0)
-        with pytest.raises(ValueError):
-            receptive_field_grid(model, neurons=[])
-        with pytest.raises(ValueError):
-            receptive_field_grid(model, pad=-1)
+        with pytest.raises(ValueError, match="2-D"):
+            receptive_field(Model(), 0)
 
 
 class TestSimilarityAndClassMap:

@@ -8,8 +8,6 @@ import pytest
 from repro.analysis.spike_stats import (
     ResponseStatistics,
     class_selectivity,
-    mean_selectivity,
-    population_sparseness,
     response_statistics,
     winner_share,
 )
@@ -54,25 +52,6 @@ class TestResponseStatistics:
             response_statistics(np.zeros(5))
 
 
-class TestPopulationSparseness:
-    def test_uniform_activity_is_one(self):
-        responses = np.ones((4, 6))
-        assert population_sparseness(responses) == pytest.approx(1.0)
-
-    def test_single_active_neuron_is_one_over_n(self):
-        responses = np.zeros((4, 8))
-        responses[:, 0] = 3.0
-        assert population_sparseness(responses) == pytest.approx(1 / 8)
-
-    def test_silent_population_is_zero(self):
-        assert population_sparseness(np.zeros((3, 5))) == 0.0
-
-    def test_bounded_between_zero_and_one(self):
-        rng = np.random.default_rng(0)
-        responses = rng.random((20, 15)) * 10
-        assert 0.0 < population_sparseness(responses) <= 1.0
-
-
 class TestClassSelectivity:
     def test_perfectly_selective_population(self):
         # Neuron 0 fires only for class 0, neuron 1 only for class 1.
@@ -86,7 +65,6 @@ class TestClassSelectivity:
         selectivity = class_selectivity(responses, labels)
         assert selectivity[0] == pytest.approx(1.0)
         assert selectivity[1] == pytest.approx(1.0)
-        assert mean_selectivity(selectivity) == pytest.approx(1.0)
 
     def test_unselective_population(self):
         responses = np.full((4, 3), 2.0)
@@ -102,7 +80,3 @@ class TestClassSelectivity:
     def test_label_shape_validated(self):
         with pytest.raises(ValueError):
             class_selectivity(np.ones((3, 2)), [0, 1])
-
-    def test_mean_selectivity_requires_entries(self):
-        with pytest.raises(ValueError):
-            mean_selectivity({})

@@ -17,10 +17,6 @@ class TestDefaults:
         assert config.max_rate == 63.75
         assert config.bit_precision == 32
 
-    def test_paper_n200_and_n400_presets(self):
-        assert SpikeDynConfig.paper_n200().n_exc == 200
-        assert SpikeDynConfig.paper_n400().n_exc == 400
-
     def test_scaled_down_preset(self):
         config = SpikeDynConfig.scaled_down(n_exc=16)
         assert config.n_exc == 16

@@ -8,34 +8,12 @@ import pytest
 from repro.core.config import SpikeDynConfig
 from repro.core.quantization import (
     QuantizationReport,
-    quantization_error,
-    quantization_levels,
     quantize_model_weights,
     quantize_weights,
 )
 from repro.datasets.synthetic_mnist import SyntheticDigits
 from repro.estimation.memory import ARCH_SPIKEDYN, architecture_parameter_counts
 from repro.models.spikedyn_model import SpikeDynModel
-
-
-class TestQuantizationLevels:
-    def test_level_count(self):
-        assert quantization_levels(1, 0.0, 1.0).size == 2
-        assert quantization_levels(4, 0.0, 1.0).size == 16
-
-    def test_levels_span_the_bounds(self):
-        levels = quantization_levels(3, 0.2, 0.8)
-        assert levels[0] == pytest.approx(0.2)
-        assert levels[-1] == pytest.approx(0.8)
-        assert np.all(np.diff(levels) > 0)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            quantization_levels(0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            quantization_levels(33, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            quantization_levels(4, 1.0, 0.5)
 
 
 class TestQuantizeWeights:
@@ -48,7 +26,7 @@ class TestQuantizeWeights:
         rng = np.random.default_rng(0)
         weights = rng.random((6, 7))
         quantized = quantize_weights(weights, 3, w_min=0.0, w_max=1.0)
-        levels = quantization_levels(3, 0.0, 1.0)
+        levels = np.linspace(0.0, 1.0, 2 ** 3)
         for value in quantized.ravel():
             assert np.isclose(levels, value).any()
 
@@ -69,6 +47,14 @@ class TestQuantizeWeights:
         quantize_weights(weights, 2, w_min=0.0, w_max=1.0)
         np.testing.assert_allclose(weights, [0.31, 0.77])
 
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            quantize_weights(np.ones(3), 0, w_min=0.0, w_max=1.0)
+        with pytest.raises(ValueError):
+            quantize_weights(np.ones(3), 33, w_min=0.0, w_max=1.0)
+        with pytest.raises(ValueError):
+            quantize_weights(np.ones(3), 4, w_min=1.0, w_max=0.5)
+
     def test_high_precision_is_a_clip_only(self):
         rng = np.random.default_rng(2)
         weights = rng.random((4, 4))
@@ -79,8 +65,8 @@ class TestQuantizeWeights:
     def test_error_decreases_with_more_bits(self):
         rng = np.random.default_rng(3)
         weights = rng.random((20, 20))
-        errors = [quantization_error(weights, bits, w_min=0.0, w_max=1.0)
-                  for bits in (1, 2, 4, 8)]
+        errors = [np.sqrt(np.mean((weights - quantize_weights(
+            weights, bits, w_min=0.0, w_max=1.0)) ** 2)) for bits in (1, 2, 4, 8)]
         assert errors == sorted(errors, reverse=True)
         assert errors[-1] < 0.01
 
@@ -91,6 +77,12 @@ class TestQuantizeWeights:
         quantized = quantize_weights(weights, bits, w_min=0.0, w_max=1.0)
         step = 1.0 / (2 ** bits - 1)
         assert np.max(np.abs(weights - quantized)) <= step / 2 + 1e-12
+
+
+def test_memory_saving_of_an_empty_model_is_zero():
+    report = QuantizationReport(bits=8, memory_bytes=0.0,
+                                full_precision_memory_bytes=0.0, rms_error=0.0)
+    assert report.memory_saving == 0.0
 
 
 class TestQuantizeModelWeights:
@@ -118,7 +110,7 @@ class TestQuantizeModelWeights:
         before = trained_model.input_weights.copy()
         quantize_model_weights(trained_model, 2)
         after = trained_model.input_weights
-        levels = quantization_levels(2, 0.0, 1.0)
+        levels = np.linspace(0.0, 1.0, 2 ** 2)
         assert not np.array_equal(before, after)
         for value in after.ravel():
             assert np.isclose(levels, value).any()

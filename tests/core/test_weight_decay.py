@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.weight_decay import (
-    DECAY_SCALE,
     SynapticWeightDecay,
     decay_rate_for_network_size,
 )
@@ -79,10 +78,6 @@ class TestSynapticWeightDecay:
         counter = OperationCounter()
         decay.apply(np.ones((4, 5)), 10.0, counter)
         assert counter.weight_updates == 20
-
-    def test_for_network_size_constructor(self):
-        decay = SynapticWeightDecay.for_network_size(400)
-        assert decay.w_decay == pytest.approx(DECAY_SCALE / 400)
 
     def test_rejects_invalid_parameters(self):
         with pytest.raises(ValueError):

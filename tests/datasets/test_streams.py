@@ -1,4 +1,4 @@
-"""Tests for the dynamic / non-dynamic task streams and the array source."""
+"""Tests for the dynamic / non-dynamic task streams."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.datasets.streams import (
-    ArrayDigitSource,
     StreamSample,
     dynamic_task_stream,
     nondynamic_stream,
@@ -149,61 +148,6 @@ class TestNormalizeTaskSchedule:
     def test_empty_task_rejected(self):
         with pytest.raises(ValueError, match="at least one class"):
             normalize_task_schedule([[0], []])
-
-
-class TestArrayDigitSource:
-    def make_source(self, n_per_class=4, classes=(0, 1, 2)) -> ArrayDigitSource:
-        rng = np.random.default_rng(0)
-        images, labels = [], []
-        for digit in classes:
-            for _ in range(n_per_class):
-                images.append(rng.random((6, 6)))
-                labels.append(digit)
-        return ArrayDigitSource(np.stack(images), np.array(labels), seed=0)
-
-    def test_classes_are_discovered_from_labels(self):
-        source = self.make_source(classes=(5, 2, 9))
-        assert source.classes == (2, 5, 9)
-
-    def test_image_size_and_pixels(self):
-        source = self.make_source()
-        assert source.image_size == 6
-        assert source.n_pixels == 36
-
-    def test_generate_draws_from_the_right_class(self):
-        source = self.make_source()
-        rng = np.random.default_rng(0)
-        images = source.generate(1, 3, rng=rng)
-        assert images.shape == (3, 6, 6)
-        class_pool = source.images[source.labels == 1]
-        for image in images:
-            assert any(np.array_equal(image, candidate) for candidate in class_pool)
-
-    def test_generate_with_replacement_when_pool_is_small(self):
-        source = self.make_source(n_per_class=2)
-        images = source.generate(0, 10, rng=0)
-        assert images.shape == (10, 6, 6)
-
-    def test_unknown_class_rejected(self):
-        source = self.make_source()
-        with pytest.raises(ValueError):
-            source.generate(9, 1)
-
-    def test_validates_shapes(self):
-        with pytest.raises(ValueError):
-            ArrayDigitSource(np.zeros((4, 6)), np.zeros(4, dtype=int))
-        with pytest.raises(ValueError):
-            ArrayDigitSource(np.zeros((4, 6, 6)), np.zeros(3, dtype=int))
-
-    def test_empty_dataset_rejected_with_clear_error(self):
-        with pytest.raises(ValueError, match="dataset is empty"):
-            ArrayDigitSource(np.zeros((0, 6, 6)), np.zeros(0, dtype=int))
-
-    def test_works_with_the_dynamic_stream(self):
-        source = self.make_source()
-        stream = dynamic_task_stream(source, class_sequence=[0, 2],
-                                     samples_per_task=2, rng=0)
-        assert [sample.label for sample in stream] == [0, 0, 2, 2]
 
 
 class TestStreamSample:

@@ -7,15 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.encoding.events import DVSEventStreamEncoder, PoissonEventStreamEncoder
+from repro.encoding.events import DVSEventStreamEncoder
 from repro.encoding.rate import PoissonRateEncoder
 
 #: Each surviving encoder, seeded: a fresh instance per call, so two calls
 #: with one seed consume identical random streams.
 SEEDED_ENCODERS = {
     "PoissonRateEncoder": lambda seed: PoissonRateEncoder(duration=20.0, rng=seed),
-    "PoissonEventStreamEncoder": lambda seed: PoissonEventStreamEncoder(
-        duration=20.0, max_rate=200.0, rng=seed),
     "DVSEventStreamEncoder": lambda seed: DVSEventStreamEncoder(
         duration=20.0, n_bursts=2, burst_steps=4, max_probability=0.5, rng=seed),
 }

@@ -7,55 +7,8 @@ import pytest
 
 from repro.datasets.event_streams import EventStreamDigitSource
 from repro.datasets.synthetic_mnist import SyntheticDigits
-from repro.encoding.events import (
-    DVSEventStreamEncoder,
-    EventStreamEncoder,
-    PoissonEventStreamEncoder,
-)
+from repro.encoding.events import DVSEventStreamEncoder, EventStreamEncoder
 from repro.snn.events import EventStream
-
-
-class TestPoissonEventStreamEncoder:
-    def test_encode_events_returns_a_valid_stream(self):
-        encoder = PoissonEventStreamEncoder(duration=500.0, rng=11)
-        values = np.linspace(0.0, 1.0, 16)
-        stream = encoder.encode_events(values)
-        assert isinstance(stream, EventStream)
-        assert stream.n_steps == encoder.timesteps
-        assert stream.n_channels == 16
-
-    def test_dense_view_matches_the_stream(self):
-        encoder = PoissonEventStreamEncoder(duration=300.0, rng=5)
-        values = np.full(8, 0.7)
-        np.testing.assert_array_equal(
-            encoder.encode_events(values).to_dense().shape,
-            (encoder.timesteps, 8),
-        )
-        dense = encoder.encode(values)
-        assert dense.dtype == bool and dense.shape == (encoder.timesteps, 8)
-
-    def test_zero_intensity_channel_never_fires(self):
-        encoder = PoissonEventStreamEncoder(duration=2000.0, rng=3)
-        values = np.array([0.0, 1.0, 1.0, 1.0])
-        stream = encoder.encode_events(values)
-        assert 0 not in stream.channels
-
-    def test_default_regime_is_sub_percent_density(self):
-        encoder = PoissonEventStreamEncoder(rng=1)
-        stream = encoder.encode_events(np.full(64, 1.0))
-        assert 0.0 < stream.density < 0.01
-
-    def test_empirical_rate_matches_expectation(self):
-        encoder = PoissonEventStreamEncoder(duration=4000.0, max_rate=10.0,
-                                            rng=13)
-        stream = encoder.encode_events(np.array([1.0]))
-        expected = encoder.timesteps * 10.0 / 1000.0
-        assert stream.n_events == pytest.approx(expected, rel=0.5)
-
-    def test_negative_intensities_rejected(self):
-        encoder = PoissonEventStreamEncoder(rng=0)
-        with pytest.raises(ValueError):
-            encoder.encode_events(np.array([-0.1, 0.5]))
 
 
 class TestDVSEventStreamEncoder:
@@ -83,13 +36,93 @@ class TestDVSEventStreamEncoder:
         with pytest.raises(ValueError, match="max_probability"):
             DVSEventStreamEncoder(max_probability=1.5)
 
-    def test_batch_encoding_yields_one_stream_per_input(self):
-        encoder = DVSEventStreamEncoder(rng=2)
-        streams = encoder.encode_events_batch([np.full(9, 0.5)] * 3)
-        assert len(streams) == 3
-        assert all(isinstance(s, EventStream) for s in streams)
-        with pytest.raises(ValueError, match="empty batch"):
-            encoder.encode_events_batch([])
+
+class TestDVSBurstStructure:
+    """The burst grid, the firing probabilities and the stream contract of
+    the one event-stream encoder."""
+
+    @pytest.mark.parametrize("duration,n_bursts,expected", [
+        (1200.0, 6, [0, 200, 400, 600, 800, 1000]),
+        (100.0, 3, [0, 33, 66]),
+        (40.0, 1, [0]),
+    ])
+    def test_burst_starts_are_evenly_spaced(self, duration, n_bursts, expected):
+        encoder = DVSEventStreamEncoder(duration=duration, n_bursts=n_bursts,
+                                        burst_steps=4)
+        np.testing.assert_array_equal(encoder.burst_starts(), expected)
+
+    def test_timestep_sets_the_grid(self):
+        encoder = DVSEventStreamEncoder(duration=100.0, dt=0.5, n_bursts=2,
+                                        burst_steps=4, rng=0)
+        stream = encoder.encode_events(np.ones(3))
+        assert stream.n_steps == encoder.timesteps == 200
+        np.testing.assert_array_equal(encoder.burst_starts(), [0, 100])
+
+    def test_certain_firing_fills_every_burst_bin(self):
+        encoder = DVSEventStreamEncoder(duration=60.0, n_bursts=3, burst_steps=5,
+                                        max_probability=1.0, rng=0)
+        stream = encoder.encode_events(np.array([1.0, 1.0]))
+        assert stream.n_events == 2 * 3 * 5
+        expected_times = np.concatenate([start + np.arange(5)
+                                         for start in encoder.burst_starts()])
+        for channel in (0, 1):
+            np.testing.assert_array_equal(
+                np.sort(stream.times[stream.channels == channel]), expected_times)
+
+    def test_zero_probability_is_silent(self):
+        encoder = DVSEventStreamEncoder(duration=60.0, n_bursts=3, burst_steps=5,
+                                        max_probability=0.0, rng=0)
+        assert encoder.encode_events(np.ones(8)).n_events == 0
+
+    def test_zero_intensity_channel_never_fires(self):
+        encoder = DVSEventStreamEncoder(duration=200.0, n_bursts=4, burst_steps=8,
+                                        max_probability=1.0, rng=3)
+        values = np.array([0.0, 1.0, 0.5, 0.0])
+        stream = encoder.encode_events(values)
+        assert not np.isin(stream.channels, [0, 3]).any()
+        assert np.isin(1, stream.channels)
+
+    def test_firing_rate_follows_relative_intensity(self):
+        encoder = DVSEventStreamEncoder(duration=4000.0, n_bursts=50,
+                                        burst_steps=40, max_probability=0.5, rng=7)
+        stream = encoder.encode_events(np.array([1.0, 0.25]))
+        bins = encoder.n_bursts * encoder.burst_steps
+        rates = [np.count_nonzero(stream.channels == c) / bins for c in (0, 1)]
+        assert rates[0] == pytest.approx(0.5, abs=0.05)
+        assert rates[1] == pytest.approx(0.125, abs=0.03)
+
+    def test_dense_view_matches_the_stream(self):
+        encoder = DVSEventStreamEncoder(duration=300.0, n_bursts=3, burst_steps=6,
+                                        max_probability=0.4, rng=5)
+        values = np.linspace(0.0, 1.0, 12)
+        stream = encoder.encode_events(values)
+        dense = DVSEventStreamEncoder(duration=300.0, n_bursts=3, burst_steps=6,
+                                      max_probability=0.4, rng=5).encode(values)
+        assert dense.dtype == bool and dense.shape == (300, 12)
+        np.testing.assert_array_equal(dense, stream.to_dense())
+
+    def test_same_seed_gives_the_same_stream(self):
+        def encode(seed):
+            encoder = DVSEventStreamEncoder(duration=200.0, n_bursts=2,
+                                            burst_steps=8, max_probability=0.5,
+                                            rng=seed)
+            return encoder.encode_events(np.ones(10)).to_dense()
+
+        np.testing.assert_array_equal(encode(4), encode(4))
+        assert not np.array_equal(encode(4), encode(5))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_bursts": 0}, {"burst_steps": 0}, {"n_bursts": 2.5},
+        {"max_probability": -0.1}, {"max_probability": float("nan")},
+    ])
+    def test_invalid_parameters_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            DVSEventStreamEncoder(duration=100.0, **kwargs)
+
+    def test_negative_intensities_rejected(self):
+        encoder = DVSEventStreamEncoder(duration=100.0, n_bursts=2, burst_steps=4)
+        with pytest.raises(ValueError, match="non-negative"):
+            encoder.encode_events(np.array([0.5, -0.1]))
 
 
 class TestEventStreamDigitSource:
@@ -115,6 +148,10 @@ class TestEventStreamDigitSource:
         samples, labels = source.labelled_streams(2, classes=(0, 1), rng=0)
         assert len(samples) == 4
         np.testing.assert_array_equal(labels, [0, 0, 1, 1])
+
+    def test_classes_are_the_wrapped_sources(self):
+        source = self.make_source()
+        assert source.classes == source.source.classes
 
     def test_rejects_non_event_encoders(self):
         from repro.encoding.rate import PoissonRateEncoder
@@ -158,6 +195,5 @@ class TestModelEventPath:
 def test_encoders_are_exported_from_the_package():
     import repro.encoding as encoding
 
-    assert issubclass(encoding.PoissonEventStreamEncoder,
-                      encoding.EventStreamEncoder)
-    assert issubclass(encoding.DVSEventStreamEncoder, EventStreamEncoder)
+    assert issubclass(encoding.DVSEventStreamEncoder, encoding.EventStreamEncoder)
+    assert encoding.EventStreamEncoder is EventStreamEncoder

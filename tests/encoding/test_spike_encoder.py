@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.encoding.base import SpikeEncoder
-from repro.encoding.events import DVSEventStreamEncoder, PoissonEventStreamEncoder
+from repro.encoding.events import DVSEventStreamEncoder
 from repro.encoding.rate import PoissonRateEncoder
 
 
@@ -56,7 +56,7 @@ class TestNormalizeIntensities:
             SpikeEncoder._normalize_intensities(np.array([0.5, -0.1]))
 
 
-ENCODER_CLASSES = [PoissonRateEncoder, PoissonEventStreamEncoder, DVSEventStreamEncoder]
+ENCODER_CLASSES = [PoissonRateEncoder, DVSEventStreamEncoder]
 
 
 class TestAllEncodersShareTheInterface:

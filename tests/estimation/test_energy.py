@@ -8,7 +8,6 @@ from repro.estimation.energy import (
     DEFAULT_OP_ENERGY_COSTS,
     EnergyEstimate,
     EnergyModel,
-    estimate_total_energy,
     weighted_operations,
 )
 from repro.estimation.hardware import GTX_1080_TI, JETSON_NANO
@@ -61,19 +60,6 @@ class TestEnergyEstimate:
         with pytest.raises(ValueError):
             estimate.scaled(-1.0)
 
-    def test_estimate_total_energy_is_e1_times_n(self):
-        single = EnergyEstimate(device="X", seconds=0.5, joules=2.0,
-                                weighted_ops=10.0)
-        total = estimate_total_energy(single, 60_000)
-        assert total.joules == pytest.approx(2.0 * 60_000)
-        assert total.seconds == pytest.approx(0.5 * 60_000)
-
-    def test_estimate_total_energy_requires_positive_n(self):
-        single = EnergyEstimate(device="X", seconds=1.0, joules=1.0,
-                                weighted_ops=1.0)
-        with pytest.raises(ValueError):
-            estimate_total_energy(single, 0)
-
 
 class TestEnergyModel:
     def test_estimate_uses_the_device_cost_model(self):
@@ -95,12 +81,6 @@ class TestEnergyModel:
         fast = EnergyModel(GTX_1080_TI).estimate(counter)
         slow = EnergyModel(JETSON_NANO).estimate(counter)
         assert slow.seconds > fast.seconds
-
-    def test_estimate_phase(self):
-        counter = OperationCounter(synaptic_events=1000)
-        model = EnergyModel(GTX_1080_TI)
-        phase = model.estimate_phase(counter, 500)
-        assert phase.joules == pytest.approx(model.estimate(counter).joules * 500)
 
     def test_custom_op_costs_change_the_estimate(self):
         counter = OperationCounter(weight_updates=1000)

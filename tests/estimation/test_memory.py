@@ -13,8 +13,6 @@ from repro.estimation.memory import (
     ArchitectureParameterCounts,
     architecture_parameter_counts,
     estimate_memory_bytes,
-    network_memory_bytes,
-    network_parameter_counts,
 )
 from repro.learning.stdp import PairwiseSTDP
 
@@ -88,19 +86,12 @@ class TestNetworkParameterCounts:
 
     def test_spikedyn_network_matches_the_analytical_model(self, config):
         network = build_spikedyn_network(config, learning_rule=SpikeDynLearningRule())
-        counted = network_parameter_counts(network)
         analytical = architecture_parameter_counts(ARCH_SPIKEDYN, 36, 5)
-        assert counted.weights == analytical.weights
-        assert counted.neuron_parameters == analytical.neuron_parameters
+        assert network.weight_count == analytical.weights
+        assert network.neuron_parameter_count == analytical.neuron_parameters
 
     def test_baseline_network_matches_the_analytical_model(self, config):
         network = build_baseline_network(config, learning_rule=PairwiseSTDP())
-        counted = network_parameter_counts(network)
         analytical = architecture_parameter_counts(ARCH_BASELINE, 36, 5)
-        assert counted.weights == analytical.weights
-        assert counted.neuron_parameters == analytical.neuron_parameters
-
-    def test_network_memory_bytes(self, config):
-        network = build_spikedyn_network(config, learning_rule=SpikeDynLearningRule())
-        expected = architecture_parameter_counts(ARCH_SPIKEDYN, 36, 5).memory_bytes(32)
-        assert network_memory_bytes(network, 32) == pytest.approx(expected)
+        assert network.weight_count == analytical.weights
+        assert network.neuron_parameter_count == analytical.neuron_parameters

@@ -30,7 +30,7 @@ class TestContinualMetrics:
             [[0.8, 0.1], [0.6, 0.9]], incremental_phases(2), {0: (0,), 1: (1,)}
         )
         assert result.average_accuracy == pytest.approx(0.75)
-        assert result.final_accuracies == {0: 0.6, 1: 0.9}
+        np.testing.assert_array_equal(result.accuracy_matrix[-1], [0.6, 0.9])
 
     def test_average_forgetting_uses_the_best_earlier_accuracy(self):
         # Task 0 peaked at 0.9 (phase 0) and ended at 0.5 -> forgot 0.4.
@@ -68,6 +68,15 @@ class TestContinualMetrics:
         # Task 0 is last trained in the final phase -> excluded from BWT;
         # task 1: 0.6 - 0.8 = -0.2.
         assert result.backward_transfer == pytest.approx(-0.2)
+
+    def test_phase_lookup_of_an_untrained_task_raises(self):
+        result = make_result(
+            [[0.9, 0.2], [0.5, 0.8]], incremental_phases(2), {0: (0,), 1: (1,)}
+        )
+        with pytest.raises(KeyError, match="never trained"):
+            result.first_trained_phase(7)
+        with pytest.raises(KeyError, match="never trained"):
+            result.last_trained_phase(7)
 
     def test_retention_curve_starts_at_first_training(self):
         result = make_result(

@@ -5,14 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.evaluation.metrics import (
-    accuracy,
-    forgetting,
-    improvement_percentage_points,
-    mean_accuracy,
-    per_class_accuracy,
-    top_k_response_sparsity,
-)
+from repro.evaluation.metrics import accuracy, forgetting
 
 
 class TestAccuracy:
@@ -32,42 +25,6 @@ class TestAccuracy:
             accuracy(np.array([]), np.array([]))
 
 
-class TestPerClassAccuracy:
-    def test_per_class_breakdown(self):
-        predictions = np.array([0, 0, 1, 2])
-        labels = np.array([0, 1, 1, 2])
-        result = per_class_accuracy(predictions, labels, classes=[0, 1, 2])
-        assert result[0] == 1.0
-        assert result[1] == 0.5
-        assert result[2] == 1.0
-
-    def test_missing_class_reported_as_nan(self):
-        result = per_class_accuracy(np.array([0]), np.array([0]), classes=[0, 5])
-        assert result[0] == 1.0
-        assert np.isnan(result[5])
-
-    def test_mean_accuracy_ignores_nan(self):
-        assert mean_accuracy({0: 1.0, 1: 0.5, 2: float("nan")}) == pytest.approx(0.75)
-
-    def test_mean_accuracy_with_only_nan_rejected(self):
-        with pytest.raises(ValueError):
-            mean_accuracy({0: float("nan")})
-
-
-class TestImprovementPercentagePoints:
-    def test_positive_improvement(self):
-        assert improvement_percentage_points(0.75, 0.54) == pytest.approx(21.0)
-
-    def test_negative_improvement(self):
-        assert improvement_percentage_points(0.4, 0.5) == pytest.approx(-10.0)
-
-    def test_rejects_out_of_range_values(self):
-        with pytest.raises(ValueError):
-            improvement_percentage_points(1.2, 0.5)
-        with pytest.raises(ValueError):
-            improvement_percentage_points(0.5, -0.1)
-
-
 class TestForgetting:
     def test_positive_when_accuracy_drops(self):
         recent = {0: 0.9, 1: 0.8}
@@ -79,27 +36,3 @@ class TestForgetting:
     def test_missing_task_rejected(self):
         with pytest.raises(KeyError):
             forgetting({0: 0.9}, {1: 0.5})
-
-
-class TestTopKSparsity:
-    def test_single_dominant_neuron(self):
-        responses = np.array([[10.0, 0.0, 0.0]])
-        assert top_k_response_sparsity(responses, k=1) == pytest.approx(1.0)
-
-    def test_uniform_responses(self):
-        responses = np.ones((1, 4))
-        assert top_k_response_sparsity(responses, k=1) == pytest.approx(0.25)
-
-    def test_silent_samples_contribute_zero(self):
-        responses = np.zeros((2, 4))
-        assert top_k_response_sparsity(responses, k=2) == 0.0
-
-    def test_k_larger_than_population(self):
-        responses = np.array([[1.0, 2.0]])
-        assert top_k_response_sparsity(responses, k=2) == pytest.approx(1.0)
-
-    def test_validates_arguments(self):
-        with pytest.raises(ValueError):
-            top_k_response_sparsity(np.zeros(3), k=1)
-        with pytest.raises(ValueError):
-            top_k_response_sparsity(np.zeros((2, 3)), k=0)

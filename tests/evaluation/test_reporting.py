@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evaluation.reporting import format_percentage, format_table, normalize_to
+from repro.evaluation.reporting import format_table, normalize_to
 
 
 class TestFormatTable:
@@ -56,10 +56,3 @@ class TestNormalizeTo:
     def test_zero_reference_rejected(self):
         with pytest.raises(ZeroDivisionError):
             normalize_to({"a": 0.0, "b": 1.0}, "a")
-
-
-class TestFormatPercentage:
-    def test_rendering(self):
-        assert format_percentage(0.735) == "73.5%"
-        assert format_percentage(1.0) == "100.0%"
-        assert format_percentage(0.0) == "0.0%"

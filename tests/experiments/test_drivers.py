@@ -76,7 +76,6 @@ class TestFig05Analytical:
             assert row.training_energy_error < 0.5
             assert row.inference_energy_error < 0.5
         assert result.exploration_speedup > 100.0
-        assert result.max_error >= 0.0
         assert "Fig. 5" in result.to_text()
 
     def test_explicit_network_sizes(self, tiny_scale):
@@ -99,7 +98,12 @@ class TestFig06Sweep:
         assert best.mean_recent_accuracy == max(
             point.mean_recent_accuracy for point in result.points
         )
-        assert set(result.accuracy_by_label()) == set(labels)
+
+    def test_an_empty_sweep_has_no_best_point(self, tiny_scale):
+        from repro.experiments.fig06_sweep import DecayThetaSweepResult
+
+        with pytest.raises(ValueError, match="no points"):
+            DecayThetaSweepResult(scale=tiny_scale).best_point()
 
     def test_full_grid(self, tiny_scale):
         result = run_decay_theta_sweep(

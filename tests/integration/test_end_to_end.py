@@ -14,7 +14,6 @@ from repro import (
     ASPModel,
     DiehlCookModel,
     SpikeDynConfig,
-    SpikeDynFramework,
     SpikeDynModel,
     SyntheticDigits,
     search_snn_model,
@@ -98,24 +97,25 @@ class TestUnsupervisedLearningPipeline:
 
 
 class TestSearchThenTrainFlow:
-    def test_framework_tool_flow(self, config, source):
+    def test_tool_flow(self, config, source):
         """The Fig. 3 flow: constraints -> search -> build -> train -> evaluate."""
-        framework = SpikeDynFramework(config, rng=0)
         budget = architecture_parameter_counts(
             ARCH_SPIKEDYN, config.n_input, 12
         ).memory_bytes(config.bit_precision) * 1.01
-        search = framework.search_model(memory_budget_bytes=budget, n_add=4)
+        search = search_snn_model(config, memory_budget_bytes=budget, n_add=4, rng=0)
         assert search.selected is not None
 
-        model = framework.build_model()
+        model = SpikeDynModel(config.with_network_size(search.selected.n_exc), rng=0)
         assert model.n_exc == search.selected.n_exc
 
-        result = framework.run_dynamic(model, source, class_sequence=[0, 1],
-                                       samples_per_task=2,
-                                       eval_samples_per_class=2)
+        result = run_dynamic_protocol(model, source, class_sequence=[0, 1],
+                                      samples_per_task=2,
+                                      eval_samples_per_class=2, rng=0)
         assert set(result.final_task_accuracy) == {0, 1}
 
-        memory = framework.estimate_memory_bytes()
+        memory = architecture_parameter_counts(
+            ARCH_SPIKEDYN, config.n_input, model.n_exc
+        ).memory_bytes(config.bit_precision)
         assert memory <= budget
 
     def test_direct_search_api(self, config):

@@ -151,12 +151,6 @@ class TestReadout:
 
 
 class TestBookkeeping:
-    def test_reset_counter_returns_snapshot(self, config, source):
-        model = SpikeDynModel(config)
-        model.train_sample(source.generate(0, 1, rng=0)[0])
-        snapshot = model.reset_counter()
-        assert snapshot.total_ops() > 0
-        assert model.counter.total_ops() == 0
 
     def test_describe(self, config):
         model = SpikeDynModel(config)

@@ -15,7 +15,7 @@ import pytest
 import repro
 from repro.experiments.common import ExperimentScale
 from repro.observability.ledger import KIND_JOB, RunLedger
-from repro.runner import JobSpec, ResultCache, RunManifest, run_jobs
+from repro.runner import JobSpec, ParallelRunner, ResultCache, RunManifest
 
 ECHO = "repro.runner.testing:echo_driver"
 CRASH = "repro.runner.testing:crashing_driver"
@@ -36,7 +36,7 @@ def echo_jobs(scale: ExperimentScale, count: int) -> list:
 class TestRoundTripProperty:
     def test_every_job_appears_exactly_once_with_its_key(self, micro_scale, ledger):
         jobs = echo_jobs(micro_scale, 6)
-        records = run_jobs(jobs, workers=0, ledger=ledger)
+        records = ParallelRunner(0, ledger=ledger).run(jobs)
         assert all(record.ok for record in records)
 
         entries = list(ledger.entries(kind=KIND_JOB))
@@ -56,8 +56,8 @@ class TestRoundTripProperty:
     def test_cache_hits_are_recorded_as_cached(self, micro_scale, ledger, tmp_path):
         jobs = echo_jobs(micro_scale, 3)
         cache = ResultCache(tmp_path / "cache")
-        run_jobs(jobs, workers=0, cache=cache, ledger=ledger)
-        run_jobs(jobs, workers=0, cache=cache, ledger=ledger)
+        ParallelRunner(0, cache=cache, ledger=ledger).run(jobs)
+        ParallelRunner(0, cache=cache, ledger=ledger).run(jobs)
 
         entries = list(ledger.entries(kind=KIND_JOB))
         assert len(entries) == 2 * len(jobs)
@@ -74,9 +74,9 @@ class TestRoundTripProperty:
         jobs = echo_jobs(micro_scale, 2)
         manifest_path = tmp_path / "manifest.json"
         manifest = RunManifest.load_or_create(manifest_path)
-        run_jobs(jobs, workers=0, manifest=manifest, ledger=ledger)
+        ParallelRunner(0, manifest=manifest, ledger=ledger).run(jobs)
         resumed = RunManifest.load_or_create(manifest_path)
-        run_jobs(jobs, workers=0, manifest=resumed, ledger=ledger)
+        ParallelRunner(0, manifest=resumed, ledger=ledger).run(jobs)
 
         outcomes = [entry["outcome"] for entry in ledger.entries(kind=KIND_JOB)]
         assert outcomes == ["completed", "completed", "resumed", "resumed"]
@@ -86,18 +86,18 @@ class TestRoundTripProperty:
             JobSpec(experiment=CRASH, scale=micro_scale),
             JobSpec(experiment=ECHO, scale=micro_scale),
         ]
-        records = run_jobs(jobs, workers=0, ledger=ledger)
+        records = ParallelRunner(0, ledger=ledger).run(jobs)
         assert [record.status for record in records] == ["failed", "completed"]
         outcomes = {entry["key"]: entry["outcome"] for entry in ledger.entries(kind=KIND_JOB)}
         assert outcomes == {jobs[0].key(): "failed", jobs[1].key(): "completed"}
 
     def test_no_ledger_means_no_recording(self, micro_scale, tmp_path):
-        run_jobs(echo_jobs(micro_scale, 2), workers=0, ledger=None)
+        ParallelRunner(0, ledger=None).run(echo_jobs(micro_scale, 2))
         assert RunLedger(tmp_path / "ledger").count() == 0
 
     def test_duplicate_jobs_record_one_entry_per_requested_job(self, micro_scale, ledger):
         job = JobSpec(experiment=ECHO, scale=micro_scale)
-        records = run_jobs([job, job], workers=0, ledger=ledger)
+        records = ParallelRunner(0, ledger=ledger).run([job, job])
         assert len(records) == 2
         # The scheduler collapses duplicates to one execution; the ledger
         # answers "what ran", so it records the execution once.
@@ -108,7 +108,7 @@ class TestRoundTripProperty:
 class TestParallelLedger:
     def test_spawned_workers_record_through_the_parent_ledger(self, micro_scale, ledger):
         jobs = echo_jobs(micro_scale, 4)
-        records = run_jobs(jobs, workers=2, ledger=ledger)
+        records = ParallelRunner(2, ledger=ledger).run(jobs)
         assert all(record.ok for record in records)
         entries = list(ledger.entries(kind=KIND_JOB))
         assert Counter(entry["key"] for entry in entries) == Counter(job.key() for job in jobs)

@@ -51,12 +51,6 @@ class TestContext:
         bound = get_struct_logger("test.bind", run="r1").bind(run="r2")
         assert bound.context == {"run": "r2"}
 
-    def test_unbind_removes_keys_without_mutating(self):
-        base = get_struct_logger("test.bind", run="r1", job="j1")
-        slim = base.unbind("job", "missing")
-        assert slim.context == {"run": "r1"}
-        assert base.context == {"job": "j1", "run": "r1"}
-
     def test_context_property_returns_a_copy(self):
         logger = get_struct_logger("test.bind", run="r1")
         logger.context["run"] = "tampered"

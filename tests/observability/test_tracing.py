@@ -19,7 +19,6 @@ from repro.observability.tracing import (
     TRACE_ENV,
     TRACE_HEADER,
     TraceContext,
-    current_span_sink,
     current_trace,
     derive_trace_id,
     new_trace_id,
@@ -75,10 +74,8 @@ class TestTraceContext:
     def test_to_dict_omits_unset_fields(self):
         assert TraceContext(trace_id="t1").to_dict() == {"trace_id": "t1"}
 
-    def test_headers_round_trip(self):
-        context = TraceContext(trace_id="abc-123")
-        assert context.to_headers() == {TRACE_HEADER: "abc-123"}
-        restored = TraceContext.from_headers(context.to_headers())
+    def test_from_headers_reads_the_trace_header(self):
+        restored = TraceContext.from_headers({TRACE_HEADER: "abc-123"})
         assert restored is not None
         assert restored.trace_id == "abc-123"
         assert restored.span_id is None
@@ -123,9 +120,14 @@ class TestTraceScope:
         assert current_trace() is None
         with trace_scope(context, sink=sink.append):
             assert current_trace() is context
-            assert current_span_sink() is not None
+            with span("inside"):
+                pass
         assert current_trace() is None
-        assert current_span_sink() is None
+        # The sink is restored too: a later scope without one records nowhere.
+        with trace_scope(TraceContext(trace_id="t2")):
+            with span("after"):
+                pass
+        assert [record["name"] for record in sink] == ["inside"]
 
     def test_trace_fields_reflect_active_context(self):
         assert trace_fields() == {}

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.encoding.events import DVSEventStreamEncoder, PoissonEventStreamEncoder
+from repro.encoding.events import DVSEventStreamEncoder
 from repro.encoding.rate import PoissonRateEncoder
 
 intensity_images = hnp.arrays(
@@ -54,7 +54,6 @@ def test_all_encoders_reject_negative_intensities(values):
     values = values.copy()
     values[0] = -0.5
     for encoder in (PoissonRateEncoder(duration=10.0, rng=0),
-                    PoissonEventStreamEncoder(duration=10.0, rng=0),
                     DVSEventStreamEncoder(duration=10.0, n_bursts=2,
                                           burst_steps=4, rng=0)):
         with pytest.raises(ValueError):
@@ -64,7 +63,6 @@ def test_all_encoders_reject_negative_intensities(values):
 
 
 event_encoder_factories = st.sampled_from([
-    lambda seed: PoissonEventStreamEncoder(duration=50.0, max_rate=200.0, rng=seed),
     lambda seed: DVSEventStreamEncoder(duration=50.0, n_bursts=3, burst_steps=5,
                                        max_probability=0.5, rng=seed),
 ])
@@ -102,15 +100,3 @@ def test_dvs_events_lie_inside_burst_windows(values, seed):
     offsets = stream.times[:, None] - encoder.burst_starts()[None, :]
     inside = (offsets >= 0) & (offsets < encoder.burst_steps)
     assert np.all(inside.any(axis=1))
-
-
-@settings(max_examples=20, deadline=None)
-@given(batch=st.lists(intensity_images, min_size=1, max_size=4),
-       make=event_encoder_factories, seed=st.integers(0, 2**16))
-def test_event_stream_batch_matches_the_sequential_loop(batch, make, seed):
-    sequential_encoder, batched_encoder = make(seed), make(seed)
-    sequential = [sequential_encoder.encode_events(values) for values in batch]
-    batched = batched_encoder.encode_events_batch(batch)
-    assert len(batched) == len(sequential)
-    for got, want in zip(batched, sequential):
-        np.testing.assert_array_equal(got.to_dense(), want.to_dense())

@@ -16,7 +16,7 @@ from repro.estimation.memory import (
 )
 from repro.evaluation.confusion import confusion_matrix
 from repro.evaluation.labeling import assign_neuron_labels, predict_from_responses
-from repro.evaluation.metrics import accuracy, per_class_accuracy
+from repro.evaluation.metrics import accuracy
 from repro.snn.simulation import OperationCounter
 
 label_arrays = hnp.arrays(dtype=np.int64, shape=st.integers(1, 60),
@@ -45,17 +45,6 @@ def test_accuracy_is_the_confusion_diagonal(labels):
     predictions[flip] = (predictions[flip] + 1) % 10
     matrix = confusion_matrix(labels, predictions, n_classes=10)
     assert accuracy(predictions, labels) == np.trace(matrix) / labels.size
-
-
-@settings(max_examples=60, deadline=None)
-@given(labels=label_arrays)
-def test_per_class_accuracy_of_perfect_predictions_is_one(labels):
-    result = per_class_accuracy(labels, labels, classes=range(10))
-    for cls in range(10):
-        if (labels == cls).any():
-            assert result[cls] == 1.0
-        else:
-            assert np.isnan(result[cls])
 
 
 @settings(max_examples=40, deadline=None)

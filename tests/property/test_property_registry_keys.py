@@ -51,7 +51,8 @@ class TestKeyRoundTrip:
 
     def test_key_changes_with_seed_and_overrides(self, name, micro_scale):
         base = JobSpec(experiment=name, scale=micro_scale)
-        assert base.with_seed(base.seed + 1).key() != base.key()
+        reseeded = JobSpec(experiment=name, scale=micro_scale.replace(seed=base.seed + 1))
+        assert reseeded.key() != base.key()
         assert JobSpec(experiment=name, scale=micro_scale,
                        overrides={"x": 1}).key() != base.key()
 

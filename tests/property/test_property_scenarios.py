@@ -8,6 +8,8 @@ and every corrupted image must stay inside the valid intensity range.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -96,7 +98,8 @@ class TestSeedDeterminism:
                                                        transforms, seed):
         spec = _spec(schedule, transforms)
         clone = ScenarioSpec.from_dict(spec.to_dict())
-        assert clone.canonical_json() == spec.canonical_json()
+        assert json.dumps(clone.to_dict(), sort_keys=True) == json.dumps(
+            spec.to_dict(), sort_keys=True)
         assert _streams_equal(
             spec.build(_source(seed), rng=seed),
             clone.build(_source(seed), rng=seed),

@@ -37,7 +37,7 @@ class TestJobKey:
 
     def test_key_changes_with_seed(self, micro_scale):
         a = JobSpec(experiment="fig5", scale=micro_scale)
-        b = a.with_seed(a.seed + 1)
+        b = JobSpec(experiment="fig5", scale=micro_scale.replace(seed=a.seed + 1))
         assert a.key() != b.key()
         assert b.seed == a.seed + 1
 

@@ -73,7 +73,7 @@ class TestPersistence:
 
 
 class TestResumeSemantics:
-    def test_pending_jobs_skips_only_completed(self, manifest, micro_scale):
+    def test_is_complete_holds_only_for_completed_jobs(self, manifest, micro_scale):
         done = JobSpec(experiment="repro.runner.testing:echo_driver", scale=micro_scale)
         failed = JobSpec(
             experiment="repro.runner.testing:echo_driver",
@@ -94,7 +94,8 @@ class TestResumeSemantics:
         manifest.update(record_for(failed, STATUS_FAILED), save=False)
         manifest.update(record_for(timed_out, STATUS_TIMEOUT), save=False)
 
-        pending = manifest.pending_jobs([done, failed, timed_out, fresh])
+        jobs = [done, failed, timed_out, fresh]
+        pending = [job for job in jobs if not manifest.is_complete(job.key())]
         assert [job.overrides.get("tag") for job in pending] == ["failed", "hung", "fresh"]
 
     def test_counts(self, manifest, micro_scale):

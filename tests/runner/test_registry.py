@@ -8,7 +8,6 @@ from repro.experiments.registry import (
     EXPERIMENTS,
     SCALE_FAMILIES,
     ExperimentSpec,
-    experiment_names,
     get_experiment,
 )
 from repro.runner.worker import execute_payload, render_report, resolve_runner
@@ -17,7 +16,7 @@ from repro.runner import JobSpec
 
 class TestRegistry:
     def test_all_paper_artifacts_registered(self):
-        assert experiment_names() == [
+        assert list(EXPERIMENTS) == [
             "table1",
             "table2",
             "fig1",

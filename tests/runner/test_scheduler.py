@@ -15,7 +15,6 @@ from repro.runner import (
     JobSpec,
     ParallelRunner,
     RunManifest,
-    run_jobs,
 )
 
 ECHO = "repro.runner.testing:echo_driver"
@@ -33,7 +32,7 @@ def echo_jobs(scale, count: int) -> list:
 
 class TestInlineExecution:
     def test_workers_zero_runs_in_process(self, micro_scale):
-        (record,) = run_jobs(echo_jobs(micro_scale, 1), workers=0)
+        (record,) = ParallelRunner(0).run(echo_jobs(micro_scale, 1))
         assert record.status == STATUS_COMPLETED
         assert record.source == SOURCE_RUN
         assert "seed=0" in record.report
@@ -41,7 +40,7 @@ class TestInlineExecution:
     def test_inline_crash_is_isolated_too(self, micro_scale):
         crash = JobSpec(experiment=CRASH, scale=micro_scale)
         ok = JobSpec(experiment=ECHO, scale=micro_scale)
-        crashed, completed = run_jobs([crash, ok], workers=0)
+        crashed, completed = ParallelRunner(0).run([crash, ok])
         assert crashed.status == STATUS_FAILED
         assert "intentional crash" in crashed.error
         assert completed.status == STATUS_COMPLETED
@@ -52,15 +51,14 @@ class TestInlineExecution:
 
     def test_records_returned_in_job_order(self, micro_scale):
         jobs = echo_jobs(micro_scale, 4)
-        records = run_jobs(jobs, workers=0)
+        records = ParallelRunner(0).run(jobs)
         assert [record.key for record in records] == [job.key() for job in jobs]
 
     def test_duplicate_jobs_collapse_to_one_execution(self, micro_scale):
         events = []
         job = JobSpec(experiment=ECHO, scale=micro_scale)
-        records = run_jobs(
-            [job, job], workers=0, on_event=lambda event, record: events.append(event)
-        )
+        runner = ParallelRunner(0, on_event=lambda event, record: events.append(event))
+        records = runner.run([job, job])
         assert len(records) == 2
         assert records[0].key == records[1].key
         assert events.count("start") == 1  # executed once, not twice
@@ -70,8 +68,8 @@ class TestInlineExecution:
 class TestParallelExecution:
     def test_parallel_reports_match_inline(self, micro_scale):
         jobs = echo_jobs(micro_scale, 3)
-        inline = run_jobs(jobs, workers=0)
-        parallel = run_jobs(jobs, workers=3)
+        inline = ParallelRunner(0).run(jobs)
+        parallel = ParallelRunner(3).run(jobs)
         assert [r.report for r in parallel] == [r.report for r in inline]
         assert all(record.status == STATUS_COMPLETED for record in parallel)
 
@@ -81,7 +79,7 @@ class TestParallelExecution:
             JobSpec(experiment=DIE, scale=micro_scale),
             JobSpec(experiment=ECHO, scale=micro_scale),
         ]
-        crashed, died, completed = run_jobs(jobs, workers=2, manifest=manifest)
+        crashed, died, completed = ParallelRunner(2, manifest=manifest).run(jobs)
         assert crashed.status == STATUS_FAILED
         assert "intentional crash" in crashed.error
         assert died.status == STATUS_FAILED
@@ -94,7 +92,7 @@ class TestParallelExecution:
             JobSpec(experiment=HANG, scale=micro_scale, timeout=1.0),
             JobSpec(experiment=ECHO, scale=micro_scale),
         ]
-        hung, completed = run_jobs(jobs, workers=2, manifest=manifest)
+        hung, completed = ParallelRunner(2, manifest=manifest).run(jobs)
         assert hung.status == STATUS_TIMEOUT
         assert "timeout" in hung.error
         assert completed.status == STATUS_COMPLETED
@@ -106,29 +104,30 @@ class TestParallelExecution:
 class TestCaching:
     def test_second_run_is_served_from_cache(self, micro_scale, cache):
         jobs = echo_jobs(micro_scale, 2)
-        first = run_jobs(jobs, workers=2, cache=cache)
-        second = run_jobs(jobs, workers=2, cache=cache)
+        first = ParallelRunner(2, cache=cache).run(jobs)
+        second = ParallelRunner(2, cache=cache).run(jobs)
         assert [record.source for record in first] == [SOURCE_RUN, SOURCE_RUN]
         assert [record.source for record in second] == [SOURCE_CACHE, SOURCE_CACHE]
         assert [r.report for r in second] == [r.report for r in first]
 
     def test_failed_jobs_are_never_cached(self, micro_scale, cache):
         job = JobSpec(experiment=CRASH, scale=micro_scale)
-        run_jobs([job], workers=0, cache=cache)
+        ParallelRunner(0, cache=cache).run([job])
         assert cache.get(job.key()) is None
-        (retried,) = run_jobs([job], workers=0, cache=cache)
+        (retried,) = ParallelRunner(0, cache=cache).run([job])
         assert retried.source == SOURCE_RUN
 
     def test_force_ignores_the_cache(self, micro_scale, cache):
         jobs = echo_jobs(micro_scale, 1)
-        run_jobs(jobs, workers=0, cache=cache)
-        (forced,) = run_jobs(jobs, workers=0, cache=cache, force=True)
+        ParallelRunner(0, cache=cache).run(jobs)
+        (forced,) = ParallelRunner(0, cache=cache, force=True).run(jobs)
         assert forced.source == SOURCE_RUN
 
     def test_different_seeds_miss_each_other(self, micro_scale, cache):
         base = JobSpec(experiment=ECHO, scale=micro_scale)
-        run_jobs([base], workers=0, cache=cache)
-        (other,) = run_jobs([base.with_seed(7)], workers=0, cache=cache)
+        ParallelRunner(0, cache=cache).run([base])
+        reseeded = JobSpec(experiment=ECHO, scale=micro_scale.replace(seed=7))
+        (other,) = ParallelRunner(0, cache=cache).run([reseeded])
         assert other.source == SOURCE_RUN
         assert "seed=7" in other.report
 
@@ -139,13 +138,13 @@ class TestResume:
         ok = JobSpec(experiment=ECHO, scale=micro_scale)
         bad = JobSpec(experiment=CRASH, scale=micro_scale)
         manifest = RunManifest(tmp_path / "manifest.json")
-        run_jobs([ok, bad], workers=0, manifest=manifest)
+        ParallelRunner(0, manifest=manifest).run([ok, bad])
 
         # Resume with the crash replaced by a working job of the same key set,
         # plus a new job: only the failed and the new one execute.
         resumed_manifest = RunManifest.load(tmp_path / "manifest.json")
         fresh = JobSpec(experiment=ECHO, scale=micro_scale, overrides={"tag": "fresh"})
-        records = run_jobs([ok, bad, fresh], workers=0, manifest=resumed_manifest)
+        records = ParallelRunner(0, manifest=resumed_manifest).run([ok, bad, fresh])
         assert records[0].source == SOURCE_MANIFEST
         assert records[1].source == SOURCE_RUN
         assert records[1].status == STATUS_FAILED
@@ -155,9 +154,9 @@ class TestResume:
     def test_resume_disabled_reruns_everything(self, micro_scale, tmp_path):
         job = JobSpec(experiment=ECHO, scale=micro_scale)
         manifest = RunManifest(tmp_path / "manifest.json")
-        run_jobs([job], workers=0, manifest=manifest)
+        ParallelRunner(0, manifest=manifest).run([job])
         reloaded = RunManifest.load(tmp_path / "manifest.json")
-        (record,) = run_jobs([job], workers=0, manifest=reloaded, resume=False)
+        (record,) = ParallelRunner(0, manifest=reloaded, resume=False).run([job])
         assert record.source == SOURCE_RUN
 
 
@@ -169,8 +168,8 @@ class TestEvents:
             events.append((event, record.experiment))
 
         jobs = echo_jobs(micro_scale, 1)
-        run_jobs(jobs, workers=0, cache=cache, on_event=on_event)
-        run_jobs(jobs, workers=0, cache=cache, on_event=on_event)
+        ParallelRunner(0, cache=cache, on_event=on_event).run(jobs)
+        ParallelRunner(0, cache=cache, on_event=on_event).run(jobs)
         assert events == [("start", ECHO), ("done", ECHO), ("cached", ECHO)]
 
 
@@ -182,6 +181,6 @@ class TestRealDriverDeterminism:
         spec = get_experiment("fig9-dynamic")
         sequential = spec.report(micro_scale)
         job = JobSpec(experiment="fig9-dynamic", scale=micro_scale)
-        (parallel,) = run_jobs([job], workers=2)
+        (parallel,) = ParallelRunner(2).run([job])
         assert parallel.status == STATUS_COMPLETED
         assert parallel.report == sequential

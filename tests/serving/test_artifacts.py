@@ -13,7 +13,6 @@ from repro.serving import (
     ArtifactError,
     ArtifactRegistry,
     load_artifact,
-    save_artifact,
 )
 from repro.utils.serialization import load_json, save_arrays, save_json
 
@@ -75,7 +74,7 @@ class TestRoundTrip:
             model.network.group("excitatory").theta[:] = rng.uniform(
                 0.0, 0.5, size=model.n_exc
             )
-            directory = save_artifact(model, tmp_path / f"model-{seed}")
+            directory = model.save(tmp_path / f"model-{seed}")
             rebuilt = load_artifact(directory).build_model()
             np.testing.assert_array_equal(rebuilt.input_weights,
                                           model.input_weights)

@@ -11,6 +11,7 @@ from repro.learning.asp import ASPLearningRule
 from repro.learning.stdp import PairwiseSTDP
 from repro.snn.events import (
     EventStream,
+    _geometric_drive,
     advance_analytic,
     as_event_stream,
     silence_is_provable,
@@ -100,6 +101,16 @@ class TestEventStream:
             EventStream(times=[0], channels=[2], n_steps=10, n_channels=2)
         with pytest.raises(ValueError, match="equal length"):
             EventStream(times=[0, 1], channels=[0], n_steps=10, n_channels=2)
+
+    @pytest.mark.parametrize("n_steps,n_channels", [(0, 4), (10, 0), (-1, 2)])
+    def test_grid_must_be_non_empty(self, n_steps, n_channels):
+        with pytest.raises(ValueError):
+            EventStream(times=[], channels=[], n_steps=n_steps, n_channels=n_channels)
+
+    @pytest.mark.parametrize("shape", [(10,), (2, 10, 3)])
+    def test_from_dense_needs_a_two_dimensional_train(self, shape):
+        with pytest.raises(ValueError, match="timesteps, n"):
+            EventStream.from_dense(np.zeros(shape, dtype=bool))
 
     def test_empty_stream(self):
         stream = EventStream.empty(50, 4)
@@ -264,3 +275,15 @@ class TestZeroSpikeInputs:
         result = events.run_events(EventStream.empty(200, N_INPUT))
         np.testing.assert_array_equal(result.counts("excitatory"),
                                       reference.counts("excitatory"))
+
+
+class TestGeometricDrive:
+    """The closed-form drive of a silent gap equals the sum it replaces,
+    including where the two decays coincide and the quotient degenerates."""
+
+    @pytest.mark.parametrize("mu,lam", [(0.9, 0.8), (0.5, 0.95), (0.8, 0.8),
+                                        (0.7, 0.7 + 1e-13)])
+    @pytest.mark.parametrize("delta", [1, 17])
+    def test_matches_the_explicit_sum(self, mu, lam, delta):
+        explicit = sum(lam ** (delta - m) * mu ** m for m in range(1, delta + 1))
+        assert _geometric_drive(mu, lam, delta) == pytest.approx(explicit, rel=1e-9)

@@ -10,7 +10,6 @@ from repro.snn.network import Network, SampleResult
 from repro.snn.neurons import AdaptiveLIFGroup, InputGroup, LIFGroup
 from repro.snn.simulation import SimulationParameters
 from repro.snn.synapses import Connection, UniformLateralInhibition
-from repro.snn.topology import dense_random_weights
 
 
 def build_feedforward_network(n_input=6, n_exc=4, *, learning_rule=None,

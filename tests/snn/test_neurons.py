@@ -195,10 +195,6 @@ class TestAdaptiveLIFGroup:
         step(group, np.full(3, 100.0))
         np.testing.assert_allclose(group.theta, 0.0)
 
-    def test_theta_decay_rate_property(self):
-        group = self.make_group(tau_theta=200.0)
-        assert group.theta_decay_rate == pytest.approx(1.0 / 200.0)
-
     def test_partial_reset_keeps_theta(self):
         group = self.make_group()
         step(group, np.full(3, 100.0))

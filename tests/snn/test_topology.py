@@ -8,7 +8,6 @@ import pytest
 from repro.snn.topology import (
     all_to_all_except_self_weights,
     dense_random_weights,
-    lateral_inhibition_weights,
     one_to_one_weights,
 )
 
@@ -69,9 +68,3 @@ class TestAllToAllExceptSelf:
     def test_nonzero_count(self):
         weights = all_to_all_except_self_weights(6, 1.0)
         assert np.count_nonzero(weights) == 6 * 5
-
-    def test_lateral_inhibition_alias(self):
-        np.testing.assert_array_equal(
-            lateral_inhibition_weights(4, 2.0),
-            all_to_all_except_self_weights(4, 2.0),
-        )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 
 
 class TestEnsureRng:
@@ -35,29 +35,3 @@ class TestEnsureRng:
     def test_rejects_other_types(self, bad):
         with pytest.raises(TypeError):
             ensure_rng(bad)
-
-
-class TestSpawnRngs:
-    def test_returns_requested_count(self):
-        children = spawn_rngs(0, 4)
-        assert len(children) == 4
-        assert all(isinstance(child, np.random.Generator) for child in children)
-
-    def test_children_are_deterministic_in_seed(self):
-        first = [g.random(3) for g in spawn_rngs(0, 3)]
-        second = [g.random(3) for g in spawn_rngs(0, 3)]
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a, b)
-
-    def test_children_are_mutually_independent(self):
-        children = spawn_rngs(0, 2)
-        a = children[0].random(10)
-        b = children[1].random(10)
-        assert not np.array_equal(a, b)
-
-    def test_zero_children(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)

@@ -7,7 +7,28 @@ import json
 import numpy as np
 import pytest
 
-from repro.utils.serialization import load_arrays, load_json, save_arrays, save_json
+from repro.utils.serialization import (
+    atomic_write_json,
+    load_arrays,
+    load_json,
+    save_arrays,
+    save_json,
+)
+
+
+class TestAtomicWriteJson:
+    def test_writes_complete_json_with_numpy_values(self, tmp_path):
+        path = atomic_write_json({"n": np.int64(3), "w": np.arange(2.0)},
+                                 tmp_path / "deep" / "record.json")
+        assert load_json(path) == {"n": 3, "w": [0.0, 1.0]}
+        assert path.read_text().endswith("\n")
+
+    def test_a_failed_write_leaves_the_old_file_and_no_temp_file(self, tmp_path):
+        path = atomic_write_json({"v": 1}, tmp_path / "record.json")
+        with pytest.raises(TypeError):
+            atomic_write_json({"v": object()}, path)
+        assert load_json(path) == {"v": 1}
+        assert [entry.name for entry in tmp_path.iterdir()] == ["record.json"]
 
 
 class TestJsonRoundTrip:

@@ -7,12 +7,9 @@ import pytest
 
 from repro.utils.validation import (
     check_choice,
-    check_fraction,
     check_non_negative,
     check_positive,
     check_positive_int,
-    check_probability,
-    check_shape,
 )
 
 
@@ -81,36 +78,6 @@ class TestCheckPositiveInt:
     def test_rejects_bool(self):
         with pytest.raises(ValueError):
             check_positive_int(True, "n")
-
-
-class TestCheckProbability:
-    @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
-    def test_accepts_unit_interval(self, value):
-        assert check_probability(value, "p") == value
-
-    @pytest.mark.parametrize("value", [-0.1, 1.1, float("nan")])
-    def test_rejects_out_of_range(self, value):
-        with pytest.raises(ValueError):
-            check_probability(value, "p")
-
-    def test_fraction_alias(self):
-        assert check_fraction(0.25, "f") == 0.25
-        with pytest.raises(ValueError):
-            check_fraction(2.0, "f")
-
-
-class TestCheckShape:
-    def test_accepts_matching_shape(self):
-        array = np.zeros((2, 3))
-        assert check_shape(array, (2, 3), "a") is not None
-
-    def test_converts_lists(self):
-        result = check_shape([[1, 2], [3, 4]], (2, 2), "a")
-        assert isinstance(result, np.ndarray)
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="a must have shape"):
-            check_shape(np.zeros((2, 2)), (2, 3), "a")
 
 
 class TestCheckChoice:
