@@ -215,38 +215,6 @@ class TestRegistryLRU:
         with pytest.raises(ValueError):
             ModelRouter(registry=FakeRegistry({}))
 
-
-class TestLimitsCheckedAtConstruction:
-    """A bad limit is the server's misconfiguration: it fails when the
-    router is built, not as a client error on the first request."""
-
-    @pytest.mark.parametrize("rate", [0.0, -5.0, float("nan"), float("inf")])
-    def test_bad_rate_rejected(self, pools, rate):
-        with pytest.raises(ValueError, match="rate_rps"):
-            make_router(pools, rate_rps=rate)
-
-    @pytest.mark.parametrize("burst", [0.0, 0.5, float("nan"), float("inf")])
-    def test_bad_burst_rejected(self, pools, burst):
-        with pytest.raises(ValueError, match="rate_burst"):
-            make_router(pools, rate_rps=10.0, rate_burst=burst)
-
-    @pytest.mark.parametrize("name", ["breaker_window_s", "breaker_reset_s"])
-    @pytest.mark.parametrize("value", [0.0, float("nan")])
-    def test_bad_breaker_durations_rejected(self, pools, name, value):
-        with pytest.raises(ValueError, match=name):
-            make_router(pools, **{name: value})
-
-    def test_bad_breaker_threshold_rejected(self, pools):
-        with pytest.raises(ValueError, match="breaker_failures"):
-            make_router(pools, breaker_failures=0)
-
-    def test_valid_limits_are_kept(self, pools):
-        router = make_router(pools, rate_rps=2, rate_burst=3, breaker_window_s=1)
-        assert (router.rate_rps, router.rate_burst) == (2.0, 3.0)
-        assert router.breaker_window_s == 1.0
-        unlimited = make_router(pools, breaker_failures=None)
-        assert unlimited.rate_rps is None and unlimited.rate_burst is None
-
     def test_slow_load_does_not_block_other_models(self, pools):
         # Pool build/start runs outside the router lock: a cold registry
         # load of one model must not stall requests to resident models.
@@ -338,6 +306,38 @@ class TestLimitsCheckedAtConstruction:
         assert catalogue["pinned"]["pinned"] is True
         assert catalogue["m"]["registry_versions"] == [1, 2]
         assert catalogue["m"]["loaded_versions"] == [2]
+
+
+class TestLimitsCheckedAtConstruction:
+    """A bad limit is the server's misconfiguration: it fails when the
+    router is built, not as a client error on the first request."""
+
+    @pytest.mark.parametrize("rate", [0.0, -5.0, float("nan"), float("inf")])
+    def test_bad_rate_rejected(self, pools, rate):
+        with pytest.raises(ValueError, match="rate_rps"):
+            make_router(pools, rate_rps=rate)
+
+    @pytest.mark.parametrize("burst", [0.0, 0.5, float("nan"), float("inf")])
+    def test_bad_burst_rejected(self, pools, burst):
+        with pytest.raises(ValueError, match="rate_burst"):
+            make_router(pools, rate_rps=10.0, rate_burst=burst)
+
+    @pytest.mark.parametrize("name", ["breaker_window_s", "breaker_reset_s"])
+    @pytest.mark.parametrize("value", [0.0, float("nan")])
+    def test_bad_breaker_durations_rejected(self, pools, name, value):
+        with pytest.raises(ValueError, match=name):
+            make_router(pools, **{name: value})
+
+    def test_bad_breaker_threshold_rejected(self, pools):
+        with pytest.raises(ValueError, match="breaker_failures"):
+            make_router(pools, breaker_failures=0)
+
+    def test_valid_limits_are_kept(self, pools):
+        router = make_router(pools, rate_rps=2, rate_burst=3, breaker_window_s=1)
+        assert (router.rate_rps, router.rate_burst) == (2.0, 3.0)
+        assert router.breaker_window_s == 1.0
+        unlimited = make_router(pools, breaker_failures=None)
+        assert unlimited.rate_rps is None and unlimited.rate_burst is None
 
 
 class TestRateLimiting:
