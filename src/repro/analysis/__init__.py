@@ -1,6 +1,6 @@
-"""Analysis utilities on top of trained models and search results.
+"""Analysis utilities on top of trained models.
 
-The paper's figures are built from these kinds of post-processing, all
+The paper's figures are built from three kinds of post-processing, all
 provided here so downstream users can inspect their own runs:
 
 * :mod:`repro.analysis.receptive_fields` — the learned input→excitatory
