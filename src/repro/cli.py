@@ -971,8 +971,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-tenant token-bucket rate limit in "
                             "requests/s (default: unlimited)")
     serve.add_argument("--rate-burst", type=float, default=None,
-                       help="token-bucket burst capacity (default: "
-                            "max(1, rate))")
+                       help="token-bucket burst capacity; needs "
+                            "--rate-rps (default: max(1, rate))")
     serve.add_argument("--breaker-failures", type=_nonnegative_int, default=5,
                        help="failures within --breaker-window-s that open "
                             "a model's circuit breaker; 0 disables it")

@@ -148,7 +148,8 @@ class ModelRouter:
         don't count); the least-recently-used entry is evicted past it.
     rate_rps, rate_burst:
         Per-``(model, tenant)`` token-bucket parameters;
-        ``rate_rps=None`` disables rate limiting.
+        ``rate_rps=None`` disables rate limiting, and then ``rate_burst``
+        must be ``None`` too.
     breaker_failures, breaker_window_s, breaker_reset_s:
         Per-model circuit breaker; ``breaker_failures=None`` disables it.
     retries, retry_backoff_s:
@@ -187,6 +188,9 @@ class ModelRouter:
         # limit is the server's misconfiguration, not the client's.
         self.rate_rps = None if rate_rps is None else check_positive(rate_rps, "rate_rps")
         self.rate_burst = None if rate_burst is None else check_burst(rate_burst, "rate_burst")
+        if self.rate_burst is not None and self.rate_rps is None:
+            raise ValueError("rate_burst needs rate_rps: a burst without a rate "
+                             "limits nothing")
         self.breaker_failures = (None if breaker_failures is None else
                                  check_positive_int(breaker_failures, "breaker_failures"))
         self.breaker_window_s = check_positive(breaker_window_s, "breaker_window_s")

@@ -77,6 +77,7 @@ class TestServeParser:
         (["--rate-rps", "0"], "rate_rps"),
         (["--rate-rps", "nan"], "rate_rps"),
         (["--rate-rps", "10", "--rate-burst", "0.5"], "rate_burst"),
+        (["--rate-burst", "3"], "rate_rps"),
         (["--breaker-window-s", "nan"], "breaker_window_s"),
     ])
     def test_bad_limits_fail_at_startup(self, capsys, tmp_path, flags, name):

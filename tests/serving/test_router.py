@@ -322,6 +322,12 @@ class TestLimitsCheckedAtConstruction:
         with pytest.raises(ValueError, match="rate_burst"):
             make_router(pools, rate_rps=10.0, rate_burst=burst)
 
+    def test_burst_without_rate_rejected(self, pools):
+        """A burst with no rate builds no bucket: it would be accepted and
+        limit nothing."""
+        with pytest.raises(ValueError, match="rate_burst.*rate_rps"):
+            make_router(pools, rate_burst=3)
+
     @pytest.mark.parametrize("name", ["breaker_window_s", "breaker_reset_s"])
     @pytest.mark.parametrize("value", [0.0, float("nan")])
     def test_bad_breaker_durations_rejected(self, pools, name, value):
