@@ -898,9 +898,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_all.add_argument("--seed", type=int, default=0,
                          help="base seed of every stochastic component")
     run_all.add_argument("--workers", type=_nonnegative_int, default=1,
-                         help="number of concurrent worker processes; 0 runs "
-                              "every job in-process (no crash isolation or "
-                              "timeouts, but also no process overhead)")
+                         help="number of concurrent worker processes, each "
+                              "forked from one preloaded server; 0 runs every "
+                              "job in-process, one at a time, without crash "
+                              "isolation or timeouts")
     run_all.add_argument("--out", default="results",
                          help="output directory for reports and the manifest")
     run_all.add_argument("--drivers", nargs="+", default=None,

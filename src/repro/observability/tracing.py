@@ -21,7 +21,7 @@ Propagation is explicit at every boundary the stack crosses:
 * HTTP: :data:`TRACE_HEADER` carries the trace id in and back out;
 * shard Pipe RPC: :meth:`TraceContext.to_dict` rides in the envelope;
 * runner workers: the scheduler passes the job span's context (and the
-  ledger root) as extra ``spawn`` arguments.
+  ledger root) as extra worker arguments.
 
 Because every span lands in the ledger, the ledger *is* the trace store:
 ``repro trace show <trace_id>`` rebuilds the cross-process span tree (see

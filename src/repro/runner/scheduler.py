@@ -1,9 +1,15 @@
 """Process-pool scheduler with crash isolation and per-job timeouts.
 
-The scheduler runs one OS process per job (``spawn`` start method, so workers
-inherit no parent state and results are independent of fork timing), keeping
-at most ``workers`` alive at a time.  Per-process execution gives the two
-properties a long reproduction run needs:
+The scheduler runs one OS process per job, keeping at most ``workers``
+alive at a time.  Workers fork from
+:data:`~repro.utils.processes.WORKER_CONTEXT`, the forkserver the serving
+shards start from too: it has imported the worker module and the experiment
+registry once, so a job starts with a fork instead of a fresh interpreter,
+and it inherits none of the scheduler's state.  Each worker gets the
+scheduler's environment as it stands when the job starts (see
+:mod:`repro.utils.processes` for that rule and its BLAS caveat).
+Per-process execution gives the two properties a long reproduction run
+needs:
 
 * **crash isolation** — a segfaulting or raising job is recorded as
   ``failed`` in the manifest and the remaining jobs keep running;
@@ -24,6 +30,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue as queue_module
 import time
 import warnings
@@ -52,6 +59,7 @@ from repro.runner.manifest import (
     RunManifest,
 )
 from repro.runner.worker import execute_payload, worker_main
+from repro.utils.processes import WORKER_CONTEXT
 
 _log = get_struct_logger("runner.scheduler")
 
@@ -141,7 +149,7 @@ class ParallelRunner:
         self.ledger = ledger
         self.on_event = on_event
         self.metrics = metrics
-        self._context = multiprocessing.get_context("spawn")
+        self._context = WORKER_CONTEXT
         self._jobs_by_key: Dict[str, JobSpec] = {}
         self._trace_by_key: Dict[str, TraceContext] = {}
 
@@ -309,12 +317,11 @@ class ParallelRunner:
                       queued_at: Optional[float] = None) -> _Running:
         channel = self._context.Queue()
         context = self._job_trace(job.key())
-        args = (job.to_dict(), channel)
+        args = (job.to_dict(), channel, dict(os.environ))
         if context is not None:
             # Outside the payload: the payload is hashed into the content
-            # key, so the trace must ride as separate spawn arguments.
-            args = (job.to_dict(), channel, context.to_dict(),
-                    str(self.ledger.root))
+            # key, so the trace must ride as separate worker arguments.
+            args += (context.to_dict(), str(self.ledger.root))
         process = self._context.Process(
             target=worker_main, args=args, daemon=True
         )

@@ -1,8 +1,8 @@
 """Deterministic worker fixtures for scheduler tests.
 
 These module-level callables are addressed from job specs as
-``"repro.runner.testing:<name>"`` references, so spawned worker processes can
-import them without any registry mutation in the parent.  They exist to
+``"repro.runner.testing:<name>"`` references, so worker processes can import
+them without any registry mutation in the parent.  They exist to
 exercise the scheduler's failure paths (crash isolation, timeouts) and its
 determinism guarantees without paying for a real experiment driver.
 """
@@ -38,3 +38,10 @@ def hanging_driver(scale: ExperimentScale, seconds: float = 3600.0) -> str:
     """Hang far beyond any sane timeout — exercises the timeout path."""
     time.sleep(seconds)
     return f"hung for {seconds} (seed={scale.seed})"
+
+
+def environment_driver(scale: ExperimentScale, name: str = "REPRO_PROBE") -> str:
+    """Report one environment variable as the worker sees it — the probe of
+    the environment a worker inherits from the scheduler."""
+    del scale
+    return f"{name}={os.environ.get(name)}"

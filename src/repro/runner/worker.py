@@ -1,8 +1,10 @@
 """Worker-side job execution.
 
 Everything in this module runs inside the worker *process* (or in-process
-when the scheduler runs with ``workers=0``).  The entry point is module-level
-so the ``spawn`` start method can import it by reference; the payload handed
+when the scheduler runs with ``workers=0``).  The forkserver of
+:data:`~repro.utils.processes.WORKER_CONTEXT` imports this module, and with
+it the experiment registry, before it forks any worker; the entry point is
+module-level so the worker can resolve it by reference.  The payload handed
 over is the plain-JSON :meth:`~repro.runner.jobs.JobSpec.to_dict` form, so no
 library object has to be picklable.
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 import importlib
 import time
 import traceback
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.experiments.common import ExperimentScale
 from repro.experiments.registry import EXPERIMENTS, render_report
@@ -27,6 +29,7 @@ from repro.observability.structlog import configure_from_env, get_struct_logger
 from repro.observability.tracing import TraceContext, span, trace_scope
 from repro.runner.jobs import JobSpec
 from repro.runner.manifest import STATUS_COMPLETED, STATUS_FAILED
+from repro.utils.processes import adopt_environment
 
 _log = get_struct_logger("runner.worker")
 
@@ -86,9 +89,13 @@ def execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     return record
 
 
-def worker_main(payload: Dict[str, Any], queue: Any,
-                trace: Optional[Dict[str, Any]] = None,
-                ledger_root: Optional[str] = None) -> None:
+def worker_main(
+    payload: Dict[str, Any],
+    queue: Any,
+    environment: Mapping[str, str],
+    trace: Optional[Dict[str, Any]] = None,
+    ledger_root: Optional[str] = None,
+) -> None:
     """Subprocess entry: execute ``payload`` and put the record on ``queue``.
 
     Must never raise: a worker that dies without enqueueing anything is
@@ -101,9 +108,11 @@ def worker_main(payload: Dict[str, Any], queue: Any,
     under a ``job_execute`` span written to the parent's ledger, and every
     worker-side log event carries the trace id.
     """
-    # ``spawn`` workers inherit no logging configuration from the parent;
-    # re-apply the environment's structured-logging request so a run under
-    # ``REPRO_LOG_JSON=1`` streams worker-side events too.
+    # A worker forks from the forkserver, not from the scheduler: it has the
+    # server's environment and no logging configuration.  Take the
+    # scheduler's environment first, then re-apply its structured-logging
+    # request so a run under ``REPRO_LOG_JSON=1`` streams worker-side events.
+    adopt_environment(environment)
     configure_from_env()
     context: Optional[TraceContext] = None
     sink: Optional[RunLedger] = None

@@ -4,12 +4,18 @@
 :class:`~repro.serving.pool.ServingPool`: the same front half — one
 :class:`~repro.serving.batcher.MicroBatcher` fed by ``submit``, one worker
 loop per slot, futures resolved per request, one ``serving_batch`` ledger
-entry per batch — but each slot is an OS **process** (``spawn`` start
-method, the same crash-isolation machinery as :mod:`repro.runner.scheduler`)
-owning an independent model replica rebuilt from the artifact directory.
+entry per batch — but each slot is an OS **process** owning an independent
+model replica rebuilt from the artifact directory.
 The pure-Python simulation engine holds the GIL between numpy calls, which
 caps the thread executor at roughly one core; process shards sidestep the
 GIL entirely, so throughput scales with cores.
+
+Shards start from :data:`~repro.utils.processes.WORKER_CONTEXT`, the
+forkserver the runner's job workers fork from too: the server has imported
+this module once, so a shard start (and a respawn) costs a fork plus the
+artifact load, not a fresh interpreter.  Each shard gets the parent's
+environment as it stands at the start (see :mod:`repro.utils.processes`
+for that rule and its BLAS caveat).
 
 A slot's worker loop round-trips each micro-batch over a duplex pipe to its
 shard, and is also the shard's supervisor: a shard that dies mid-batch
@@ -18,7 +24,7 @@ spot, **respawned without dropping the listener**, and the interrupted
 batch is retried once on the fresh process before any caller sees a
 :class:`~repro.serving.errors.ShardCrashedError` — which the router treats
 as transient and retries with backoff anyway.  A shard that cannot even be
-spawned fails the same typed way.
+started fails the same typed way.
 
 Every executed batch is appended to the ledger with its shard index, and
 spawn/crash/respawn transitions are recorded as ``serving_shard`` entries,
@@ -29,8 +35,9 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
+import os
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -47,11 +54,12 @@ from repro.serving.batcher import PendingRequest
 from repro.serving.errors import ShardCrashedError
 from repro.serving.inference import PredictionService, PredictRequest, PredictResult
 from repro.serving.pool import ServingPool
+from repro.utils.processes import WORKER_CONTEXT, adopt_environment
 from repro.utils.validation import check_positive_int
 
 _log = get_struct_logger("serving.shards")
 
-#: Seconds a freshly spawned shard gets to load its artifact and report ready.
+#: Seconds a freshly started shard gets to load its artifact and report ready.
 SPAWN_TIMEOUT_S = 120.0
 
 #: Wall-clock budget of one micro-batch round-trip before the shard is
@@ -63,7 +71,8 @@ _POLL_S = 0.1
 
 
 def _shard_main(artifact_dir: str, conn: "multiprocessing.connection.Connection",
-                shard_index: int, ledger_root: Optional[str] = None) -> None:
+                shard_index: int, environment: Mapping[str, str],
+                ledger_root: Optional[str] = None) -> None:
     """Worker-process entry point: load the artifact, answer predict RPCs.
 
     Protocol (parent -> child / child -> parent), one message per batch:
@@ -81,7 +90,10 @@ def _shard_main(artifact_dir: str, conn: "multiprocessing.connection.Connection"
     worker-side spans (``shard_batch``, ``encode``, ``kernel``) land in the
     same trace store as the parent's: one append per batch, flushed before
     the reply so a caller holding the answer can already read its trace.
+    ``environment`` is the parent's environment at the start, applied before
+    any setting is read.
     """
+    adopt_environment(environment)
     configure_from_env()
     log = get_struct_logger("serving.shard").bind(shard=shard_index)
     try:
@@ -194,7 +206,7 @@ class ShardProcessPool(ServingPool):
         and ``ledger``, as on :class:`~repro.serving.pool.ServingPool`;
         ledger entries additionally carry the shard index, and shard
         lifecycle transitions are recorded as ``serving_shard`` entries.
-        Spawns get :data:`SPAWN_TIMEOUT_S` to report ready and each batch
+        Starts get :data:`SPAWN_TIMEOUT_S` to report ready and each batch
         round-trip :data:`BATCH_TIMEOUT_S` (a shard past it is killed and
         respawned).
     """
@@ -203,11 +215,11 @@ class ShardProcessPool(ServingPool):
         self.artifact_dir = str(artifact_dir)
         self.shards = check_positive_int(shards, "shards")
         # Validates the artifact in the parent at construction time, so a
-        # broken path fails fast instead of inside the first spawn.
+        # broken path fails fast instead of inside the first shard.
         self.artifact: ModelArtifact = load_artifact(self.artifact_dir)
         super().__init__(self.shards, **options)
         self.lineage = artifact_lineage(self.artifact)
-        self._context = multiprocessing.get_context("spawn")
+        self._context = WORKER_CONTEXT
         self._handles: List[Optional[_ShardHandle]] = [None] * self.shards
         self.metrics.gauge("shards", "Configured worker-process shards.",
                            key="shards.count", value=self.shards)
@@ -255,9 +267,9 @@ class ShardProcessPool(ServingPool):
     # -- the executor seam ---------------------------------------------------
 
     def _launch(self) -> None:
-        """Spawn every shard, then wait until all report ready."""
-        # Spawn all shards first, then wait for readiness — the expensive
-        # interpreter start-ups overlap instead of serializing.
+        """Start every shard, then wait until all report ready."""
+        # Start all shards first, then wait for readiness — the artifact
+        # loads overlap instead of serializing.
         spawned: List[_ShardHandle] = []
         try:
             for index in range(self.shards):
@@ -368,7 +380,8 @@ class ShardProcessPool(ServingPool):
         ledger_root = str(self.ledger.root) if self.ledger is not None else None
         process = self._context.Process(
             target=_shard_main,
-            args=(self.artifact_dir, child_conn, index, ledger_root),
+            args=(self.artifact_dir, child_conn, index, dict(os.environ),
+                  ledger_root),
             name=f"repro-shard-{index}", daemon=True,
         )
         process.start()

@@ -3,6 +3,8 @@ resume, and the parallel == sequential determinism guarantee."""
 
 from __future__ import annotations
 
+from multiprocessing import forkserver
+
 import pytest
 
 from repro.runner import (
@@ -21,6 +23,7 @@ ECHO = "repro.runner.testing:echo_driver"
 CRASH = "repro.runner.testing:crashing_driver"
 DIE = "repro.runner.testing:dying_driver"
 HANG = "repro.runner.testing:hanging_driver"
+ENVIRONMENT = "repro.runner.testing:environment_driver"
 
 
 def echo_jobs(scale, count: int) -> list:
@@ -98,6 +101,18 @@ class TestParallelExecution:
         assert completed.status == STATUS_COMPLETED
         reloaded = RunManifest.load(manifest.path)
         assert reloaded.counts() == {STATUS_TIMEOUT: 1, STATUS_COMPLETED: 1}
+
+    def test_worker_sees_a_variable_set_after_the_forkserver_started(
+        self, micro_scale, monkeypatch
+    ):
+        """Workers fork from a server started earlier, with the environment
+        of that moment; each start must hand over the scheduler's current one."""
+        forkserver.ensure_running()
+        monkeypatch.setenv("REPRO_PROBE", "set-after-the-server")
+        job = JobSpec(experiment=ENVIRONMENT, scale=micro_scale)
+        (record,) = ParallelRunner(1).run([job])
+        assert record.status == STATUS_COMPLETED
+        assert record.report == "REPRO_PROBE=set-after-the-server"
 
 
 @pytest.mark.integration

@@ -12,11 +12,17 @@ import multiprocessing
 import os
 import signal
 import time
+from multiprocessing import forkserver
 
 import numpy as np
 import pytest
 
-from repro.observability.ledger import KIND_SERVING_SHARD, RunLedger
+from repro.observability.ledger import (
+    KIND_SERVING_SHARD,
+    LEDGER_MAX_BYTES_ENV,
+    RunLedger,
+)
+from repro.observability.tracing import TraceContext, trace_scope
 from repro.serving import shards
 from repro.serving.artifacts import ArtifactError
 from repro.serving.batcher import QueueClosedError
@@ -222,6 +228,29 @@ class TestFaultInjection:
                                         request_seeds))
         assert pool.shard_pids() == [None, None]
         assert set(multiprocessing.active_children()) <= children
+
+
+class TestWorkerEnvironment:
+    def test_shard_sees_a_variable_set_after_the_forkserver_started(
+            self, artifact_dir, request_images, tmp_path, monkeypatch):
+        """Shards fork from a server started earlier, with the environment
+        of that moment; each start must hand over the parent's current one.
+
+        The probe is a ledger size limit that only the shard reads from the
+        environment (the parent's ledger sets its own): the shard's span
+        write rotates the ledger file only if the shard saw the variable."""
+        forkserver.ensure_running()
+        monkeypatch.setenv(LEDGER_MAX_BYTES_ENV, "1")
+        ledger = RunLedger(tmp_path / "ledger", max_bytes=1 << 30)
+        pool = ShardProcessPool(artifact_dir, shards=1, max_batch=1,
+                                ledger=ledger)
+        pool.start()
+        try:
+            with trace_scope(TraceContext(trace_id="env-probe").child()):
+                pool.predict(request_images[0], seed=0, timeout=120.0)
+        finally:
+            pool.stop(cancel_pending=True)
+        assert ledger.segments()
 
 
 class TestPoolContract:
