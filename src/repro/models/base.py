@@ -460,7 +460,10 @@ class UnsupervisedDigitClassifier:
         (schema version, the kernel set a load rebuilds on, full
         configuration, model identity, and the encoder spec).
         :meth:`load_state` and :func:`repro.serving.artifacts.load_artifact`
-        restore it bit-for-bit.
+        restore it bit-for-bit.  ``state.npz`` stores its members
+        uncompressed (:func:`~repro.utils.serialization.save_arrays`), so a
+        load reads the arrays without inflating them; artifacts saved
+        compressed, as every save before that format was, load the same.
 
         Returns the directory the files were written to.
         """

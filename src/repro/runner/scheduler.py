@@ -35,6 +35,7 @@ import queue as queue_module
 import time
 import warnings
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.observability.ledger import RunLedger, job_entry
@@ -63,7 +64,8 @@ from repro.utils.processes import WORKER_CONTEXT
 
 _log = get_struct_logger("runner.scheduler")
 
-#: How often the scheduler polls running workers, in seconds.
+#: Longest the scheduler waits for a worker to exit before it polls every
+#: running worker (and its deadline) again, in seconds.
 POLL_INTERVAL = 0.05
 
 #: Grace period between SIGTERM and SIGKILL for timed-out workers.
@@ -287,7 +289,10 @@ class ParallelRunner:
                         self._record_done(record)
                 running = still_running
                 if running:
-                    time.sleep(POLL_INTERVAL)
+                    # A worker exits right after it enqueues its record, so
+                    # its sentinel marks completion; the timeout keeps
+                    # deadlines firing while every worker is still busy.
+                    wait([entry.process.sentinel for entry in running], timeout=POLL_INTERVAL)
         except BaseException:
             for entry in running:
                 self._kill(entry.process)

@@ -4,8 +4,11 @@ An *artifact* is the directory layout written by
 :meth:`~repro.models.base.UnsupervisedDigitClassifier.save` — ``state.npz``
 (learned input weights, neuron-label assignments, adaptive threshold
 ``theta``) next to ``model.json`` (schema version, full configuration, model
-identity, encoder spec).  This module completes that layout into a serving
-story:
+identity, encoder spec).  ``state.npz`` holds stored (uncompressed) members,
+so every replica start, shard respawn and registry roll-forward reads its
+arrays without inflating them; an artifact saved with compressed members,
+the format before that, loads bit-identically.  This module completes that
+layout into a serving story:
 
 * :func:`load_artifact` reads and *validates* an artifact without needing to
   know which model class or sizes produced it — the artifact is

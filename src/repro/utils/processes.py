@@ -5,9 +5,16 @@
 :data:`WORKER_CONTEXT`, a ``forkserver`` context.  The first start in a
 process launches one server interpreter that imports :data:`PRELOAD` (the
 two worker entry modules, and with them numpy, the engine, the serving stack
-and the experiment registry); every later shard, respawn, registry load and
-runner job is a ``fork`` of that server.  A worker therefore pays a fork and
-its own work, not an interpreter start-up and some 0.4 s of imports.
+and the experiment registry, plus :mod:`repro.cli`); every later shard,
+respawn, registry load and runner job is a ``fork`` of that server.  A worker
+therefore pays a fork and its own work, not an interpreter start-up and some
+0.4 s of imports.
+
+:mod:`repro.cli` is preloaded although no worker runs it: multiprocessing
+re-runs the parent's main script (as ``__mp_main__``) in every child before
+the target starts.  The ``repro`` console script runs
+``from repro.cli import main`` at top level, so without the preload every
+shard and job started from the CLI imports the CLI again (about 23 ms each).
 
 What a worker inherits:
 
@@ -41,8 +48,10 @@ import multiprocessing
 import os
 from typing import Mapping
 
-#: The worker entry modules the server imports once, before its first fork.
-PRELOAD = ("repro.serving.shards", "repro.runner.worker")
+#: The modules the server imports once, before its first fork: the worker
+#: entry modules, and the CLI that a child's re-run of the console script
+#: imports.
+PRELOAD = ("repro.serving.shards", "repro.runner.worker", "repro.cli")
 
 #: The start context of every shard and runner worker.
 WORKER_CONTEXT = multiprocessing.get_context("forkserver")

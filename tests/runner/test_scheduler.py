@@ -3,6 +3,7 @@ resume, and the parallel == sequential determinism guarantee."""
 
 from __future__ import annotations
 
+import time
 from multiprocessing import forkserver
 
 import pytest
@@ -17,6 +18,7 @@ from repro.runner import (
     JobSpec,
     ParallelRunner,
     RunManifest,
+    scheduler,
 )
 
 ECHO = "repro.runner.testing:echo_driver"
@@ -101,6 +103,17 @@ class TestParallelExecution:
         assert completed.status == STATUS_COMPLETED
         reloaded = RunManifest.load(manifest.path)
         assert reloaded.counts() == {STATUS_TIMEOUT: 1, STATUS_COMPLETED: 1}
+
+    def test_a_finished_worker_is_collected_without_waiting_out_the_poll(
+        self, micro_scale, monkeypatch
+    ):
+        """The scheduler wakes when a worker exits, so a long poll interval
+        (it bounds only how late a deadline fires) never delays a job."""
+        monkeypatch.setattr(scheduler, "POLL_INTERVAL", 20.0)
+        started = time.monotonic()
+        records = ParallelRunner(1).run(echo_jobs(micro_scale, 2))
+        assert all(record.status == STATUS_COMPLETED for record in records)
+        assert time.monotonic() - started < 10.0
 
     def test_worker_sees_a_variable_set_after_the_forkserver_started(
         self, micro_scale, monkeypatch

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -84,6 +85,58 @@ class TestRoundTrip:
                 rebuilt.network.group("excitatory").theta,
                 model.network.group("excitatory").theta,
             )
+
+    def test_compressed_state_from_before_stored_members_loads(
+            self, artifact_dir, trained_model, serving_config, tmp_path):
+        """Every artifact saved before ``state.npz`` held stored members was
+        written with ``np.savez_compressed``; both load surfaces still read
+        it, bit for bit."""
+        target = tmp_path / "compressed"
+        target.mkdir()
+        (target / "model.json").write_bytes(
+            (artifact_dir / "model.json").read_bytes()
+        )
+        with np.load(artifact_dir / "state.npz") as archive:
+            np.savez_compressed(target / "state.npz",
+                                **{key: archive[key] for key in archive.files})
+        with zipfile.ZipFile(target / "state.npz") as archive:
+            assert {info.compress_type for info in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
+        expected_theta = trained_model.network.group("excitatory").theta
+
+        rebuilt = load_artifact(target).build_model()
+        loaded = SpikeDynModel(serving_config)
+        loaded.load_state(target)
+        for model in (rebuilt, loaded):
+            np.testing.assert_array_equal(model.input_weights,
+                                          trained_model.input_weights)
+            np.testing.assert_array_equal(model.assignments,
+                                          trained_model.assignments)
+            np.testing.assert_array_equal(
+                model.network.group("excitatory").theta, expected_theta
+            )
+
+    def test_a_flipped_byte_in_a_stored_member_is_an_artifact_error(
+            self, artifact_dir, tmp_path):
+        """Stored members have no deflate stream to break, so a damaged
+        weight byte is caught by the zip CRC check alone."""
+        target = tmp_path / "flipped"
+        target.mkdir()
+        (target / "model.json").write_bytes(
+            (artifact_dir / "model.json").read_bytes()
+        )
+        data = bytearray((artifact_dir / "state.npz").read_bytes())
+        with zipfile.ZipFile(artifact_dir / "state.npz") as archive:
+            member = archive.getinfo("input_weights.npy")
+        # The member's data starts after its local header (30 bytes, the
+        # name and the extra field); flip a byte near the end of its data.
+        offset = (member.header_offset + 30 + len(member.filename.encode())
+                  + len(member.extra) + member.compress_size - 8)
+        data[offset] ^= 0xFF
+        (target / "state.npz").write_bytes(bytes(data))
+        with pytest.raises(ArtifactError, match="corrupt"):
+            load_artifact(target)
 
 
 class TestValidation:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -90,3 +91,27 @@ class TestArrayRoundTrip:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_arrays(tmp_path / "missing.npz")
+
+    def test_members_are_stored_uncompressed(self, tmp_path):
+        path = save_arrays(
+            {"weights": np.random.default_rng(0).random((8, 4)),
+             "labels": np.arange(4), "empty": np.zeros(0)},
+            tmp_path / "state.npz",
+        )
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        assert sorted(info.filename for info in members) == [
+            "empty.npy", "labels.npy", "weights.npy"
+        ]
+        assert all(info.compress_type == zipfile.ZIP_STORED for info in members)
+
+    def test_a_compressed_archive_loads_bit_identically(self, tmp_path):
+        arrays = {"weights": np.random.default_rng(1).random((6, 3)),
+                  "theta": np.linspace(0.0, 1.0, 3)}
+        np.savez_compressed(tmp_path / "old.npz", **arrays)
+        loaded = load_arrays(tmp_path / "old.npz")
+        assert set(loaded) == set(arrays)
+        for key, value in arrays.items():
+            np.testing.assert_array_equal(loaded[key], value)
+            assert loaded[key].dtype == value.dtype
+            assert loaded[key].flags.writeable
