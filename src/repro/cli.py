@@ -9,7 +9,8 @@ driven without writing Python:
     Train one of the three models on a dynamic (class-sequential) or
     non-dynamic synthetic-digit stream and optionally save it.
 ``spikedyn-repro evaluate``
-    Load a saved model and evaluate its accuracy on fresh samples.
+    Rebuild a saved model from its artifact alone (model class and
+    configuration included) and evaluate its accuracy on fresh samples.
 ``spikedyn-repro search``
     Run the Alg. 1 memory/energy-constrained model search.
 ``spikedyn-repro energy``
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -66,13 +68,9 @@ from repro.datasets.synthetic_mnist import SyntheticDigits
 from repro.estimation.energy import EnergyModel
 from repro.estimation.hardware import default_devices, get_device
 from repro.evaluation.reporting import format_table
-from repro.experiments.common import (
-    MODEL_BUILDERS,
-    MODEL_ORDER,
-    ExperimentScale,
-    build_model,
-)
+from repro.experiments.common import MODEL_ORDER, ExperimentScale, build_model
 from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.models import MODEL_CLASSES
 from repro.observability import (
     KIND_JOB,
     KIND_SERVING_BATCH,
@@ -109,13 +107,13 @@ SCALE_PRESETS = {
 }
 
 
-def _build_config(args: argparse.Namespace) -> SpikeDynConfig:
-    """Configuration shared by the train / evaluate / energy subcommands."""
+def _build_config(args: argparse.Namespace, **sizes) -> SpikeDynConfig:
+    """Configuration shared by the train / search / energy subcommands."""
     return SpikeDynConfig.scaled_down(
         n_input=args.image_size * args.image_size,
-        n_exc=args.n_exc,
         t_sim=args.t_sim,
         seed=args.seed,
+        **sizes,
     )
 
 
@@ -142,27 +140,18 @@ def _nonnegative_int(text: str) -> int:
 _nonnegative_int.__name__ = "non-negative integer"
 
 
-def _configure_model(model, args: argparse.Namespace):
-    """Apply CLI-wide model knobs (currently the evaluation batch size)."""
-    batch_size = getattr(args, "eval_batch_size", None)
-    if batch_size is not None:
-        model.eval_batch_size = int(batch_size)
-    return model
-
-
-def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", default="spikedyn", choices=sorted(MODEL_BUILDERS),
-                        help="which comparison partner to use")
-    parser.add_argument("--n-exc", type=int, default=40,
-                        help="number of excitatory neurons")
+def _add_network_arguments(parser: argparse.ArgumentParser, *,
+                           n_exc: bool = True) -> None:
+    """Size, timing and seed flags of the commands that build networks
+    (``search`` sweeps the layer size itself, so it takes no ``--n-exc``)."""
+    if n_exc:
+        parser.add_argument("--n-exc", type=int, default=40,
+                            help="number of excitatory neurons")
     parser.add_argument("--image-size", type=int, default=14,
                         help="side length of the synthetic digit images")
     parser.add_argument("--t-sim", type=float, default=60.0,
                         help="presentation window per sample in ms")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--eval-batch-size", type=_positive_int, default=32,
-                        help="samples advanced per vectorized engine step "
-                             "during evaluation (1 = sequential)")
 
 
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
@@ -192,7 +181,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
     print(f"SpikeDyn reproduction, version {repro.__version__}")
     print()
-    print("models     :", ", ".join(sorted(MODEL_BUILDERS)))
+    print("models     :", ", ".join(sorted(MODEL_CLASSES)))
     print("kernels    :", DEFAULT_BACKEND,
           f"(retired names accepted: {', '.join(BACKEND_ALIASES)})")
     print("devices    :", ", ".join(device.name for device in default_devices()))
@@ -202,8 +191,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    model = _configure_model(build_model(args.model, config), args)
+    model = build_model(args.model, _build_config(args, n_exc=args.n_exc))
     source = SyntheticDigits(image_size=args.image_size, seed=args.seed)
     classes = args.classes
 
@@ -242,16 +230,23 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    model = _configure_model(build_model(args.model, config), args)
+    from repro.serving import ArtifactError, load_artifact
+
     try:
-        model.load_state(args.model_dir)
-    except (OSError, ValueError, KeyError) as error:
+        model = load_artifact(args.model_dir).build_model()
+    except ArtifactError as error:
         print(f"error: could not load the model from {args.model_dir!r}: {error}",
               file=sys.stderr)
         return 1
+    image_size = math.isqrt(model.n_input)
+    if image_size * image_size != model.n_input:
+        print(f"error: the model in {args.model_dir!r} takes {model.n_input} "
+              "inputs, which is not a square digit image", file=sys.stderr)
+        return 1
 
-    source = SyntheticDigits(image_size=args.image_size, seed=args.seed)
+    print(f"evaluating {model.name!r} ({model.n_exc} excitatory neurons, "
+          f"{image_size}x{image_size} images)")
+    source = SyntheticDigits(image_size=image_size, seed=args.seed)
     rows = []
     total_correct, total = 0, 0
     for cls in args.classes:
@@ -268,7 +263,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+    config = _build_config(args)  # the search sweeps n_exc from --n-add
     device = get_device(args.device)
     result = search_snn_model(
         config,
@@ -297,14 +292,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+    config = _build_config(args, n_exc=args.n_exc)
     device = get_device(args.device)
     source = SyntheticDigits(image_size=args.image_size, seed=args.seed)
     images = source.generate(0, args.samples, rng=args.seed)
     energy_model = EnergyModel(device)
 
     rows = []
-    event_rows = []
     baseline_joules: Optional[float] = None
     for name in ("baseline", "asp", "spikedyn"):
         model = build_model(name, config)
@@ -321,20 +315,10 @@ def _cmd_energy(args: argparse.Namespace) -> int:
             baseline_joules = training
         rows.append([name, training / len(images), inference / len(images),
                      training / baseline_joules])
-        counter = model.counter
-        event_rows.append([
-            name, counter.events_processed, counter.steps_skipped,
-        ])
     print(f"per-sample energy on the {device.name} "
           f"(averaged over {len(images)} samples)")
     print(format_table(
         ["model", "training_J", "inference_J", "training_vs_baseline"], rows
-    ))
-    print()
-    print("event-driven execution tallies (Network.run_events; zero on "
-          "the clock-driven paths used here)")
-    print(format_table(
-        ["model", "events_processed", "steps_skipped"], event_rows
     ))
     return 0
 
@@ -823,7 +807,9 @@ def build_parser() -> argparse.ArgumentParser:
     info.set_defaults(handler=_cmd_info)
 
     train = subparsers.add_parser("train", help="train a model on synthetic digits")
-    _add_model_arguments(train)
+    train.add_argument("--model", default="spikedyn", choices=sorted(MODEL_CLASSES),
+                       help="which comparison partner to use")
+    _add_network_arguments(train)
     train.add_argument("--classes", type=int, nargs="+", default=[0, 1, 2],
                        help="digit classes to train on")
     train.add_argument("--protocol", choices=("dynamic", "nondynamic"),
@@ -836,9 +822,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory to save the trained model to")
     train.set_defaults(handler=_cmd_train)
 
-    evaluate = subparsers.add_parser("evaluate", help="evaluate a saved model")
-    _add_model_arguments(evaluate)
+    evaluate = subparsers.add_parser(
+        "evaluate", help="evaluate a saved model (its class and configuration "
+                         "come from the artifact)"
+    )
     evaluate.add_argument("model_dir", help="directory written by 'train --save'")
+    evaluate.add_argument("--seed", type=int, default=0,
+                          help="seed of the evaluation digits")
     evaluate.add_argument("--classes", type=int, nargs="+", default=[0, 1, 2],
                           help="digit classes to evaluate on")
     evaluate.add_argument("--eval-per-class", type=int, default=4,
@@ -847,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     search = subparsers.add_parser("search",
                                    help="run the Alg. 1 constrained model search")
-    _add_model_arguments(search)
+    _add_network_arguments(search, n_exc=False)
     search.add_argument("--memory-kb", type=float, default=256.0,
                         help="memory budget in kilobytes")
     search.add_argument("--train-energy-j", type=float, default=None,
@@ -866,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     energy = subparsers.add_parser("energy",
                                    help="per-sample energy of the three models")
-    _add_model_arguments(energy)
+    _add_network_arguments(energy)
     energy.add_argument("--device", default="GTX 1080 Ti",
                         help="target device profile")
     energy.add_argument("--samples", type=int, default=2,
@@ -939,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument("--seed", type=int, default=0,
                            help="base seed of every stochastic component")
     scenarios.add_argument("--models", nargs="+", default=None,
-                           choices=sorted(MODEL_BUILDERS), metavar="MODEL",
+                           choices=sorted(MODEL_CLASSES), metavar="MODEL",
                            help="comparison partners to run (default: all)")
     scenarios.set_defaults(handler=_cmd_scenarios)
 

@@ -26,12 +26,11 @@ Determinism: all sample draws derive from the ``rng`` handed to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.evaluation.protocols import (N_CLASSES, _apply_eval_batch_size,
-                                        draw_evaluation_sets)
+from repro.evaluation.protocols import N_CLASSES, draw_evaluation_sets
 from repro.scenarios.spec import Phase, ScenarioSpec
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_positive_int
@@ -175,7 +174,6 @@ def run_scenario_protocol(
     spec: ScenarioSpec,
     *,
     eval_samples_per_class: int = 5,
-    eval_batch_size: Optional[int] = None,
     rng: SeedLike = None,
 ) -> ContinualResult:
     """Train ``model`` on a scenario phase by phase and fill the matrix.
@@ -190,14 +188,10 @@ def run_scenario_protocol(
         The scenario to run (schedule plus transform chain).
     eval_samples_per_class:
         Samples per class in both the assignment set and the evaluation set.
-    eval_batch_size:
-        When given, installs this evaluation batch size on the model (the
-        batched inference path); the setting persists after the run.
     rng:
         Seed or generator; fixes the stream and every evaluation draw.
     """
     check_positive_int(eval_samples_per_class, "eval_samples_per_class")
-    _apply_eval_batch_size(model, eval_batch_size)
     generator = ensure_rng(rng)
 
     phases = spec.phases()

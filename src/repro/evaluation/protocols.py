@@ -13,7 +13,8 @@ sample-count checkpoints (Fig. 9 c).
 
 Both protocols run every assignment and evaluation pass through the model's
 batched inference path (:meth:`~repro.models.base.UnsupervisedDigitClassifier.
-respond_batch`), which advances ``eval_batch_size`` samples per vectorized
+respond_batch`), which advances
+:data:`~repro.models.base.DEFAULT_EVAL_BATCH_SIZE` samples per vectorized
 engine step; training stays sequential so the learned weight trajectory is
 unchanged.
 """
@@ -134,16 +135,6 @@ def _assign_from_sets(model, assignment: Dict[int, np.ndarray],
     model.assign_labels(images, labels)
 
 
-def _apply_eval_batch_size(model, eval_batch_size) -> None:
-    """Install the evaluation batch size on ``model`` (if given).
-
-    The setting persists on the model after the protocol returns.
-    """
-    if eval_batch_size is None:
-        return
-    model.eval_batch_size = check_positive_int(eval_batch_size, "eval_batch_size")
-
-
 def _accuracy_on_class(model, evaluation: Dict[int, np.ndarray], cls: int) -> float:
     """Accuracy of ``model`` on the evaluation images of one class."""
     images = list(evaluation[cls])
@@ -158,7 +149,6 @@ def run_dynamic_protocol(
     class_sequence: Optional[Sequence[int]] = None,
     samples_per_task: int = 10,
     eval_samples_per_class: int = 5,
-    eval_batch_size: Optional[int] = None,
     rng: SeedLike = None,
 ) -> DynamicProtocolResult:
     """Train and evaluate ``model`` in a dynamic environment.
@@ -175,16 +165,11 @@ def run_dynamic_protocol(
         Training samples presented for each task.
     eval_samples_per_class:
         Samples per class in both the assignment set and the evaluation set.
-    eval_batch_size:
-        When given, installs this evaluation batch size (samples per
-        vectorized inference step) on the model; the setting persists after
-        the protocol returns.
     rng:
         Seed or generator controlling sample draws.
     """
     check_positive_int(samples_per_task, "samples_per_task")
     check_positive_int(eval_samples_per_class, "eval_samples_per_class")
-    _apply_eval_batch_size(model, eval_batch_size)
     generator = ensure_rng(rng)
     sequence = [int(c) for c in (class_sequence if class_sequence is not None
                                  else source.classes)]
@@ -231,7 +216,6 @@ def run_nondynamic_protocol(
     checkpoints: Sequence[int] = (20, 50, 100),
     classes: Optional[Sequence[int]] = None,
     eval_samples_per_class: int = 5,
-    eval_batch_size: Optional[int] = None,
     rng: SeedLike = None,
 ) -> NonDynamicProtocolResult:
     """Train and evaluate ``model`` in a non-dynamic environment.
@@ -248,14 +232,9 @@ def run_nondynamic_protocol(
         Classes included in the stream and the evaluation (defaults to all).
     eval_samples_per_class:
         Samples per class in the assignment and evaluation sets.
-    eval_batch_size:
-        When given, installs this evaluation batch size (samples per
-        vectorized inference step) on the model; the setting persists after
-        the protocol returns.
     rng:
         Seed or generator controlling sample draws.
     """
-    _apply_eval_batch_size(model, eval_batch_size)
     checkpoints = [int(c) for c in checkpoints]
     if not checkpoints:
         raise ValueError("checkpoints must not be empty")

@@ -21,26 +21,17 @@ samples per task, presentation window, ...) and ships three presets:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import SpikeDynConfig
 from repro.datasets.synthetic_mnist import SyntheticDigits
-from repro.models.asp_model import ASPModel
+from repro.models import MODEL_CLASSES as MODEL_BUILDERS
 from repro.models.base import UnsupervisedDigitClassifier
-from repro.models.diehl_cook import DiehlCookModel
-from repro.models.spikedyn_model import SpikeDynModel
 from repro.snn.simulation import OperationCounter
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_positive_int
-
-#: The three comparison partners of the paper, in the order they are plotted.
-MODEL_BUILDERS: Dict[str, Callable[..., UnsupervisedDigitClassifier]] = {
-    "baseline": DiehlCookModel,
-    "asp": ASPModel,
-    "spikedyn": SpikeDynModel,
-}
 
 #: Canonical plotting/reporting order of the comparison partners.
 MODEL_ORDER: Tuple[str, ...] = ("baseline", "asp", "spikedyn")
@@ -76,9 +67,6 @@ class ExperimentScale:
         (``E = E1 * N``) and the Table II processing-time model.
     seed:
         Base seed for every stochastic component.
-    eval_batch_size:
-        Samples advanced per vectorized engine step during protocol
-        evaluation (1 = sequential per-sample inference).
     """
 
     image_size: int = 14
@@ -92,7 +80,6 @@ class ExperimentScale:
     n_training_samples: int = 60_000
     n_inference_samples: int = 10_000
     seed: int = 0
-    eval_batch_size: int = 32
 
     def __post_init__(self) -> None:
         check_positive_int(self.image_size, "image_size")
@@ -104,7 +91,6 @@ class ExperimentScale:
             raise ValueError("class_sequence must not be empty")
         check_positive_int(self.samples_per_task, "samples_per_task")
         check_positive_int(self.eval_samples_per_class, "eval_samples_per_class")
-        check_positive_int(self.eval_batch_size, "eval_batch_size")
 
     # -- presets ---------------------------------------------------------------
 

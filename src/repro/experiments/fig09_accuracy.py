@@ -167,7 +167,6 @@ def run_dynamic_accuracy_comparison(
                 class_sequence=list(scale.class_sequence),
                 samples_per_task=scale.samples_per_task,
                 eval_samples_per_class=scale.eval_samples_per_class,
-                eval_batch_size=scale.eval_batch_size,
                 rng=ensure_rng(scale.seed),
             )
     return result
@@ -202,7 +201,6 @@ def run_nondynamic_accuracy_comparison(
                 checkpoints=list(scale.nondynamic_checkpoints),
                 classes=classes,
                 eval_samples_per_class=scale.eval_samples_per_class,
-                eval_batch_size=scale.eval_batch_size,
                 rng=ensure_rng(scale.seed),
             )
     return result

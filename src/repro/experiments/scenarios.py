@@ -138,7 +138,6 @@ def run_scenario_study(
             source,
             spec,
             eval_samples_per_class=scale.eval_samples_per_class,
-            eval_batch_size=scale.eval_batch_size,
             rng=ensure_rng(scale.seed),
         )
     return result

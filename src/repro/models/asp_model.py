@@ -16,7 +16,7 @@ from repro.core.architecture import build_baseline_network
 from repro.core.config import SpikeDynConfig
 from repro.estimation.memory import ARCH_BASELINE
 from repro.learning.asp import ASPLearningRule
-from repro.models.base import DEFAULT_EVAL_BATCH_SIZE, UnsupervisedDigitClassifier
+from repro.models.base import UnsupervisedDigitClassifier
 from repro.utils.rng import SeedLike
 
 
@@ -35,9 +35,6 @@ class ASPModel(UnsupervisedDigitClassifier):
     rng:
         Seed or generator for weight initialization (defaults to the
         configuration's seed).
-    eval_batch_size:
-        Samples advanced per vectorized engine step during evaluation
-        (see :class:`~repro.models.base.UnsupervisedDigitClassifier`).
     backend:
         Compute backend (name or instance) executing the network's kernels;
         defaults to the one shared kernel set.
@@ -47,7 +44,6 @@ class ASPModel(UnsupervisedDigitClassifier):
                  learning_rule: Optional[ASPLearningRule] = None,
                  tau_leak: float = 2.0e4,
                  rng: SeedLike = None,
-                 eval_batch_size: Optional[int] = DEFAULT_EVAL_BATCH_SIZE,
                  backend=None) -> None:
         rule = learning_rule if learning_rule is not None else ASPLearningRule(
             nu_pre=config.nu_pre,
@@ -61,8 +57,7 @@ class ASPModel(UnsupervisedDigitClassifier):
             config, learning_rule=rule, rng=rng, name="asp",
             backend=backend,
         )
-        super().__init__(config, network, name="asp",
-                         eval_batch_size=eval_batch_size)
+        super().__init__(config, network, name="asp")
         self.learning_rule = rule
 
     def architecture_name(self) -> str:

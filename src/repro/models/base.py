@@ -8,15 +8,12 @@ learning rule they plug into this class.
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import zipfile
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.backends import DEFAULT_BACKEND, BackendLike, normalize_backend_name
+from repro.backends import DEFAULT_BACKEND, BackendLike
 from repro.core.config import SpikeDynConfig
 from repro.datasets.streams import StreamSample
 from repro.encoding.rate import PoissonRateEncoder
@@ -25,13 +22,8 @@ from repro.evaluation.metrics import accuracy as accuracy_metric
 from repro.snn.network import Network
 from repro.snn.simulation import OperationCounter
 from repro.utils.rng import ensure_rng
-from repro.utils.serialization import (
-    ArtifactError,
-    load_arrays,
-    load_json,
-    save_arrays,
-    save_json,
-)
+from repro.utils.serialization import save_arrays, save_json
+from repro.utils.validation import check_positive_int
 
 PathLike = Union[str, Path]
 
@@ -61,156 +53,6 @@ ARTIFACT_METADATA_FILE = "model.json"
 ARTIFACT_STATE_FILE = "state.npz"
 
 
-def read_artifact_dir(directory: PathLike):
-    """Read an artifact directory's ``(metadata, arrays, schema_version,
-    backend)``.
-
-    Shared by :meth:`UnsupervisedDigitClassifier.load_state` and
-    :func:`repro.serving.artifacts.load_artifact` so both surfaces map
-    missing/corrupt files, unsupported schema versions, and unknown compute
-    backends to the same
-    :class:`~repro.utils.serialization.ArtifactError`.
-    """
-    directory = Path(directory)
-    try:
-        arrays = load_arrays(directory / ARTIFACT_STATE_FILE)
-        metadata = load_json(directory / ARTIFACT_METADATA_FILE)
-    except FileNotFoundError as error:
-        raise ArtifactError(
-            f"{directory} is not a model artifact: {error}"
-        ) from error
-    except (OSError, zipfile.BadZipFile, json.JSONDecodeError,
-            ValueError) as error:
-        raise ArtifactError(
-            f"{directory} holds a corrupt model artifact: {error}"
-        ) from error
-    if not isinstance(metadata, dict) or "config" not in metadata:
-        raise ArtifactError(
-            f"{directory / ARTIFACT_METADATA_FILE} has no 'config' section"
-        )
-    # Legacy (pre-serving) artifacts carry no schema_version field.
-    schema_version = int(metadata.get("schema_version", 1))
-    if schema_version > ARTIFACT_SCHEMA_VERSION:
-        raise ArtifactError(
-            f"{directory} uses artifact schema version {schema_version}, "
-            f"but this library supports at most {ARTIFACT_SCHEMA_VERSION}"
-        )
-    backend = validate_artifact_backend(metadata,
-                                        schema_version=schema_version,
-                                        source=directory)
-    return metadata, arrays, schema_version, backend
-
-
-def validate_artifact_backend(metadata: Dict[str, object], *,
-                              schema_version: int,
-                              source: object = "artifact") -> str:
-    """Check (and return) the kernel-set name recorded in an artifact.
-
-    Schema v3 artifacts must name ``"sparse"`` or a retired name in
-    :data:`repro.backends.BACKEND_ALIASES`, and the returned name is always
-    ``"sparse"``; earlier schemas predate the field.  An unknown name is
-    rejected like any other invalid configuration value.
-    """
-    backend = metadata.get("backend")
-    if backend is None:
-        if schema_version >= 3:
-            raise ArtifactError(
-                f"cannot load {source} (schema version {schema_version}): "
-                "missing the 'backend' field"
-            )
-        return DEFAULT_BACKEND
-    try:
-        return normalize_backend_name(str(backend))
-    except ValueError as error:
-        raise ArtifactError(
-            f"cannot load {source} (schema version {schema_version}): {error}"
-        ) from None
-
-
-def validate_config_compatibility(stored: "SpikeDynConfig",
-                                  current: "SpikeDynConfig", *,
-                                  schema_version: int,
-                                  source: object = "artifact") -> None:
-    """Check that a stored configuration matches the target model's.
-
-    Every field except ``seed`` must agree: the loaded weights and theta
-    assume the stored neuron constants, encoder timing (``t_sim``/``dt``),
-    and rate-coding parameters, so a mismatch silently degrades inference
-    rather than failing.  ``seed`` only controls stochastic draws and may
-    legitimately differ (e.g. evaluating a saved model on fresh samples).
-    """
-    mismatched = []
-    for spec in dataclasses.fields(type(stored)):
-        if spec.name == "seed":
-            continue
-        stored_value = getattr(stored, spec.name)
-        current_value = getattr(current, spec.name)
-        if stored_value != current_value:
-            mismatched.append(
-                f"{spec.name}: model has {current_value!r}, "
-                f"artifact has {stored_value!r}"
-            )
-    if mismatched:
-        raise ArtifactError(
-            f"cannot load {source} (schema version {schema_version}): "
-            "stored configuration is incompatible with this model — "
-            + "; ".join(mismatched)
-        )
-
-
-def apply_artifact_state(model: "UnsupervisedDigitClassifier",
-                         arrays: Dict[str, np.ndarray],
-                         metadata: Dict[str, object]) -> None:
-    """Overwrite ``model``'s learned state with validated artifact arrays.
-
-    The single restore path shared by :meth:`UnsupervisedDigitClassifier.
-    load_state` and :meth:`repro.serving.artifacts.ModelArtifact.
-    build_model`; callers must have validated shapes first.
-    """
-    connection = model.network.connection("input_to_exc")
-    connection.weights[:] = arrays["input_weights"]
-    model.assignments = arrays["assignments"].astype(int)
-    excitatory = model.network.group("excitatory")
-    if "theta" in arrays and hasattr(excitatory, "theta"):
-        excitatory.theta[:] = arrays["theta"]
-    meta = metadata.get("meta", {})
-    model.samples_trained = int(meta.get("samples_trained", 0))
-
-
-def validate_artifact_arrays(arrays: Dict[str, np.ndarray], *, n_input: int,
-                             n_exc: int, schema_version: int,
-                             source: object = "artifact") -> None:
-    """Check that loaded state arrays match the target architecture.
-
-    Raises :class:`~repro.utils.serialization.ArtifactError` naming every
-    missing array and every expected-vs-found shape mismatch (instead of a
-    bare ``KeyError`` or a numpy broadcast error mid-load).
-    """
-    expected = {
-        "input_weights": (n_input, n_exc),
-        "assignments": (n_exc,),
-    }
-    optional = {"theta": (n_exc,)}
-    problems = []
-    for key, shape in expected.items():
-        if key not in arrays:
-            problems.append(f"missing array {key!r} (expected shape {shape})")
-        elif tuple(arrays[key].shape) != shape:
-            problems.append(
-                f"{key!r} has shape {tuple(arrays[key].shape)}, expected {shape}"
-            )
-    for key, shape in optional.items():
-        if key in arrays and tuple(arrays[key].shape) != shape:
-            problems.append(
-                f"{key!r} has shape {tuple(arrays[key].shape)}, expected {shape}"
-            )
-    if problems:
-        raise ArtifactError(
-            f"cannot load {source} (schema version {schema_version}): "
-            + "; ".join(problems)
-        )
-
-
 class UnsupervisedDigitClassifier:
     """Base class binding a network, an encoder, and the read-out together.
 
@@ -226,16 +68,11 @@ class UnsupervisedDigitClassifier:
         the configuration when omitted.
     name:
         Model identifier used in reports.
-    eval_batch_size:
-        Number of samples advanced per vectorized engine step during
-        inference/evaluation (:meth:`respond_batch`).  ``None`` or ``1``
-        falls back to the sequential per-sample loop.
     """
 
     def __init__(self, config: SpikeDynConfig, network: Network,
                  encoder: Optional[PoissonRateEncoder] = None,
-                 name: str = "model",
-                 eval_batch_size: Optional[int] = DEFAULT_EVAL_BATCH_SIZE) -> None:
+                 name: str = "model") -> None:
         self.config = config
         self.network = network
         self.name = str(name)
@@ -248,7 +85,6 @@ class UnsupervisedDigitClassifier:
         )
         self.assignments = np.full(config.n_exc, -1, dtype=int)
         self.samples_trained = 0
-        self.eval_batch_size = eval_batch_size
 
     # -- basic properties -----------------------------------------------------
 
@@ -338,26 +174,20 @@ class UnsupervisedDigitClassifier:
         return count
 
     def respond_batch(self, images: Sequence[np.ndarray],
-                      batch_size: Optional[int] = None) -> np.ndarray:
+                      batch_size: int = DEFAULT_EVAL_BATCH_SIZE) -> np.ndarray:
         """Responses (spike counts) for a batch of images, shape ``(n, n_exc)``.
 
         Images are presented with plasticity disabled through the engine's
-        vectorized batch path, ``batch_size`` samples at a time (defaults to
-        :attr:`eval_batch_size`).  Samples within a chunk are independent and
-        the network's adaptation state is left untouched; pass
-        ``batch_size=1`` (or set ``eval_batch_size=None``) to recover the
-        sequential :meth:`respond` loop, which carries threshold-adaptation
-        drift across samples.
+        vectorized batch path, ``batch_size`` samples at a time.  Samples
+        are independent and the network's adaptation state (``theta``) is
+        left untouched, so the counts do not depend on ``batch_size``; they
+        equal a :meth:`respond` loop only when threshold adaptation is off,
+        since that loop carries ``theta`` drift from one sample to the next.
         """
-        limit = batch_size if batch_size is not None else self.eval_batch_size
+        check_positive_int(batch_size, "batch_size")
         responses = np.zeros((len(images), self.n_exc), dtype=float)
-        if limit is None or limit <= 1:
-            for index, image in enumerate(images):
-                responses[index] = self.respond(image)
-            return responses
-        limit = int(limit)
-        for start in range(0, len(images), limit):
-            chunk = images[start:start + limit]
+        for start in range(0, len(images), batch_size):
+            chunk = images[start:start + batch_size]
             results = self.network.run_batch(self.encode_batch(chunk),
                                              learning=False)
             for offset, result in enumerate(results):
@@ -459,8 +289,8 @@ class UnsupervisedDigitClassifier:
         adapts — the threshold potential ``theta``) next to ``model.json``
         (schema version, the kernel set a load rebuilds on, full
         configuration, model identity, and the encoder spec).
-        :meth:`load_state` and :func:`repro.serving.artifacts.load_artifact`
-        restore it bit-for-bit.  ``state.npz`` stores its members
+        ``load_artifact(directory).build_model()``
+        (:mod:`repro.serving.artifacts`) restores it bit-for-bit.  ``state.npz`` stores its members
         uncompressed (:func:`~repro.utils.serialization.save_arrays`), so a
         load reads the arrays without inflating them; artifacts saved
         compressed, as every save before that format was, load the same.
@@ -492,46 +322,6 @@ class UnsupervisedDigitClassifier:
             directory / ARTIFACT_METADATA_FILE,
         )
         return directory
-
-    def load_state(self, directory: PathLike) -> None:
-        """Restore weights, assignments, and theta written by :meth:`save`.
-
-        Raises
-        ------
-        ArtifactError
-            If the artifact's schema version is newer than this library
-            supports, its configuration does not match this model's (any
-            field other than ``seed`` — sizes, neuron constants, encoder
-            timing), or any stored array is missing or mis-shaped (the
-            error message lists expected-vs-found shapes).
-        """
-        directory = Path(directory)
-        metadata, arrays, schema_version, _ = read_artifact_dir(directory)
-        try:
-            stored_config = SpikeDynConfig.from_dict(metadata["config"])
-        except (TypeError, ValueError) as error:
-            raise ArtifactError(
-                f"{directory} carries an invalid configuration: {error}"
-            ) from error
-        if (stored_config.n_input, stored_config.n_exc) != (self.n_input, self.n_exc):
-            raise ArtifactError(
-                "stored model size "
-                f"({stored_config.n_input}x{stored_config.n_exc}) does not match "
-                f"this model ({self.n_input}x{self.n_exc}) "
-                f"[schema version {schema_version}]"
-            )
-        validate_config_compatibility(
-            stored_config, self.config,
-            schema_version=schema_version, source=directory,
-        )
-        validate_artifact_arrays(
-            arrays,
-            n_input=self.n_input,
-            n_exc=self.n_exc,
-            schema_version=schema_version,
-            source=directory,
-        )
-        apply_artifact_state(self, arrays, metadata)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

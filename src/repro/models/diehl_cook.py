@@ -17,7 +17,7 @@ from repro.core.architecture import build_baseline_network
 from repro.core.config import SpikeDynConfig
 from repro.estimation.memory import ARCH_BASELINE
 from repro.learning.stdp import PairwiseSTDP
-from repro.models.base import DEFAULT_EVAL_BATCH_SIZE, UnsupervisedDigitClassifier
+from repro.models.base import UnsupervisedDigitClassifier
 from repro.utils.rng import SeedLike
 
 
@@ -34,9 +34,6 @@ class DiehlCookModel(UnsupervisedDigitClassifier):
     rng:
         Seed or generator for weight initialization (defaults to the
         configuration's seed).
-    eval_batch_size:
-        Samples advanced per vectorized engine step during evaluation
-        (see :class:`~repro.models.base.UnsupervisedDigitClassifier`).
     backend:
         Compute backend (name or instance) executing the network's kernels;
         defaults to the one shared kernel set.
@@ -45,7 +42,6 @@ class DiehlCookModel(UnsupervisedDigitClassifier):
     def __init__(self, config: SpikeDynConfig, *,
                  learning_rule: Optional[PairwiseSTDP] = None,
                  rng: SeedLike = None,
-                 eval_batch_size: Optional[int] = DEFAULT_EVAL_BATCH_SIZE,
                  backend=None) -> None:
         rule = learning_rule if learning_rule is not None else PairwiseSTDP(
             nu_pre=config.nu_pre,
@@ -58,8 +54,7 @@ class DiehlCookModel(UnsupervisedDigitClassifier):
             config, learning_rule=rule, rng=rng, name="baseline",
             backend=backend,
         )
-        super().__init__(config, network, name="baseline",
-                         eval_batch_size=eval_batch_size)
+        super().__init__(config, network, name="baseline")
         self.learning_rule = rule
 
     def architecture_name(self) -> str:

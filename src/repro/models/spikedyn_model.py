@@ -19,7 +19,7 @@ from repro.core.config import SpikeDynConfig
 from repro.core.learning import SpikeDynLearningRule
 from repro.core.weight_decay import SynapticWeightDecay
 from repro.estimation.memory import ARCH_SPIKEDYN
-from repro.models.base import DEFAULT_EVAL_BATCH_SIZE, UnsupervisedDigitClassifier
+from repro.models.base import UnsupervisedDigitClassifier
 from repro.utils.rng import SeedLike
 
 
@@ -38,9 +38,6 @@ class SpikeDynModel(UnsupervisedDigitClassifier):
     rng:
         Seed or generator for weight initialization (defaults to the
         configuration's seed).
-    eval_batch_size:
-        Samples advanced per vectorized engine step during evaluation
-        (see :class:`~repro.models.base.UnsupervisedDigitClassifier`).
     backend:
         Compute backend (name or instance) executing the network's kernels;
         defaults to the one shared kernel set.
@@ -49,7 +46,6 @@ class SpikeDynModel(UnsupervisedDigitClassifier):
     def __init__(self, config: SpikeDynConfig, *,
                  learning_rule: Optional[SpikeDynLearningRule] = None,
                  rng: SeedLike = None,
-                 eval_batch_size: Optional[int] = DEFAULT_EVAL_BATCH_SIZE,
                  backend=None) -> None:
         rule = learning_rule if learning_rule is not None else SpikeDynLearningRule(
             nu_pre=config.nu_pre,
@@ -67,8 +63,7 @@ class SpikeDynModel(UnsupervisedDigitClassifier):
             config, learning_rule=rule, rng=rng, name="spikedyn",
             backend=backend,
         )
-        super().__init__(config, network, name="spikedyn",
-                         eval_batch_size=eval_batch_size)
+        super().__init__(config, network, name="spikedyn")
         self.learning_rule = rule
 
     def architecture_name(self) -> str:

@@ -36,12 +36,8 @@ multi-tenant service::
   benchmarks, CI smoke tests, and examples.
 """
 
-from repro.serving.artifacts import (
-    MODEL_CLASSES,
-    ArtifactRegistry,
-    ModelArtifact,
-    load_artifact,
-)
+from repro.models import MODEL_CLASSES
+from repro.serving.artifacts import ArtifactRegistry, ModelArtifact, load_artifact
 from repro.serving.batcher import MicroBatcher, QueueClosedError, QueueFullError
 from repro.serving.drift import SpikeCountDriftDetector
 from repro.serving.errors import (

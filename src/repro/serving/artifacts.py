@@ -12,9 +12,12 @@ layout into a serving story:
 
 * :func:`load_artifact` reads and *validates* an artifact without needing to
   know which model class or sizes produced it — the artifact is
-  self-describing, so ``repro serve <dir>`` takes nothing but the path;
-* :meth:`ModelArtifact.build_model` reconstructs the trained classifier,
-  bit-for-bit (weights, theta, assignments);
+  self-describing, so ``repro serve <dir>`` and ``repro evaluate <dir>``
+  take nothing but the path;
+* :meth:`ModelArtifact.build_model` reconstructs the trained classifier of
+  the stored model class and configuration, bit-for-bit (weights, theta,
+  assignments).  It is the one way to restore a saved model, and this
+  module is the one reader of the format;
 * :class:`ArtifactRegistry` stores artifacts under ``<root>/<name>/v<NNNN>``
   with monotonically increasing versions, so a serving deployment can roll
   forward/back by version number.
@@ -26,35 +29,27 @@ details; nothing is ever silently mis-loaded.
 
 from __future__ import annotations
 
+import json
 import re
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Type, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.backends import DEFAULT_BACKEND, BackendLike
+from repro.backends import DEFAULT_BACKEND, BackendLike, normalize_backend_name
 from repro.core.config import SpikeDynConfig
-from repro.models.asp_model import ASPModel
+from repro.models import MODEL_CLASSES
 from repro.models.base import (
+    ARTIFACT_METADATA_FILE,
+    ARTIFACT_SCHEMA_VERSION,
+    ARTIFACT_STATE_FILE,
     UnsupervisedDigitClassifier,
-    apply_artifact_state,
-    read_artifact_dir,
-    validate_artifact_arrays,
 )
-from repro.models.diehl_cook import DiehlCookModel
-from repro.models.spikedyn_model import SpikeDynModel
-from repro.utils.serialization import ArtifactError
+from repro.utils.serialization import ArtifactError, load_arrays, load_json
 
 PathLike = Union[str, Path]
-
-#: Model classes reconstructible from an artifact, keyed by the model name
-#: recorded in its metadata (the same keys as the experiment drivers use).
-MODEL_CLASSES: Dict[str, Type[UnsupervisedDigitClassifier]] = {
-    "baseline": DiehlCookModel,
-    "asp": ASPModel,
-    "spikedyn": SpikeDynModel,
-}
 
 _VERSION_DIR = re.compile(r"^v(\d{4,})$")
 
@@ -118,16 +113,15 @@ class ModelArtifact:
             "encoder": dict(self.encoder),
         }
 
-    def build_model(self, *, eval_batch_size: Optional[int] = None,
-                    backend: BackendLike = None
+    def build_model(self, *, backend: BackendLike = None
                     ) -> UnsupervisedDigitClassifier:
         """Reconstruct the trained classifier from this artifact.
 
-        A fresh network is built from the stored configuration and its
-        learned state is overwritten with the stored arrays, so repeated
-        calls return *independent* model instances with bit-identical
-        weights, assignments, and theta — exactly what the replica pool
-        needs to shard load across workers.
+        A fresh network of the stored model class is built from the stored
+        configuration and its learned state is overwritten with the stored
+        arrays, so repeated calls return *independent* model instances with
+        bit-identical weights, assignments, and theta — exactly what the
+        replica pool needs to shard load across workers.
 
         ``backend`` (a name or a :class:`~repro.backends.Backend`
         instance) is passed to the model constructor; the default is the
@@ -139,15 +133,16 @@ class ModelArtifact:
                 f"artifact at {self.path} names unknown model "
                 f"{self.model_name!r}; known models: {known}"
             )
-        cls = MODEL_CLASSES[self.model_name]
-        build_kwargs: Dict[str, object] = {"backend": backend}
-        if eval_batch_size is not None:
-            build_kwargs["eval_batch_size"] = eval_batch_size
-        model = cls(self.config, **build_kwargs)
+        model = MODEL_CLASSES[self.model_name](self.config, backend=backend)
         # The arrays were validated at load time and the model is built
         # from the stored config, so the in-memory state applies directly —
         # no disk round-trip, and the artifact directory may since be gone.
-        apply_artifact_state(model, self.arrays, {"meta": self.meta})
+        model.input_weights[:] = self.arrays["input_weights"]
+        model.assignments = self.arrays["assignments"].astype(int)
+        excitatory = model.network.group("excitatory")
+        if "theta" in self.arrays and hasattr(excitatory, "theta"):
+            excitatory.theta[:] = self.arrays["theta"]
+        model.samples_trained = int(self.meta.get("samples_trained", 0))
         return model
 
 
@@ -188,6 +183,98 @@ def load_artifact(directory: PathLike) -> ModelArtifact:
         arrays=arrays,
         backend=backend,
     )
+
+
+def read_artifact_dir(directory: Path):
+    """Read an artifact directory's ``(metadata, arrays, schema_version,
+    backend)``, mapping missing or corrupt files, unsupported schema
+    versions and unknown kernel-set names to :class:`ArtifactError`."""
+    try:
+        arrays = load_arrays(directory / ARTIFACT_STATE_FILE)
+        metadata = load_json(directory / ARTIFACT_METADATA_FILE)
+    except FileNotFoundError as error:
+        raise ArtifactError(
+            f"{directory} is not a model artifact: {error}"
+        ) from error
+    except (OSError, zipfile.BadZipFile, json.JSONDecodeError,
+            ValueError) as error:
+        raise ArtifactError(
+            f"{directory} holds a corrupt model artifact: {error}"
+        ) from error
+    if not isinstance(metadata, dict) or "config" not in metadata:
+        raise ArtifactError(
+            f"{directory / ARTIFACT_METADATA_FILE} has no 'config' section"
+        )
+    # Legacy (pre-serving) artifacts carry no schema_version field.
+    schema_version = int(metadata.get("schema_version", 1))
+    if schema_version > ARTIFACT_SCHEMA_VERSION:
+        raise ArtifactError(
+            f"{directory} uses artifact schema version {schema_version}, "
+            f"but this library supports at most {ARTIFACT_SCHEMA_VERSION}"
+        )
+    backend = validate_artifact_backend(metadata,
+                                        schema_version=schema_version,
+                                        source=directory)
+    return metadata, arrays, schema_version, backend
+
+
+def validate_artifact_backend(metadata: Dict[str, object], *,
+                              schema_version: int, source: object) -> str:
+    """Check (and return) the kernel-set name recorded in an artifact.
+
+    Schema v3 artifacts must name ``"sparse"`` or a retired name in
+    :data:`repro.backends.BACKEND_ALIASES`, and the returned name is always
+    ``"sparse"``; earlier schemas predate the field.  An unknown name is
+    rejected like any other invalid configuration value.
+    """
+    backend = metadata.get("backend")
+    if backend is None:
+        if schema_version >= 3:
+            raise ArtifactError(
+                f"cannot load {source} (schema version {schema_version}): "
+                "missing the 'backend' field"
+            )
+        return DEFAULT_BACKEND
+    try:
+        return normalize_backend_name(str(backend))
+    except ValueError as error:
+        raise ArtifactError(
+            f"cannot load {source} (schema version {schema_version}): {error}"
+        ) from None
+
+
+def validate_artifact_arrays(arrays: Dict[str, np.ndarray], *, n_input: int,
+                             n_exc: int, schema_version: int,
+                             source: object) -> None:
+    """Check that loaded state arrays match the declared architecture.
+
+    Raises :class:`ArtifactError` naming every missing array and every
+    expected-vs-found shape mismatch (instead of a bare ``KeyError`` or a
+    numpy broadcast error mid-load).
+    """
+    expected = {
+        "input_weights": (n_input, n_exc),
+        "assignments": (n_exc,),
+    }
+    optional = {"theta": (n_exc,)}
+    problems = []
+    for key, shape in expected.items():
+        if key not in arrays:
+            problems.append(f"missing array {key!r} (expected shape {shape})")
+        elif tuple(arrays[key].shape) != shape:
+            problems.append(
+                f"{key!r} has shape {tuple(arrays[key].shape)}, expected {shape}"
+            )
+    for key, shape in optional.items():
+        if key in arrays and tuple(arrays[key].shape) != shape:
+            problems.append(
+                f"{key!r} has shape {tuple(arrays[key].shape)}, expected {shape}"
+            )
+    if problems:
+        raise ArtifactError(
+            f"cannot load {source} (schema version {schema_version}): "
+            + "; ".join(problems)
+        )
 
 
 class ArtifactRegistry:

@@ -27,8 +27,9 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.evaluation.labeling import class_scores
-from repro.models.base import N_CLASSES, UnsupervisedDigitClassifier
+from repro.models.base import DEFAULT_EVAL_BATCH_SIZE, N_CLASSES, UnsupervisedDigitClassifier
 from repro.observability.tracing import TraceContext, record_span
+from repro.utils.validation import check_positive_int
 
 #: Seeds are folded into numpy's 32-bit range.
 _SEED_MODULUS = 2 ** 32
@@ -181,15 +182,15 @@ class PredictionService:
 def offline_predictions(model: UnsupervisedDigitClassifier,
                         images: Sequence[np.ndarray],
                         seeds: Optional[Sequence[Optional[int]]] = None,
-                        batch_size: Optional[int] = None) -> np.ndarray:
+                        batch_size: int = DEFAULT_EVAL_BATCH_SIZE) -> np.ndarray:
     """The offline reference path the serving layer must reproduce.
 
     Encodes every image with its per-request seed (derived from the image
     when ``seeds`` is omitted, exactly like the service) and evaluates them
-    through the model's chunked ``eval_batch_size`` path — the same grouping
-    ``model.predict`` uses offline.  Serving predictions for the same
-    ``(image, seed)`` pairs are bit-for-bit identical however the
-    micro-batcher happened to group them.
+    ``batch_size`` at a time (:data:`~repro.models.base.DEFAULT_EVAL_BATCH_SIZE`
+    by default, the chunk ``model.predict`` uses offline).  Serving
+    predictions for the same ``(image, seed)`` pairs are bit-for-bit
+    identical however the micro-batcher happened to group them.
     """
     if seeds is None:
         seeds = [None] * len(images)
@@ -197,15 +198,13 @@ def offline_predictions(model: UnsupervisedDigitClassifier,
         raise ValueError(
             f"got {len(images)} images but {len(seeds)} seeds"
         )
+    check_positive_int(batch_size, "batch_size")
     requests = [PredictRequest(image=np.asarray(image, dtype=float), seed=seed)
                 for image, seed in zip(images, seeds)]
-    limit = batch_size if batch_size is not None else model.eval_batch_size
-    if limit is None or limit < 1:
-        limit = 1
     service = PredictionService(model)
     predictions = np.zeros(len(requests), dtype=int)
-    for start in range(0, len(requests), int(limit)):
-        chunk = requests[start:start + int(limit)]
+    for start in range(0, len(requests), batch_size):
+        chunk = requests[start:start + batch_size]
         for offset, result in enumerate(service.predict_batch(chunk)):
             predictions[start + offset] = result.prediction
     return predictions

@@ -142,15 +142,6 @@ class TestRunScenarioProtocol:
             first.accuracy_matrix, second.accuracy_matrix
         )
 
-    def test_eval_batch_size_installed_on_the_model(self, tiny_config,
-                                                    tiny_source, spec):
-        model = SpikeDynModel(tiny_config)
-        run_scenario_protocol(
-            model, tiny_source, spec, eval_samples_per_class=2,
-            eval_batch_size=4, rng=0,
-        )
-        assert model.eval_batch_size == 4
-
     def test_invalid_eval_settings_rejected(self, tiny_config, tiny_source, spec):
         with pytest.raises(ValueError):
             run_scenario_protocol(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.evaluation.protocols import (
     run_dynamic_protocol,
     run_nondynamic_protocol,
 )
+from repro.models.base import DEFAULT_EVAL_BATCH_SIZE
 from repro.models.spikedyn_model import SpikeDynModel
 
 
@@ -159,37 +162,17 @@ class TestProtocolDeterminism:
         np.testing.assert_array_equal(first.confusion, second.confusion)
 
 
-class TestEvalBatchSizePlumbing:
-    def test_dynamic_protocol_installs_the_batch_size(self, config, source):
-        model = SpikeDynModel(config)
-        run_dynamic_protocol(model, source, class_sequence=[0],
-                             samples_per_task=2, eval_samples_per_class=2,
-                             eval_batch_size=4, rng=0)
-        assert model.eval_batch_size == 4
-
-    def test_nondynamic_protocol_installs_the_batch_size(self, config, source):
-        model = SpikeDynModel(config)
-        run_nondynamic_protocol(model, source, checkpoints=[2], classes=[0, 1],
-                                eval_samples_per_class=2, eval_batch_size=8,
-                                rng=0)
-        assert model.eval_batch_size == 8
-
-    def test_invalid_batch_size_is_rejected(self, config, source):
-        model = SpikeDynModel(config)
-        with pytest.raises(ValueError, match="eval_batch_size"):
-            run_nondynamic_protocol(model, source, checkpoints=[2],
-                                    classes=[0], eval_samples_per_class=2,
-                                    eval_batch_size=0, rng=0)
-
-    def test_results_are_independent_of_the_batch_size(self, config, source):
+class TestChunkSize:
+    def test_results_are_independent_of_the_chunk_size(self, config, source):
         """Chunk size must not change protocol outcomes (exact equality)."""
         outcomes = []
-        for size in (2, 8):
+        for size in (2, DEFAULT_EVAL_BATCH_SIZE):
             model = SpikeDynModel(config)
+            model.respond_batch = functools.partial(model.respond_batch,
+                                                    batch_size=size)
             result = run_dynamic_protocol(model, source, class_sequence=[0, 1],
                                           samples_per_task=2,
-                                          eval_samples_per_class=2,
-                                          eval_batch_size=size, rng=0)
+                                          eval_samples_per_class=2, rng=0)
             outcomes.append(result)
         assert outcomes[0].recent_task_accuracy == outcomes[1].recent_task_accuracy
         assert outcomes[0].final_task_accuracy == outcomes[1].final_task_accuracy

@@ -14,6 +14,8 @@ from repro.experiments.common import (
     measure_sample_counters,
     sample_images,
 )
+from repro import serving
+from repro.models import MODEL_CLASSES
 from repro.models.asp_model import ASPModel
 from repro.models.diehl_cook import DiehlCookModel
 from repro.models.spikedyn_model import SpikeDynModel
@@ -71,6 +73,9 @@ class TestBuildModel:
     def test_registry_contains_the_three_partners(self):
         assert set(MODEL_BUILDERS) == {"baseline", "asp", "spikedyn"}
         assert MODEL_ORDER == ("baseline", "asp", "spikedyn")
+
+    def test_one_table_maps_model_names_to_classes(self):
+        assert MODEL_BUILDERS is MODEL_CLASSES is serving.MODEL_CLASSES
 
     def test_builds_each_model(self, tiny_scale):
         config = tiny_scale.config(6)

@@ -22,6 +22,7 @@ from repro.estimation.energy import EnergyModel
 from repro.estimation.hardware import GTX_1080_TI, JETSON_NANO
 from repro.estimation.memory import ARCH_SPIKEDYN, architecture_parameter_counts
 from repro.evaluation import run_dynamic_protocol, run_nondynamic_protocol
+from repro.serving import load_artifact
 
 
 @pytest.fixture
@@ -160,8 +161,7 @@ class TestPersistenceAcrossThePipeline:
             model.train_sample(image)
         model.save(tmp_path / "checkpoint")
 
-        restored = SpikeDynModel(config.with_network_size(10))
-        restored.load_state(tmp_path / "checkpoint")
+        restored = load_artifact(tmp_path / "checkpoint").build_model()
         np.testing.assert_array_equal(restored.input_weights, model.input_weights)
 
         # Training can continue from the restored state.

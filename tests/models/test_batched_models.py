@@ -25,19 +25,31 @@ def images():
 
 
 class TestRespondBatch:
-    def test_default_batch_size_comes_from_the_model(self, config):
-        model = SpikeDynModel(config)
-        assert model.eval_batch_size == DEFAULT_EVAL_BATCH_SIZE
-
-    def test_matches_sequential_when_adaptation_is_frozen(self, config, images):
+    def test_matches_a_respond_loop_when_adaptation_is_frozen(self, config, images):
         batched_model = SpikeDynModel(config)
         sequential_model = SpikeDynModel(config)
         for model in (batched_model, sequential_model):
             model.network.group("excitatory").adapt_theta = False
 
         batched = batched_model.respond_batch(images)
-        sequential = sequential_model.respond_batch(images, batch_size=1)
+        sequential = np.stack([sequential_model.respond(image) for image in images])
         np.testing.assert_array_equal(batched, sequential)
+
+    def test_chunks_of_one_leave_theta_and_counts_unchanged(self, config, images):
+        """A chunk of one sample is no longer a sequential path: it runs
+        through the batch engine like any other chunk size."""
+        model = SpikeDynModel(config)
+        theta_before = model.network.group("excitatory").theta.copy()
+        single = model.respond_batch(images, batch_size=1)
+        np.testing.assert_array_equal(model.network.group("excitatory").theta,
+                                      theta_before)
+        default = SpikeDynModel(config).respond_batch(images)
+        assert len(images) < DEFAULT_EVAL_BATCH_SIZE  # one default chunk
+        np.testing.assert_array_equal(single, default)
+
+    def test_non_positive_chunk_is_rejected(self, config, images):
+        with pytest.raises(ValueError, match="batch_size"):
+            SpikeDynModel(config).respond_batch(images, batch_size=0)
 
     def test_chunking_does_not_change_results(self, config, images):
         one_chunk = SpikeDynModel(config).respond_batch(images, batch_size=len(images))

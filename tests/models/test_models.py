@@ -16,6 +16,7 @@ from repro.models.asp_model import ASPModel
 from repro.models.base import N_CLASSES, UnsupervisedDigitClassifier
 from repro.models.diehl_cook import DiehlCookModel
 from repro.models.spikedyn_model import SpikeDynModel
+from repro.serving import load_artifact
 
 ALL_MODELS = (DiehlCookModel, ASPModel, SpikeDynModel)
 
@@ -175,8 +176,9 @@ class TestPersistence:
         model.assign_labels(images, [0, 0])
         model.save(tmp_path / "model")
 
-        restored = SpikeDynModel(config)
-        restored.load_state(tmp_path / "model")
+        restored = load_artifact(tmp_path / "model").build_model()
+        assert type(restored) is SpikeDynModel
+        assert restored.config == model.config
         np.testing.assert_array_equal(restored.input_weights, model.input_weights)
         np.testing.assert_array_equal(restored.assignments, model.assignments)
         np.testing.assert_array_equal(
@@ -184,13 +186,6 @@ class TestPersistence:
             model.network.group("excitatory").theta,
         )
         assert restored.samples_trained == model.samples_trained
-
-    def test_load_rejects_mismatched_sizes(self, config, tmp_path):
-        model = SpikeDynModel(config)
-        model.save(tmp_path / "model")
-        other = SpikeDynModel(config.with_network_size(10))
-        with pytest.raises(ValueError):
-            other.load_state(tmp_path / "model")
 
     def test_loaded_model_predicts_like_the_original(self, config, source, tmp_path):
         model = SpikeDynModel(config)
@@ -200,8 +195,7 @@ class TestPersistence:
         model.assign_labels(eval_images, [1, 1])
         model.save(tmp_path / "model")
 
-        restored = SpikeDynModel(config)
-        restored.load_state(tmp_path / "model")
+        restored = load_artifact(tmp_path / "model").build_model()
         # Give both models identically seeded encoders so the Poisson draws
         # (and therefore the responses) match exactly.
         from repro.encoding.rate import PoissonRateEncoder

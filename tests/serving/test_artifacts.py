@@ -8,6 +8,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from repro.models import MODEL_CLASSES
 from repro.models.base import ARTIFACT_SCHEMA_VERSION
 from repro.models.spikedyn_model import SpikeDynModel
 from repro.serving import (
@@ -63,10 +64,15 @@ class TestRoundTrip:
         assert encoder["duration"] == pytest.approx(40.0)
         assert encoder["timesteps"] == 40
 
-    def test_round_trip_property_across_seeds(self, serving_config, tmp_path):
-        """Save → load is the identity on learned state for any weights."""
+    @pytest.mark.parametrize("name", sorted(MODEL_CLASSES))
+    def test_round_trip_property_across_seeds(self, name, serving_config,
+                                              tmp_path):
+        """Save → load is the identity on learned state for any weights, and
+        rebuilds the stored model class and configuration (presentation
+        window and seed included), so neither has to be restated."""
         for seed in range(3):
-            model = SpikeDynModel(serving_config.replace(seed=seed))
+            config = serving_config.replace(seed=seed, t_sim=30.0 + seed)
+            model = MODEL_CLASSES[name](config)
             rng = np.random.default_rng(seed)
             model.input_weights[:] = rng.uniform(
                 0.0, 1.0, size=model.input_weights.shape
@@ -75,8 +81,11 @@ class TestRoundTrip:
             model.network.group("excitatory").theta[:] = rng.uniform(
                 0.0, 0.5, size=model.n_exc
             )
-            directory = model.save(tmp_path / f"model-{seed}")
+            directory = model.save(tmp_path / f"{name}-{seed}")
             rebuilt = load_artifact(directory).build_model()
+            assert type(rebuilt) is MODEL_CLASSES[name]
+            assert rebuilt.config == config
+            assert rebuilt.encoder.duration == config.t_sim
             np.testing.assert_array_equal(rebuilt.input_weights,
                                           model.input_weights)
             np.testing.assert_array_equal(rebuilt.assignments,
@@ -87,10 +96,9 @@ class TestRoundTrip:
             )
 
     def test_compressed_state_from_before_stored_members_loads(
-            self, artifact_dir, trained_model, serving_config, tmp_path):
+            self, artifact_dir, trained_model, tmp_path):
         """Every artifact saved before ``state.npz`` held stored members was
-        written with ``np.savez_compressed``; both load surfaces still read
-        it, bit for bit."""
+        written with ``np.savez_compressed``; it still loads, bit for bit."""
         target = tmp_path / "compressed"
         target.mkdir()
         (target / "model.json").write_bytes(
@@ -106,16 +114,13 @@ class TestRoundTrip:
         expected_theta = trained_model.network.group("excitatory").theta
 
         rebuilt = load_artifact(target).build_model()
-        loaded = SpikeDynModel(serving_config)
-        loaded.load_state(target)
-        for model in (rebuilt, loaded):
-            np.testing.assert_array_equal(model.input_weights,
-                                          trained_model.input_weights)
-            np.testing.assert_array_equal(model.assignments,
-                                          trained_model.assignments)
-            np.testing.assert_array_equal(
-                model.network.group("excitatory").theta, expected_theta
-            )
+        np.testing.assert_array_equal(rebuilt.input_weights,
+                                      trained_model.input_weights)
+        np.testing.assert_array_equal(rebuilt.assignments,
+                                      trained_model.assignments)
+        np.testing.assert_array_equal(
+            rebuilt.network.group("excitatory").theta, expected_theta
+        )
 
     def test_a_flipped_byte_in_a_stored_member_is_an_artifact_error(
             self, artifact_dir, tmp_path):
@@ -205,34 +210,6 @@ class TestValidation:
         with pytest.raises(ArtifactError, match="assignments"):
             load_artifact(target)
 
-    def test_load_state_rejects_shape_mismatch(self, artifact_dir,
-                                               serving_config):
-        other = SpikeDynModel(serving_config.with_network_size(8))
-        with pytest.raises(ArtifactError, match="does not match"):
-            other.load_state(artifact_dir)
-
-    def test_load_state_rejects_encoder_relevant_config_drift(
-            self, artifact_dir, serving_config):
-        """Same sizes but different presentation window: the weights were
-        trained at t_sim=40, so loading into a t_sim=60 model must fail
-        loudly instead of silently degrading accuracy."""
-        other = SpikeDynModel(serving_config.replace(t_sim=60.0))
-        with pytest.raises(ArtifactError) as excinfo:
-            other.load_state(artifact_dir)
-        message = str(excinfo.value)
-        assert "t_sim" in message
-        assert "60.0" in message and "40.0" in message
-
-    def test_load_state_tolerates_a_different_seed(self, artifact_dir,
-                                                   serving_config,
-                                                   trained_model):
-        """Seed only controls stochastic draws; evaluating a saved model
-        with a fresh seed is a legitimate, supported flow."""
-        other = SpikeDynModel(serving_config.replace(seed=99))
-        other.load_state(artifact_dir)
-        np.testing.assert_array_equal(other.input_weights,
-                                      trained_model.input_weights)
-
     def test_invalid_config_is_an_artifact_error(self, artifact_dir, tmp_path):
         target = tmp_path / "badconfig"
         target.mkdir()
@@ -260,9 +237,9 @@ class TestValidation:
             loaded.build_model()
 
     def test_metadata_without_meta_section_still_loads(
-            self, artifact_dir, trained_model, serving_config, tmp_path):
-        """A metadata file holding only 'config' is minimal but valid —
-        both load paths must restore it (samples_trained defaults to 0)."""
+            self, artifact_dir, trained_model, tmp_path):
+        """A metadata file holding only 'config' is minimal but valid: it
+        rebuilds as SpikeDyn and samples_trained defaults to 0."""
         target = tmp_path / "bare"
         target.mkdir()
         (target / "state.npz").write_bytes(
@@ -271,12 +248,10 @@ class TestValidation:
         metadata = load_json(artifact_dir / "model.json")
         save_json({"config": metadata["config"]}, target / "model.json")
         rebuilt = load_artifact(target).build_model()
+        assert type(rebuilt) is SpikeDynModel
         assert rebuilt.samples_trained == 0
         np.testing.assert_array_equal(rebuilt.input_weights,
                                       trained_model.input_weights)
-        direct = SpikeDynModel(serving_config)
-        direct.load_state(target)
-        assert direct.samples_trained == 0
 
     def test_corrupt_metadata_json(self, artifact_dir, tmp_path):
         target = tmp_path / "nojson"

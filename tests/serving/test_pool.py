@@ -74,7 +74,7 @@ class TestConcurrentEquivalence:
     def test_concurrent_predictions_match_offline_batched_path(
             self, pool, artifact, request_images, request_seeds):
         """The tentpole guarantee: micro-batched concurrent serving returns
-        predictions bit-identical to the offline ``eval_batch_size`` path."""
+        predictions bit-identical to the offline chunked path."""
         reference = offline_predictions(artifact.build_model(),
                                         request_images, request_seeds)
         report = run_load(pool_sender(pool), request_images, request_seeds,

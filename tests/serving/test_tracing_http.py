@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -216,39 +217,37 @@ class TestCrashTraceContinuity:
             with trace_scope(context):
                 first = pool.predict(request_images[0],
                                      seed=request_seeds[0], timeout=120.0)
-            pid_before = pool.shard_pids()[0]
-            assert pid_before is not None
+            pid = pool.shard_pids()[0]
+            assert pid is not None
 
-            # Kill the worker while traced batches are in flight.  Waiting
-            # for the first response before killing proves the worker is
-            # mid-stream with batches still queued, so the kill lands
-            # during an RPC and that RPC is retried on the respawned
-            # process; if it happens to land between batches anyway no
-            # retry occurs, so repeat until one is recorded (each round
-            # must still answer all requests bit-identically).
-            retried = []
-            for _ in range(6):
-                pid = pool.shard_pids()[0]
-                if pid is None:
-                    time.sleep(0.2)
-                    continue
-                with trace_scope(context):
-                    futures = [pool.submit(image, seed=seed)
-                               for image, seed in zip(request_images,
-                                                      request_seeds)]
-                futures[0].result(timeout=120.0)
-                os.kill(pid, signal.SIGKILL)
-                served = np.array([future.result(timeout=120.0).prediction
-                                   for future in futures])
-                offline = offline_predictions(trained_model, request_images,
-                                              request_seeds)
-                np.testing.assert_array_equal(served, offline)
-                retried = [span for span
-                           in trace_spans(ledger, "kill-trace")
-                           if span.get("retry") == 1]
-                if retried:
-                    break
-            assert retried, "no retried span recorded after 6 SIGKILL rounds"
+            # Kill the worker during an outstanding RPC, by construction:
+            # freeze it first, so the batch it is sent cannot be answered,
+            # and kill it only once the pool has claimed a batch and entered
+            # the RPC (past its liveness check).  The dead worker then fails
+            # that RPC, which is retried on the respawned process.
+            os.kill(pid, signal.SIGSTOP)
+            in_rpc = threading.Event()
+            rpc = pool._rpc
+
+            def observed_rpc(handle, payload):
+                in_rpc.set()
+                return rpc(handle, payload)
+
+            pool._rpc = observed_rpc
+            with trace_scope(context):
+                futures = [pool.submit(image, seed=seed)
+                           for image, seed in zip(request_images,
+                                                  request_seeds)]
+            assert in_rpc.wait(timeout=60.0)
+            os.kill(pid, signal.SIGKILL)
+            served = np.array([future.result(timeout=120.0).prediction
+                               for future in futures])
+            offline = offline_predictions(trained_model, request_images,
+                                          request_seeds)
+            np.testing.assert_array_equal(served, offline)
+            retried = [span for span in trace_spans(ledger, "kill-trace")
+                       if span.get("retry") == 1]
+            assert retried, "no retried span recorded after the SIGKILL"
             assert {span["name"] for span in retried} & {"shard_rpc",
                                                          "shard_batch"}
 

@@ -72,21 +72,23 @@ class TestTrainAndEvaluate:
         assert "digit-0" in output and "digit-1" in output
         assert "accuracy_%" in output
 
-    def test_train_save_then_evaluate(self, tmp_path, capsys):
+    @pytest.mark.parametrize("model", ["spikedyn", "baseline"])
+    def test_train_save_then_evaluate(self, model, tmp_path, capsys):
+        """``evaluate`` takes the model class and configuration from the
+        artifact, so it needs nothing but the directory."""
         save_dir = str(tmp_path / "model")
         assert main([
-            "train", "--model", "spikedyn", "--n-exc", "8", "--image-size", "8",
+            "train", "--model", model, "--n-exc", "8", "--image-size", "8",
             "--t-sim", "20", "--classes", "0", "1", "--samples-per-class", "2",
             "--eval-per-class", "2", "--save", save_dir,
         ]) == 0
         capsys.readouterr()
 
         assert main([
-            "evaluate", save_dir, "--model", "spikedyn", "--n-exc", "8",
-            "--image-size", "8", "--t-sim", "20", "--classes", "0", "1",
-            "--eval-per-class", "2",
+            "evaluate", save_dir, "--classes", "0", "1", "--eval-per-class", "2",
         ]) == 0
         output = capsys.readouterr().out
+        assert f"evaluating {model!r} (8 excitatory neurons, 8x8 images)" in output
         assert "overall accuracy" in output
 
     def test_nondynamic_protocol_option(self, capsys):
@@ -97,12 +99,18 @@ class TestTrainAndEvaluate:
         ]) == 0
 
     def test_evaluate_missing_model_fails(self, tmp_path, capsys):
-        exit_code = main([
-            "evaluate", str(tmp_path / "does_not_exist"), "--n-exc", "8",
-            "--image-size", "8", "--t-sim", "20",
-        ])
+        exit_code = main(["evaluate", str(tmp_path / "does_not_exist")])
         assert exit_code == 1
         assert "could not load" in capsys.readouterr().err
+
+    def test_evaluate_rejects_a_non_square_input(self, tmp_path, capsys):
+        from repro.core.config import SpikeDynConfig
+        from repro.models import SpikeDynModel
+
+        config = SpikeDynConfig.scaled_down(n_input=50, n_exc=4, t_sim=20.0)
+        directory = SpikeDynModel(config).save(tmp_path / "model")
+        assert main(["evaluate", str(directory)]) == 1
+        assert "50 inputs" in capsys.readouterr().err
 
 
 class TestSearch:
@@ -134,15 +142,6 @@ class TestEnergyAndReproduce:
         assert "baseline" in output and "asp" in output and "spikedyn" in output
         assert "training_vs_baseline" in output
 
-    def test_energy_surfaces_event_engine_tallies(self, capsys):
-        assert main([
-            "energy", "--image-size", "8", "--n-exc", "8", "--t-sim", "20",
-            "--samples", "1",
-        ]) == 0
-        output = capsys.readouterr().out
-        assert "events_processed" in output and "steps_skipped" in output
-        assert "event-driven execution" in output
-
     def test_reproduce_table1(self, capsys):
         assert main(["reproduce", "table1"]) == 0
         assert "Jetson Nano" in capsys.readouterr().out
@@ -152,29 +151,34 @@ class TestEnergyAndReproduce:
         assert "analytical" in capsys.readouterr().out
 
 
-class TestEvalBatchSizeFlag:
-    def test_parser_accepts_the_flag(self):
-        parser = build_parser()
-        args = parser.parse_args(["train", "--eval-batch-size", "8"])
-        assert args.eval_batch_size == 8
+class TestFlagsACommandWouldIgnore:
+    """Flags that would change nothing are not registered: ``evaluate``
+    reads the model from the artifact, ``search`` sweeps ``n_exc`` on
+    SpikeDyn, ``energy`` runs all three models, and evaluation always
+    advances ``DEFAULT_EVAL_BATCH_SIZE`` samples per engine step."""
 
-    def test_flag_defaults_to_batched_evaluation(self):
-        parser = build_parser()
-        args = parser.parse_args(["train"])
-        assert args.eval_batch_size == 32
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "model-dir", "--model", "baseline"],
+        ["evaluate", "model-dir", "--n-exc", "8"],
+        ["evaluate", "model-dir", "--image-size", "8"],
+        ["evaluate", "model-dir", "--t-sim", "20"],
+        ["search", "--model", "spikedyn"],
+        ["search", "--n-exc", "8"],
+        ["energy", "--model", "spikedyn"],
+        ["train", "--eval-batch-size", "8"],
+        ["evaluate", "model-dir", "--eval-batch-size", "8"],
+        ["search", "--eval-batch-size", "8"],
+        ["energy", "--eval-batch-size", "8"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
 
-    def test_sequential_evaluation_via_batch_size_one(self, capsys):
-        assert main([
-            "train", "--model", "spikedyn", "--n-exc", "8", "--image-size", "8",
-            "--t-sim", "20", "--classes", "0", "--samples-per-class", "2",
-            "--eval-per-class", "2", "--eval-batch-size", "1",
-        ]) == 0
-        assert "digit-0" in capsys.readouterr().out
-
-    def test_non_positive_batch_size_is_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["train", "--eval-batch-size", "0"])
-        assert "must be >= 1" in capsys.readouterr().err
+    def test_evaluate_still_takes_a_seed(self):
+        args = build_parser().parse_args(["evaluate", "model-dir", "--seed", "3"])
+        assert args.seed == 3
 
 
 class TestRunnerCommands:
