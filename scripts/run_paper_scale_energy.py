@@ -1,6 +1,6 @@
 """Paper-network-size follow-up pass for the energy/memory experiments.
 
-``run_all_experiments.py`` keeps its default energy experiments at N100/N200
+``repro run-all`` keeps its default energy experiments at N100/N200
 so the whole sweep stays fast.  This script re-runs the experiments whose
 cost does not depend on training a full protocol — Fig. 4(b,c), Fig. 5,
 Fig. 11, Table II, and the Alg. 1 search — at the paper's own network sizes

@@ -25,9 +25,11 @@ identical ``OperationCounter`` tallies for the same simulation.
 
 Conventions shared by every kernel:
 
-* ``spikes`` arguments are boolean arrays shaped ``(n,)`` in single-sample
-  mode or ``(batch, n)`` in batch mode; kernels must handle both, except
-  the STDP kernels, which only run single-sample (learning is sequential).
+* The engine has one state shape: neuron and synapse state, spikes and
+  currents are ``(batch, n)`` arrays, with ``batch = 1`` for every
+  sequential run.  The STDP kernels take ``(n,)`` spike rows and traces,
+  since learning is sequential (the rules hand them the rows of a batch
+  of one, :meth:`repro.learning.base.LearningRule.spike_rows`).
 * Decay factors are precomputed by the caller (``exp(-dt / tau)``) so all
   backends see the exact same scalar.
 * Kernels may update their state arguments in place, and the state
@@ -98,7 +100,7 @@ class Backend(abc.ABC):
         Returns the ``(v, spikes, refrac_remaining)`` triple for the next
         timestep; ``v`` and ``refrac_remaining`` may be updated in place,
         ``spikes`` is a new array.  ``threshold`` broadcasts against ``v``
-        (it is ``(n,)`` for a fixed threshold even in batch mode).
+        (it is ``(n,)`` for a fixed threshold).
         """
 
     @abc.abstractmethod
@@ -128,8 +130,8 @@ class Backend(abc.ABC):
         """Add each spiking presynaptic neuron's weight row into the
         postsynaptic conductance, in place.
 
-        ``conductance`` is ``(n_post,)`` / ``(batch, n_post)`` and
-        ``pre_spikes`` ``(n_pre,)`` / ``(batch, n_pre)``.
+        ``conductance`` is ``(batch, n_post)`` and ``pre_spikes``
+        ``(batch, n_pre)``.
         """
 
     @abc.abstractmethod

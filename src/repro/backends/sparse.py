@@ -14,13 +14,13 @@ neurons (each set found with one flat index), and skips the refractory
 bookkeeping when no clock runs; ``theta_step`` decays ``theta`` and bumps
 only the spiking positions.
 
-Batched propagation adds each spiking sample's rows first to last, exactly
-as the single-sample gather does, so a batch is bit-for-bit equal to the
-same samples run one at a time.  Large batches walk each spiking sample's
-row through the single-sample gather, so the gathered temporary never
-exceeds one sample's rows; small ones sum a zero-padded (sample, row, post)
-block of at most :data:`PADDED_BLOCK_ELEMENTS` in one call, where the
-per-sample Python loop would cost more than the arithmetic.
+Propagation adds each spiking sample's rows first to last, exactly as a
+batch of one does, so a batch is bit-for-bit equal to the same samples run
+one at a time.  A batch of one gathers its rows directly.  Large batches
+walk each spiking sample's rows through the same gather, so the gathered
+temporary never exceeds one sample's rows; small ones sum a zero-padded
+(sample, row, post) block of at most :data:`PADDED_BLOCK_ELEMENTS` in one
+call, where the per-sample Python loop would cost more than the arithmetic.
 
 Numerical contract: every scalar operation applied to a touched element is
 the one the dense vector-matrix formulation applies, so membrane, clock,
@@ -111,11 +111,11 @@ class SparseEventBackend(Backend):
         return values
 
     def propagate_spikes(self, conductance, pre_spikes, weights):
-        if pre_spikes.ndim == 2 and len(pre_spikes) == 1:
-            # A batch of one (serving's usual micro-batch) is a row view.
-            conductance, pre_spikes = conductance[0], pre_spikes[0]
-        if pre_spikes.ndim == 1:
-            _add_rows(conductance, np.flatnonzero(pre_spikes), weights)
+        if len(pre_spikes) == 1:
+            # A batch of one (every sequential run, and serving's usual
+            # micro-batch): its flat spike indices are its weight rows, and
+            # adding them into its row view skips a broadcast.
+            _add_rows(conductance[0], np.flatnonzero(pre_spikes), weights)
             return
         counts = np.count_nonzero(pre_spikes, axis=1)
         active = np.flatnonzero(counts)
@@ -142,11 +142,11 @@ class SparseEventBackend(Backend):
             _add_rows(conductance[sample], pre_spikes[sample].nonzero()[0], weights)
 
     def propagate_lateral(self, conductance, spikes, strength):
-        if spikes.ndim == 1:
+        # Every neuron is inhibited by the spikes of all *other* neurons.
+        if len(spikes) == 1:
+            # A batch of one needs no per-sample gather.
             n_spiking = int(np.count_nonzero(spikes))
             if n_spiking:
-                # Every neuron is inhibited by the spikes of all *other*
-                # neurons.
                 conductance += strength * n_spiking - strength * spikes.astype(float)
             return
         counts = spikes.sum(axis=1, dtype=float)

@@ -145,7 +145,7 @@ def _add_network_arguments(parser: argparse.ArgumentParser, *,
     """Size, timing and seed flags of the commands that build networks
     (``search`` sweeps the layer size itself, so it takes no ``--n-exc``)."""
     if n_exc:
-        parser.add_argument("--n-exc", type=int, default=40,
+        parser.add_argument("--n-exc", type=_positive_int, default=40,
                             help="number of excitatory neurons")
     parser.add_argument("--image-size", type=int, default=14,
                         help="side length of the synthetic digit images")
@@ -814,9 +814,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="digit classes to train on")
     train.add_argument("--protocol", choices=("dynamic", "nondynamic"),
                        default="dynamic", help="task-ordering protocol")
-    train.add_argument("--samples-per-class", type=int, default=8,
+    train.add_argument("--samples-per-class", type=_positive_int, default=8,
                        help="training samples per class")
-    train.add_argument("--eval-per-class", type=int, default=4,
+    train.add_argument("--eval-per-class", type=_positive_int, default=4,
                        help="evaluation samples per class")
     train.add_argument("--save", default=None,
                        help="directory to save the trained model to")
@@ -831,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="seed of the evaluation digits")
     evaluate.add_argument("--classes", type=int, nargs="+", default=[0, 1, 2],
                           help="digit classes to evaluate on")
-    evaluate.add_argument("--eval-per-class", type=int, default=4,
+    evaluate.add_argument("--eval-per-class", type=_positive_int, default=4,
                           help="evaluation samples per class")
     evaluate.set_defaults(handler=_cmd_evaluate)
 
@@ -848,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="training samples the deployment will process")
     search.add_argument("--n-infer", type=int, default=10_000,
                         help="inference samples the deployment will process")
-    search.add_argument("--n-add", type=int, default=25,
+    search.add_argument("--n-add", type=_positive_int, default=25,
                         help="search step in excitatory neurons")
     search.add_argument("--device", default="GTX 1080 Ti",
                         help="target device profile")
@@ -859,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_arguments(energy)
     energy.add_argument("--device", default="GTX 1080 Ti",
                         help="target device profile")
-    energy.add_argument("--samples", type=int, default=2,
+    energy.add_argument("--samples", type=_positive_int, default=2,
                         help="samples averaged per measurement")
     energy.set_defaults(handler=_cmd_energy)
 

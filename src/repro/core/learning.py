@@ -243,8 +243,9 @@ class SpikeDynLearningRule(LearningRule):
             raise RuntimeError("SpikeDynLearningRule stepped outside a sample: "
                                "call on_sample_start with the run's spike record first")
         self._decay_traces(dt)
-        self.pre_trace.bump(connection.pre.spikes)
-        self.post_trace.bump(connection.post.spikes)
+        pre_spikes, post_spikes = self.spike_rows(connection)
+        self.pre_trace.bump(pre_spikes)
+        self.post_trace.bump(post_spikes)
         self._steps_in_sample += 1
 
         steps_per_window = self._steps_per_window(dt) if self.gate_updates else 1

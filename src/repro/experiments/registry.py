@@ -7,8 +7,7 @@ The registry is the single source of truth consumed by
 
 * the CLI (``repro reproduce`` / ``repro run-all``),
 * the parallel runner (:mod:`repro.runner`), which shards a run into one
-  :class:`~repro.runner.jobs.JobSpec` per registry unit, and
-* ``scripts/run_all_experiments.py``.
+  :class:`~repro.runner.jobs.JobSpec` per registry unit.
 
 A driver is any callable ``runner(scale, **overrides)`` returning either a
 plain string or an object with a ``to_text()`` rendering.  ``overrides`` must

@@ -108,7 +108,7 @@ class ASPLearningRule(PairwiseSTDP):
         """Slow postsynaptic activity trace (decays between spikes)."""
         activity = self._ensure_activity(connection)
         activity *= np.exp(-dt / self.tau_activity)
-        activity += connection.post.spikes.astype(float)
+        activity += self.spike_rows(connection)[1].astype(float)
         if counter is not None:
             counter.add(exponential_ops=connection.post.n,
                         trace_updates=connection.post.n)

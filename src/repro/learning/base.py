@@ -5,6 +5,10 @@ and driven by the network once per timestep.  The rule owns its own pre- and
 postsynaptic spike traces so that the connection object stays a passive
 weight container.  Both traces are views of one buffer, so each step decays
 them with one backend call and a per-element factor vector.
+
+Learning is sequential: a network steps the rules in a run of one sample,
+whose ``(1, n)`` spikes every rule reads as ``(n,)`` rows through
+:meth:`LearningRule.spike_rows`.
 """
 
 from __future__ import annotations
@@ -104,13 +108,27 @@ class LearningRule:
         if counter is not None:
             counter.add(exponential_ops=traces.size, trace_updates=traces.size)
 
+    @staticmethod
+    def spike_rows(connection: Connection) -> tuple:
+        """``connection``'s pre- and postsynaptic spikes as ``(n,)`` rows.
+
+        A rule steps in a run of one sample and reads its ``(1, n)`` spikes
+        as views; spikes a caller set as ``(n,)`` come back as they are.
+        The reshape raises for a larger batch rather than mix its samples.
+        """
+        return (connection.pre.spikes.reshape(connection.pre.n),
+                connection.post.spikes.reshape(connection.post.n))
+
     def _update_traces(self, connection: Connection, dt: float,
-                       counter: Optional[OperationCounter]) -> None:
-        """Decay and bump both traces from the current spike vectors."""
+                       counter: Optional[OperationCounter]) -> tuple:
+        """Decay and bump both traces from the current spikes; returns
+        them as :meth:`spike_rows`."""
         self._ensure_traces(connection)
         self._decay_traces(dt, counter)
-        self.pre_trace.update(connection.pre.spikes, counter)
-        self.post_trace.update(connection.post.spikes, counter)
+        pre_spikes, post_spikes = self.spike_rows(connection)
+        self.pre_trace.update(pre_spikes, counter)
+        self.post_trace.update(post_spikes, counter)
+        return pre_spikes, post_spikes
 
     def reset(self) -> None:
         """Clear all rule-internal state (traces and spike records)."""

@@ -109,10 +109,7 @@ class PairwiseSTDP(LearningRule):
 
     def step(self, connection: Connection, dt: float, t_index: int,
              counter: Optional[OperationCounter] = None) -> None:
-        self._update_traces(connection, dt, counter)
-
-        pre_spikes = connection.pre.spikes
-        post_spikes = connection.post.spikes
+        pre_spikes, post_spikes = self._update_traces(connection, dt, counter)
 
         # count_nonzero is ~3x cheaper than any() on small bool arrays.
         if np.count_nonzero(post_spikes) and self.nu_post > 0.0:

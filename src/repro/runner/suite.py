@@ -2,9 +2,8 @@
 
 Maps every registered experiment driver to one :class:`JobSpec`, picking the
 scale appropriate to the driver's family (accuracy protocols, energy
-estimation, hyperparameter sweeps) — the same mapping
-``scripts/run_all_experiments.py`` has always used, now in library form so
-the CLI, the script, and the tests build identical suites.
+estimation, hyperparameter sweeps), so ``repro run-all`` and the tests
+build identical suites.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from repro.experiments.registry import EXPERIMENTS, ExperimentSpec
 from repro.runner.jobs import JobSpec
 
 #: Driver overrides applied by the full-suite run (cheap-but-representative
-#: settings inherited from the historical ``run_all_experiments.py``).
+#: settings).
 SUITE_OVERRIDES: Dict[str, Dict[str, Any]] = {
     "fig5": {"actual_run_samples": 2},
     "fig4": {"include_accuracy_profile": False},

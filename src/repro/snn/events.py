@@ -200,8 +200,9 @@ class EventRows:
     """The input rows of an event stream, built as the stepping loop asks.
 
     Rows must be requested in increasing step order: ``rows[t]`` is a fresh
-    boolean row where events fall at step ``t`` and the shared ``silent``
-    row elsewhere, and :meth:`next_input` names the next step with events.
+    ``(1, n)`` boolean row where events fall at step ``t`` and the shared
+    ``silent`` row elsewhere, and :meth:`next_input` names the next step
+    with events.
     """
 
     def __init__(self, stream: EventStream, silent: np.ndarray) -> None:
@@ -214,7 +215,8 @@ class EventRows:
         if pointer < self.times.size and self.times[pointer] == t_index:
             self._pointer = pointer + 1
             row = np.zeros_like(self.silent)
-            row[self.channels[pointer]] = True
+            # Flat indices address row 0 of the (1, n) row.
+            row.put(self.channels[pointer], True)
             return row
         return self.silent
 
@@ -305,7 +307,7 @@ def advance_analytic(network, delta: int, *, decay_traces: bool = False) -> None
             continue
         lam = np.exp(-dt / group.tau_m)
         lam_pow = lam ** delta
-        drive = np.zeros(group.state_shape, dtype=float)
+        drive = np.zeros_like(group.v)
         for connection, coefficient, mu in stage.inputs:
             drive += (coefficient * _geometric_drive(mu, lam, delta)) \
                 * connection.conductance

@@ -5,18 +5,23 @@ groups, and the connections between them.  :meth:`Network.run_sample`
 presents one rate-coded sample (a boolean spike train) to the input group,
 advances the whole network timestep by timestep, drives attached learning
 rules, and returns per-group spike counts.  :meth:`Network.run_batch`
-presents ``B`` samples at once, advancing ``(B, n)``-shaped state in one
-vectorized step per timestep — the hot path for evaluation-heavy workloads.
-:meth:`Network.run_events` presents an event stream and jumps provably
-silent gaps.
+presents ``B`` samples at once, the hot path for evaluation-heavy
+workloads.  :meth:`Network.run_events` presents an event stream and jumps
+provably silent gaps.
 
-All three share one stepping loop, which differs between them only in where
-the input rows come from and whether silent gaps may be jumped.  Each
-timestep is one call of :meth:`repro.snn.plan.StepPlan.step`, and the order
-of work within a timestep is documented there.  :meth:`Network.compile`
-builds that plan once per batch shape and caches it; adding a group or a
-connection, or :meth:`Network.set_backend`, drops the cache so the next run
-recompiles.
+All three share one stepping loop and one state shape: every run advances
+``(B, n)`` state, with ``B = 1`` for :meth:`~Network.run_sample`,
+:meth:`~Network.run_events` and each sample of a learning
+:meth:`~Network.run_batch`, so a sample run alone is a batch of one.  They
+differ only in where the input rows come from, whether silent gaps may be
+jumped, and whether the run is sequential: a sequential run keeps its
+adaptation drift (``theta``), a batch leaves it where it was.  Between
+runs every group and connection holds its ``(n,)`` rest state.  Each
+timestep is one call of :meth:`repro.snn.plan.StepPlan.step`, and the
+order of work within a timestep is documented there.
+:meth:`Network.compile` builds that plan once per batch size and caches
+it; adding a group or a connection, or :meth:`Network.set_backend`, drops
+the cache so the next run recompiles.
 
 All primitive operations are tallied in the network's
 :class:`~repro.snn.simulation.OperationCounter`, which feeds the energy and
@@ -90,7 +95,7 @@ class Network:
         self.connections: List[Connection] = []
         self.counter = OperationCounter()
         self._input_group: Optional[InputGroup] = None
-        self._plans: Dict[Optional[int], StepPlan] = {}
+        self._plans: Dict[int, StepPlan] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -171,29 +176,6 @@ class Network:
 
     # -- simulation ----------------------------------------------------------
 
-    @property
-    def batch_size(self) -> Optional[int]:
-        """Active batch size while :meth:`run_batch` is executing, else ``None``."""
-        if self._input_group is not None:
-            return self._input_group.batch_size
-        for group in self.groups.values():
-            return group.batch_size
-        return None
-
-    def _begin_batch(self, batch_size: int) -> None:
-        """Switch every group and connection into ``(batch_size, n)`` state."""
-        for group in self.groups.values():
-            group.begin_batch(batch_size)
-        for connection in self.connections:
-            connection.begin_batch(batch_size)
-
-    def _end_batch(self) -> None:
-        """Restore single-sample state buffers (tolerant of partial entry)."""
-        for group in self.groups.values():
-            group.end_batch()
-        for connection in self.connections:
-            connection.end_batch()
-
     def reset_transient_state(self) -> None:
         """Reset per-sample state (potentials, conductances, input cursors)."""
         for group in self.groups.values():
@@ -205,55 +187,64 @@ class Network:
         """Reset the network.
 
         With ``full=True`` adaptation variables and learning-rule state are
-        also cleared; synaptic weights are never touched.  An active batch
-        mode is always exited first, so after a reset every state buffer has
-        its plain ``(n,)`` shape rather than a stale ``(batch_size, n)`` one.
+        also cleared; synaptic weights are never touched.
         """
-        self._end_batch()
         for group in self.groups.values():
             group.reset_state(full=full)
         for connection in self.connections:
             connection.reset_state(full=full)
         self.counter.reset()
 
-    def compile(self) -> StepPlan:
-        """The :class:`~repro.snn.plan.StepPlan` for the active batch shape.
+    def compile(self, batch_size: int = 1) -> StepPlan:
+        """The :class:`~repro.snn.plan.StepPlan` for ``batch_size`` samples.
 
-        Compiled on first use and cached per batch shape; adding a group or
+        Compiled on first use and cached per batch size; adding a group or
         connection, or :meth:`set_backend`, drops the cache.  Time constants
         and ``params.dt`` are read when the plan compiles.
         """
-        plan = self._plans.get(self.batch_size)
+        plan = self._plans.get(batch_size)
         if plan is None:
-            plan = self._plans[self.batch_size] = StepPlan(self)
+            plan = self._plans[batch_size] = StepPlan(self, batch_size)
         return plan
 
-    def _simulate(self, rows, steps: int, *, learning: bool,
-                  include_rest: bool, next_input=None) -> SampleResult:
+    def _simulate(self, rows, steps: int, batch_size: int, *, learning: bool,
+                  include_rest: bool, carry: bool,
+                  next_input=None) -> List[SampleResult]:
         """The one stepping loop behind every ``run_*`` entry point.
 
-        ``rows[t]`` is the input row of presentation step ``t``; rest steps
-        get silence.  ``next_input()`` (event inputs only) names the next
-        step that carries input; silent gaps up to it are jumped whenever
-        :func:`~repro.snn.events.silence_is_provable`.  The result holds the
-        spike counts of the presentation window.
+        ``rows[t]`` is the ``(batch_size, n_input)`` input row of
+        presentation step ``t``; rest steps get silence.  The plan's
+        :meth:`~repro.snn.plan.StepPlan.begin` and
+        :meth:`~repro.snn.plan.StepPlan.end` around the loop are the one
+        place that sizes the run's ``(batch_size, n)`` state and puts the
+        ``(n,)`` rest state back; ``carry`` (a sequential run, one sample)
+        keeps the run's row in it.  ``next_input()`` (event inputs only)
+        names the next step that carries input; silent gaps up to it are
+        jumped whenever :func:`~repro.snn.events.silence_is_provable`.
+        Returns one result per sample, holding the spike counts of the
+        presentation window.
         """
-        plan = self.compile()
+        plan = self.compile(batch_size)
         silent = plan.silent_input
         total = steps + (self.params.rest_steps if include_rest else 0)
         plastic = [connection for connection in self.connections
                    if learning and connection.learning_rule is not None]
-        plan.begin()
-        for connection in plastic:
-            # The rules read the run's spike record; it stops at the end of
-            # the presentation, when learning does.
-            connection.learning_rule.on_sample_start(connection, plan.counts)
-        presented = None
+        presented = False
         t_index = 0
         try:
+            plan.begin(carry)
+            # Each sample's rows of the run's spike record; the record stops
+            # at the end of the presentation, when learning does.  Learning
+            # is sequential: the rules read sample 0.
+            samples = [{name: counts[index]
+                        for name, counts in plan.counts.items()}
+                       for index in range(batch_size)]
+            for connection in plastic:
+                connection.learning_rule.on_sample_start(connection, samples[0])
             while t_index < total:
-                if t_index >= steps and presented is None:
-                    presented = plan.end_presentation()
+                if t_index >= steps and not presented:
+                    plan.end_presentation()
+                    presented = True
                 learn_now = learning and t_index < steps
                 row = rows[t_index] if t_index < steps else silent
                 if next_input is not None and row is silent:
@@ -269,13 +260,12 @@ class Network:
                 t_index += 1
         finally:
             plan.flush(self.counter)
+            plan.end()
         for connection in plastic:
             connection.learning_rule.on_sample_end(connection, self.counter)
         self.reset_transient_state()
-        return SampleResult(
-            spike_counts=plan.counts if presented is None else presented,
-            steps=total, learning=learning,
-        )
+        return [SampleResult(spike_counts=counts, steps=total, learning=learning)
+                for counts in samples]
 
     def run_sample(self, spike_train: np.ndarray, *, learning: bool = True,
                    include_rest: bool = False) -> SampleResult:
@@ -296,9 +286,18 @@ class Network:
         SampleResult
             Per-group spike counts over the presentation window.
         """
-        train = self.input_group.validate_train(spike_train)
-        return self._simulate(train, train.shape[0], learning=learning,
-                              include_rest=include_rest)
+        train = np.asarray(spike_train)
+        n_input = self.input_group.n
+        if train.ndim != 2 or train.shape[1] != n_input:
+            raise ValueError(
+                "spike_train must have shape (timesteps, n_input) with "
+                f"{n_input} input channels, got {train.shape}"
+            )
+        # A batch of one: rows[t] is the (1, n_input) input of step t.
+        (result,) = self._simulate(train.astype(bool, copy=False)[:, None],
+                                   len(train), 1, learning=learning,
+                                   include_rest=include_rest, carry=True)
+        return result
 
     def run_batch(self, spike_trains: np.ndarray, *, learning: bool = False,
                   include_rest: bool = False) -> List[SampleResult]:
@@ -312,10 +311,10 @@ class Network:
             stacked).  A boolean array is read in place, not copied.
         learning:
             When ``False`` (the default, the inference hot path) all samples
-            advance simultaneously in ``(batch_size, n)``-shaped vectorized
-            state.  When ``True`` the samples are applied one at a time via
-            :meth:`run_sample`, so plasticity sees exactly the same weight
-            trajectory as a sequential loop.
+            advance together in ``(batch_size, n)`` state.  When ``True``
+            the samples are applied one at a time via :meth:`run_sample`, so
+            plasticity sees exactly the same weight trajectory as a
+            sequential loop.
         include_rest:
             When ``True``, simulate ``params.rest_steps`` additional steps
             with no input after the presentation window.
@@ -328,23 +327,23 @@ class Network:
 
         Notes
         -----
-        **Equivalence guarantee.**  Batched inference performs, per sample,
-        exactly the same floating-point operations as the sequential path
-        (elementwise updates broadcast over the batch axis; the
+        **Equivalence guarantee.**  A run of one sample is a batch of one,
+        and every state update is elementwise over the batch axis (the
         spike-to-conductance projection gathers each spiking sample's
-        weight rows and sums them first to last, as a single sample's step
-        does), so spike counts, membrane trajectories, and
+        weight rows and sums them first to last, as a batch of one does),
+        so spike counts, membrane trajectories, and
         :class:`~repro.snn.simulation.OperationCounter` totals are bit-for-bit
         identical to ``B`` independent :meth:`run_sample` calls.
 
-        **Adaptation state.**  Samples in a batch are independent: each gets
-        its own copy of slowly-varying adaptation state (e.g. the threshold
-        potential ``theta``), and the persistent copy is restored unchanged
-        when the batch finishes.  A *sequential* loop over samples instead
-        carries ``theta`` drift from one sample into the next; the two modes
-        therefore only diverge when ``adapt_theta`` is enabled with a nonzero
-        ``theta_plus``.  With ``learning=True`` the sequential-equivalent path
-        is used, which preserves that drift exactly.
+        **Adaptation state.**  Samples in a batch are independent: each
+        starts from the persistent slowly-varying adaptation state (e.g.
+        the threshold potential ``theta``), which the batch leaves
+        unchanged, at any batch size.  A *sequential* loop over samples
+        instead carries ``theta`` drift from one sample into the next; the
+        two modes therefore only diverge when ``adapt_theta`` is enabled
+        with a nonzero ``theta_plus``.  With ``learning=True`` the
+        sequential-equivalent path is used, which preserves that drift
+        exactly.
         """
         try:
             trains = np.asarray(spike_trains)
@@ -358,18 +357,7 @@ class Network:
                 "all spike trains in a batch must have the same number of "
                 "timesteps"
             )
-        if trains.ndim != 3:
-            raise ValueError(
-                "spike_trains must have shape (batch_size, timesteps, "
-                f"n_input), got {trains.shape}"
-            )
-        input_group = self.input_group
-        if trains.shape[2] != input_group.n:
-            raise ValueError(
-                f"spike_trains must have {input_group.n} input channels, "
-                f"got {trains.shape[2]}"
-            )
-
+        trains = self.input_group.validate_train(trains)
         if learning:
             # Sequential-equivalent application keeps the weight trajectory —
             # and therefore the learned weights — bit-for-bit identical to a
@@ -378,26 +366,10 @@ class Network:
                 self.run_sample(train, learning=True, include_rest=include_rest)
                 for train in trains
             ]
-
-        batch_size, steps, _ = trains.shape
-        self._begin_batch(batch_size)
-        try:
-            # rows[t] is the (batch_size, n_input) input of step t.
-            rows = np.swapaxes(trains.astype(bool, copy=False), 0, 1)
-            batched = self._simulate(rows, steps, learning=False,
-                                     include_rest=include_rest)
-        finally:
-            self._end_batch()
-
-        return [
-            SampleResult(
-                spike_counts={name: counts[index].copy()
-                              for name, counts in batched.spike_counts.items()},
-                steps=batched.steps,
-                learning=False,
-            )
-            for index in range(batch_size)
-        ]
+        # rows[t] is the (batch_size, n_input) input of step t.
+        return self._simulate(np.swapaxes(trains, 0, 1), trains.shape[1],
+                              len(trains), learning=False,
+                              include_rest=include_rest, carry=False)
 
     def run_events(self, events, *, learning: bool = False,
                    include_rest: bool = False,
@@ -448,11 +420,6 @@ class Network:
                                     include_rest=include_rest,
                                     allow_jumps=allow_jumps)
                     for item in events]
-        if self.batch_size is not None:
-            raise RuntimeError(
-                "run_events requires single-sample mode; end the active "
-                "batch first"
-            )
         stream = as_event_stream(events, n_channels=self.input_group.n)
 
         jumps = allow_jumps if allow_jumps is not None \
@@ -465,9 +432,9 @@ class Network:
             )
 
         rows = EventRows(stream, self.compile().silent_input)
-        result = self._simulate(rows, stream.n_steps, learning=learning,
-                                include_rest=include_rest,
-                                next_input=rows.next_input if jumps else None)
+        (result,) = self._simulate(rows, stream.n_steps, 1, learning=learning,
+                                   include_rest=include_rest, carry=True,
+                                   next_input=rows.next_input if jumps else None)
         # Every event is delivered on an executed step: gaps stop before it.
         self.counter.add(events_processed=stream.n_events)
         return result

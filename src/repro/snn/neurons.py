@@ -15,28 +15,28 @@ Three neuron groups are provided:
     decaying otherwise.  Used for the excitatory layer, exactly as in
     Diehl & Cook (2015) and in the SpikeDyn paper's Section II.
 
-All state is vectorized; a group of ``n`` neurons stores ``n``-element numpy
-arrays and advances one timestep per :meth:`~NeuronGroup.integrate` call,
-which a compiled :class:`~repro.snn.plan.StepPlan` makes with the summed
+All state is vectorized.  A group of ``n`` neurons keeps ``n``-element
+numpy arrays at rest; a compiled :class:`~repro.snn.plan.StepPlan` advances
+it one timestep per :meth:`~NeuronGroup.integrate` call, with the summed
 current of the group's incoming connections.
 
-Batched simulation
-------------------
-Every group additionally supports a *batch mode* used by
-:meth:`repro.snn.network.Network.run_batch`: between :meth:`~NeuronGroup.begin_batch`
-and :meth:`~NeuronGroup.end_batch` the per-neuron state arrays take the shape
-``(batch_size, n)`` and :meth:`~NeuronGroup.integrate` advances
-``batch_size`` independent samples at once.  Because every state update is
-elementwise, the batched update of sample ``b`` performs exactly the same
-floating-point operations as a sequential update of that sample, so results
-are bit-for-bit identical.
-Slowly-varying adaptation state (``theta``) is copied per sample on entry and
-restored on exit — a batched run never mutates persistent adaptation state.
+One state shape
+---------------
+Every run advances ``(B, n)`` state: ``B`` samples for
+:meth:`repro.snn.network.Network.run_batch` and ``B = 1`` for every
+sequential run.  The arrays named in :attr:`~NeuronGroup.state_names` are
+``(n,)`` between runs; :meth:`repro.snn.plan.StepPlan.begin` replaces each
+with ``B`` stacked copies and :meth:`~repro.snn.plan.StepPlan.end` puts the
+``(n,)`` arrays back.  Every state update is elementwise, so sample ``b``
+of a batch performs exactly the floating-point operations a run of that
+sample alone performs, and results are bit-for-bit identical.  Only a
+sequential run writes its row back, so a batch never moves the persistent
+adaptation state (``theta``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -61,12 +61,14 @@ class NeuronGroup:
         is the single place that decides the compute policy.
     """
 
+    #: The per-neuron state arrays a run advances in ``(B, n)`` copies.
+    state_names: tuple = ("spikes",)
+
     def __init__(self, n: int, name: str = "group",
                  backend: BackendLike = None) -> None:
         self.n = check_positive_int(n, "n")
         self.name = str(name)
         self.backend = get_backend(backend)
-        self._batch_size: Optional[int] = None
         self.spikes = np.zeros(self.n, dtype=bool)
 
     # -- properties ---------------------------------------------------------
@@ -79,45 +81,6 @@ class NeuronGroup:
         each neuron parameter contributes ``bit_precision`` bits.
         """
         return 0
-
-    @property
-    def batch_size(self) -> Optional[int]:
-        """Active batch size, or ``None`` outside batch mode."""
-        return self._batch_size
-
-    @property
-    def state_shape(self) -> tuple:
-        """Shape of the per-neuron state arrays in the current mode."""
-        if self._batch_size is None:
-            return (self.n,)
-        return (self._batch_size, self.n)
-
-    # -- batch lifecycle ----------------------------------------------------
-
-    def begin_batch(self, batch_size: int) -> None:
-        """Switch the group's state arrays to ``(batch_size, n)`` buffers."""
-        if self._batch_size is not None:
-            raise RuntimeError(
-                f"group {self.name!r} is already in batch mode "
-                f"(batch_size={self._batch_size})"
-            )
-        self._batch_size = check_positive_int(batch_size, "batch_size")
-        self._enter_batch()
-
-    def end_batch(self) -> None:
-        """Return to single-sample ``(n,)`` buffers (no-op outside batch mode)."""
-        if self._batch_size is None:
-            return
-        self._batch_size = None
-        self._exit_batch()
-
-    def _enter_batch(self) -> None:
-        """Allocate batch-shaped transient state (hook for subclasses)."""
-        self.spikes = np.zeros(self.state_shape, dtype=bool)
-
-    def _exit_batch(self) -> None:
-        """Restore single-sample transient state (hook for subclasses)."""
-        self.spikes = np.zeros(self.n, dtype=bool)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -133,7 +96,7 @@ class NeuronGroup:
         """
         # Reassign instead of zeroing in place: ``spikes`` may alias external
         # data (e.g. the spike-train row the step plan fed an InputGroup).
-        self.spikes = np.zeros(self.state_shape, dtype=bool)
+        self.spikes = np.zeros(self.n, dtype=bool)
 
     # -- compiled stepping ----------------------------------------------------
 
@@ -153,8 +116,8 @@ class NeuronGroup:
         raise NotImplementedError
 
     def step_operations(self) -> Dict[str, int]:
-        """Operation tallies of one :meth:`integrate` call that do not
-        depend on spikes, for the group's current batch shape."""
+        """Operation tallies of one sample's :meth:`integrate` call that
+        do not depend on spikes."""
         return {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -173,24 +136,19 @@ class InputGroup(NeuronGroup):
         # Input neurons carry no persistent state parameters.
         return 0
 
-    def validate_train(self, train: np.ndarray) -> np.ndarray:
-        """``train`` as a boolean array, checked against the current mode's
-        shape: ``(timesteps, n)`` in single-sample mode and
-        ``(batch_size, timesteps, n)`` in batch mode.  A boolean train is
-        returned as is, without a copy; the engine only reads it."""
-        train = np.asarray(train)
-        if self._batch_size is None:
-            if train.ndim != 2 or train.shape[1] != self.n:
-                raise ValueError(
-                    f"spike train must have shape (timesteps, {self.n}), got {train.shape}"
-                )
-        elif (train.ndim != 3 or train.shape[0] != self._batch_size
-              or train.shape[2] != self.n):
+    def validate_train(self, trains: np.ndarray) -> np.ndarray:
+        """``trains`` as a boolean ``(batch_size, timesteps, n)`` array of
+        at least one train.  A boolean array is returned as is, without a
+        copy; the engine only reads it."""
+        trains = np.asarray(trains)
+        if trains.ndim != 3 or trains.shape[2] != self.n:
             raise ValueError(
-                "batched spike train must have shape "
-                f"({self._batch_size}, timesteps, {self.n}), got {train.shape}"
+                "spike_trains must have shape (batch_size, timesteps, "
+                f"n_input) with {self.n} input channels, got {trains.shape}"
             )
-        return train.astype(bool, copy=False)
+        if len(trains) == 0:
+            raise ValueError("a batch must hold at least one spike train")
+        return trains.astype(bool, copy=False)
 
 
 class LIFGroup(NeuronGroup):
@@ -217,6 +175,8 @@ class LIFGroup(NeuronGroup):
     name:
         Group identifier.
     """
+
+    state_names = ("spikes", "v", "refrac_remaining")
 
     def __init__(
         self,
@@ -257,16 +217,6 @@ class LIFGroup(NeuronGroup):
         self.v[:] = self.v_rest
         self.refrac_remaining[:] = 0.0
 
-    def _enter_batch(self) -> None:
-        super()._enter_batch()
-        self.v = np.full(self.state_shape, self.v_rest, dtype=float)
-        self.refrac_remaining = np.zeros(self.state_shape, dtype=float)
-
-    def _exit_batch(self) -> None:
-        super()._exit_batch()
-        self.v = np.full(self.n, self.v_rest, dtype=float)
-        self.refrac_remaining = np.zeros(self.n, dtype=float)
-
     def decay_factors(self, dt: float) -> tuple:
         return (np.exp(-dt / self.tau_m),)
 
@@ -289,8 +239,7 @@ class LIFGroup(NeuronGroup):
         self._post_spike_update(decays)
 
     def step_operations(self) -> Dict[str, int]:
-        size = self.n * (self._batch_size or 1)
-        return {"neuron_updates": size, "exponential_ops": size}
+        return {"neuron_updates": self.n, "exponential_ops": self.n}
 
     def _post_spike_update(self, decays: tuple) -> None:
         """Hook for subclasses to update adaptation state after spiking."""
@@ -314,6 +263,8 @@ class AdaptiveLIFGroup(LIFGroup):
     theta_init:
         Initial adaptation potential applied to all neurons (mV).
     """
+
+    state_names = LIFGroup.state_names + ("theta",)
 
     def __init__(
         self,
@@ -343,7 +294,6 @@ class AdaptiveLIFGroup(LIFGroup):
         self.theta_init = check_non_negative(theta_init, "theta_init")
         self.theta = np.full(self.n, self.theta_init, dtype=float)
         self.adapt_theta = True
-        self._theta_stash: Optional[np.ndarray] = None
 
     @property
     def parameter_count(self) -> int:
@@ -357,21 +307,6 @@ class AdaptiveLIFGroup(LIFGroup):
         super().reset_state(full)
         if full:
             self.theta[:] = self.theta_init
-            if self._theta_stash is not None:
-                self._theta_stash[:] = self.theta_init
-
-    def _enter_batch(self) -> None:
-        # Each sample in the batch adapts an independent copy of the current
-        # theta; the persistent vector is restored untouched on exit.
-        self._theta_stash = self.theta
-        self.theta = np.repeat(self.theta[None, :], self._batch_size, axis=0)
-        super()._enter_batch()
-
-    def _exit_batch(self) -> None:
-        super()._exit_batch()
-        if self._theta_stash is not None:
-            self.theta = self._theta_stash
-            self._theta_stash = None
 
     def decay_factors(self, dt: float) -> tuple:
         return (np.exp(-dt / self.tau_m), np.exp(-dt / self.tau_theta))
@@ -380,9 +315,8 @@ class AdaptiveLIFGroup(LIFGroup):
         operations = super().step_operations()
         if self.adapt_theta:
             # Read on every call: adapt_theta may be flipped on a built network.
-            size = self.n * (self._batch_size or 1)
-            operations["neuron_updates"] += size
-            operations["exponential_ops"] += size
+            operations["neuron_updates"] += self.n
+            operations["exponential_ops"] += self.n
         return operations
 
     def _post_spike_update(self, decays: tuple) -> None:

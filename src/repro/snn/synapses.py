@@ -18,7 +18,7 @@ import numpy as np
 from repro.backends import BackendLike, get_backend
 from repro.snn.neurons import NeuronGroup
 from repro.snn.simulation import OperationCounter
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive
 
 
 class Connection:
@@ -55,6 +55,10 @@ class Connection:
         reference backend and is overwritten with the network's
         backend by :meth:`repro.snn.network.Network.add_connection`.
     """
+
+    #: The state a run advances in ``(B, post.n)`` copies (see
+    #: :attr:`repro.snn.neurons.NeuronGroup.state_names`).
+    state_names = ("conductance",)
 
     def __init__(
         self,
@@ -96,32 +100,7 @@ class Connection:
         self.backend = get_backend(backend)
 
         self.conductance = np.zeros(post.n, dtype=float)
-        self._batch_size: Optional[int] = None
         self._refresh_fanout()
-
-    # -- batch lifecycle ----------------------------------------------------
-
-    @property
-    def batch_size(self) -> Optional[int]:
-        """Active batch size, or ``None`` outside batch mode."""
-        return self._batch_size
-
-    def begin_batch(self, batch_size: int) -> None:
-        """Switch the conductance to a ``(batch_size, post.n)`` buffer."""
-        if self._batch_size is not None:
-            raise RuntimeError(
-                f"connection {self.name!r} is already in batch mode "
-                f"(batch_size={self._batch_size})"
-            )
-        self._batch_size = check_positive_int(batch_size, "batch_size")
-        self.conductance = np.zeros((self._batch_size, self.post.n), dtype=float)
-
-    def end_batch(self) -> None:
-        """Return to a single-sample conductance (no-op outside batch mode)."""
-        if self._batch_size is None:
-            return
-        self._batch_size = None
-        self.conductance = np.zeros(self.post.n, dtype=float)
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -177,22 +156,22 @@ class Connection:
         """Add this step's presynaptic spikes into the conductance.
 
         The compiled step plan decays the conductances of all connections
-        first, in one call, then injects each.  In batch mode the
-        presynaptic spikes have shape ``(batch_size, pre.n)``; the backend
-        gathers only the spiking weight rows, one spiking sample at a time
-        (bit-for-bit identical to the sequential path).
+        first, in one call, then injects each.  The presynaptic spikes have
+        shape ``(B, pre.n)``; the backend gathers only the spiking weight
+        rows, one spiking sample at a time, so each sample's sum is the one
+        a batch of one computes.
         """
         self.backend.propagate_spikes(self.conductance, self.pre.spikes,
                                       self.weights)
 
     def step_operations(self) -> dict:
-        """Operation tallies of one step: the decay plus :meth:`inject`."""
+        """One sample's operation tallies of one step: the decay plus
+        :meth:`inject`."""
         # Dense (GPU-style) accounting: the stored projection is processed
         # once per timestep regardless of how many presynaptic spikes
         # occurred, matching the paper's GPU-based energy measurements.
-        batch = self._batch_size or 1
-        return {"exponential_ops": self.post.n * batch,
-                "synaptic_events": self._ops_per_step * batch}
+        return {"exponential_ops": self.post.n,
+                "synaptic_events": self._ops_per_step}
 
     # -- plasticity helpers -------------------------------------------------
 
@@ -253,6 +232,8 @@ class UniformLateralInhibition:
         Connection identifier.
     """
 
+    state_names = ("conductance",)
+
     def __init__(self, group: NeuronGroup, strength: float, *,
                  tau_syn: float = 2.0, gain: float = 1.0,
                  name: str = "lateral_inhibition",
@@ -270,31 +251,6 @@ class UniformLateralInhibition:
         self.norm = None
         self.name = str(name)
         self.conductance = np.zeros(group.n, dtype=float)
-        self._batch_size: Optional[int] = None
-
-    # -- batch lifecycle ----------------------------------------------------
-
-    @property
-    def batch_size(self) -> Optional[int]:
-        """Active batch size, or ``None`` outside batch mode."""
-        return self._batch_size
-
-    def begin_batch(self, batch_size: int) -> None:
-        """Switch the conductance to a ``(batch_size, n)`` buffer."""
-        if self._batch_size is not None:
-            raise RuntimeError(
-                f"connection {self.name!r} is already in batch mode "
-                f"(batch_size={self._batch_size})"
-            )
-        self._batch_size = check_positive_int(batch_size, "batch_size")
-        self.conductance = np.zeros((self._batch_size, self.post.n), dtype=float)
-
-    def end_batch(self) -> None:
-        """Return to a single-sample conductance (no-op outside batch mode)."""
-        if self._batch_size is None:
-            return
-        self._batch_size = None
-        self.conductance = np.zeros(self.post.n, dtype=float)
 
     @property
     def is_plastic(self) -> bool:
@@ -326,10 +282,10 @@ class UniformLateralInhibition:
                                        self.strength)
 
     def step_operations(self) -> dict:
-        """Operation tallies of one step: the decay plus :meth:`inject`."""
+        """One sample's operation tallies of one step: the decay plus
+        :meth:`inject`."""
         # O(n) broadcast: decay plus a scalar subtraction per neuron.
-        size = self.post.n * (self._batch_size or 1)
-        return {"exponential_ops": size, "synaptic_events": size}
+        return {"exponential_ops": self.post.n, "synaptic_events": self.post.n}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

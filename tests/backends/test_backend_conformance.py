@@ -162,10 +162,11 @@ class TestPropagationConformance:
                                        density, batched):
         rng = np.random.default_rng(25)
         n_pre, n_post, batch = 37, 11, 5
-        shape = (batch, n_pre) if batched else (n_pre,)
+        batch = batch if batched else 1
+        shape = (batch, n_pre)
         spikes = _spikes(shape, density, seed=26)
         weights = rng.random((n_pre, n_post))
-        cond_shape = (batch, n_post) if batched else (n_post,)
+        cond_shape = (batch, n_post)
         seed_cond = rng.random(cond_shape)
         reference = seed_cond.copy()
         ORACLE.propagate_spikes(reference, spikes, weights)
@@ -177,7 +178,7 @@ class TestPropagationConformance:
                                         density, batched):
         rng = np.random.default_rng(27)
         n, batch = 23, 4
-        shape = (batch, n) if batched else (n,)
+        shape = (batch if batched else 1, n)
         spikes = _spikes(shape, density, seed=28)
         seed_cond = rng.random(shape)
         reference = seed_cond.copy()
@@ -254,7 +255,7 @@ class TestSTDPKernelConformance:
 @pytest.mark.parametrize("n_post", [1, 400])
 @pytest.mark.parametrize("active_rows", [5, 100])
 class TestBatchedPropagationIsPerSample:
-    """Batched propagation equals one single-sample call per row, bit for bit.
+    """Batched propagation equals one batch-of-one call per row, bit for bit.
 
     A one-shot segment sum over every (sample, pre) event of the batch
     associates the additions differently from the single-sample row sum
@@ -279,9 +280,9 @@ class TestBatchedPropagationIsPerSample:
         batched = start.copy()
         backend.propagate_spikes(batched, spikes, weights)
         for index in range(batch):
-            single = start[index].copy()
-            backend.propagate_spikes(single, spikes[index], weights)
-            np.testing.assert_array_equal(batched[index], single,
+            single = start[index:index + 1].copy()
+            backend.propagate_spikes(single, spikes[index:index + 1], weights)
+            np.testing.assert_array_equal(batched[index], single[0],
                                           err_msg=f"sample {index}")
 
 

@@ -31,10 +31,11 @@ class TestPropagation:
     def test_propagate_spikes_matches_dense(self, density, batched):
         rng = np.random.default_rng(7)
         n_pre, n_post, batch = 37, 11, 5
-        shape = (batch, n_pre) if batched else (n_pre,)
+        batch = batch if batched else 1
+        shape = (batch, n_pre)
         spikes = _spikes(shape, density, seed=1)
         weights = rng.random((n_pre, n_post))
-        cond_shape = (batch, n_post) if batched else (n_post,)
+        cond_shape = (batch, n_post)
         dense_cond = rng.random(cond_shape)
         sparse_cond = dense_cond.copy()
 
@@ -46,7 +47,7 @@ class TestPropagation:
     def test_propagate_lateral_matches_dense(self, density, batched):
         rng = np.random.default_rng(8)
         n, batch = 23, 4
-        shape = (batch, n) if batched else (n,)
+        shape = (batch if batched else 1, n)
         spikes = _spikes(shape, density, seed=2)
         dense_cond = rng.random(shape)
         sparse_cond = dense_cond.copy()
@@ -59,10 +60,10 @@ class TestPropagation:
 class TestPropagationEvents:
     def test_single_spike_adds_exactly_one_weight_row(self):
         weights = np.arange(12.0).reshape(4, 3)
-        spikes = np.array([False, False, True, False])
-        conductance = np.zeros(3)
+        spikes = np.array([[False, False, True, False]])
+        conductance = np.zeros((1, 3))
         SPARSE.propagate_spikes(conductance, spikes, weights)
-        np.testing.assert_array_equal(conductance, weights[2])
+        np.testing.assert_array_equal(conductance[0], weights[2])
 
     def test_batched_segments_land_on_the_right_samples(self):
         weights = np.eye(4)

@@ -165,10 +165,17 @@ class TestFig11Energy:
         for device in result.normalized_training:
             for label in tiny_scale.network_labels:
                 training = result.normalized_training[device][label]
-                assert training["baseline"] == 1.0
-                assert training["asp"] > training["spikedyn"]
+                inference = result.normalized_inference[device][label]
+                assert training["baseline"] == inference["baseline"] == 1.0
+                # The paper's orderings: ASP adds an overhead over the
+                # baseline in training, SpikeDyn undercuts both partners in
+                # both phases.
+                assert training["asp"] > training["baseline"] > training["spikedyn"]
+                assert inference["spikedyn"] < inference["baseline"]
+                assert inference["spikedyn"] < inference["asp"]
         savings = result.savings_vs("asp")
         assert savings["training"] > 0.0
+        assert savings["inference"] > 0.0
         # Normalized energies are device independent (same operation counts),
         # so both devices report identical tables.
         np.testing.assert_allclose(

@@ -258,35 +258,9 @@ class TestCommittedHistory:
 
 @pytest.mark.integration
 class TestRunAllExperiments:
-    def test_script_delegates_to_the_cli(self):
-        # The script is a flag-mapping wrapper over `repro run-all`; check
-        # the mapping without paying for a full suite run.
-        sys.path.insert(0, str(SCRIPTS_DIR))
-        try:
-            import run_all_experiments as script
-        finally:
-            sys.path.remove(str(SCRIPTS_DIR))
-        seen = {}
-
-        def fake_cli(cli_args):
-            seen["args"] = cli_args
-            return 0
-
-        original = script.cli_main
-        script.cli_main = fake_cli
-        try:
-            assert script.main(["--quick", "--workers", "3", "--no-cache"]) == 0
-        finally:
-            script.cli_main = original
-        args = seen["args"]
-        assert args[:3] == ["run-all", "--scale", "tiny"]
-        assert "--no-cache" in args
-        assert args[args.index("--workers") + 1] == "3"
-
     def test_quick_subset_end_to_end(self, tmp_path):
-        # The script exposes no driver filter (it always runs the full
-        # suite), so keep this cheap by pointing the cache at a temp dir and
-        # running the two fastest drivers through the CLI equivalent instead.
+        # Keep this cheap: point the cache at a temp dir and run only the
+        # two fastest drivers.
         command = [
             sys.executable,
             "-m",

@@ -99,8 +99,10 @@ def test_adaptive_theta_is_nonnegative_and_bounded(currents, theta_plus):
 def test_lateral_inhibition_current_is_never_positive(raster, strength):
     group = LIFGroup(4)
     lateral = UniformLateralInhibition(group, strength)
+    # A run's (1, n) state.
+    lateral.conductance = np.zeros((1, group.n))
     for row in raster:
-        group.spikes = row
+        group.spikes = row[None]
         store_state(lateral.conductance, lateral.backend.decay_state(
             lateral.conductance, lateral.decay_factor(1.0)))
         lateral.inject()

@@ -1,10 +1,12 @@
 """Batched-vs-sequential equivalence of the simulation engine.
 
+Every run advances ``(B, n)`` state, and ``run_sample`` is a batch of one.
 ``Network.run_batch`` must reproduce ``B`` sequential ``run_sample`` calls
 bit-for-bit: spike counts, learned weights (with plasticity enabled),
 membrane/conductance trajectories, and ``OperationCounter`` totals.  The
 tests build twin networks from identical seeds, drive one sequentially and
-one batched, and compare exactly (no tolerances).
+one batched, and compare exactly (no tolerances).  Between runs every group
+and connection holds its ``(n,)`` rest state.
 """
 
 from __future__ import annotations
@@ -41,6 +43,16 @@ def _random_trains(batch_size: int, timesteps: int, n_input: int = 196,
                    seed: int = 7, density: float = 0.05) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.random((batch_size, timesteps, n_input)) < density
+
+
+def _assert_rest_shapes(network) -> None:
+    """Every group's and connection's state has its ``(n,)`` rest shape."""
+    for group in network.groups.values():
+        for state in ("spikes", "v", "refrac_remaining", "theta"):
+            if hasattr(group, state):
+                assert getattr(group, state).shape == (group.n,), (group.name, state)
+    for connection in network.connections:
+        assert connection.conductance.shape == (connection.post.n,), connection.name
 
 
 def _freeze_adaptation(network) -> None:
@@ -156,11 +168,7 @@ class TestBatchLifecycle:
     def test_state_buffers_are_single_sample_after_run_batch(self):
         network = _spikedyn_net()
         network.run_batch(_random_trains(3, 40), learning=False)
-        assert network.batch_size is None
-        for group in network.groups.values():
-            assert group.spikes.shape == (group.n,)
-        for connection in network.connections:
-            assert connection.conductance.shape == (connection.post.n,)
+        _assert_rest_shapes(network)
 
     def test_run_sample_works_after_run_batch(self):
         trains = _random_trains(3, 40)
@@ -175,22 +183,72 @@ class TestBatchLifecycle:
         np.testing.assert_array_equal(after_batch.counts("excitatory"),
                                       fresh.counts("excitatory"))
 
-    def test_double_begin_batch_is_rejected(self):
-        group = AdaptiveLIFGroup(4, name="g")
-        group.begin_batch(2)
-        with pytest.raises(RuntimeError):
-            group.begin_batch(3)
-        group.end_batch()
-        group.end_batch()  # idempotent
+    @pytest.mark.parametrize("hook", ["on_sample_start", "step"])
+    def test_a_run_that_raises_leaves_rest_shapes(self, hook):
+        class FailingRule(SpikeDynLearningRule):
+            def on_sample_start(self, connection, record):
+                if hook == "on_sample_start":
+                    raise RuntimeError("rule failed")
+                super().on_sample_start(connection, record)
 
-    def test_reset_exits_batch_mode(self):
+            def step(self, connection, dt, t_index, counter=None):
+                if hook == "step" and t_index == 10:
+                    raise RuntimeError("rule failed")
+                super().step(connection, dt, t_index, counter)
+
+        config = SpikeDynConfig.scaled_down(n_input=196, n_exc=24, t_sim=40.0, seed=0)
+        network = build_spikedyn_network(config, learning_rule=FailingRule(), rng=0)
+        train = _random_trains(1, 40, density=0.2)[0]
+        network.run_sample(train, learning=False)
+        theta = network.group("excitatory").theta.copy()
+        before = network.counter.copy()
+        with pytest.raises(RuntimeError, match="rule failed"):
+            network.run_sample(train, learning=True)
+        _assert_rest_shapes(network)
+        if hook == "on_sample_start":
+            # No step was taken: nothing is charged and theta stays put.
+            assert network.counter == before
+            np.testing.assert_array_equal(network.group("excitatory").theta, theta)
+        result = network.run_sample(train, learning=False)
+        assert result.counts("excitatory").shape == (24,)
+
+    def test_learning_reads_a_batch_of_one_only(self):
         network = _spikedyn_net()
-        network._begin_batch(4)
-        assert network.batch_size == 4
-        network.reset(full=True)
-        assert network.batch_size is None
-        for group in network.groups.values():
-            assert group.spikes.shape == (group.n,)
+        connection = next(c for c in network.connections if c.learning_rule)
+        rows = connection.learning_rule.spike_rows(connection)
+        assert [row.shape for row in rows] == [(connection.pre.n,), (connection.post.n,)]
+        connection.pre.spikes = np.zeros((1, connection.pre.n), dtype=bool)
+        assert connection.learning_rule.spike_rows(connection)[0].shape == (connection.pre.n,)
+        connection.pre.spikes = np.zeros((2, connection.pre.n), dtype=bool)
+        with pytest.raises(ValueError):
+            connection.learning_rule.spike_rows(connection)
+
+
+class TestBatchOfOne:
+    """The served path: a batch of one performs ``run_sample``'s arithmetic
+    and leaves the persistent adaptation state where it was."""
+
+    def test_counts_match_and_only_run_sample_moves_theta(self):
+        network = _spikedyn_net()
+        excitatory = network.group("excitatory")
+        assert excitatory.adapt_theta and excitatory.theta_plus > 0.0
+        train = _random_trains(1, 40, density=0.2)[0]
+        theta = excitatory.theta.copy()
+
+        before = network.counter.copy()
+        (batched,) = network.run_batch(train[None], learning=False)
+        batch_ops = network.counter - before
+        np.testing.assert_array_equal(excitatory.theta, theta)
+        _assert_rest_shapes(network)
+
+        before = network.counter.copy()
+        single = network.run_sample(train, learning=False)
+        assert network.counter - before == batch_ops
+        assert single.counts("excitatory").sum() > 0
+        for name in single.spike_counts:
+            np.testing.assert_array_equal(batched.counts(name), single.counts(name))
+        assert not np.array_equal(excitatory.theta, theta)
+        _assert_rest_shapes(network)
 
 
 class TestRunBatchValidation:
@@ -203,6 +261,18 @@ class TestRunBatchValidation:
         network = _spikedyn_net()
         with pytest.raises(ValueError, match="input channels"):
             network.run_batch(np.zeros((2, 10, 7), dtype=bool))
+
+    def test_rejects_an_empty_batch(self):
+        network = _spikedyn_net()
+        with pytest.raises(ValueError, match="at least one spike train"):
+            network.run_batch(np.zeros((0, 10, 196), dtype=bool))
+
+    @pytest.mark.parametrize("shape", [(10, 7), (1, 10, 196), (196,)])
+    def test_run_sample_names_its_own_shape(self, shape):
+        network = _spikedyn_net()
+        with pytest.raises(ValueError, match=r"spike_train must have shape "
+                           r"\(timesteps, n_input\) with 196 input channels"):
+            network.run_sample(np.zeros(shape, dtype=bool))
 
     def test_rejects_ragged_trains(self):
         network = _spikedyn_net()
@@ -234,46 +304,11 @@ class TestRunBatchReadsTrainsInPlace:
         assert len(results) == 16
         assert peak < trains.nbytes, (peak, trains.nbytes)
 
-    def test_validate_train_returns_a_bool_train_as_is(self):
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_validate_train_returns_a_bool_train_as_is(self, batch):
         network = _spikedyn_net()
-        train = _random_trains(1, 300)[0]
-        assert network.input_group.validate_train(train) is train
-        network._begin_batch(2)
-        try:
-            trains = _random_trains(2, 30)
-            assert network.input_group.validate_train(trains) is trains
-        finally:
-            network._end_batch()
-
-
-class TestBatchedMonitors:
-    """Whatever reads a network after a batch (its state, the next run's
-    counts) sees plain ``(n,)`` shapes."""
-
-    def test_monitor_after_reset_has_no_stale_batch_buffers(self):
-        """Regression: reset() must leave no batch-shaped state behind."""
-        network = _spikedyn_net()
-        excitatory = network.group("excitatory")
-        network._begin_batch(3)
-        plan = network.compile()
-        plan.begin()
-        for t, row in enumerate(np.swapaxes(_random_trains(3, 20), 0, 1)):
-            plan.step(row, t, learning=False)
-        assert excitatory.v.shape == excitatory.theta.shape == (3, excitatory.n)
-        assert network.connection("input_to_exc").conductance.shape == (3, excitatory.n)
-
-        network.reset(full=True)
-        assert network.batch_size is None
-        for group in network.groups.values():
-            assert group.spikes.shape == (group.n,)
-            for state in ("v", "refrac_remaining", "theta"):
-                if hasattr(group, state):
-                    assert getattr(group, state).shape == (group.n,)
-        for connection in network.connections:
-            assert connection.conductance.shape == (connection.post.n,)
-        # The next run compiles against plain (n,) state.
-        result = network.run_sample(_random_trains(1, 20)[0], learning=False)
-        assert result.counts("excitatory").shape == (excitatory.n,)
+        trains = _random_trains(batch, 30)
+        assert network.input_group.validate_train(trains) is trains
 
 
 class TestHandBuiltNetworkBatched:

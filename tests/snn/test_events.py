@@ -148,13 +148,14 @@ class TestSilenceBound:
 
     def test_advance_matches_stepping_on_silent_input(self):
         stepped, jumped = paired_networks()
-        silent_row = np.zeros(N_INPUT, dtype=bool)
+        silent_row = np.zeros((1, N_INPUT), dtype=bool)
         # Charge both networks identically, then step out the unprovable
         # post-burst span in lockstep before comparing an analytic jump.
         burst = bursty_train(timesteps=6, bursts=1, burst_steps=3, p=0.9)
         for network in (stepped, jumped):
+            network.compile().begin()
             for t, row in enumerate(burst):
-                network.compile().step(row, t, learning=False)
+                network.compile().step(row[None], t, learning=False)
         t = len(burst)
         while not silence_is_provable(jumped):
             for network in (stepped, jumped):
@@ -210,15 +211,6 @@ class TestRunEventsEquivalence:
         streams = [EventStream.from_dense(t) for t in trains]
         listed = network.run_events(streams, learning=False)
         assert len(listed) == 2
-
-    def test_run_events_rejects_active_batch_mode(self):
-        network = build_network()
-        network._begin_batch(2)
-        try:
-            with pytest.raises(RuntimeError, match="single-sample"):
-                network.run_events(EventStream.empty(10, N_INPUT))
-        finally:
-            network._end_batch()
 
     def test_unsupporting_backend_defaults_to_stepping(self):
         class SteppingOnly(SparseEventBackend):

@@ -35,26 +35,15 @@ class TestNeuronGroupBase:
 
 
 class TestInputGroup:
-    @pytest.mark.parametrize("batch_size, shape", [
-        (None, (4, 2)),
-        (None, (3,)),
-        (2, (3, 5)),
-        (2, (3, 4, 5)),
-    ])
-    def test_validate_train_rejects_wrong_shapes(self, batch_size, shape):
-        group = InputGroup(5 if batch_size else 3, name="input")
-        if batch_size:
-            group.begin_batch(batch_size)
-        match = "batched spike train" if batch_size else "spike train"
-        with pytest.raises(ValueError, match=match):
+    @pytest.mark.parametrize("shape", [(4, 3), (3,), (2, 4, 5), (1, 4, 3, 1)])
+    def test_validate_train_rejects_wrong_shapes(self, shape):
+        group = InputGroup(3, name="input")
+        with pytest.raises(ValueError, match="spike_trains must have shape"):
             group.validate_train(np.zeros(shape, dtype=bool))
 
-    @pytest.mark.parametrize("batch_size, shape", [(None, (4, 3)),
-                                                   (2, (2, 4, 3))])
-    def test_validate_train_returns_a_boolean_copy(self, batch_size, shape):
+    @pytest.mark.parametrize("shape", [(1, 4, 3), (2, 4, 3)])
+    def test_validate_train_returns_a_boolean_copy(self, shape):
         group = InputGroup(3)
-        if batch_size:
-            group.begin_batch(batch_size)
         train = np.ones(shape)
         checked = group.validate_train(train)
         assert checked.dtype == bool and checked.shape == shape
@@ -139,13 +128,13 @@ class TestLIFGroup:
         group = self.make_group(tau_m=20.0)
         assert group.decay_factors(0.5) == (np.exp(-0.5 / 20.0),)
 
-    def test_step_operations_scale_with_the_batch(self):
+    def test_step_operations_are_per_sample(self):
+        # The step plan multiplies them by the batch size.
         group = self.make_group(n=4)
-        group.begin_batch(3)
+        group.v = np.full((3, 4), group.v_rest)
+        group.refrac_remaining = np.zeros((3, 4))
         spikes = step(group, np.full((3, 4), 100.0))
         assert spikes.shape == (3, 4) and spikes.all()
-        assert group.step_operations() == {"neuron_updates": 12, "exponential_ops": 12}
-        group.end_batch()
         assert group.step_operations() == {"neuron_updates": 4, "exponential_ops": 4}
 
     def test_reset_state(self):

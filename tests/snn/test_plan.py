@@ -69,19 +69,16 @@ def trains(count=2, seed=9):
 
 
 class TestCompile:
-    def test_plan_is_cached_per_batch_shape(self):
+    def test_plan_is_cached_per_batch_size(self):
         network = build()
         single = network.compile()
-        assert network.compile() is single
+        assert network.compile(1) is single
         network.run_batch(trains(3), learning=False)
         assert network.compile() is single
-        network._begin_batch(3)
-        try:
-            batched = network.compile()
-            assert batched is not single
-            assert batched.stages[0].current.shape == (3, N_EXC)
-        finally:
-            network._end_batch()
+        batched = network.compile(3)
+        assert batched is not single
+        assert network.compile(3) is batched
+        assert batched.stages[0].current.shape == (3, N_EXC)
 
     def test_plan_holds_the_topology(self):
         network = build()
@@ -96,7 +93,7 @@ class TestCompile:
         network = build()
         plan = network.compile()
         arrays = [stage.current for stage in plan.stages] + [plan.silent_input]
-        assert [array.shape for array in arrays] == [(N_EXC,), (N_INPUT,)]
+        assert [array.shape for array in arrays] == [(1, N_EXC), (1, N_INPUT)]
         weights = network.connection("input_to_exc").weights
         assert not any(np.shares_memory(array, weights) for array in arrays)
 
@@ -200,6 +197,32 @@ class TestOneSteppingPath:
             assert not hasattr(component, attribute), attribute
 
 
+class TestOneStateShape:
+    """``begin`` gives a run ``(B, n)`` copies of every state array (views
+    for a sequential run); ``end`` puts the ``(n,)`` arrays back, writing
+    row 0 into them only for a sequential run."""
+
+    @pytest.mark.parametrize("carry", [True, False])
+    def test_end_puts_the_rest_arrays_back(self, carry):
+        network = build()
+        excitatory = network.group("excitatory")
+        rest = {name: getattr(excitatory, name) for name in excitatory.state_names}
+        theta = excitatory.theta.copy()
+        plan = network.compile()
+        plan.begin(carry)
+        for name in excitatory.state_names:
+            assert getattr(excitatory, name).shape == (1, N_EXC)
+        for t_index, row in enumerate(np.swapaxes(trains(1), 0, 1)):
+            plan.step(row, t_index, learning=False)
+        run_theta = excitatory.theta[0].copy()
+        assert not np.array_equal(run_theta, theta)
+        plan.end()
+        for name, array in rest.items():
+            assert getattr(excitatory, name) is array
+        np.testing.assert_array_equal(excitatory.theta,
+                                      run_theta if carry else theta)
+
+
 def chain(weight=20.0, params=None):
     """input -> first -> second, two neurons each, one-to-one weights
     strong enough that one presynaptic spike fires the target."""
@@ -221,10 +244,11 @@ def first_spike_steps(network, train):
     plan.begin()
     first = {stage.group.name: None for stage in plan.stages}
     for t_index, row in enumerate(train):
-        plan.step(row, t_index, learning=False)
+        plan.step(row[None], t_index, learning=False)
         for stage in plan.stages:
             if first[stage.group.name] is None and stage.group.spikes.any():
                 first[stage.group.name] = t_index
+    plan.end()
     return first
 
 
@@ -248,13 +272,13 @@ class TestStepOrder:
         plan = network.compile()
         plan.begin()
         connection = network.connection("input_to_first")
-        row = np.array([True, False])
+        row = np.array([[True, False]])
         plan.step(row, 0, learning=False)
-        np.testing.assert_array_equal(connection.conductance, [20.0, 0.0])
+        np.testing.assert_array_equal(connection.conductance, [[20.0, 0.0]])
         plan.step(row, 1, learning=False)
         decay = connection.decay_factor(network.params.dt)
         np.testing.assert_array_equal(connection.conductance,
-                                      [20.0 * decay + 20.0, 0.0])
+                                      [[20.0 * decay + 20.0, 0.0]])
 
     def test_learning_off_never_steps_a_rule(self):
         network = build()
@@ -262,8 +286,9 @@ class TestStepOrder:
         weights = network.connection("input_to_exc").weights.copy()
         plan = network.compile()
         plan.begin()
-        rule.on_sample_start(network.connection("input_to_exc"), plan.counts)
-        for t_index, row in enumerate(trains(1)[0]):
+        rule.on_sample_start(network.connection("input_to_exc"),
+                             {name: counts[0] for name, counts in plan.counts.items()})
+        for t_index, row in enumerate(np.swapaxes(trains(1), 0, 1)):
             plan.step(row, t_index, learning=False)
         np.testing.assert_array_equal(rule._traces, 0.0)
         np.testing.assert_array_equal(network.connection("input_to_exc").weights,
@@ -292,7 +317,7 @@ class TestRunRecord:
         assert set(plan.counts) == set(network.groups)
         for name, counts in plan.counts.items():
             assert counts.dtype == np.int64
-            assert counts.shape == (network.group(name).n,)
+            assert counts.shape == (1, network.group(name).n)
             assert not counts.any()
             assert not np.shares_memory(counts, previous.counts(name))
         assert plan.steps_taken == 0
@@ -302,9 +327,9 @@ class TestRunRecord:
         network = build()
         plan = network.compile()
         plan.begin()
-        train = trains(1)[0]
+        train = trains(1)
         raster = {name: [] for name in network.groups}
-        for t_index, row in enumerate(train):
+        for t_index, row in enumerate(np.swapaxes(train, 0, 1)):
             plan.step(row, t_index, learning=False)
             for name, group in network.groups.items():
                 raster[name].append(group.spikes.copy())
@@ -312,30 +337,27 @@ class TestRunRecord:
         for name, rows in raster.items():
             np.testing.assert_array_equal(plan.counts[name],
                                           np.sum(rows, axis=0))
-        np.testing.assert_array_equal(plan.counts["input"], train.sum(axis=0))
+        np.testing.assert_array_equal(plan.counts["input"], train.sum(axis=1))
         assert plan.counts["excitatory"].sum() > 0
 
     def test_counts_take_the_batch_shape(self):
         network = build()
-        network._begin_batch(3)
-        try:
-            plan = network.compile()
-            plan.begin()
-            for t_index, row in enumerate(np.swapaxes(trains(3), 0, 1)):
-                plan.step(row, t_index, learning=False)
-            assert plan.counts["input"].shape == (3, N_INPUT)
-            assert plan.counts["excitatory"].shape == (3, N_EXC)
-            np.testing.assert_array_equal(plan.counts["input"],
-                                          trains(3).sum(axis=1))
-        finally:
-            network._end_batch()
+        plan = network.compile(3)
+        plan.begin()
+        for t_index, row in enumerate(np.swapaxes(trains(3), 0, 1)):
+            plan.step(row, t_index, learning=False)
+        assert plan.counts["input"].shape == (3, N_INPUT)
+        assert plan.counts["excitatory"].shape == (3, N_EXC)
+        np.testing.assert_array_equal(plan.counts["input"],
+                                      trains(3).sum(axis=1))
+        plan.end()
 
     def test_end_presentation_freezes_the_presented_counts(self):
         network = chain()
         plan = network.compile()
         plan.begin()
         for t_index in range(3):
-            plan.step(np.ones(2, dtype=bool), t_index, learning=False)
+            plan.step(np.ones((1, 2), dtype=bool), t_index, learning=False)
         presented = plan.end_presentation()
         frozen = {name: counts.copy() for name, counts in presented.items()}
         for name, counts in plan.counts.items():
@@ -360,7 +382,7 @@ class TestRunRecord:
         plan = network.compile()
         plan.begin()
         for t_index in range(4):
-            plan.step(np.ones(2, dtype=bool), t_index, learning=False)
+            plan.step(np.ones((1, 2), dtype=bool), t_index, learning=False)
         counter = OperationCounter()
         plan.flush(counter)
         assert plan.steps_taken == 0

@@ -1,9 +1,9 @@
 """Tests for synaptic connections and direct lateral inhibition.
 
-A connection is stepped the way a compiled step plan steps it: its
-conductance decays (``decay_state``), then ``inject`` adds this step's
-presynaptic spikes, and the signed, scaled conductance is the current its
-target integrates.
+A connection is stepped the way a compiled step plan steps it, in a run's
+``(B, n)`` state: its conductance decays (``decay_state``), then ``inject``
+adds this step's presynaptic spikes, and the signed, scaled conductance is
+the current its target integrates.
 """
 
 from __future__ import annotations
@@ -24,7 +24,13 @@ def make_groups(n_pre=4, n_post=3):
 
 
 def transmit(connection, dt=1.0):
-    """Advance ``connection`` one timestep; return the current it delivers."""
+    """Advance ``connection`` one timestep; return the ``(B, n)`` current it
+    delivers.  ``B`` is the number of rows of the presynaptic spikes; the
+    conductance takes that shape on the first step, as the step plan's
+    ``begin`` gives it."""
+    shape = (len(connection.pre.spikes), connection.post.n)
+    if connection.conductance.shape != shape:
+        connection.conductance = np.zeros(shape)
     conductance = connection.conductance
     store_state(conductance, connection.backend.decay_state(
         conductance, connection.decay_factor(dt)))
@@ -83,6 +89,7 @@ class TestConnectionPropagation:
     def test_no_spikes_no_current(self):
         pre, post = make_groups()
         connection = Connection(pre, post, np.ones((4, 3)))
+        pre.spikes = np.zeros((1, 4), dtype=bool)
         current = transmit(connection)
         np.testing.assert_allclose(current, 0.0)
 
@@ -90,38 +97,38 @@ class TestConnectionPropagation:
         pre, post = make_groups()
         weights = np.arange(12, dtype=float).reshape(4, 3)
         connection = Connection(pre, post, weights, tau_syn=5.0, w_max=20.0)
-        pre.spikes = np.array([True, False, False, False])
+        pre.spikes = np.array([[True, False, False, False]])
         current = transmit(connection)
-        np.testing.assert_allclose(current, weights[0])
+        np.testing.assert_allclose(current, [weights[0]])
 
     def test_multiple_spikes_sum(self):
         pre, post = make_groups()
         weights = np.ones((4, 3))
         connection = Connection(pre, post, weights, w_max=5.0)
-        pre.spikes = np.array([True, True, False, False])
+        pre.spikes = np.array([[True, True, False, False]])
         current = transmit(connection)
         np.testing.assert_allclose(current, 2.0)
 
     def test_conductance_decays_exponentially(self):
         pre, post = make_groups()
         connection = Connection(pre, post, np.ones((4, 3)), tau_syn=2.0, w_max=5.0)
-        pre.spikes = np.array([True, False, False, False])
-        first = transmit(connection)
-        pre.spikes = np.zeros(4, dtype=bool)
+        pre.spikes = np.array([[True, False, False, False]])
+        first = transmit(connection).copy()
+        pre.spikes = np.zeros((1, 4), dtype=bool)
         second = transmit(connection)
         np.testing.assert_allclose(second, first * np.exp(-0.5))
 
     def test_inhibitory_sign_flips_current(self):
         pre, post = make_groups()
         connection = Connection(pre, post, np.ones((4, 3)), sign=-1, w_max=5.0)
-        pre.spikes = np.array([True, False, False, False])
+        pre.spikes = np.array([[True, False, False, False]])
         current = transmit(connection)
         assert np.all(current < 0.0)
 
     def test_gain_scales_current(self):
         pre, post = make_groups()
         connection = Connection(pre, post, np.ones((4, 3)), gain=2.5, w_max=5.0)
-        pre.spikes = np.array([True, False, False, False])
+        pre.spikes = np.array([[True, False, False, False]])
         np.testing.assert_allclose(transmit(connection), 2.5)
 
     def test_counter_charges_dense_ops_for_plastic_projection(self):
@@ -135,19 +142,18 @@ class TestConnectionPropagation:
         pre, post = make_groups()
         weights = np.arange(12, dtype=float).reshape(4, 3)
         connection = Connection(pre, post, weights, w_max=20.0)
-        connection.begin_batch(2)
         pre.spikes = np.array([[True, False, True, False],
                                [False, False, False, True]])
         current = transmit(connection)
         np.testing.assert_array_equal(current, [weights[0] + weights[2], weights[3]])
         # A fixed projection is charged its 11 non-zero weights per sample.
-        assert connection.step_operations() == {"synaptic_events": 2 * 11,
-                                                "exponential_ops": 2 * 3}
+        assert connection.step_operations() == {"synaptic_events": 11,
+                                                "exponential_ops": 3}
 
     def test_reset_clears_conductance(self):
         pre, post = make_groups()
         connection = Connection(pre, post, np.ones((4, 3)), w_max=5.0)
-        pre.spikes = np.array([True, False, False, False])
+        pre.spikes = np.array([[True, False, False, False]])
         transmit(connection)
         connection.reset_state()
         np.testing.assert_allclose(connection.conductance, 0.0)
@@ -206,8 +212,8 @@ class TestUniformLateralInhibition:
     def test_spiking_neuron_is_not_self_inhibited(self):
         group = LIFGroup(3, name="exc")
         lateral = UniformLateralInhibition(group, 2.0, tau_syn=5.0)
-        group.spikes = np.array([True, False, False])
-        current = transmit(lateral)
+        group.spikes = np.array([[True, False, False]])
+        (current,) = transmit(lateral)
         assert current[0] == pytest.approx(0.0)
         assert current[1] == pytest.approx(-2.0)
         assert current[2] == pytest.approx(-2.0)
@@ -215,8 +221,8 @@ class TestUniformLateralInhibition:
     def test_multiple_spikes_accumulate_for_others(self):
         group = LIFGroup(3, name="exc")
         lateral = UniformLateralInhibition(group, 1.0)
-        group.spikes = np.array([True, True, False])
-        current = transmit(lateral)
+        group.spikes = np.array([[True, True, False]])
+        (current,) = transmit(lateral)
         # Each spiker is inhibited only by the other spiker; the silent neuron
         # is inhibited by both.
         assert current[0] == pytest.approx(-1.0)
@@ -226,9 +232,9 @@ class TestUniformLateralInhibition:
     def test_conductance_decays(self):
         group = LIFGroup(3, name="exc")
         lateral = UniformLateralInhibition(group, 1.0, tau_syn=2.0)
-        group.spikes = np.array([True, False, False])
-        first = transmit(lateral)
-        group.spikes = np.zeros(3, dtype=bool)
+        group.spikes = np.array([[True, False, False]])
+        first = transmit(lateral).copy()
+        group.spikes = np.zeros((1, 3), dtype=bool)
         second = transmit(lateral)
         np.testing.assert_allclose(second, first * np.exp(-0.5))
 
@@ -241,7 +247,7 @@ class TestUniformLateralInhibition:
     def test_reset_clears_conductance(self):
         group = LIFGroup(3, name="exc")
         lateral = UniformLateralInhibition(group, 1.0)
-        group.spikes = np.array([True, True, True])
+        group.spikes = np.array([[True, True, True]])
         transmit(lateral)
         lateral.reset_state()
         np.testing.assert_allclose(lateral.conductance, 0.0)
@@ -249,12 +255,12 @@ class TestUniformLateralInhibition:
     def test_batched_inhibition_is_per_sample(self):
         group = LIFGroup(3, name="exc")
         lateral = UniformLateralInhibition(group, 1.0)
-        lateral.begin_batch(2)
         group.spikes = np.array([[True, False, False], [False, False, False]])
         current = transmit(lateral)
         np.testing.assert_allclose(current, [[0.0, -1.0, -1.0], [0.0, 0.0, 0.0]])
-        assert lateral.step_operations() == {"synaptic_events": 6,
-                                             "exponential_ops": 6}
+        # Tallies are per sample; the step plan multiplies by the batch.
+        assert lateral.step_operations() == {"synaptic_events": 3,
+                                             "exponential_ops": 3}
 
     def test_equivalent_to_dense_all_to_all_matrix(self):
         """The O(n) broadcast matches an explicit all-to-all-except-self matrix."""
@@ -269,7 +275,7 @@ class TestUniformLateralInhibition:
         )
         rng = np.random.default_rng(0)
         for _ in range(5):
-            group.spikes = rng.random(n) < 0.4
+            group.spikes = rng.random((1, n)) < 0.4
             np.testing.assert_allclose(
                 transmit(lateral), transmit(dense), atol=1e-12
             )

@@ -181,6 +181,27 @@ class TestFlagsACommandWouldIgnore:
         assert args.seed == 3
 
 
+class TestCountFlags:
+    """Count flags are parsed as positive integers: a zero is a usage error,
+    not a traceback from the library."""
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--samples-per-class", "0"],
+        ["train", "--eval-per-class", "0"],
+        ["train", "--n-exc", "0"],
+        ["evaluate", "model-dir", "--eval-per-class", "0"],
+        ["energy", "--samples", "0"],
+        ["search", "--n-add", "0"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_a_zero_count_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {argv[-2]}: must be >= 1, got 0" in err
+
+
 class TestRunnerCommands:
     def test_reproduce_through_the_runner(self, tmp_path, capsys):
         exit_code = main([
