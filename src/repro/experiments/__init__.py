@@ -3,9 +3,10 @@
 Every evaluation artifact of the SpikeDyn paper has a driver module here that
 builds the required models, runs the (scaled-down by default) workload, and
 returns a structured result object with a ``to_text()`` rendering that prints
-the same rows or series the paper reports.  The benchmark harness under
-``benchmarks/`` and the ``EXPERIMENTS.md`` record are thin wrappers around
-these drivers, so the experiment logic lives in exactly one place.
+the same rows or series the paper reports.  ``repro reproduce`` and
+``repro run-all`` run these drivers through :mod:`repro.runner`, and
+``tests/experiments/test_drivers.py`` checks them, so the experiment logic
+lives in exactly one place.
 
 =====================  =====================================================
 Module                 Paper artifact

@@ -167,6 +167,11 @@ def run_mechanism_ablation(
                 f"unknown ablation variant {variant!r}; "
                 f"known variants: {list(ABLATION_VARIANTS)}"
             )
+    if "full" not in variants:
+        raise ValueError(
+            f"variants must include 'full', the reference every other variant "
+            f"is normalized to; got {list(variants)}"
+        )
 
     energy_model = EnergyModel(device)
     result = AblationResult(scale=scale, device=device.name)

@@ -6,11 +6,10 @@ drivers in this package run the same protocols at a configurable scale.
 samples per task, presentation window, ...) and ships three presets:
 
 ``ExperimentScale.tiny()``
-    Seconds-per-experiment settings used by the benchmark harness and the
-    integration tests.
+    Seconds-per-experiment settings used by the driver tests and
+    ``repro run-all --scale tiny``.
 ``ExperimentScale.small()``
-    Minutes-per-experiment settings used to produce the numbers recorded in
-    ``EXPERIMENTS.md``.
+    Minutes-per-experiment settings used by ``repro run-all --scale small``.
 ``ExperimentScale.paper()``
     The paper's own sizes (28x28 MNIST, N200/N400, 350 ms presentations,
     full dataset sample counts).  Provided for completeness; running it with
@@ -96,7 +95,7 @@ class ExperimentScale:
 
     @classmethod
     def tiny(cls, **overrides) -> "ExperimentScale":
-        """Seconds-scale preset used by benchmarks and integration tests."""
+        """Seconds-scale preset used by the driver and integration tests."""
         defaults = dict(
             image_size=14,
             network_sizes=(10, 20),
@@ -112,7 +111,7 @@ class ExperimentScale:
 
     @classmethod
     def small(cls, **overrides) -> "ExperimentScale":
-        """Minutes-scale preset used to fill EXPERIMENTS.md."""
+        """Minutes-scale preset behind ``repro run-all --scale small``."""
         defaults = dict(
             image_size=14,
             network_sizes=(20, 40),

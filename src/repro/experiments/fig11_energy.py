@@ -3,9 +3,13 @@
 For every network size and every GPU of Table I, the per-sample training and
 inference energy of the three comparison partners is measured (from the
 simulation's operation counters through the device cost model) and normalized
-to the baseline.  The paper's headline numbers — SpikeDyn saves on average
-51 % training / 37 % inference energy versus ASP for N400 — are ratios of
-these normalized values.
+to the baseline.  The paper's abstract reports that SpikeDyn saves on
+average 51 % training / 37 % inference energy versus ASP.
+:meth:`EnergyComparisonResult.savings_vs` averages the saving over every
+device and network size, not over N400 alone: at
+:meth:`ExperimentScale.paper` (N200/N400) that mean reads 68.75 % / 27.05 %,
+while the N400 rows alone give 69.9 % / 33.7 %.  The three devices give
+identical savings, because the operation counts do not depend on the device.
 """
 
 from __future__ import annotations
@@ -45,8 +49,12 @@ class EnergyComparisonResult:
         """Mean training/inference energy savings of ``candidate`` vs ``reference``.
 
         Returns ``{"training": fraction, "inference": fraction}`` averaged
-        over every device and network size — the quantity the paper reports
-        as "reduces the energy consumption on average by ... %".
+        over every device and network size, which is how this module reads
+        the abstract's "reduces the energy consumption on average by ... %".
+        The mean mixes the network sizes: at :meth:`ExperimentScale.paper`
+        it is 68.75 % / 27.05 % vs ASP, against 69.9 % / 33.7 % for N400
+        alone.  Read one size from :attr:`normalized_training` and
+        :attr:`normalized_inference`.
         """
         savings = {"training": [], "inference": []}
         for phase, table in (("training", self.normalized_training),

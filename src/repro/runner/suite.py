@@ -30,9 +30,9 @@ def scales_for_preset(
 
     ``tiny`` uses CI-sized settings for every family.  ``small`` pairs the
     minutes-scale accuracy settings with 28x28 energy estimation (N200/N400
-    when ``paper_networks`` is set, N100/N200 otherwise), matching the scales
-    the EXPERIMENTS.md record was produced at.  ``paper`` uses the paper's
-    own sizes throughout.
+    when ``paper_networks`` is set, N100/N200 otherwise);
+    ``repro run-all --scale small --paper-networks`` is the paper-size energy
+    pass.  ``paper`` uses the paper's own sizes throughout.
     """
     if preset == "tiny":
         accuracy = ExperimentScale.tiny(seed=seed)

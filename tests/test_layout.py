@@ -243,7 +243,22 @@ def test_the_learning_rule_keeps_no_spike_counts_of_its_own():
 
 
 @pytest.mark.parametrize("module", ["repro.core.framework", "repro.datasets.mnist",
-                                    "repro.analysis.pareto"])
+                                    "repro.analysis.pareto", "repro.core.quantization"])
 def test_deleted_modules_stay_deleted(module):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module)
+
+
+# -- every harness is a CI step ---------------------------------------------
+
+#: Every benchmark and script, relative to the repository root.
+HARNESSES = sorted(path.relative_to(REPO).as_posix()
+                   for pattern in ("benchmarks/bench_*.py", "scripts/*.py")
+                   for path in REPO.glob(pattern))
+
+
+@pytest.mark.parametrize("harness", HARNESSES)
+def test_every_benchmark_and_script_is_a_ci_step(harness):
+    """A benchmark or script that no CI step runs is a second, unchecked copy
+    of what the drivers and tests already do: run it in CI or delete it."""
+    assert harness in (REPO / ".github" / "workflows" / "ci.yml").read_text()
